@@ -8,13 +8,12 @@ and outlier latents). Scores are per-sample ELBOs averaged over an ensemble.
 
 from .gradcore import Tensor, Graph, no_grad, finite_diff_check
 from .netblocks import (MlpSpec, EncoderParams, DecoderParams,
-                        GaussianPosterior, philox_rng, init_mlp,
-                        init_encoder, init_decoder, encode, decode,
-                        reparameterize)
+                        GaussianPosterior, philox_rng, init_encoder,
+                        init_decoder, encode, decode, reparameterize)
 from .vbounds import (PriorSpec, BoundReport, CuboReport, elbo, cubo_loss,
                       kl_to_gaussian_prior, reconstruction_loss)
-from .models import (SsadModel, Ensemble, LossReport, mml_loss, dp_loss,
-                     hybrid_loss, ssad_loss, score, ensemble_score,
+from .models import (SsadModel, Ensemble, LossReport, normal_term,
+                     outlier_update_term, score, ensemble_score,
                      save_ensemble, load_ensemble)
 from .trainer import (TrainConfig, TrainHistory, AdamState, NumericalAbort,
                       adam_step, kl_anneal_coeff, clip_gradients,
@@ -28,12 +27,12 @@ __version__ = "0.1.0"
 __all__ = [
     "Tensor", "Graph", "no_grad", "finite_diff_check",
     "MlpSpec", "EncoderParams", "DecoderParams", "GaussianPosterior",
-    "philox_rng", "init_mlp", "init_encoder", "init_decoder", "encode",
-    "decode", "reparameterize",
+    "philox_rng", "init_encoder", "init_decoder", "encode", "decode",
+    "reparameterize",
     "PriorSpec", "BoundReport", "CuboReport", "elbo", "cubo_loss",
     "kl_to_gaussian_prior", "reconstruction_loss",
-    "SsadModel", "Ensemble", "LossReport", "mml_loss", "dp_loss",
-    "hybrid_loss", "ssad_loss", "score", "ensemble_score",
+    "SsadModel", "Ensemble", "LossReport", "normal_term",
+    "outlier_update_term", "score", "ensemble_score",
     "save_ensemble", "load_ensemble",
     "TrainConfig", "TrainHistory", "AdamState", "NumericalAbort",
     "adam_step", "kl_anneal_coeff", "clip_gradients", "outlier_path_lr",

@@ -31,20 +31,19 @@ OUT_ROOT_ENV = "SSADVAE_OUT_ROOT"
 
 _CONFIG_DIR = os.path.join(os.path.dirname(__file__), "configs")
 
-_TRAIN_KEYS = {f.name for f in dc_fields(tr.TrainConfig)} - {"master_seed"}
+_TRAIN_DEFAULTS = {f.name: f.default for f in dc_fields(tr.TrainConfig)
+                   if f.name != "master_seed"}
 
-_BOOL_KEYS = {"use_bias", "save_scores"}
-_INT_KEYS = {"epochs", "batch_size", "anneal_epochs", "warmup_epochs",
-             "nd_update_interval", "ensemble_size", "s_elbo", "s_cubo",
-             "s_score", "label_col_index"}
-_FLOAT_KEYS = {"lr", "beta_kl", "beta_cubo", "gamma", "alpha",
-               "lr_decay_factor", "clip_norm", "gamma_l", "gamma_p",
-               "train_fraction", "leak"}
-_LIST_INT_KEYS = {"widths", "seeds"}
-_STR_KEYS = {"method", "dataset", "synth", "label_col", "positive_token",
-             "activation", "family", "model_dir"}
-_ALL_KEYS = (_BOOL_KEYS | _INT_KEYS | _FLOAT_KEYS | _LIST_INT_KEYS | _STR_KEYS
-             | {"lr_decay_every"})
+_DEFAULTS = {
+    "label_col": "label", "positive_token": "1", "method": "dp",
+    "gamma_l": 0.01, "gamma_p": 0.0, "seeds": [0], "train_fraction": 0.6,
+    "save_scores": False,
+}
+
+# every accepted config key and the type of its default; the keys without
+# a default take strings
+_KEY_TYPES = {"dataset": str, "synth": str, "model_dir": str,
+              **{k: type(v) for k, v in {**_TRAIN_DEFAULTS, **_DEFAULTS}.items()}}
 
 
 class UsageError(ValueError):
@@ -52,11 +51,12 @@ class UsageError(ValueError):
 
 
 def _coerce(key: str, value):
-    if key not in _ALL_KEYS:
+    kind = _KEY_TYPES.get(key)
+    if kind is None:
         raise UsageError(f"unknown config key {key!r}")
     if isinstance(value, str):
         value = value.strip()
-    if key in _BOOL_KEYS:
+    if kind is bool:
         if isinstance(value, bool):
             return value
         if value in ("true", "1", "yes"):
@@ -64,15 +64,11 @@ def _coerce(key: str, value):
         if value in ("false", "0", "no"):
             return False
         raise UsageError(f"{key}: expected a boolean, got {value!r}")
-    if key in _INT_KEYS or key == "lr_decay_every":
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
-    if key in _LIST_INT_KEYS:
+    if kind in (list, tuple):  # comma-separated ints
         if isinstance(value, (list, tuple)):
             return [int(v) for v in value]
         return [int(v) for v in value.split(",") if v.strip()]
-    return str(value)
+    return kind(value)
 
 
 def load_config_file(path: str) -> dict:
@@ -89,7 +85,7 @@ def load_config_file(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         raw = data.get("config", data)  # accept a full run manifest
-        return {k: _coerce(k, v) for k, v in raw.items() if k in _ALL_KEYS}
+        return {k: _coerce(k, v) for k, v in raw.items() if k in _KEY_TYPES}
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -160,20 +156,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DEFAULTS = {
-    "label_col": "label", "positive_token": "1", "method": "dp",
-    "gamma_l": 0.01, "gamma_p": 0.0, "seeds": [0], "train_fraction": 0.6,
-    "save_scores": False,
-}
-
-
 def effective_config(args: argparse.Namespace) -> dict:
     """defaults < config file < explicit flags."""
     cfg = dict(_DEFAULTS)
-    for f in dc_fields(tr.TrainConfig):
-        if f.name == "master_seed":
-            continue
-        cfg[f.name] = list(f.default) if f.name == "widths" else f.default
+    cfg.update(_TRAIN_DEFAULTS, widths=list(_TRAIN_DEFAULTS["widths"]))
     if args.config:
         cfg.update(load_config_file(args.config))
     flag_map = {
@@ -211,8 +197,7 @@ def _out_root(args) -> str:
 
 
 def train_config_from(cfg: dict, master_seed: int) -> tr.TrainConfig:
-    kw = {k: cfg[k] for k in _TRAIN_KEYS if k in cfg}
-    kw["widths"] = tuple(kw.get("widths", (32, 16, 8)))
+    kw = {k: cfg[k] for k in _TRAIN_DEFAULTS if k in cfg}
     return tr.TrainConfig(master_seed=master_seed, **kw)
 
 

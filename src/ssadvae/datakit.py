@@ -11,6 +11,7 @@ dataset with a dropped role so row accounting is exact.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -100,10 +101,13 @@ def _parse_rows(rows, label_idx, positive_token, start_line):
             if col == label_idx:
                 continue
             try:
-                vals.append(float(cell))
+                value = float(cell)
             except ValueError:
                 raise DataError(
                     f"row {line}, column {col}: non-numeric cell {cell!r}") from None
+            if not math.isfinite(value):
+                raise DataError(f"row {line}, column {col}: non-finite cell {cell!r}")
+            vals.append(value)
         feats.append(vals)
         labels.append(LABEL_ANOMALY if row[label_idx].strip() == token
                       else LABEL_NORMAL)

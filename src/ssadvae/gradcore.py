@@ -19,9 +19,9 @@ import numpy as np
 __all__ = [
     "Tensor", "Graph", "no_grad", "constant", "parameter",
     "add", "sub", "mul", "neg", "exp", "log", "square", "relu",
-    "leaky_relu", "sigmoid", "softplus", "clamp", "elementwise",
-    "matmul", "reduce_sum", "reduce_mean", "reduce_max", "reduce",
-    "logsumexp", "stack", "backward", "finite_diff_check",
+    "leaky_relu", "sigmoid", "softplus", "clamp", "matmul", "reduce_sum",
+    "reduce_mean", "reduce_max", "logsumexp", "stack", "backward",
+    "finite_diff_check",
 ]
 
 
@@ -70,15 +70,8 @@ class Tensor:
     def shape(self) -> tuple:
         return self.data.shape
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.op == "leaf"
-
     def item(self) -> float:
         return float(self.data)
-
-    def numpy(self) -> np.ndarray:
-        return self.data
 
     def detach(self) -> "Tensor":
         """A leaf view sharing this tensor's buffer, cut off from the graph."""
@@ -86,9 +79,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
 
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.data.shape})"
@@ -281,28 +271,6 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
                  lambda g: (g * inside,))
 
 
-_ELEMENTWISE = {
-    "add": add, "sub": sub, "mul": mul, "neg": neg, "exp": exp,
-    "log": log, "square": square, "relu": relu, "leaky-relu": leaky_relu,
-    "sigmoid": sigmoid, "softplus": softplus, "clamp": clamp,
-}
-
-
-def elementwise(op_tag: str, a: Tensor, b: Optional[Tensor] = None, **kw) -> Tensor:
-    """Dispatch an elementwise op by tag (unary ops reject a second operand)."""
-    try:
-        fn = _ELEMENTWISE[op_tag]
-    except KeyError:
-        raise ValueError(f"unknown elementwise op {op_tag!r}") from None
-    if op_tag in ("add", "sub", "mul"):
-        if b is None:
-            raise ValueError(f"{op_tag} is binary, second operand required")
-        return fn(a, b, **kw)
-    if b is not None:
-        raise ValueError(f"{op_tag} is unary, got a second operand")
-    return fn(a, **kw)
-
-
 # ---------------------------------------------------------------------------
 # matmul and reductions
 
@@ -368,16 +336,6 @@ def reduce_max(a: Tensor, axis=None) -> Tensor:
         return (mask * np.expand_dims(g, ax),)
 
     return _make(da.max(axis=ax), "max", (a,), vjp)
-
-
-_REDUCE = {"sum": reduce_sum, "mean": reduce_mean, "max": reduce_max}
-
-
-def reduce(op_tag: str, a: Tensor, axis=None) -> Tensor:
-    try:
-        return _REDUCE[op_tag](a, axis)
-    except KeyError:
-        raise ValueError(f"unknown reduction {op_tag!r}") from None
 
 
 def logsumexp(a: Tensor, axis=None) -> Tensor:

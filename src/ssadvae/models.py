@@ -18,6 +18,7 @@ import numpy as np
 from . import gradcore as gc
 from . import netblocks as nb
 from . import vbounds as vb
+from .datakit import DataError
 from .gradcore import Tensor
 
 METHODS = ("vae", "mml", "dp", "hybrid")
@@ -70,14 +71,9 @@ class SsadModel:
 @dataclass
 class LossReport:
     loss: Tensor
-    normal: Optional[vb.BoundReport]
     outlier_elbo: Optional[vb.BoundReport] = None
     cubo: Optional[vb.CuboReport] = None
-    cubo_log_domain: bool = False
-
-    @property
-    def finite(self) -> bool:
-        return bool(np.isfinite(self.loss.data))
+    cubo_log_domain: Optional[bool] = None  # None: no CUBO term in the loss
 
 
 def cubo_objective(rep: vb.CuboReport):
@@ -93,10 +89,6 @@ def cubo_objective(rep: vb.CuboReport):
     return rep.value, False
 
 
-def _empty(x) -> bool:
-    return x is None or len(x) == 0
-
-
 def normal_term(model: SsadModel, x, beta_kl: Optional[float] = None,
                 n_samples: int = 1, rng=None, noise=None):
     """Negative ELBO of a normal batch under the zero-mean prior."""
@@ -106,102 +98,28 @@ def normal_term(model: SsadModel, x, beta_kl: Optional[float] = None,
     return gc.neg(rep.elbo), rep
 
 
-def mml_loss(model: SsadModel, normal_x, outlier_x,
-             beta_kl: Optional[float] = None, s_elbo: int = 1, s_cubo: int = 8,
-             rng=None, noise_normal=None, noise_outlier=None) -> LossReport:
-    """gamma * CUBO(outliers) - ELBO(normals), one encoder for both terms.
-
-    The CUBO prior mean is zero. An empty outlier batch (or gamma == 0)
-    reduces to the plain negative ELBO.
-    """
-    if _empty(normal_x):
-        raise ValueError("normal batch must be non-empty")
-    loss, rep_n = normal_term(model, normal_x, beta_kl, s_elbo, rng, noise_normal)
-    if _empty(outlier_x) or model.gamma == 0.0:
-        return LossReport(loss=loss, normal=rep_n)
-    cubo = vb.cubo_loss(model.encoder, model.decoder, outlier_x, None,
-                        model.beta_cubo, n_samples=s_cubo, rng=rng,
-                        noise=noise_outlier)
-    # the combined-loss API keeps the exp-domain form unless it overflows;
-    # the trainer's update path applies the wider cubo_objective band
-    target = cubo.log_value if cubo.overflowed else cubo.value
-    loss = gc.add(gc.mul(target, model.gamma), loss)
-    return LossReport(loss=loss, normal=rep_n, cubo=cubo,
-                      cubo_log_domain=cubo.overflowed)
-
-
-def dp_loss(model: SsadModel, normal_x, outlier_x,
-            beta_kl: Optional[float] = None, s_elbo: int = 1, s_cubo: int = 8,
-            rng=None, noise_normal=None, noise_outlier=None) -> LossReport:
-    """-[ELBO_normal(normals) + ELBO_outlier(outliers)].
-
-    The outlier term uses the alpha*1 prior mean and a frozen decoder; the
-    encoder is shared. An empty outlier batch reduces to the plain negative
-    ELBO on normals.
-    """
-    if _empty(normal_x):
-        raise ValueError("normal batch must be non-empty")
-    loss, rep_n = normal_term(model, normal_x, beta_kl, s_elbo, rng, noise_normal)
-    if _empty(outlier_x):
-        return LossReport(loss=loss, normal=rep_n)
-    beta = model.beta_kl if beta_kl is None else beta_kl
-    rep_o = vb.elbo(model.encoder, model.decoder.detached(), outlier_x,
-                    model.prior.mu_outlier, beta, n_samples=s_elbo,
-                    rng=rng, noise=noise_outlier)
-    loss = gc.sub(loss, rep_o.elbo)
-    return LossReport(loss=loss, normal=rep_n, outlier_elbo=rep_o)
-
-
-def hybrid_loss(model: SsadModel, normal_x, outlier_x,
-                beta_kl: Optional[float] = None, s_elbo: int = 1,
-                s_cubo: int = 8, rng=None, noise_normal=None,
-                noise_outlier=None, noise_cubo=None) -> LossReport:
-    """Dual-prior loss plus gamma * CUBO(outliers) with zero CUBO prior mean."""
-    rep = dp_loss(model, normal_x, outlier_x, beta_kl, s_elbo, s_cubo,
-                  rng, noise_normal, noise_outlier)
-    if _empty(outlier_x) or model.gamma == 0.0:
-        return rep
-    cubo = vb.cubo_loss(model.encoder, model.decoder, outlier_x, None,
-                        model.beta_cubo, n_samples=s_cubo, rng=rng,
-                        noise=noise_cubo)
-    target = cubo.log_value if cubo.overflowed else cubo.value
-    rep.loss = gc.add(gc.mul(target, model.gamma), rep.loss)
-    rep.cubo = cubo
-    rep.cubo_log_domain = cubo.overflowed
-    return rep
-
-
-def ssad_loss(model: SsadModel, normal_x, outlier_x, **kw) -> LossReport:
-    """Dispatch the full loss by model.method; 'vae' ignores outliers."""
-    if model.method == "mml":
-        return mml_loss(model, normal_x, outlier_x, **kw)
-    if model.method == "dp":
-        return dp_loss(model, normal_x, outlier_x, **kw)
-    if model.method == "hybrid":
-        return hybrid_loss(model, normal_x, outlier_x, **kw)
-    loss, rep = normal_term(model, normal_x, kw.get("beta_kl"),
-                            kw.get("s_elbo", 1), kw.get("rng"),
-                            kw.get("noise_normal"))
-    return LossReport(loss=loss, normal=rep)
-
-
 def outlier_update_term(model: SsadModel, outlier_x,
                         beta_kl: Optional[float] = None, s_elbo: int = 1,
                         s_cubo: int = 8, rng=None) -> LossReport:
-    """The outlier-only objective used on novelty-detection update steps."""
+    """The outlier-only objective used on novelty-detection update steps.
+
+    mml: gamma * CUBO(outliers) under the zero-mean prior; dp: the negative
+    outlier ELBO under the alpha*1 prior; hybrid: both. The decoder is a
+    frozen constant throughout, so a method's full loss is normal_term plus
+    this term, and only the normal term trains the decoder.
+    """
     if model.method == "mml":
         cubo = vb.cubo_loss(model.encoder, model.decoder, outlier_x, None,
                             model.beta_cubo, n_samples=s_cubo, rng=rng)
         target, log_domain = cubo_objective(cubo)
         loss = gc.mul(target, model.gamma)
-        return LossReport(loss=loss, normal=None, cubo=cubo,
-                          cubo_log_domain=log_domain)
+        return LossReport(loss=loss, cubo=cubo, cubo_log_domain=log_domain)
     if model.method in ("dp", "hybrid"):
         beta = model.beta_kl if beta_kl is None else beta_kl
         rep_o = vb.elbo(model.encoder, model.decoder.detached(), outlier_x,
                         model.prior.mu_outlier, beta, n_samples=s_elbo, rng=rng)
         loss = gc.neg(rep_o.elbo)
-        report = LossReport(loss=loss, normal=None, outlier_elbo=rep_o)
+        report = LossReport(loss=loss, outlier_elbo=rep_o)
         if model.method == "hybrid" and model.gamma > 0.0:
             cubo = vb.cubo_loss(model.encoder, model.decoder, outlier_x, None,
                                 model.beta_cubo, n_samples=s_cubo, rng=rng)
@@ -303,16 +221,22 @@ def save_ensemble(dirpath, ens: Ensemble, extra: Optional[dict] = None) -> None:
 
 
 def load_ensemble(dirpath) -> tuple:
-    """Returns (Ensemble, manifest dict)."""
-    with open(os.path.join(dirpath, "manifest.json"), "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    members = []
-    for i, seed in enumerate(manifest["seeds"]):
-        enc, dec = nb.load_params(os.path.join(dirpath, f"member_{i:02d}.bin"),
-                                  os.path.join(dirpath, f"member_{i:02d}.json"))
-        prior = vb.PriorSpec(dim=enc.spec.latent_dim, alpha=manifest["alpha"])
-        members.append(SsadModel(
-            enc, dec, manifest["method"], prior, gamma=manifest["gamma"],
-            beta_kl=manifest["beta_kl"], beta_cubo=manifest["beta_cubo"],
-            seed=seed))
-    return Ensemble(members), manifest
+    """Returns (Ensemble, manifest dict). A missing, corrupt or inconsistent
+    manifest or member file raises DataError naming that file."""
+    path = os.path.join(dirpath, "manifest.json")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        members = []
+        for i, seed in enumerate(manifest["seeds"]):
+            path = os.path.join(dirpath, f"member_{i:02d}.bin")
+            enc, dec = nb.load_params(path, path[:-len(".bin")] + ".json")
+            prior = vb.PriorSpec(dim=enc.spec.latent_dim, alpha=manifest["alpha"])
+            members.append(SsadModel(
+                enc, dec, manifest["method"], prior, gamma=manifest["gamma"],
+                beta_kl=manifest["beta_kl"], beta_cubo=manifest["beta_cubo"],
+                seed=seed))
+        return Ensemble(members), manifest
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        detail = str(exc)
+        raise DataError(detail if path in detail else f"{path}: {detail}") from exc

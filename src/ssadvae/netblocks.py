@@ -8,6 +8,7 @@ bit-exactly, across ensemble members and platforms.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from typing import Optional
@@ -25,7 +26,6 @@ FAMILIES = ("gaussian", "bernoulli")
 _MAGIC = b"SSADVAE1"
 
 # init/noise streams hanging off one member seed
-STREAM_INIT = 0
 STREAM_ENCODER = 1
 STREAM_DECODER = 2
 STREAM_SHUFFLE = 3
@@ -90,19 +90,6 @@ def _init_layer(rng: np.random.Generator, fan_in: int, fan_out: int,
     w = gc.parameter(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
     b = gc.parameter(np.zeros(fan_out)) if use_bias else None
     return w, b
-
-
-def init_mlp(spec: MlpSpec, in_dim: int, seed: int) -> tuple:
-    """Plain MLP parameters (weights, biases) for in_dim -> widths chain."""
-    rng = philox_rng(seed, STREAM_INIT)
-    ws, bs = [], []
-    prev = in_dim
-    for width in spec.widths:
-        w, b = _init_layer(rng, prev, width, spec.use_bias)
-        ws.append(w)
-        bs.append(b)
-        prev = width
-    return ws, bs
 
 
 @dataclass
@@ -275,20 +262,31 @@ def write_arrays(path, arrays) -> None:
 
 
 def read_arrays(path) -> list:
+    """Inverse of write_arrays; a short file or bytes after the last array
+    raise ValueError naming the file."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        (count,) = struct.unpack("<I", fh.read(4))
-        arrays = []
-        for _ in range(count):
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-            n = int(np.prod(shape)) if ndim else 1
-            buf = fh.read(8 * n)
-            if len(buf) != 8 * n:
-                raise ValueError(f"{path}: truncated array data")
-            arrays.append(np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
+        blob = fh.read()
+    pos = len(_MAGIC)
+
+    def take(n: int, what: str) -> bytes:
+        # a corrupt header can claim any size: check it against the file
+        nonlocal pos
+        if n > len(blob) - pos:
+            raise ValueError(f"{path}: truncated {what}")
+        pos += n
+        return blob[pos - n:pos]
+
+    if blob[:pos] != _MAGIC:
+        raise ValueError(f"{path}: bad magic {blob[:pos]!r}")
+    (count,) = struct.unpack("<I", take(4, "array count"))
+    arrays = []
+    for _ in range(count):
+        (ndim,) = struct.unpack("<I", take(4, "array header"))
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "array shape"))
+        buf = take(8 * math.prod(shape), "array data")
+        arrays.append(np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
+    if pos != len(blob):
+        raise ValueError(f"{path}: {len(blob) - pos} trailing bytes")
     return arrays
 
 

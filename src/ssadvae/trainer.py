@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from typing import Optional
 
 import numpy as np
@@ -184,6 +184,7 @@ class EpochStats:
     outlier_lr: Optional[float]
     anneal_coeff: float
     wall_time: float
+    cubo_log_domain: Optional[bool]  # None: no CUBO step this epoch
 
 
 @dataclass
@@ -191,15 +192,13 @@ class TrainHistory:
     seed: int
     records: list = field(default_factory=list)
 
-    _FIELDS = ["epoch", "elbo", "kl", "recon", "outlier_term",
-               "lr", "outlier_lr", "anneal_coeff", "wall_time"]
-
     def to_rows(self) -> list:
         return [asdict(r) for r in self.records]
 
     def save_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=self._FIELDS)
+            writer = csv.DictWriter(
+                fh, fieldnames=[f.name for f in fields(EpochStats)])
             writer.writeheader()
             for row in self.to_rows():
                 writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
@@ -250,8 +249,7 @@ def _train_member(model: md.SsadModel, config: TrainConfig,
             w = len(xb)
             sums += w * np.array([rep.elbo.item(), rep.kl.item(), rep.recon.item()])
 
-        outlier_val = None
-        outlier_lr = None
+        outlier_val = outlier_lr = log_domain = None
         due = (do_outlier and epoch >= config.warmup_epochs
                and (epoch - config.warmup_epochs) % config.nd_update_interval == 0)
         if due:
@@ -279,11 +277,13 @@ def _train_member(model: md.SsadModel, config: TrainConfig,
             except NumericalAbort as e:
                 raise e.with_context(epoch)
             outlier_val = rep.loss.item()
+            log_domain = rep.cubo_log_domain
 
         history.records.append(EpochStats(
             epoch=epoch, elbo=sums[0] / n, kl=sums[1] / n, recon=sums[2] / n,
             outlier_term=outlier_val, lr=config.lr, outlier_lr=outlier_lr,
-            anneal_coeff=beta, wall_time=time.perf_counter() - t0))
+            anneal_coeff=beta, wall_time=time.perf_counter() - t0,
+            cubo_log_domain=log_domain))
     return history
 
 

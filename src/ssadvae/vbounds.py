@@ -39,10 +39,6 @@ class PriorSpec:
     alpha: float = 0.0
 
     @property
-    def mu_normal(self) -> np.ndarray:
-        return np.zeros(self.dim)
-
-    @property
     def mu_outlier(self) -> np.ndarray:
         return np.full(self.dim, float(self.alpha))
 

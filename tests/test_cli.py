@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import os
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ssadvae import cli
 
@@ -262,3 +269,146 @@ def test_benchmark_failure_leaves_marker(tmp_path):
     failed = json.loads((run_dir / "FAILED.json").read_text())
     assert "non-finite" in failed["error"]
     assert failed["completed_seeds"] == []
+
+
+# ---------------------------------------------------------------------------
+# bad inputs: exit 2 with the row or file named, never a traceback
+
+@pytest.fixture(scope="module")
+def model_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("model")
+    cfg = write_fast_cfg(root)
+    rc = cli.main(["train", "--synth", "4,200,3.0", "--method", "dp",
+                   "--config", cfg, *fast_args(out=root / "runs")])
+    assert rc == cli.EXIT_OK
+    return next((root / "runs").iterdir())
+
+
+@pytest.mark.parametrize("token", ["nan", "1e400"])
+def test_nonfinite_csv_cell_is_data_error(model_dir, tmp_path, capsys, token):
+    table = tmp_path / "bad.csv"
+    table.write_text(f"a,b,c,d,label\n0,1,2,3,0\n1,{token},2,3,1\n",
+                     encoding="utf-8")
+    out = tmp_path / "scored"
+    rc = cli.main(["score", "--model-dir", str(model_dir), "--dataset",
+                   str(table), "--out", str(out)])
+    assert rc == cli.EXIT_DATA
+    assert f"row 3, column 1: non-finite cell '{token}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _corrupt(blob: bytes, case) -> bytes:
+    kind = case[0]
+    if kind == "truncate":
+        return blob[:case[1] % len(blob)]
+    if kind == "magic":
+        i, flip = case[1], case[2]
+        return blob[:i] + bytes([blob[i] ^ flip]) + blob[i + 1:]
+    return blob + case[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 10**6)),
+    st.tuples(st.just("magic"), st.integers(0, 7), st.integers(1, 255)),
+    st.tuples(st.just("append"), st.binary(min_size=1, max_size=64))))
+@example(("truncate", 10))
+@example(("truncate", 0))
+def test_corrupt_model_file_is_data_error(model_dir, case):
+    with tempfile.TemporaryDirectory() as tmp:
+        bad_dir = os.path.join(tmp, "model")
+        shutil.copytree(model_dir, bad_dir)
+        member = os.path.join(bad_dir, "member_00.bin")
+        with open(member, "rb") as fh:
+            blob = fh.read()
+        with open(member, "wb") as fh:
+            fh.write(_corrupt(blob, case))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.main(["score", "--model-dir", bad_dir, "--synth",
+                           "4,40,3.0", "--out", os.path.join(tmp, "scored")])
+        assert rc == cli.EXIT_DATA
+        assert err.getvalue().startswith(f"data error: {member}: ")
+        assert not os.path.exists(os.path.join(tmp, "scored"))
+
+
+# ---------------------------------------------------------------------------
+# config keys and digests
+
+# the digest names a config's run directories and reruns from a manifest
+# must reproduce it, so a digest that changes means some key now coerces to
+# a different value or type
+PINNED_DIGESTS = {
+    "dp-arrhythmia.cfg": "dc39bca6e354", "dp-cardio.cfg": "1ce291573370",
+    "dp-satellite.cfg": "1ce291573370", "dp-satimage2.cfg": "666117ad0fbc",
+    "dp-shuttle.cfg": "1ce291573370", "dp-thyroid.cfg": "3efe63c06c48",
+    "mml-arrhythmia.cfg": "46db86b3738d", "mml-cardio.cfg": "43669cd9367e",
+    "mml-satellite.cfg": "43669cd9367e", "mml-satimage2.cfg": "43669cd9367e",
+    "mml-shuttle.cfg": "43669cd9367e", "mml-thyroid.cfg": "29268db4e3bb",
+    "synth-default.cfg": "1ce291573370",
+}
+
+EVERY_KEY_CFG = """\
+use_bias = false
+save_scores = yes
+epochs = 12
+batch_size = 64
+anneal_epochs = 3
+warmup_epochs = 4
+nd_update_interval = 2
+ensemble_size = 3
+s_elbo = 2
+s_cubo = 4
+s_score = 16
+lr_decay_every = 5
+lr = 0.002
+beta_kl = 0.1
+beta_cubo = 0.2
+gamma = 0.5
+alpha = 3
+lr_decay_factor = 0.5
+clip_norm = 2
+gamma_l = 0.05
+gamma_p = 0.02
+train_fraction = 0.7
+leak = 0.2
+widths = 16, 8, 4
+seeds = 3,4
+method = hybrid
+dataset = data.csv
+label_col = y
+positive_token = yes
+activation = relu
+family = bernoulli
+model_dir = models
+"""
+
+
+def _digest(*argv):
+    return cli.config_digest(cli.effective_config(
+        cli.build_parser().parse_args(["benchmark", *argv])))
+
+
+def test_bundled_config_digests_pinned():
+    assert sorted(PINNED_DIGESTS) == cli.list_bundled_configs()
+    for name, digest in PINNED_DIGESTS.items():
+        assert _digest("--synth", "8,200,3.0", "--config", name) == digest, name
+
+
+def test_every_config_key_coerces_as_pinned(tmp_path):
+    p = tmp_path / "every.cfg"
+    p.write_text(EVERY_KEY_CFG, encoding="utf-8")
+    cfg = cli.load_config_file(str(p))
+    assert cfg["alpha"] == 3.0 and isinstance(cfg["alpha"], float)
+    assert cfg["epochs"] == 12 and isinstance(cfg["epochs"], int)
+    assert cfg["use_bias"] is False and cfg["widths"] == [16, 8, 4]
+    assert _digest("--config", str(p)) == "4e86c9cc75c1"
+
+
+def test_label_col_index_is_unknown_config_key(tmp_path, capsys):
+    p = tmp_path / "c.cfg"
+    p.write_text("label_col_index = 7\n", encoding="utf-8")
+    rc = cli.main(["train", "--synth", "4,100,2.0", "--config", str(p),
+                   "--out", str(tmp_path / "runs")])
+    assert rc == cli.EXIT_USAGE
+    assert "unknown config key 'label_col_index'" in capsys.readouterr().err

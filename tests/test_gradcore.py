@@ -266,18 +266,22 @@ def test_fd_reports_nonfinite_as_failure():
         gc.finite_diff_check(lambda t: gc.log(t), np.array(1e-9), eps=1e-5)
 
 
-UNARY_SMOOTH = ["neg", "exp", "square", "sigmoid", "softplus"]
-BINARY = ["add", "sub", "mul"]
+UNARY_SMOOTH = [gc.neg, gc.exp, gc.square, gc.sigmoid, gc.softplus]
+BINARY = [gc.add, gc.sub, gc.mul]
 
 
-@pytest.mark.parametrize("tag", UNARY_SMOOTH)
-def test_fd_unary_ops(tag):
+def _name(op):
+    return op.__name__
+
+
+@pytest.mark.parametrize("op", UNARY_SMOOTH, ids=_name)
+def test_fd_unary_ops(op):
     g = rng(11)
     worst = 0.0
     for _ in range(100):
         p = g.standard_normal(4) * 2.0
         err = gc.finite_diff_check(
-            lambda t: gc.reduce_sum(gc.square(gc.elementwise(tag, t))), p)
+            lambda t: gc.reduce_sum(gc.square(op(t))), p)
         worst = max(worst, err)
     assert worst < 1e-4
 
@@ -290,24 +294,24 @@ def test_fd_log_positive_domain():
             lambda t: gc.reduce_sum(gc.square(gc.log(t))), p) < 1e-4
 
 
-@pytest.mark.parametrize("tag", ["relu", "leaky-relu"])
-def test_fd_piecewise_ops_away_from_kink(tag):
+@pytest.mark.parametrize("op", [gc.relu, gc.leaky_relu], ids=["relu", "leaky-relu"])
+def test_fd_piecewise_ops_away_from_kink(op):
     g = rng(13)
     for _ in range(100):
         p = g.standard_normal(4)
         p = np.where(np.abs(p) < 0.05, p + 0.2, p)  # keep clear of the kink
         assert gc.finite_diff_check(
-            lambda t: gc.reduce_sum(gc.square(gc.elementwise(tag, t))), p) < 1e-4
+            lambda t: gc.reduce_sum(gc.square(op(t))), p) < 1e-4
 
 
-@pytest.mark.parametrize("tag", BINARY)
-def test_fd_binary_ops(tag):
+@pytest.mark.parametrize("op", BINARY, ids=_name)
+def test_fd_binary_ops(op):
     g = rng(14)
     other = gc.constant(g.standard_normal(4))
     for _ in range(100):
         p = g.standard_normal(4)
         assert gc.finite_diff_check(
-            lambda t: gc.reduce_sum(gc.square(gc.elementwise(tag, t, other))), p) < 1e-4
+            lambda t: gc.reduce_sum(gc.square(op(t, other))), p) < 1e-4
 
 
 def test_fd_matmul_reduce_logsumexp():
@@ -330,12 +334,3 @@ def test_fd_clamp_inside_range():
         p = g.uniform(-2.0, 2.0, size=4)
         assert gc.finite_diff_check(
             lambda t: gc.reduce_sum(gc.square(gc.clamp(t, -5.0, 5.0))), p) < 1e-4
-
-
-def test_elementwise_dispatcher_arity_checks():
-    with pytest.raises(ValueError, match="unknown"):
-        gc.elementwise("tanh", gc.constant([1.0]))
-    with pytest.raises(ValueError, match="binary"):
-        gc.elementwise("add", gc.constant([1.0]))
-    with pytest.raises(ValueError, match="unary"):
-        gc.elementwise("exp", gc.constant([1.0]), gc.constant([1.0]))

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from ssadvae import datakit as dk
 from ssadvae import gradcore as gc
 from ssadvae import models as md
 from ssadvae import netblocks as nb
+from ssadvae import trainer as tr
 from ssadvae import vbounds as vb
 
 SPEC = nb.MlpSpec(widths=(6, 2))
@@ -34,54 +36,80 @@ def test_model_validation():
         toy_model(method="mml", gamma=-1.0)
 
 
+def full_loss(model, xn, xo, noise_normal, outlier_rng):
+    """What training optimizes: the normal term plus the outlier term."""
+    loss, _ = md.normal_term(model, xn, noise=noise_normal)
+    rep = md.outlier_update_term(model, xo, rng=outlier_rng)
+    return gc.add(loss, rep.loss), rep
+
+
+def cubo_target(cubo, log_domain):
+    return (cubo.log_value if log_domain else cubo.value).item()
+
+
 def test_mml_gamma_zero_is_exact_negative_elbo():
     model = toy_model(gamma=0.0)
     xn, xo = batches()
     noise = rng(2).standard_normal((1, 4, 2))
-    rep = md.mml_loss(model, xn, xo, noise_normal=noise)
+    loss, rep = full_loss(model, xn, xo, noise, rng(3))
     direct = vb.elbo(model.encoder, model.decoder, xn, None, model.beta_kl,
                      noise=noise)
-    assert rep.loss.item() == -direct.elbo.item()
-    assert rep.cubo is None
+    assert rep.loss.item() == 0.0
+    assert loss.item() == -direct.elbo.item()
 
 
 def test_mml_empty_outlier_batch_matches_gamma_zero():
-    xn, _ = batches()
-    noise = rng(2).standard_normal((1, 4, 2))
-    a = md.mml_loss(toy_model(gamma=0.0), xn, None, noise_normal=noise)
-    b = md.mml_loss(toy_model(gamma=1.0), xn, np.zeros((0, 2)), noise_normal=noise)
-    assert a.loss.item() == b.loss.item()
+    # an empty labeled-outlier pool and gamma == 0 both leave the trainer
+    # with the normal term alone: the trained parameters agree bit for bit
+    ds = dk.synth_gaussian_ad(2, 60, 20, 3.0, seed=0)
+    train, _ = dk.split_stratified(ds, 0.6, seed=0)
+    cfg = dict(epochs=6, batch_size=16, anneal_epochs=2, warmup_epochs=2,
+               ensemble_size=1, s_cubo=4, widths=(6, 2))
+    empty_pool = dk.subsample_labeled_outliers(train, 0.0, seed=0)
+    with_pool = dk.subsample_labeled_outliers(train, 0.2, seed=0)
+    assert len(empty_pool.labeled_outliers()) == 0
+    assert len(with_pool.labeled_outliers()) > 0
+    a, _ = tr.train(tr.TrainConfig(gamma=1.0, **cfg), empty_pool, "mml")
+    b, _ = tr.train(tr.TrainConfig(gamma=0.0, **cfg), with_pool, "mml")
+    for ta, tb in zip(a.members[0].parameters(), b.members[0].parameters()):
+        np.testing.assert_array_equal(ta.data, tb.data)
 
 
-def test_mml_loss_composes_from_vbounds_oracles():
-    # 1-D model, pinned noise: loss == gamma * cubo_value - elbo_value where
-    # both pieces are evaluated independently of the loss path
+def test_mml_terms_compose_from_vbounds_oracles():
+    # 1-D model, pinned noise: loss == gamma * cubo - elbo where both pieces
+    # are evaluated independently of the loss path, the CUBO in the domain
+    # cubo_objective picked: exp for near outliers, log for far ones
     model = toy_model(gamma=0.7, in_dim=1)
     xn = rng(3).standard_normal((4, 1))
-    xo = rng(4).standard_normal((2, 1)) + 4.0
     noise_n = rng(5).standard_normal((1, 4, 2))
-    noise_o = rng(6).standard_normal((8, 2, 2))
-    rep = md.mml_loss(model, xn, xo, noise_normal=noise_n, noise_outlier=noise_o)
-
     elbo_ref = vb.elbo(model.encoder, model.decoder, xn, None, 0.05,
                        noise=noise_n).elbo.item()
-    cubo_ref = vb.cubo_loss(model.encoder, model.decoder, xo, None, 0.05,
-                            noise=noise_o).value.item()
-    assert rep.loss.item() == pytest.approx(0.7 * cubo_ref - elbo_ref, rel=1e-12)
+    domains = []
+    for shift in (0.0, 4.0):
+        xo = rng(4).standard_normal((2, 1)) + shift
+        loss, rep = full_loss(model, xn, xo, noise_n, rng(6))
+        cubo_ref = vb.cubo_loss(model.encoder, model.decoder, xo, None, 0.05,
+                                noise=rng(6).standard_normal((8, 2, 2)))
+        assert rep.cubo_log_domain == md.cubo_objective(cubo_ref)[1]
+        assert loss.item() == pytest.approx(
+            0.7 * cubo_target(cubo_ref, rep.cubo_log_domain) - elbo_ref,
+            rel=1e-12)
+        domains.append(rep.cubo_log_domain)
+    assert domains == [False, True]
 
 
-def test_dp_loss_composes_from_elbo_oracles():
+def test_dp_terms_compose_from_elbo_oracles():
     model = toy_model(method="dp", alpha=10.0, in_dim=1)
     xn = rng(7).standard_normal((4, 1))
     xo = rng(8).standard_normal((2, 1)) + 4.0
     noise_n = rng(9).standard_normal((1, 4, 2))
-    noise_o = rng(10).standard_normal((1, 2, 2))
-    rep = md.dp_loss(model, xn, xo, noise_normal=noise_n, noise_outlier=noise_o)
+    loss, rep = full_loss(model, xn, xo, noise_n, rng(10))
 
     e_n = vb.elbo(model.encoder, model.decoder, xn, None, 0.05, noise=noise_n)
     e_o = vb.elbo(model.encoder, model.decoder.detached(), xo,
-                  np.full(2, 10.0), 0.05, noise=noise_o)
-    assert rep.loss.item() == pytest.approx(
+                  np.full(2, 10.0), 0.05, noise=rng(10).standard_normal((1, 2, 2)))
+    assert rep.cubo is None and rep.cubo_log_domain is None
+    assert loss.item() == pytest.approx(
         -(e_n.elbo.item() + e_o.elbo.item()), rel=1e-12)
 
 
@@ -89,38 +117,39 @@ def test_dp_alpha_zero_override_collapses_priors():
     # bypass the constructor invariant to probe the degenerate-prior case
     model = toy_model(method="dp", alpha=1.0, in_dim=2)
     model.prior = vb.PriorSpec(dim=2, alpha=0.0)
-    xn, xo = batches()
-    noise_o = rng(11).standard_normal((1, 2, 2))
-    rep = md.dp_loss(model, xn, xo, noise_normal=rng(12).standard_normal((1, 4, 2)),
-                     noise_outlier=noise_o)
+    _, xo = batches()
+    rep = md.outlier_update_term(model, xo, rng=rng(11))
     same_prior = vb.elbo(model.encoder, model.decoder.detached(), xo, None,
-                         0.05, noise=noise_o)
+                         0.05, noise=rng(11).standard_normal((1, 2, 2)))
     assert rep.outlier_elbo.elbo.item() == pytest.approx(
         same_prior.elbo.item(), rel=1e-12)
 
 
 def test_dp_empty_outlier_batch_plain_negative_elbo():
+    # with no outlier updates dp trains on its normal term alone, which is
+    # the plain negative ELBO under the zero-mean prior whatever alpha is
     model = toy_model(method="dp", alpha=5.0)
     xn, _ = batches()
     noise = rng(2).standard_normal((1, 4, 2))
-    rep = md.dp_loss(model, xn, np.zeros((0, 2)), noise_normal=noise)
+    loss, _ = md.normal_term(model, xn, noise=noise)
     direct = vb.elbo(model.encoder, model.decoder, xn, None, 0.05, noise=noise)
-    assert rep.loss.item() == -direct.elbo.item()
+    assert loss.item() == -direct.elbo.item()
 
 
 def test_hybrid_is_dp_plus_weighted_cubo():
     model = toy_model(method="hybrid", alpha=5.0, gamma=0.5, in_dim=2)
-    xn, xo = batches()
-    nn = rng(13).standard_normal((1, 4, 2))
-    no = rng(14).standard_normal((1, 2, 2))
-    nc = rng(15).standard_normal((8, 2, 2))
-    rep = md.hybrid_loss(model, xn, xo, noise_normal=nn, noise_outlier=no,
-                         noise_cubo=nc)
-    dp_ref = md.dp_loss(model, xn, xo, noise_normal=nn, noise_outlier=no)
+    _, xo = batches()
+    rep = md.outlier_update_term(model, xo, rng=rng(14))
+    g = rng(14)  # the outlier ELBO draws its noise first, then the CUBO
+    no = g.standard_normal((1, 2, 2))
+    nc = g.standard_normal((8, 2, 2))
+    dp_ref = vb.elbo(model.encoder, model.decoder.detached(), xo,
+                     np.full(2, 5.0), 0.05, noise=no).elbo.item()
     cubo_ref = vb.cubo_loss(model.encoder, model.decoder, xo, None, 0.05,
-                            noise=nc).value.item()
+                            noise=nc)
+    assert rep.cubo_log_domain == md.cubo_objective(cubo_ref)[1]
     assert rep.loss.item() == pytest.approx(
-        dp_ref.loss.item() + 0.5 * cubo_ref, rel=1e-12)
+        -dp_ref + 0.5 * cubo_target(cubo_ref, rep.cubo_log_domain), rel=1e-12)
 
 
 def test_shared_encoder_by_identity(monkeypatch):
@@ -132,15 +161,12 @@ def test_shared_encoder_by_identity(monkeypatch):
         return real_encode(params, x)
 
     monkeypatch.setattr(nb, "encode", spy)
-    model = toy_model(method="dp", alpha=5.0)
     xn, xo = batches()
-    md.dp_loss(model, xn, xo, rng=rng(16))
-    assert len(seen) == 2 and seen[0] is seen[1]
-
-    seen.clear()
-    model2 = toy_model(method="mml")
-    md.mml_loss(model2, xn, xo, rng=rng(17))
-    assert len(seen) == 2 and seen[0] is seen[1]
+    for method in ("dp", "mml"):
+        seen.clear()
+        model = toy_model(method=method, alpha=5.0)
+        full_loss(model, xn, xo, rng(16).standard_normal((1, 4, 2)), rng(17))
+        assert len(seen) == 2 and seen[0] is seen[1]
 
 
 @pytest.mark.parametrize("method", ["mml", "dp", "hybrid"])
@@ -157,38 +183,30 @@ def test_full_loss_decoder_gradient_comes_only_from_normal_term():
     model = toy_model(method="mml", gamma=2.0)
     xn, xo = batches()
     nn = rng(19).standard_normal((1, 4, 2))
-    rep = md.mml_loss(model, xn, xo, noise_normal=nn, rng=rng(20))
+    loss, _ = full_loss(model, xn, xo, nn, rng(20))
     model.zero_grads()
-    gc.backward(rep.loss)
-    with_outliers = [None if t.grad is None else t.grad.copy()
-                     for t in model.decoder.tensors()]
-    model.zero_grads()
-    plain = md.mml_loss(toy_model(method="mml", gamma=0.0), xn, None,
-                        noise_normal=nn)
-    gc.backward(plain.loss)
-    # same seeds -> same decoder; outlier term must not have added anything
-    for g_full, t in zip(with_outliers, toy_model().decoder.tensors()):
-        assert g_full is not None
-    ref_model = toy_model(method="mml", gamma=0.0)
-    ref = md.mml_loss(ref_model, xn, None, noise_normal=nn)
-    ref_model.zero_grads()
-    gc.backward(ref.loss)
+    gc.backward(loss)
+    with_outliers = [t.grad for t in model.decoder.tensors()]
+    assert all(g is not None for g in with_outliers)
+    # same seed -> same decoder; the outlier term must not have added anything
+    ref_model = toy_model(method="mml", gamma=2.0)
+    ref, _ = md.normal_term(ref_model, xn, noise=nn)
+    gc.backward(ref)
     for g_full, t in zip(with_outliers, ref_model.decoder.tensors()):
         np.testing.assert_array_equal(g_full, t.grad)
 
 
-def test_ssad_loss_dispatch_all_methods():
-    xn, xo = batches()
-    for method in ("vae", "mml", "dp", "hybrid"):
+def test_outlier_update_term_dispatch_all_methods():
+    _, xo = batches()
+    with pytest.raises(ValueError, match="no outlier update"):
+        md.outlier_update_term(toy_model(method="vae"), xo, rng=rng(30))
+    for method in ("mml", "dp", "hybrid"):
         model = toy_model(method=method, alpha=5.0)
-        rep = md.ssad_loss(model, xn, xo, rng=rng(30))
+        rep = md.outlier_update_term(model, xo, rng=rng(30))
         assert np.isfinite(rep.loss.data)
-        if method == "vae":
-            assert rep.cubo is None and rep.outlier_elbo is None
-        if method in ("dp", "hybrid"):
-            assert rep.outlier_elbo is not None
-        if method in ("mml", "hybrid"):
-            assert rep.cubo is not None
+        assert (rep.outlier_elbo is not None) == (method in ("dp", "hybrid"))
+        assert (rep.cubo is not None) == (method in ("mml", "hybrid"))
+        assert (rep.cubo_log_domain is not None) == (rep.cubo is not None)
 
 
 def test_bernoulli_family_trains_end_to_end():

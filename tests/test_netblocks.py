@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -29,10 +31,15 @@ def test_init_different_seeds_differ():
                for ta, tb in zip(a.tensors(), b.tensors()))
 
 
-def test_init_mlp_fan_in_bound_and_zero_bias():
-    ws, bs = nb.init_mlp(CARDIO_SPEC, 21, seed=3)
-    assert [w.shape for w in ws] == [(21, 32), (32, 16), (16, 8)]
-    assert np.abs(ws[0].data).max() <= 1.0 / np.sqrt(21)
+def test_init_layers_fan_in_bound_and_zero_bias():
+    enc = nb.init_encoder(CARDIO_SPEC, 21, seed=3)
+    dec = nb.init_decoder(CARDIO_SPEC, 21, seed=3)
+    ws = enc.trunk_w + [enc.mu_w, enc.logvar_w] + dec.ws
+    bs = enc.trunk_b + [enc.mu_b, enc.logvar_b] + dec.bs
+    assert [w.shape for w in ws] == [(21, 32), (32, 16), (16, 8), (16, 8),
+                                     (8, 16), (16, 32), (32, 21)]
+    for w in ws:
+        assert np.abs(w.data).max() <= 1.0 / np.sqrt(w.shape[0])
     for b in bs:
         np.testing.assert_array_equal(b.data, 0.0)
 
@@ -186,3 +193,20 @@ def test_serialization_truncated_rejected(tmp_path):
     bad.write_bytes(data[:-8])  # drop the last value
     with pytest.raises(ValueError, match="truncated"):
         nb.read_arrays(bad)
+
+
+def test_serialization_trailing_bytes_rejected(tmp_path):
+    p = tmp_path / "m.bin"
+    nb.write_arrays(p, [np.ones(3)])
+    p.write_bytes(p.read_bytes() + b"\x00")
+    with pytest.raises(ValueError, match="trailing"):
+        nb.read_arrays(p)
+
+
+def test_serialization_oversized_header_rejected(tmp_path):
+    # a header claiming ~2^96 values must fail on the file length, not try
+    # to read or allocate what it claims
+    p = tmp_path / "m.bin"
+    p.write_bytes(b"SSADVAE1" + struct.pack("<5I", 1, 3, *(2**32 - 1,) * 3))
+    with pytest.raises(ValueError, match="truncated array data"):
+        nb.read_arrays(p)

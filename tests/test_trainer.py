@@ -261,12 +261,24 @@ def test_history_export(tmp_path):
     h.save_csv(csv_path)
     h.save_json(json_path)
     lines = csv_path.read_text().strip().splitlines()
-    assert lines[0].startswith("epoch,elbo,kl,recon,outlier_term")
+    assert lines[0] == ("epoch,elbo,kl,recon,outlier_term,lr,outlier_lr,"
+                        "anneal_coeff,wall_time,cubo_log_domain")
     assert len(lines) == 6
     # warm-up rows have an empty outlier term
     assert lines[1].split(",")[4] == ""
+    assert lines[5].split(",")[4] != ""
+    # dp has no CUBO term, so its domain column stays blank on every epoch
+    assert [line.split(",")[-1] for line in lines[1:]] == [""] * 5
     data = json.loads(json_path.read_text())
     assert data["seed"] == 0 and len(data["epochs"]) == 5
+
+    # mml logs the CUBO domain it optimized, on its update epochs only
+    _, hists = tr.train(cfg, train, "mml")
+    hists[0].save_csv(csv_path)
+    last = [line.split(",")[-1]
+            for line in csv_path.read_text().strip().splitlines()[1:]]
+    assert last[:4] == [""] * 4 and last[4] in ("True", "False")
+    assert hists[0].records[4].cubo_log_domain is (last[4] == "True")
 
 
 def test_anneal_coefficient_recorded_and_saturates():

@@ -329,5 +329,5 @@ def test_cubo_sandwich_on_linear_gaussian():
 
 def test_prior_spec_vectors():
     p = vb.PriorSpec(dim=3, alpha=5.0)
-    np.testing.assert_array_equal(p.mu_normal, np.zeros(3))
     np.testing.assert_array_equal(p.mu_outlier, np.full(3, 5.0))
+    np.testing.assert_array_equal(vb.PriorSpec(dim=2).mu_outlier, np.zeros(2))
