@@ -273,18 +273,34 @@ def run_train(args) -> int:
     return EXIT_OK
 
 
+def _manifest_standardization(model_dir, manifest: dict) -> tuple:
+    """(in_dim, StandardizeStats) of a train run; a missing key or a vector
+    whose length is not in_dim is a DataError naming the manifest."""
+    path = os.path.join(model_dir, "manifest.json")
+    try:
+        in_dim = int(manifest["in_dim"])
+        mean = np.asarray(manifest["standardize_mean"], dtype=np.float64)
+        scale = np.asarray(manifest["standardize_scale"], dtype=np.float64)
+    except KeyError as exc:
+        raise dk.DataError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise dk.DataError(f"{path}: {exc}") from None
+    for key, vec in (("standardize_mean", mean), ("standardize_scale", scale)):
+        if vec.shape != (in_dim,):
+            raise dk.DataError(f"{path}: {key} has shape {vec.shape}, "
+                               f"expected ({in_dim},) for in_dim {in_dim}")
+    return in_dim, dk.StandardizeStats(mean=mean, scale=scale)
+
+
 def run_score(args) -> int:
     cfg = effective_config(args)
     digest = config_digest(cfg)
     ens, manifest = md.load_ensemble(args.model_dir)
+    in_dim, stats = _manifest_standardization(args.model_dir, manifest)
     base = load_base_dataset(cfg, cfg["seeds"][0])
-    if base.dim != manifest["in_dim"]:
+    if base.dim != in_dim:
         raise dk.DataError(
-            f"dataset has {base.dim} features but the model expects "
-            f"{manifest['in_dim']}")
-    stats = dk.StandardizeStats(
-        mean=np.array(manifest["standardize_mean"]),
-        scale=np.array(manifest["standardize_scale"]))
+            f"dataset has {base.dim} features but the model expects {in_dim}")
     features = stats.apply(base.features)
     scores = md.ensemble_score(ens, features, n_samples=cfg["s_score"])
 

@@ -117,7 +117,10 @@ def _parse_rows(rows, label_idx, positive_token, start_line):
 def load_csv(path, label_column: Union[str, int] = "label",
              positive_token="1") -> SsadDataset:
     """Load a comma-delimited UTF-8 table with numeric features and one label
-    column; rows whose label equals ``positive_token`` become anomalies."""
+    column; rows whose label equals ``positive_token`` become anomalies.
+
+    ``label_column`` is a header name or a column index; a negative index
+    counts from the last column, and one out of range is a DataError."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
@@ -133,9 +136,10 @@ def load_csv(path, label_column: Union[str, int] = "label",
         body, start = rows[1:], 2
     else:
         label_idx = int(label_column)
-        if label_idx >= len(rows[0]):
+        if not -len(rows[0]) <= label_idx < len(rows[0]):
             raise DataError(f"{path}: label column index {label_idx} out of "
                             f"range for {len(rows[0])} columns")
+        label_idx %= len(rows[0])  # -1 is the last column
         # optional header: first row counts as data only if fully numeric
         def _is_data(row):
             for col, cell in enumerate(row):

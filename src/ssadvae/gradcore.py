@@ -1,12 +1,14 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Small on purpose: exactly the operations an MLP VAE and its losses need
-(elementwise math, matmul, reductions, logsumexp, stack). Gradients are
+(elementwise math, matmul, reductions, logsumexp, stack, take). Gradients are
 accumulated into trainable leaf tensors; everything runs on numpy buffers.
 
-Broadcasting is restricted to the leading batch dimension (a bias of shape
-(d,) against activations of shape (B, d)); anything fancier is rejected so
-the backward rules stay small and auditable.
+Broadcasting is right-aligned and one-sided: one operand's shape must fit
+into the other's, with the same last axis and every other axis equal or 1
+(a bias of shape (d,) against activations (B, d), or (K, 1, d) against
+(K, B, d) when K ensemble members are stacked on a leading axis). Anything
+fancier is rejected so the backward rules stay small and auditable.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ __all__ = [
     "Tensor", "Graph", "no_grad", "constant", "parameter",
     "add", "sub", "mul", "neg", "exp", "log", "square", "relu",
     "leaky_relu", "sigmoid", "softplus", "clamp", "matmul", "reduce_sum",
-    "reduce_mean", "reduce_max", "logsumexp", "stack", "backward",
+    "reduce_mean", "reduce_max", "logsumexp", "stack", "take", "backward",
     "finite_diff_check",
 ]
 
@@ -147,17 +149,20 @@ def _make(data, op: str, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
     return Tensor(data, op=op)
 
 
+def _fits(small: tuple, big: tuple) -> bool:
+    """``small`` broadcasts into ``big``: right-aligned, the same last axis,
+    every other axis equal or 1."""
+    return (len(small) <= len(big) and small[-1] == big[-1]
+            and all(s in (b, 1) for s, b in zip(small[::-1], big[::-1])))
+
+
 def _check_binary(a: Tensor, b: Tensor, opname: str) -> None:
     sa, sb = a.data.shape, b.data.shape
-    if sa == sb or sa == () or sb == ():
-        return
-    if sa[1:] == sb or sb[1:] == sa:
-        return
-    if len(sa) == len(sb) and sa[1:] == sb[1:] and (sa[0] == 1 or sb[0] == 1):
+    if sa == sb or sa == () or sb == () or _fits(sa, sb) or _fits(sb, sa):
         return
     raise ValueError(
         f"{opname}: shapes {sa} and {sb} are neither equal nor "
-        "broadcastable along the leading batch dimension")
+        "broadcastable along the leading axes")
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -237,10 +242,11 @@ def relu(a: Tensor) -> Tensor:
 
 
 def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
+    """max(x, slope*x) for 0 < slope <= 1: branch-free, and byte-equal to
+    the select form for signed zeros, infinities, nan and subnormals."""
     da = a.data
-    out = np.where(da >= 0.0, da, slope * da)
-    return _make(out, "leaky-relu", (a,),
-                 lambda g: (g * np.where(da >= 0.0, 1.0, slope),))
+    return _make(np.maximum(da, slope * da), "leaky-relu", (a,),
+                 lambda g: (g * np.maximum(da >= 0.0, slope),))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -275,14 +281,17 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 # matmul and reductions
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """2-D matrix product, or one product per leading index of two 3-D
+    operands (stacked members: (K, B, n) @ (K, n, m))."""
     b = _as_tensor(b)
     da, db = a.data, b.data
-    if da.ndim != 2 or db.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {da.shape} and {db.shape}")
-    if da.shape[1] != db.shape[0]:
+    if da.ndim != db.ndim or da.ndim not in (2, 3) or da.shape[:-2] != db.shape[:-2]:
+        raise ValueError(f"matmul expects two 2-D or two 3-D operands with the "
+                         f"same leading axis, got {da.shape} and {db.shape}")
+    if da.shape[-1] != db.shape[-2]:
         raise ValueError(f"matmul inner dimensions disagree: {da.shape} vs {db.shape}")
     return _make(da @ db, "matmul", (a, b),
-                 lambda g: (g @ db.T, da.T @ g))
+                 lambda g: (g @ np.swapaxes(db, -1, -2), np.swapaxes(da, -1, -2) @ g))
 
 
 def _norm_axis(axis, ndim: int, opname: str):
@@ -369,6 +378,18 @@ def stack(tensors: Sequence[Tensor]) -> Tensor:
     out = np.stack([t.data for t in tensors], axis=0)
     return _make(out, "stack", tuple(tensors),
                  lambda g: tuple(g[i] for i in range(len(tensors))))
+
+
+def take(a: Tensor, k: int) -> Tensor:
+    """Index ``k`` of the leading axis; the gradient lands in that slot only."""
+    da = a.data
+
+    def vjp(g):
+        out = np.zeros_like(da)
+        out[k] = g
+        return (out,)
+
+    return _make(da[k], "take", (a,), vjp)
 
 
 # ---------------------------------------------------------------------------

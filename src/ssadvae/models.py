@@ -5,9 +5,14 @@ Both objectives share one encoder between the normal and outlier terms, and
 neither lets the outlier term touch decoder parameters: the outlier passes
 run through a detached decoder view, so those gradients are exactly zero by
 construction rather than by cancellation.
+
+The losses also take K members stacked into one model (``stack_members``):
+the inputs are (K, batch, d), the losses are (K,) vectors, and member k's
+entry and gradients equal its own unstacked evaluation bit for bit.
 """
 from __future__ import annotations
 
+import copy
 import json
 import os
 from dataclasses import dataclass
@@ -68,12 +73,29 @@ class SsadModel:
                    beta_cubo=beta_cubo, seed=seed)
 
 
+def stack_members(members: list) -> SsadModel:
+    """One model whose parameters hold the members' along a new leading
+    axis: weights (K, fan_in, fan_out), biases (K, 1, fan_out)."""
+    stacked = copy.deepcopy(members[0])
+    for slot, *ts in zip(stacked.parameters(), *(m.parameters() for m in members)):
+        slot.data = np.stack([np.atleast_2d(t.data) for t in ts])
+    return stacked
+
+
+def unstack_members(stacked: SsadModel, members: list) -> None:
+    """Copy member k's slice of every stacked parameter back into members[k]."""
+    for slot, *ts in zip(stacked.parameters(), *(m.parameters() for m in members)):
+        for k, t in enumerate(ts):
+            t.data = slot.data[k].reshape(t.data.shape).copy()
+
+
 @dataclass
 class LossReport:
     loss: Tensor
     outlier_elbo: Optional[vb.BoundReport] = None
     cubo: Optional[vb.CuboReport] = None
-    cubo_log_domain: Optional[bool] = None  # None: no CUBO term in the loss
+    # None: no CUBO term in the loss; one bool per member when stacked
+    cubo_log_domain: Optional[bool | list] = None
 
 
 def cubo_objective(rep: vb.CuboReport):
@@ -87,6 +109,15 @@ def cubo_objective(rep: vb.CuboReport):
     if rep.overflowed or top < CUBO_LOG_DOMAIN_MIN:
         return rep.log_value, True
     return rep.value, False
+
+
+def _cubo_target(cubo: vb.CuboReport):
+    """``cubo_objective`` once per member: stacked members each pick their
+    own domain, and their targets are stacked into a (K,) vector."""
+    if cubo.log_value.data.ndim == 0:
+        return cubo_objective(cubo)
+    picks = [cubo_objective(cubo.member(k)) for k in range(len(cubo.log_value.data))]
+    return gc.stack([t for t, _ in picks]), [d for _, d in picks]
 
 
 def normal_term(model: SsadModel, x, beta_kl: Optional[float] = None,
@@ -111,7 +142,7 @@ def outlier_update_term(model: SsadModel, outlier_x,
     if model.method == "mml":
         cubo = vb.cubo_loss(model.encoder, model.decoder, outlier_x, None,
                             model.beta_cubo, n_samples=s_cubo, rng=rng)
-        target, log_domain = cubo_objective(cubo)
+        target, log_domain = _cubo_target(cubo)
         loss = gc.mul(target, model.gamma)
         return LossReport(loss=loss, cubo=cubo, cubo_log_domain=log_domain)
     if model.method in ("dp", "hybrid"):
@@ -123,7 +154,7 @@ def outlier_update_term(model: SsadModel, outlier_x,
         if model.method == "hybrid" and model.gamma > 0.0:
             cubo = vb.cubo_loss(model.encoder, model.decoder, outlier_x, None,
                                 model.beta_cubo, n_samples=s_cubo, rng=rng)
-            target, log_domain = cubo_objective(cubo)
+            target, log_domain = _cubo_target(cubo)
             report.loss = gc.add(gc.mul(target, model.gamma), report.loss)
             report.cubo = cubo
             report.cubo_log_domain = log_domain

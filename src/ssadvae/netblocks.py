@@ -56,6 +56,10 @@ class MlpSpec:
             raise ValueError(f"all widths must be >= 1, got {self.widths}")
         if self.activation not in ("leaky-relu", "relu", "sigmoid"):
             raise ValueError(f"unsupported activation {self.activation!r}")
+        if not 0.0 < self.leak <= 1.0:
+            # leaky_relu is max(x, leak*x), which needs 0 < leak <= 1;
+            # activation = relu is the leak-0 case
+            raise ValueError(f"leak must be in (0, 1], got {self.leak!r}")
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
 
     @property
@@ -153,18 +157,19 @@ class DecoderParams:
 
 @dataclass
 class GaussianPosterior:
-    """Per-sample mean and diagonal log-variance from the encoder."""
+    """Per-sample mean and diagonal log-variance from the encoder, shaped
+    (batch, d_z), or (members, batch, d_z) for stacked members."""
 
     mu: Tensor
     logvar: Tensor
 
     @property
     def batch(self) -> int:
-        return self.mu.shape[0]
+        return self.mu.shape[-2]
 
     @property
     def dim(self) -> int:
-        return self.mu.shape[1]
+        return self.mu.shape[-1]
 
 
 def init_encoder(spec: MlpSpec, in_dim: int, seed: int) -> EncoderParams:
@@ -204,12 +209,22 @@ def _affine(h: Tensor, w: Tensor, b: Optional[Tensor]) -> Tensor:
     return out if b is None else gc.add(out, b)
 
 
+def _check_input(xt: Tensor, w: Tensor, width: int, who: str, what: str) -> None:
+    """``xt`` must be (batch, width), or (K, batch, width) when the first
+    layer's weight ``w`` stacks K members."""
+    lead = w.shape[:-2]
+    if (xt.data.ndim != w.data.ndim or xt.data.shape[:-2] != lead
+            or xt.data.shape[-1] != width):
+        want = ", ".join([str(k) for k in lead] + ["batch", str(width)])
+        raise ValueError(f"{who} expects ({want}) {what}, got {xt.data.shape}")
+
+
 def encode(params: EncoderParams, x) -> GaussianPosterior:
-    """Forward the encoder; log-variance is clamped to [-10, 10]."""
+    """Forward the encoder; log-variance is clamped to [-10, 10].
+
+    Stacked parameters (leading members axis K) take (K, batch, in_dim)."""
     xt = x if isinstance(x, Tensor) else gc.constant(x)
-    if xt.data.ndim != 2 or xt.data.shape[1] != params.in_dim:
-        raise ValueError(
-            f"encoder expects (batch, {params.in_dim}) input, got {xt.data.shape}")
+    _check_input(xt, params.trunk_w[0], params.in_dim, "encoder", "input")
     if not np.isfinite(xt.data).all():
         raise ValueError("non-finite input row rejected before forward pass")
     h = xt
@@ -234,9 +249,7 @@ def reparameterize(post: GaussianPosterior, noise) -> Tensor:
 def decode(params: DecoderParams, z) -> Tensor:
     """Forward the decoder; returns raw means (gaussian) or logits (bernoulli)."""
     zt = z if isinstance(z, Tensor) else gc.constant(z)
-    if zt.data.ndim != 2 or zt.data.shape[1] != params.latent_dim:
-        raise ValueError(
-            f"decoder expects (batch, {params.latent_dim}) latents, got {zt.data.shape}")
+    _check_input(zt, params.ws[0], params.latent_dim, "decoder", "latents")
     h = zt
     last = len(params.ws) - 1
     for i, (w, b) in enumerate(zip(params.ws, params.bs)):
@@ -255,7 +268,9 @@ def write_arrays(path, arrays) -> None:
         fh.write(_MAGIC)
         fh.write(struct.pack("<I", len(arrays)))
         for arr in arrays:
-            arr = np.ascontiguousarray(arr, dtype="<f8")
+            # tobytes() is row-major for any layout; ascontiguousarray
+            # would turn a 0-d array into shape (1,)
+            arr = np.asarray(arr, dtype="<f8")
             fh.write(struct.pack("<I", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
             fh.write(arr.tobytes())

@@ -7,6 +7,10 @@ Clipping and the decayed learning rate apply only to the outlier path; the
 normal path uses the base learning rate throughout. Everything is driven by
 one master seed: member i trains with seed master+i, and each member derives
 its init, shuffle and noise streams from that seed alone.
+
+The K members train as one stacked computation: each step gathers every
+member's own batch into (K, batch, d), runs one graph, one backward and one
+Adam update, and the result equals K separate trainings bit for bit.
 """
 from __future__ import annotations
 
@@ -26,23 +30,28 @@ from .netblocks import philox_rng
 
 
 class NumericalAbort(RuntimeError):
-    """A loss or gradient went non-finite; carries epoch/batch/term context."""
+    """A loss or gradient went non-finite; carries member seed, epoch, batch
+    and term context."""
 
-    def __init__(self, term: str, detail: str = "", epoch=None, batch=None):
+    def __init__(self, term: str, detail: str = "", epoch=None, batch=None,
+                 seed=None):
         self.term = term
         self.detail = detail
         self.epoch = epoch
         self.batch = batch
+        self.seed = seed
         super().__init__(self._message())
 
     def _message(self) -> str:
         where = f"epoch {self.epoch}" if self.epoch is not None else "unknown epoch"
         if self.batch is not None:
             where += f", batch {self.batch}"
+        if self.seed is not None:
+            where = f"member seed {self.seed}, {where}"
         return f"non-finite {self.term} at {where}" + (f": {self.detail}" if self.detail else "")
 
-    def with_context(self, epoch, batch=None) -> "NumericalAbort":
-        self.epoch, self.batch = epoch, batch
+    def with_context(self, epoch, batch=None, seed=None) -> "NumericalAbort":
+        self.epoch, self.batch, self.seed = epoch, batch, seed
         self.args = (self._message(),)
         return self
 
@@ -77,6 +86,7 @@ class TrainConfig:
 
     def __post_init__(self):
         self.widths = tuple(int(w) for w in self.widths)
+        self.spec  # MlpSpec rejects a bad width, activation or leak up front
         if self.warmup_epochs >= self.epochs:
             raise ValueError("warmup_epochs must be < epochs")
         if self.anneal_epochs > self.epochs:
@@ -217,81 +227,44 @@ def _wants_outlier_updates(method: str, config: TrainConfig, n_outliers: int) ->
     return True
 
 
-def _train_member(model: md.SsadModel, config: TrainConfig,
-                  normal_x: np.ndarray, outlier_x: np.ndarray) -> TrainHistory:
-    seed = model.seed
-    shuffle_rng = philox_rng(seed, nb.STREAM_SHUFFLE)
-    noise_rng = philox_rng(seed, nb.STREAM_NOISE)
-    params = model.parameters()
-    adam = AdamState.for_params(params)
-    n = len(normal_x)
-    do_outlier = _wants_outlier_updates(model.method, config, len(outlier_x))
-    history = TrainHistory(seed=seed)
+def _first_nonfinite(arrays) -> int:
+    """The first member (leading index) with a non-finite entry in any of
+    the stacked arrays."""
+    bad = [~np.isfinite(a).reshape(len(a), -1).all(axis=1)
+           for a in arrays if a is not None]
+    return int(np.flatnonzero(np.any(bad, axis=0))[0])
 
-    for epoch in range(config.epochs):
-        t0 = time.perf_counter()
-        beta = kl_anneal_coeff(epoch, config.anneal_epochs, config.beta_kl)
-        perm = shuffle_rng.permutation(n)
-        sums = np.zeros(3)  # elbo, kl, recon weighted by batch size
-        for bi, lo in enumerate(range(0, n, config.batch_size)):
-            xb = normal_x[perm[lo:lo + config.batch_size]]
-            loss, rep = md.normal_term(model, xb, beta_kl=beta,
-                                       n_samples=config.s_elbo, rng=noise_rng)
-            if not np.isfinite(loss.data):
-                raise NumericalAbort("normal-term loss", f"value {loss.data}",
-                                     epoch=epoch, batch=bi)
-            model.zero_grads()
-            gc.backward(loss)
-            try:
-                adam_step(adam, params, [t.grad for t in params], config.lr)
-            except NumericalAbort as e:
-                raise e.with_context(epoch, bi)
-            w = len(xb)
-            sums += w * np.array([rep.elbo.item(), rep.kl.item(), rep.recon.item()])
 
-        outlier_val = outlier_lr = log_domain = None
-        due = (do_outlier and epoch >= config.warmup_epochs
-               and (epoch - config.warmup_epochs) % config.nd_update_interval == 0)
-        if due:
-            xo = outlier_x
-            if len(xo) > config.batch_size:
-                pick = shuffle_rng.permutation(len(xo))[:config.batch_size]
-                xo = xo[pick]
-            rep = md.outlier_update_term(model, xo, beta_kl=beta,
-                                         s_elbo=config.s_elbo,
-                                         s_cubo=config.s_cubo, rng=noise_rng)
-            if not np.isfinite(rep.loss.data):
-                raise NumericalAbort("outlier-term loss", f"value {rep.loss.data}",
-                                     epoch=epoch)
-            model.zero_grads()
-            gc.backward(rep.loss)
-            dec_grads = [t.grad for t in model.decoder.tensors()]
-            if any(g is not None for g in dec_grads):
-                raise AssertionError("outlier update produced a decoder gradient")
-            outlier_lr = outlier_path_lr(config.lr, epoch,
-                                         config.lr_decay_every,
-                                         config.lr_decay_factor)
-            grads = clip_gradients([t.grad for t in params], config.clip_norm)
-            try:
-                adam_step(adam, params, grads, outlier_lr)
-            except NumericalAbort as e:
-                raise e.with_context(epoch)
-            outlier_val = rep.loss.item()
-            log_domain = rep.cubo_log_domain
+def _check_loss(loss: gc.Tensor, term: str, seeds: list, epoch: int,
+                batch=None) -> None:
+    if not np.isfinite(loss.data).all():
+        k = _first_nonfinite([loss.data])
+        raise NumericalAbort(term, f"value {loss.data[k]}", epoch=epoch,
+                             batch=batch, seed=seeds[k])
 
-        history.records.append(EpochStats(
-            epoch=epoch, elbo=sums[0] / n, kl=sums[1] / n, recon=sums[2] / n,
-            outlier_term=outlier_val, lr=config.lr, outlier_lr=outlier_lr,
-            anneal_coeff=beta, wall_time=time.perf_counter() - t0,
-            cubo_log_domain=log_domain))
-    return history
+
+def _update(adam: AdamState, params, grads, lr: float, seeds: list,
+            epoch: int, batch=None) -> None:
+    try:
+        adam_step(adam, params, grads, lr)
+    except NumericalAbort as e:
+        raise e.with_context(epoch, batch, seeds[_first_nonfinite(grads)])
+
+
+def _clip_members(grads, max_norm: float, n_members: int) -> list:
+    """``clip_gradients`` on each member's slices, restacked."""
+    clipped = [clip_gradients([None if g is None else g[k] for g in grads], max_norm)
+               for k in range(n_members)]
+    return [None if g is None else np.stack([c[i] for c in clipped])
+            for i, g in enumerate(grads)]
 
 
 def train(config: TrainConfig, dataset: SsadDataset, method: str):
     """Train an ensemble of K members on the dataset's training streams.
 
     Returns (Ensemble, list of TrainHistory). Member i uses seed
-    master_seed + i for init, shuffling and reparameterization noise.
+    master_seed + i for init, shuffling and reparameterization noise; the
+    members train stacked, and a history's wall_time is the shared epoch's.
     """
     if method not in md.METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -300,13 +273,73 @@ def train(config: TrainConfig, dataset: SsadDataset, method: str):
     if len(normal_x) == 0:
         raise ValueError("training set has no normal rows")
 
-    members, histories = [], []
-    for i in range(config.ensemble_size):
-        seed = config.master_seed + i
-        model = md.SsadModel.create(
-            config.spec, dataset.dim, method, seed=seed, alpha=config.alpha,
-            gamma=config.gamma, beta_kl=config.beta_kl,
-            beta_cubo=config.beta_cubo, family=config.family)
-        histories.append(_train_member(model, config, normal_x, outlier_x))
-        members.append(model)
+    seeds = [config.master_seed + i for i in range(config.ensemble_size)]
+    members = [md.SsadModel.create(
+        config.spec, dataset.dim, method, seed=seed, alpha=config.alpha,
+        gamma=config.gamma, beta_kl=config.beta_kl,
+        beta_cubo=config.beta_cubo, family=config.family) for seed in seeds]
+    model = md.stack_members(members)
+    shuffle_rngs = [philox_rng(seed, nb.STREAM_SHUFFLE) for seed in seeds]
+    noise_rngs = [philox_rng(seed, nb.STREAM_NOISE) for seed in seeds]
+    params = model.parameters()
+    adam = AdamState.for_params(params)
+    n, bs = len(normal_x), config.batch_size
+    do_outlier = _wants_outlier_updates(method, config, len(outlier_x))
+    histories = [TrainHistory(seed=seed) for seed in seeds]
+
+    for epoch in range(config.epochs):
+        t0 = time.perf_counter()
+        beta = kl_anneal_coeff(epoch, config.anneal_epochs, config.beta_kl)
+        perms = np.stack([rng.permutation(n) for rng in shuffle_rngs])
+        sums = np.zeros((len(seeds), 3))  # elbo, kl, recon weighted by batch size
+        for bi, lo in enumerate(range(0, n, bs)):
+            xb = normal_x[perms[:, lo:lo + bs]]
+            loss, rep = md.normal_term(model, xb, beta_kl=beta,
+                                       n_samples=config.s_elbo, rng=noise_rngs)
+            _check_loss(loss, "normal-term loss", seeds, epoch, bi)
+            model.zero_grads()
+            gc.backward(gc.reduce_sum(loss))
+            _update(adam, params, [t.grad for t in params], config.lr, seeds,
+                    epoch, bi)
+            sums += xb.shape[1] * np.stack(
+                [rep.elbo.data, rep.kl.data, rep.recon.data], axis=1)
+            # drop this step's graph before the next forward builds its own
+            del loss, rep
+
+        outlier_vals = outlier_lr = log_domains = None
+        due = (do_outlier and epoch >= config.warmup_epochs
+               and (epoch - config.warmup_epochs) % config.nd_update_interval == 0)
+        if due:
+            m = len(outlier_x)
+            rows = [rng.permutation(m)[:bs] if m > bs else np.arange(m)
+                    for rng in shuffle_rngs]
+            rep = md.outlier_update_term(model, outlier_x[np.stack(rows)],
+                                         beta_kl=beta, s_elbo=config.s_elbo,
+                                         s_cubo=config.s_cubo, rng=noise_rngs)
+            _check_loss(rep.loss, "outlier-term loss", seeds, epoch)
+            outlier_vals, log_domains = rep.loss.data.tolist(), rep.cubo_log_domain
+            model.zero_grads()
+            gc.backward(gc.reduce_sum(rep.loss))
+            del rep
+            dec_grads = [t.grad for t in model.decoder.tensors()]
+            if any(g is not None for g in dec_grads):
+                raise AssertionError("outlier update produced a decoder gradient")
+            outlier_lr = outlier_path_lr(config.lr, epoch,
+                                         config.lr_decay_every,
+                                         config.lr_decay_factor)
+            grads = _clip_members([t.grad for t in params], config.clip_norm,
+                                  len(seeds))
+            _update(adam, params, grads, outlier_lr, seeds, epoch)
+
+        wall_time = time.perf_counter() - t0
+        for k, history in enumerate(histories):
+            history.records.append(EpochStats(
+                epoch=epoch, elbo=sums[k, 0] / n, kl=sums[k, 1] / n,
+                recon=sums[k, 2] / n,
+                outlier_term=None if outlier_vals is None else outlier_vals[k],
+                lr=config.lr, outlier_lr=outlier_lr, anneal_coeff=beta,
+                wall_time=wall_time,
+                cubo_log_domain=None if log_domains is None else log_domains[k]))
+
+    md.unstack_members(model, members)
     return md.Ensemble(members), histories

@@ -7,6 +7,10 @@ evaluated in log domain throughout and exponentiated once at the end; the
 log-domain value is always reported alongside so callers can optimize it
 directly when the exponentiation would overflow (or vanish), which by
 monotonicity reaches the same optima.
+
+Every quantity reduces over the last axis and is per member: given the
+(K, batch, d) tensors of K stacked members, an ELBO or CUBO is a (K,)
+vector whose entries equal the K unstacked evaluations bit for bit.
 """
 from __future__ import annotations
 
@@ -68,6 +72,20 @@ class CuboReport:
     per_sample_log: Tensor
     overflowed: bool
 
+    def member(self, k: int) -> "CuboReport":
+        """Member k's report out of a report over stacked members. Its exp
+        value is built from its own slice, so another member's overflow
+        cannot reach its gradients."""
+        return _cubo_report(gc.take(self.per_sample_log, k),
+                            gc.take(self.log_value, k))
+
+
+def _cubo_report(per_sample_log: Tensor, log_value: Tensor) -> CuboReport:
+    overflowed = bool(per_sample_log.data.max() > LOG_EXP_LIMIT)
+    value = None if overflowed else gc.reduce_mean(gc.exp(per_sample_log), axis=-1)
+    return CuboReport(value=value, log_value=log_value,
+                      per_sample_log=per_sample_log, overflowed=overflowed)
+
 
 def kl_to_gaussian_prior(post: nb.GaussianPosterior, mu_o=None) -> Tensor:
     """Per-sample KL(q || N(mu_o, I)) for a diagonal Gaussian posterior.
@@ -81,14 +99,14 @@ def kl_to_gaussian_prior(post: nb.GaussianPosterior, mu_o=None) -> Tensor:
     if mu_o is not None:
         mu_o = np.asarray(mu_o, dtype=np.float64)
         if mu_o.ndim == 0:
-            mu_o = np.full(mu.shape[1], float(mu_o))
-        if mu_o.shape != (mu.shape[1],):
+            mu_o = np.full(post.dim, float(mu_o))
+        if mu_o.shape != (post.dim,):
             raise ValueError(
-                f"prior mean shape {mu_o.shape} != latent dim ({mu.shape[1]},)")
+                f"prior mean shape {mu_o.shape} != latent dim ({post.dim},)")
         if mu_o.any():
             cross = gc.mul(gc.mul(mu, gc.constant(mu_o)), 2.0)
             inner = gc.sub(gc.add(inner, cross), gc.constant(mu_o * mu_o))
-    return gc.mul(gc.reduce_sum(inner, axis=1), -0.5)
+    return gc.mul(gc.reduce_sum(inner, axis=-1), -0.5)
 
 
 def reconstruction_loss(pred: Tensor, x, family: str) -> Tensor:
@@ -101,27 +119,35 @@ def reconstruction_loss(pred: Tensor, x, family: str) -> Tensor:
     xt = x if isinstance(x, Tensor) else gc.constant(x)
     if pred.shape != xt.shape:
         raise ValueError(f"prediction shape {pred.shape} != data shape {xt.shape}")
-    d = xt.shape[1]
+    d = xt.shape[-1]
     if family == "gaussian":
-        sq = gc.reduce_sum(gc.square(gc.sub(xt, pred)), axis=1)
+        sq = gc.reduce_sum(gc.square(gc.sub(xt, pred)), axis=-1)
         return gc.add(gc.mul(sq, 0.5), 0.5 * d * LOG_2PI)
     if family == "bernoulli":
         ce = gc.sub(gc.softplus(pred), gc.mul(pred, xt))
-        return gc.reduce_sum(ce, axis=1)
+        return gc.reduce_sum(ce, axis=-1)
     raise ValueError(f"unknown likelihood family {family!r}")
 
 
-def _draw_noise(n_samples: int, batch: int, dim: int,
-                rng: Optional[np.random.Generator], noise) -> np.ndarray:
+def _draw_noise(n_samples: int, post: nb.GaussianPosterior, rng, noise) -> np.ndarray:
+    """Noise of shape (S, *posterior shape). ``rng`` is one generator, or
+    one per member for stacked members: member k draws its (S, batch, d_z)
+    block from its own stream."""
+    shape = (n_samples,) + post.mu.shape
     if noise is not None:
         noise = np.asarray(noise, dtype=np.float64)
-        if noise.shape != (n_samples, batch, dim):
-            raise ValueError(
-                f"noise shape {noise.shape} != {(n_samples, batch, dim)}")
+        if noise.shape != shape:
+            raise ValueError(f"noise shape {noise.shape} != {shape}")
         return noise
     if rng is None:
         raise ValueError("either rng or explicit noise is required")
-    return rng.standard_normal((n_samples, batch, dim))
+    if isinstance(rng, np.random.Generator):
+        return rng.standard_normal(shape)
+    if len(rng) != post.mu.shape[0] or post.mu.data.ndim != 3:
+        raise ValueError(f"{len(rng)} member generators for posterior shape "
+                         f"{post.mu.shape}")
+    block = (n_samples, post.batch, post.dim)
+    return np.stack([r.standard_normal(block) for r in rng], axis=1)
 
 
 def elbo_from_posterior(post: nb.GaussianPosterior,
@@ -140,23 +166,23 @@ def elbo_from_posterior(post: nb.GaussianPosterior,
         recon_i = gc.mul(recon_i, 1.0 / n_samples)
     kl_i = kl_to_gaussian_prior(post, prior_mean)
     per_sample = gc.sub(gc.neg(recon_i), gc.mul(kl_i, beta_kl))
-    recon = gc.reduce_mean(recon_i)
-    kl = gc.reduce_mean(kl_i)
+    recon = gc.reduce_mean(recon_i, axis=-1)
+    kl = gc.reduce_mean(kl_i, axis=-1)
     value = gc.sub(gc.neg(recon), gc.mul(kl, beta_kl))
     return BoundReport(recon=recon, kl=kl, elbo=value,
                        per_sample=per_sample, beta_kl=beta_kl)
 
 
 def elbo(enc: nb.EncoderParams, dec: nb.DecoderParams, x, prior_mean,
-         beta_kl: float, n_samples: int = 1,
-         rng: Optional[np.random.Generator] = None,
+         beta_kl: float, n_samples: int = 1, rng=None,
          noise=None) -> BoundReport:
-    """Monte-Carlo ELBO of a batch under the given encoder/decoder."""
+    """Monte-Carlo ELBO of a batch under the given encoder/decoder; ``rng``
+    is a generator, or one generator per member for stacked members."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     xt = x if isinstance(x, Tensor) else gc.constant(x)
     post = nb.encode(enc, xt)
-    eps = _draw_noise(n_samples, post.batch, post.dim, rng, noise)
+    eps = _draw_noise(n_samples, post, rng, noise)
     recon_fn = lambda z: reconstruction_loss(nb.decode(dec, z), xt, dec.family)
     return elbo_from_posterior(post, recon_fn, prior_mean, beta_kl, eps)
 
@@ -184,8 +210,8 @@ def cubo_from_posterior(post: nb.GaussianPosterior,
             mu_o = None
 
     prec = gc.exp(gc.neg(logvar))  # diagonal of S_q^-1
-    logdet = gc.reduce_sum(logvar, axis=1)
-    quad_mu = gc.reduce_sum(gc.mul(gc.square(mu), prec), axis=1)
+    logdet = gc.reduce_sum(logvar, axis=-1)
+    quad_mu = gc.reduce_sum(gc.mul(gc.square(mu), prec), axis=-1)
     head = gc.add(logdet, quad_mu)
     if mu_o is not None:
         head = gc.sub(head, float(mu_o @ mu_o))
@@ -196,28 +222,22 @@ def cubo_from_posterior(post: nb.GaussianPosterior,
         z = nb.reparameterize(post, noise[s])
         lr = recon_fn(z)
         zsq = gc.square(z)
-        quad = gc.sub(gc.reduce_sum(gc.mul(zsq, prec), axis=1),
-                      gc.reduce_sum(zsq, axis=1))
+        quad = gc.sub(gc.reduce_sum(gc.mul(zsq, prec), axis=-1),
+                      gc.reduce_sum(zsq, axis=-1))
         quad = gc.sub(quad, gc.mul(
-            gc.reduce_sum(gc.mul(gc.mul(z, prec), mu), axis=1), 2.0))
+            gc.reduce_sum(gc.mul(gc.mul(z, prec), mu), axis=-1), 2.0))
         if mu_o is not None:
             quad = gc.add(quad, gc.mul(
-                gc.reduce_sum(gc.mul(z, gc.constant(mu_o)), axis=1), 2.0))
+                gc.reduce_sum(gc.mul(z, gc.constant(mu_o)), axis=-1), 2.0))
         inner_terms.append(gc.add(gc.mul(lr, -2.0), gc.mul(quad, beta_cubo)))
-    stacked = gc.stack(inner_terms)  # (S, batch)
+    stacked = gc.stack(inner_terms)  # (S, [K,] batch)
     log_mean = gc.sub(gc.logsumexp(stacked, axis=0), math.log(n_samples))
     per_sample_log = gc.add(head, log_mean)
-
-    log_value = gc.reduce_mean(per_sample_log)
-    overflowed = bool(per_sample_log.data.max() > LOG_EXP_LIMIT)
-    value = None if overflowed else gc.reduce_mean(gc.exp(per_sample_log))
-    return CuboReport(value=value, log_value=log_value,
-                      per_sample_log=per_sample_log, overflowed=overflowed)
+    return _cubo_report(per_sample_log, gc.reduce_mean(per_sample_log, axis=-1))
 
 
 def cubo_loss(enc: nb.EncoderParams, dec: nb.DecoderParams, x, mu_o,
-              beta_cubo: float, n_samples: int = 8,
-              rng: Optional[np.random.Generator] = None,
+              beta_cubo: float, n_samples: int = 8, rng=None,
               noise=None) -> CuboReport:
     """CUBO loss of a batch; the decoder is a frozen constant inside this op,
     so gradients reach encoder parameters only."""
@@ -225,7 +245,7 @@ def cubo_loss(enc: nb.EncoderParams, dec: nb.DecoderParams, x, mu_o,
         raise ValueError("n_samples must be >= 1")
     xt = x if isinstance(x, Tensor) else gc.constant(x)
     post = nb.encode(enc, xt)
-    eps = _draw_noise(n_samples, post.batch, post.dim, rng, noise)
+    eps = _draw_noise(n_samples, post, rng, noise)
     frozen = dec.detached()
     recon_fn = lambda z: reconstruction_loss(nb.decode(frozen, z), xt, frozen.family)
     return cubo_from_posterior(post, recon_fn, mu_o, beta_cubo, eps)

@@ -297,6 +297,47 @@ def test_nonfinite_csv_cell_is_data_error(model_dir, tmp_path, capsys, token):
     assert not out.exists()
 
 
+def test_negative_label_col_from_the_cli(model_dir, tmp_path, capsys):
+    table = tmp_path / "t.csv"
+    table.write_text("0,1,2,3,0\n1,0,2,3,1\n3,2,1,0,0\n", encoding="utf-8")
+    out = tmp_path / "scored"
+    rc = cli.main(["score", "--model-dir", str(model_dir), "--dataset",
+                   str(table), "--label-col", "-1", "--out", str(out)])
+    assert rc == cli.EXIT_OK  # 4 features, as the model expects
+    rc = cli.main(["score", "--model-dir", str(model_dir), "--dataset",
+                   str(table), "--label-col", "-99", "--out", str(out)])
+    assert rc == cli.EXIT_DATA
+    assert "label column index -99 out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["in_dim", "standardize_mean", "standardize_scale"])
+def test_score_manifest_missing_key_is_data_error(model_dir, tmp_path, capsys, key):
+    bad = tmp_path / "model"
+    shutil.copytree(model_dir, bad)
+    manifest = json.loads((bad / "manifest.json").read_text())
+    del manifest[key]
+    (bad / "manifest.json").write_text(json.dumps(manifest))
+    rc = cli.main(["score", "--model-dir", str(bad), "--synth", "4,40,3.0",
+                   "--out", str(tmp_path / "scored")])
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "manifest.json" in err and key in err
+    assert not (tmp_path / "scored").exists()
+
+
+def test_score_manifest_standardization_length_is_data_error(model_dir, tmp_path,
+                                                              capsys):
+    bad = tmp_path / "model"
+    shutil.copytree(model_dir, bad)
+    manifest = json.loads((bad / "manifest.json").read_text())
+    manifest["standardize_scale"] = manifest["standardize_scale"][:-1]
+    (bad / "manifest.json").write_text(json.dumps(manifest))
+    rc = cli.main(["score", "--model-dir", str(bad), "--synth", "4,40,3.0",
+                   "--out", str(tmp_path / "scored")])
+    assert rc == cli.EXIT_DATA
+    assert "manifest.json: standardize_scale has shape (3,)" in capsys.readouterr().err
+
+
 def _corrupt(blob: bytes, case) -> bytes:
     kind = case[0]
     if kind == "truncate":
@@ -330,6 +371,19 @@ def test_corrupt_model_file_is_data_error(model_dir, case):
         assert rc == cli.EXIT_DATA
         assert err.getvalue().startswith(f"data error: {member}: ")
         assert not os.path.exists(os.path.join(tmp, "scored"))
+
+
+@pytest.mark.parametrize("leak", ["0", "1.5"])
+def test_leak_outside_unit_interval_is_usage_error(tmp_path, capsys, leak):
+    cfg = tmp_path / "leak.cfg"
+    cfg.write_text(f"warmup_epochs = 3\nanneal_epochs = 2\nleak = {leak}\n",
+                   encoding="utf-8")
+    out = tmp_path / "runs"
+    rc = cli.main(["train", "--synth", "4,60,3.0", "--config", str(cfg),
+                   *fast_args(out=out)])
+    assert rc == cli.EXIT_USAGE
+    assert "leak must be in (0, 1]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,22 @@ def test_load_csv_index_column_no_header(tmp_path):
     assert ds.labels.tolist() == [0, 1]
 
 
+def test_load_csv_negative_index_counts_from_the_end(tmp_path):
+    # -1 is the last column: the labels must not become a feature
+    p = write_csv(tmp_path, "1,2,3,4,0\n5,6,7,8,1\n")
+    ds = dk.load_csv(p, -1, "1")
+    assert ds.dim == 4 and ds.labels.tolist() == [0, 1]
+    np.testing.assert_array_equal(ds.features, dk.load_csv(p, 4, "1").features)
+    assert dk.load_csv(p, -5, "1").dim == 4
+
+
+@pytest.mark.parametrize("index", [5, -6, -99])
+def test_load_csv_index_out_of_range_is_data_error(tmp_path, index):
+    p = write_csv(tmp_path, "1,2,3,4,0\n5,6,7,8,1\n")
+    with pytest.raises(dk.DataError, match=f"index {index} out of range"):
+        dk.load_csv(p, index, "1")
+
+
 def test_load_csv_string_positive_token(tmp_path):
     p = write_csv(tmp_path, "a,b,label\n1,2,ok\n3,4,bad\n5,6,ok\n")
     ds = dk.load_csv(p, "label", "bad")

@@ -40,6 +40,26 @@ def test_bias_broadcast_along_batch():
     np.testing.assert_array_equal(h.grad, np.ones((3, 2)))
 
 
+def test_stacked_bias_broadcasts_right_aligned():
+    # (K, 1, d) and (d,) against (K, B, d): the gradient sums over the
+    # broadcast axes only
+    h = gc.parameter(np.ones((2, 3, 4)))
+    for shape, want in (((2, 1, 4), np.full((2, 1, 4), 3.0)),
+                        ((4,), np.full(4, 6.0))):
+        b = gc.parameter(np.zeros(shape))
+        out = gc.add(h, b)
+        assert out.shape == (2, 3, 4)
+        gc.backward(gc.reduce_sum(out))
+        np.testing.assert_array_equal(b.grad, want)
+
+
+def test_broadcast_of_both_operands_rejected():
+    with pytest.raises(ValueError, match="broadcastable"):
+        gc.add(gc.constant(np.ones((2, 1, 4))), gc.constant(np.ones((1, 3, 4))))
+    with pytest.raises(ValueError, match="broadcastable"):
+        gc.mul(gc.constant(np.ones((2, 3, 1))), gc.constant(np.ones((2, 3, 4))))
+
+
 def test_non_broadcastable_rejected_with_shapes():
     a = gc.constant(np.ones((3, 2)))
     b = gc.constant(np.ones((2, 3)))
@@ -82,6 +102,41 @@ def test_matmul_zero_annihilates():
 def test_matmul_inner_mismatch_rejected():
     with pytest.raises(ValueError, match="inner dimensions"):
         gc.matmul(gc.constant(np.ones((2, 3))), gc.constant(np.ones((2, 3))))
+
+
+def test_matmul_stacked_equals_each_slice_bit_for_bit():
+    # K products at once give the bytes of K separate 2-D products, forward
+    # and both gradients (the stacked trainer relies on it)
+    g = rng(3)
+    for shape_a, shape_b in (((5, 128, 8), (5, 8, 32)), ((5, 128, 32), (5, 32, 16)),
+                             ((3, 7, 274), (3, 274, 128))):
+        a = gc.parameter(g.standard_normal(shape_a))
+        b = gc.parameter(g.standard_normal(shape_b))
+        up = g.standard_normal(shape_a[:2] + shape_b[2:])
+        out = gc.matmul(a, b)
+        gc.backward(gc.reduce_sum(gc.mul(out, gc.constant(up))))
+        for k in range(shape_a[0]):
+            ak, bk = gc.parameter(a.data[k]), gc.parameter(b.data[k])
+            ok = gc.matmul(ak, bk)
+            gc.backward(gc.reduce_sum(gc.mul(ok, gc.constant(up[k]))))
+            assert ok.data.tobytes() == out.data[k].tobytes()
+            assert ak.grad.tobytes() == a.grad[k].tobytes()
+            assert bk.grad.tobytes() == b.grad[k].tobytes()
+
+
+def test_matmul_rank_mismatch_rejected():
+    with pytest.raises(ValueError, match="leading axis"):
+        gc.matmul(gc.constant(np.ones((2, 3, 4))), gc.constant(np.ones((4, 5))))
+    with pytest.raises(ValueError, match="leading axis"):
+        gc.matmul(gc.constant(np.ones((2, 3, 4))), gc.constant(np.ones((3, 4, 5))))
+
+
+def test_take_routes_gradient_to_its_slot():
+    a = gc.parameter(np.arange(6.0).reshape(3, 2))
+    out = gc.take(a, 1)
+    np.testing.assert_array_equal(out.data, [2.0, 3.0])
+    gc.backward(gc.reduce_sum(gc.mul(out, gc.constant([5.0, 7.0]))))
+    np.testing.assert_array_equal(a.grad, [[0.0, 0.0], [5.0, 7.0], [0.0, 0.0]])
 
 
 def test_matmul_backward_formulas():
@@ -292,6 +347,26 @@ def test_fd_log_positive_domain():
         p = g.uniform(0.5, 3.0, size=4)
         assert gc.finite_diff_check(
             lambda t: gc.reduce_sum(gc.square(gc.log(t))), p) < 1e-4
+
+
+LEAKY_EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                        2.2250738585072014e-308, -1e-310, 1.0, -1.0, -3.5, 1e300,
+                        -1e300])
+
+
+@pytest.mark.parametrize("slope", [1e-3, 0.1, 1.0])
+def test_leaky_relu_matches_select_form_bytes(slope):
+    # the branch-free form against the np.where reference, forward and
+    # backward, on signed zeros, infinities, nan, subnormals and randoms
+    x = np.concatenate([LEAKY_EDGES, rng(17).standard_normal(200)])
+    g = rng(18).standard_normal(x.size)
+    a = gc.parameter(x)
+    out = gc.leaky_relu(a, slope)
+    gc.backward(gc.reduce_sum(gc.mul(out, gc.constant(g))))
+    want = np.where(x >= 0.0, x, slope * x)
+    want_grad = g * np.where(x >= 0.0, 1.0, slope)
+    assert out.data.tobytes() == want.tobytes()
+    assert a.grad.tobytes() == want_grad.tobytes()
 
 
 @pytest.mark.parametrize("op", [gc.relu, gc.leaky_relu], ids=["relu", "leaky-relu"])

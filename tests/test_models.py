@@ -316,3 +316,63 @@ def test_ensemble_save_load_roundtrip(tmp_path):
     x = rng(27).standard_normal((6, 2))
     np.testing.assert_array_equal(md.ensemble_score(loaded, x, 4),
                                   md.ensemble_score(ens, x, 4))
+
+
+# ---------------------------------------------------------------------------
+# stacked members
+
+def test_stack_and_unstack_members_round_trip():
+    members = [toy_model(seed=s) for s in (3, 4, 5)]
+    stacked = md.stack_members(members)
+    for slot, *ts in zip(stacked.parameters(), *(m.parameters() for m in members)):
+        assert slot.shape[0] == 3 and slot.data.ndim == 3
+        for k, t in enumerate(ts):
+            np.testing.assert_array_equal(slot.data[k].reshape(t.shape), t.data)
+    for slot in stacked.parameters():
+        slot.data = slot.data + np.arange(3.0).reshape(3, 1, 1)
+    md.unstack_members(stacked, members)
+    for k, m in enumerate(members):
+        for t, fresh in zip(m.parameters(), toy_model(seed=3 + k).parameters()):
+            np.testing.assert_array_equal(t.data, fresh.data + k)
+
+
+def test_stacked_outlier_term_keeps_an_overflow_to_its_member():
+    # member 0's CUBO overflows (log domain), member 1 sits in the exp
+    # domain; stacked, each member's loss and gradients are its solo ones
+    # bit for bit, and member 1's stay finite. A Bernoulli decoder with a
+    # large output bias on out-of-range targets drives -2 L_R far above
+    # the exp limit.
+    spec = nb.MlpSpec(widths=(6, 2))
+
+    def member(seed):
+        return md.SsadModel.create(spec, 1, "mml", seed=seed, gamma=1.0,
+                                   family="bernoulli")
+
+    def solo(seed, x, bias):
+        m = member(seed)
+        m.decoder.bs[-1].data[...] = bias
+        rep = md.outlier_update_term(m, x, s_cubo=4, rng=rng(seed, 40))
+        gc.backward(rep.loss)
+        return m, rep
+
+    x_over = np.full((3, 1), 50.0)
+    x_exp = np.array([[0.0], [1.0], [0.0]])
+    over, rep_over = solo(1, x_over, 20.0)
+    exp, rep_exp = solo(2, x_exp, 0.0)
+    assert (rep_over.cubo_log_domain, rep_exp.cubo_log_domain) == (True, False)
+    assert rep_over.cubo.overflowed and not rep_exp.cubo.overflowed
+
+    fresh = [member(1), member(2)]
+    fresh[0].decoder.bs[-1].data[...] = 20.0
+    stacked = md.stack_members(fresh)
+    rep = md.outlier_update_term(stacked, np.stack([x_over, x_exp]), s_cubo=4,
+                                 rng=[rng(1, 40), rng(2, 40)])
+    assert rep.cubo_log_domain == [True, False]
+    gc.backward(gc.reduce_sum(rep.loss))
+    for k, solo_model in enumerate((over, exp)):
+        assert rep.loss.data[k].tobytes() == np.asarray(
+            (rep_over, rep_exp)[k].loss.data).tobytes()
+        for slot, t in zip(stacked.encoder.tensors(), solo_model.encoder.tensors()):
+            g = slot.grad[k].reshape(t.shape)
+            assert np.isfinite(g).all()
+            assert g.tobytes() == t.grad.tobytes()

@@ -1,7 +1,12 @@
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ssadvae import gradcore as gc
 from ssadvae import netblocks as nb
@@ -15,6 +20,19 @@ def test_spec_rejects_missing_hidden_layer():
         nb.MlpSpec(widths=(8,))
     with pytest.raises(ValueError):
         nb.MlpSpec(widths=(32, 0, 8))
+
+
+@pytest.mark.parametrize("leak", [0.0, 1.5, -0.1, float("nan")])
+def test_spec_rejects_leak_outside_unit_interval(leak):
+    # leaky_relu is max(x, leak*x): leak 0 would turn +inf into nan, and
+    # leak > 1 is not a leaky relu; activation = relu covers leak 0
+    with pytest.raises(ValueError, match="leak"):
+        nb.MlpSpec(widths=(8, 2), leak=leak)
+
+
+def test_spec_accepts_leak_in_unit_interval():
+    for leak in (1e-3, 0.1, 1.0):
+        assert nb.MlpSpec(widths=(8, 2), leak=leak).leak == leak
 
 
 def test_init_same_seed_bit_identical():
@@ -210,3 +228,23 @@ def test_serialization_oversized_header_rejected(tmp_path):
     p.write_bytes(b"SSADVAE1" + struct.pack("<5I", 1, 3, *(2**32 - 1,) * 3))
     with pytest.raises(ValueError, match="truncated array data"):
         nb.read_arrays(p)
+
+
+F64_ARRAYS = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=4),
+    elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(F64_ARRAYS, min_size=0, max_size=5))
+def test_serialization_round_trip_property(arrays):
+    # any number of arrays, 0-d and zero-size ones included, come back with
+    # their shapes and bytes (nan payloads and signed zeros too)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.bin")
+        nb.write_arrays(path, arrays)
+        back = nb.read_arrays(path)
+    assert len(back) == len(arrays)
+    for a, b in zip(arrays, back):
+        assert b.shape == a.shape and b.dtype == np.float64
+        assert b.tobytes() == np.ascontiguousarray(a, dtype="<f8").tobytes()

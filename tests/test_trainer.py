@@ -289,3 +289,63 @@ def test_anneal_coefficient_recorded_and_saturates():
     assert coeffs[0] == 0.0
     assert coeffs[4] == pytest.approx(0.2)
     assert all(a <= b + 1e-15 for a, b in zip(coeffs, coeffs[1:]))
+
+
+# ---------------------------------------------------------------------------
+# stacked members
+
+def _record(monkeypatch, module, name, record):
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        record(args, out)
+        return out
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+@pytest.mark.parametrize("method", ["vae", "mml", "dp", "hybrid"])
+@pytest.mark.parametrize("d", [1, 3])
+def test_stacked_members_equal_solo_runs_bit_for_bit(monkeypatch, method, d):
+    # K=3 trained together against three K=1 runs with master seeds m, m+1,
+    # m+2: the same parameter bytes and the same history but wall_time
+    from ssadvae import models as md
+
+    train = tiny_train_set(d=d, gamma_l=0.3)
+    fired, domains = [], []
+    _record(monkeypatch, tr, "clip_gradients",
+            lambda args, out: fired.append(
+                sum(float((g * g).sum()) for g in args[0] if g is not None)
+                > args[1] ** 2))
+    _record(monkeypatch, md, "cubo_objective",
+            lambda args, out: domains.append(out[1]))
+    # a clip norm inside each method's range of outlier-gradient norms
+    clip = {"vae": 5.0, "mml": 0.003 if d == 1 else 0.3, "dp": 0.45,
+            "hybrid": 0.5}[method]
+    cfg = dict(epochs=7, warmup_epochs=3, clip_norm=clip, master_seed=4)
+    stacked, hists = tr.train(tiny_config(ensemble_size=3, **cfg), train, method)
+    solo = [tr.train(tiny_config(**{**cfg, "master_seed": 4 + k}), train, method)
+            for k in range(3)]
+    for k, (ens, solo_hists) in enumerate(solo):
+        assert stacked.members[k].seed == hists[k].seed == 4 + k
+        for a, b in zip(stacked.members[k].parameters(), ens.members[0].parameters()):
+            assert a.shape == b.shape and a.data.tobytes() == b.data.tobytes()
+        rows = [[{**r, "wall_time": 0} for r in h.to_rows()]
+                for h in (hists[k], solo_hists[0])]
+        assert rows[0] == rows[1]
+    if method != "vae":
+        # clipping fired on some member updates and not on others
+        assert True in fired and False in fired
+    if method in ("mml", "hybrid"):
+        assert len(domains) == 2 * 3 * 4  # once per member and update, twice over
+        if d == 1:
+            assert False in domains  # the exp domain is exercised too
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_numerical_abort_names_the_member_seed():
+    train = tiny_train_set()
+    huge = dk.SsadDataset(train.features * 1e200, train.labels, train.roles)
+    with pytest.raises(tr.NumericalAbort, match=r"member seed 7, epoch 0, batch 0"):
+        tr.train(tiny_config(ensemble_size=2, master_seed=7), huge, "vae")
