@@ -11,7 +11,9 @@ dataset with a dropped role so row accounting is exact.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -88,30 +90,42 @@ class SsadDataset:
 # ---------------------------------------------------------------------------
 # ingestion
 
-def _parse_rows(rows, label_idx, positive_token, start_line):
-    feats, labels = [], []
-    token = str(positive_token).strip()
-    for offset, row in enumerate(rows):
-        line = start_line + offset
-        if len(row) <= label_idx:
-            raise DataError(f"row {line}: expected label in column {label_idx}, "
-                            f"found only {len(row)} columns")
-        vals = []
-        for col, cell in enumerate(row):
-            if col == label_idx:
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"row {line}, column {col}: non-numeric cell {cell!r}") from None
-            if not math.isfinite(value):
-                raise DataError(f"row {line}, column {col}: non-finite cell {cell!r}")
-            vals.append(value)
-        feats.append(vals)
-        labels.append(LABEL_ANOMALY if row[label_idx].strip() == token
-                      else LABEL_NORMAL)
-    return feats, labels
+def _label_index(path, first: list, label_column: Union[str, int]) -> int:
+    """Index of the label column in the first non-empty row."""
+    if isinstance(label_column, str):
+        if label_column not in first:
+            raise DataError(f"{path}: label column {label_column!r} not found "
+                            f"in header {first!r}")
+        return first.index(label_column)
+    idx = int(label_column)
+    if not -len(first) <= idx < len(first):
+        raise DataError(f"{path}: label column index {idx} out of "
+                        f"range for {len(first)} columns")
+    return idx % len(first)  # -1 is the last column
+
+
+def _parses(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
+def _first_bad_cell(path, line: int, cells: list, label_idx: int) -> Optional[DataError]:
+    """The error for the first non-numeric or non-finite feature cell of a
+    row whose label cell was removed; None if every cell is a finite float."""
+    for j, cell in enumerate(cells):
+        col = j + (j >= label_idx)  # column number in the file
+        try:
+            value = float(cell)
+        except ValueError:
+            return DataError(f"{path}: row {line}, column {col}: "
+                             f"non-numeric cell {cell!r}")
+        if not math.isfinite(value):
+            return DataError(f"{path}: row {line}, column {col}: "
+                             f"non-finite cell {cell!r}")
+    return None
 
 
 def load_csv(path, label_column: Union[str, int] = "label",
@@ -120,51 +134,49 @@ def load_csv(path, label_column: Union[str, int] = "label",
     column; rows whose label equals ``positive_token`` become anomalies.
 
     ``label_column`` is a header name or a column index; a negative index
-    counts from the last column, and one out of range is a DataError."""
+    counts from the last column, and one out of range is a DataError.
+
+    Rows are parsed as they are read into one flat float buffer, so memory
+    stays near the size of the returned features. Empty rows are skipped
+    and not counted; every row must have as many columns as the first
+    non-empty row. Of several faults, the first one in file order is
+    reported, as a DataError naming the file and the row."""
+    token = str(positive_token).strip()
+    feats, labels = array("d"), array("b")
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
-        raise DataError(f"{path}: empty file")
-
-    header: Optional[list] = None
-    if isinstance(label_column, str):
-        if label_column not in rows[0]:
-            raise DataError(f"{path}: label column {label_column!r} not found "
-                            f"in header {rows[0]!r}")
-        header = rows[0]
-        label_idx = header.index(label_column)
-        body, start = rows[1:], 2
-    else:
-        label_idx = int(label_column)
-        if not -len(rows[0]) <= label_idx < len(rows[0]):
-            raise DataError(f"{path}: label column index {label_idx} out of "
-                            f"range for {len(rows[0])} columns")
-        label_idx %= len(rows[0])  # -1 is the last column
-        # optional header: first row counts as data only if fully numeric
-        def _is_data(row):
-            for col, cell in enumerate(row):
-                if col == label_idx:
-                    continue
-                try:
-                    float(cell)
-                except ValueError:
-                    return False
-            return True
-        if _is_data(rows[0]):
-            body, start = rows, 1
-        else:
-            header, body, start = rows[0], rows[1:], 2
-    if not body:
+        rows = filter(None, csv.reader(fh))
+        first = next(rows, None)
+        if first is None:
+            raise DataError(f"{path}: empty file")
+        label_idx = _label_index(path, first, label_column)
+        ncols, body, line = len(first), rows, 2
+        # by index, the first row is data when its features all parse as
+        # floats (a non-finite one is then rejected as a data cell)
+        if not isinstance(label_column, str) and all(
+                _parses(cell) for col, cell in enumerate(first)
+                if col != label_idx):
+            body, line = itertools.chain([first], rows), 1
+        for line, row in enumerate(body, line):
+            if len(row) != ncols:
+                raise DataError(f"{path}: row {line}: has {len(row)} columns, "
+                                f"expected {ncols}")
+            labels.append(row.pop(label_idx).strip() == token)
+            try:
+                vals = list(map(float, row))
+            except ValueError:
+                vals = None
+            # a sum of finite cells can still overflow: then every cell passes
+            if vals is None or not math.isfinite(sum(vals)):
+                err = _first_bad_cell(path, line, row, label_idx)
+                if err is not None:
+                    raise err
+            feats.extend(vals)
+    n = len(labels)
+    if n == 0:
         raise DataError(f"{path}: no data rows")
-
-    ncols = len(body[0])
-    for i, row in enumerate(body):
-        if len(row) != ncols:
-            raise DataError(f"row {start + i}: has {len(row)} columns, expected {ncols}")
-    feats, labels = _parse_rows(body, label_idx, positive_token, start)
-    n = len(feats)
     return SsadDataset(
-        features=np.array(feats), labels=np.array(labels),
+        features=np.frombuffer(feats, dtype=np.float64).reshape(n, ncols - 1),
+        labels=np.frombuffer(labels, dtype=np.int8),
         roles=np.full(n, ROLE_UNSPLIT),
         provenance={"source": str(path), "label_column": label_column,
                     "positive_token": str(positive_token)})

@@ -172,22 +172,28 @@ def score(model: SsadModel, x, n_samples: int = 64,
 
     Deterministic for a given seed; defaults to the model's own seed so
     ensemble scoring does not depend on member order.
+
+    Memory stays proportional to n, not S * n: rows are encoded once, in
+    batches of ``batch_size``; then sample s draws its (n, d_z) noise block,
+    which holds the numbers one (S, n, d_z) draw puts at [s], and each batch
+    is decoded with its rows of that block.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected a (n, d) matrix, got shape {x.shape}")
     rng = nb.philox_rng(model.seed if seed is None else seed, nb.STREAM_SCORE)
-    d_z = model.encoder.latent_dim
-    noise = rng.standard_normal((n_samples, x.shape[0], d_z))
-    out = np.empty(x.shape[0])
+    n, d_z = x.shape[0], model.encoder.latent_dim
+    if n == 0:
+        return np.empty(0)
+    dec = model.decoder
+    batches = [x[lo:lo + batch_size] for lo in range(0, n, batch_size)]
     with gc.no_grad():
-        for lo in range(0, x.shape[0], batch_size):
-            hi = min(lo + batch_size, x.shape[0])
-            rep = vb.elbo(model.encoder, model.decoder, x[lo:hi], None,
-                          beta_kl=1.0, n_samples=n_samples,
-                          noise=noise[:, lo:hi, :])
-            out[lo:hi] = rep.per_sample.data
-    return out
+        posts = [nb.encode(model.encoder, xb) for xb in batches]
+        recon_fns = [lambda z, xb=xb: vb.reconstruction_loss(
+            nb.decode(dec, z), xb, dec.family) for xb in batches]
+        noise = (rng.standard_normal((n, d_z)) for _ in range(n_samples))
+        reps = vb.elbo_by_row_blocks(posts, recon_fns, None, 1.0, noise)
+    return np.concatenate([rep.per_sample.data for rep in reps])
 
 
 @dataclass
@@ -253,21 +259,39 @@ def save_ensemble(dirpath, ens: Ensemble, extra: Optional[dict] = None) -> None:
 
 def load_ensemble(dirpath) -> tuple:
     """Returns (Ensemble, manifest dict). A missing, corrupt or inconsistent
-    manifest or member file raises DataError naming that file."""
-    path = os.path.join(dirpath, "manifest.json")
+    manifest or member file raises DataError naming that file; so does a
+    member sidecar whose in_dim, out_dim, spec or family differs from the
+    manifest's."""
+    manifest_path = os.path.join(dirpath, "manifest.json")
+    path, named = manifest_path, [manifest_path]
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-        members = []
-        for i, seed in enumerate(manifest["seeds"]):
-            path = os.path.join(dirpath, f"member_{i:02d}.bin")
-            enc, dec = nb.load_params(path, path[:-len(".bin")] + ".json")
-            prior = vb.PriorSpec(dim=enc.spec.latent_dim, alpha=manifest["alpha"])
-            members.append(SsadModel(
-                enc, dec, manifest["method"], prior, gamma=manifest["gamma"],
-                beta_kl=manifest["beta_kl"], beta_cubo=manifest["beta_cubo"],
-                seed=seed))
+        want = {"in_dim": manifest["in_dim"], "out_dim": manifest["in_dim"],
+                "spec": nb.MlpSpec.from_dict(manifest["spec"]),
+                "family": manifest["family"]}
+        params = []
+        for i in range(len(manifest["seeds"])):
+            stem = os.path.join(dirpath, f"member_{i:02d}")
+            path, named = stem + ".json", [stem + ".bin", stem + ".json"]
+            enc, dec = nb.load_params(stem + ".bin", path)
+            got = {"in_dim": enc.in_dim, "out_dim": dec.out_dim,
+                   "spec": enc.spec, "family": dec.family}
+            for key, value in want.items():
+                if got[key] != value:
+                    raise ValueError(f"{path}: {key} {got[key]!r} does not "
+                                     f"match manifest.json's {value!r}")
+            params.append((enc, dec))
+        path, named = manifest_path, [manifest_path]
+        members = [SsadModel(
+            enc, dec, manifest["method"],
+            vb.PriorSpec(dim=enc.spec.latent_dim, alpha=manifest["alpha"]),
+            gamma=manifest["gamma"], beta_kl=manifest["beta_kl"],
+            beta_cubo=manifest["beta_cubo"], seed=seed)
+            for (enc, dec), seed in zip(params, manifest["seeds"])]
         return Ensemble(members), manifest
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        detail = str(exc)
-        raise DataError(detail if path in detail else f"{path}: {detail}") from exc
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        if not any(p in detail for p in named):
+            detail = f"{path}: {detail}"
+        raise DataError(detail) from exc

@@ -323,11 +323,17 @@ def save_params(path_bin, path_json, enc: EncoderParams, dec: DecoderParams) -> 
 
 
 def load_params(path_bin, path_json) -> tuple:
+    """Inverse of save_params. The sidecar's array counts must be the ones
+    its spec implies, or ValueError names the sidecar."""
     with open(path_json, "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
     spec = MlpSpec.from_dict(sidecar["spec"])
     enc = init_encoder(spec, sidecar["in_dim"], seed=0)
     dec = init_decoder(spec, sidecar["out_dim"], seed=0, family=sidecar["family"])
+    for key, params in (("n_encoder_arrays", enc), ("n_decoder_arrays", dec)):
+        if sidecar[key] != len(params.tensors()):
+            raise ValueError(f"{path_json}: {key} is {sidecar[key]!r}, but its "
+                             f"spec has {len(params.tensors())}")
     arrays = read_arrays(path_bin)
     slots = enc.tensors() + dec.tensors()
     if len(arrays) != len(slots):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -150,27 +150,56 @@ def _draw_noise(n_samples: int, post: nb.GaussianPosterior, rng, noise) -> np.nd
     return np.stack([r.standard_normal(block) for r in rng], axis=1)
 
 
+def elbo_by_row_blocks(posts: Sequence[nb.GaussianPosterior],
+                       recon_fns: Sequence[Callable[[Tensor], Tensor]],
+                       prior_mean, beta_kl: float,
+                       noise: Iterable[np.ndarray]) -> list:
+    """ELBOs of rows split into consecutive blocks, one posterior and one
+    per-row reconstruction-loss closure per block; one BoundReport each.
+
+    ``noise`` yields one block per Monte-Carlo sample covering all rows in
+    block order, shaped like the posteriors joined along the batch axis: an
+    (S, rows, d_z) array or any iterable of blocks, so a generator can draw
+    each sample's block only when it is consumed. Each block's terms are
+    summed in sample order, so a row's ELBO does not depend on the blocks.
+    """
+    recon = [None] * len(posts)
+    n_samples = 0
+    for eps in noise:
+        lo = 0
+        for k, (post, recon_fn) in enumerate(zip(posts, recon_fns)):
+            hi = lo + post.batch
+            term = recon_fn(nb.reparameterize(post, eps[..., lo:hi, :]))
+            recon[k] = term if recon[k] is None else gc.add(recon[k], term)
+            lo = hi
+        if lo != eps.shape[-2]:
+            raise ValueError(f"noise block has {eps.shape[-2]} rows, the "
+                             f"posteriors {lo}")
+        n_samples += 1
+    if n_samples == 0:
+        raise ValueError("n_samples must be >= 1")
+    reports = []
+    for post, recon_i in zip(posts, recon):
+        if n_samples > 1:
+            recon_i = gc.mul(recon_i, 1.0 / n_samples)
+        kl_i = kl_to_gaussian_prior(post, prior_mean)
+        per_sample = gc.sub(gc.neg(recon_i), gc.mul(kl_i, beta_kl))
+        recon_mean = gc.reduce_mean(recon_i, axis=-1)
+        kl = gc.reduce_mean(kl_i, axis=-1)
+        value = gc.sub(gc.neg(recon_mean), gc.mul(kl, beta_kl))
+        reports.append(BoundReport(recon=recon_mean, kl=kl, elbo=value,
+                                   per_sample=per_sample, beta_kl=beta_kl))
+    return reports
+
+
 def elbo_from_posterior(post: nb.GaussianPosterior,
                         recon_fn: Callable[[Tensor], Tensor],
                         prior_mean, beta_kl: float,
-                        noise: np.ndarray) -> BoundReport:
+                        noise: Iterable[np.ndarray]) -> BoundReport:
     """ELBO given a posterior, a per-sample reconstruction-loss closure, and
-    pinned reparameterization noise of shape (S, batch, d_z)."""
-    n_samples = noise.shape[0]
-    recon_i: Optional[Tensor] = None
-    for s in range(n_samples):
-        z = nb.reparameterize(post, noise[s])
-        term = recon_fn(z)
-        recon_i = term if recon_i is None else gc.add(recon_i, term)
-    if n_samples > 1:
-        recon_i = gc.mul(recon_i, 1.0 / n_samples)
-    kl_i = kl_to_gaussian_prior(post, prior_mean)
-    per_sample = gc.sub(gc.neg(recon_i), gc.mul(kl_i, beta_kl))
-    recon = gc.reduce_mean(recon_i, axis=-1)
-    kl = gc.reduce_mean(kl_i, axis=-1)
-    value = gc.sub(gc.neg(recon), gc.mul(kl, beta_kl))
-    return BoundReport(recon=recon, kl=kl, elbo=value,
-                       per_sample=per_sample, beta_kl=beta_kl)
+    pinned reparameterization noise of shape (S, batch, d_z): the one-block
+    case of ``elbo_by_row_blocks``."""
+    return elbo_by_row_blocks([post], [recon_fn], prior_mean, beta_kl, noise)[0]
 
 
 def elbo(enc: nb.EncoderParams, dec: nb.DecoderParams, x, prior_mean,

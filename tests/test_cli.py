@@ -373,6 +373,60 @@ def test_corrupt_model_file_is_data_error(model_dir, case):
         assert not os.path.exists(os.path.join(tmp, "scored"))
 
 
+def test_member_sidecar_family_unlike_the_manifest_is_data_error(model_dir, tmp_path,
+                                                                 capsys):
+    bad = tmp_path / "model"
+    shutil.copytree(model_dir, bad)
+    sidecar = bad / "member_00.json"
+    fields = json.loads(sidecar.read_text())
+    fields["family"] = "bernoulli"  # the manifest says gaussian
+    sidecar.write_text(json.dumps(fields))
+    rc = cli.main(["score", "--model-dir", str(bad), "--synth", "4,40,3.0",
+                   "--out", str(tmp_path / "scored")])
+    assert rc == cli.EXIT_DATA
+    assert (f"data error: {sidecar}: family 'bernoulli' does not match "
+            "manifest.json's 'gaussian'") in capsys.readouterr().err
+    assert not (tmp_path / "scored").exists()
+
+
+def _damage_csv(text: str, case) -> str:
+    if case[0] == "truncate":
+        return text[:case[1] % (len(text) + 1)]
+    lines = text.splitlines()
+    row = 1 + case[1] % (len(lines) - 1)
+    cells = lines[row].split(",")
+    if case[0] == "comma":
+        cells.insert(case[2] % (len(cells) + 1), "")
+    else:
+        cells[case[2] % len(cells)] = case[0]
+    lines[row] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 10**6)),
+    st.tuples(st.sampled_from(["comma", "", "nan"]), st.integers(0, 99),
+              st.integers(0, 99))))
+@example(("truncate", 0))
+@example(("nan", 0, 2))
+def test_damaged_csv_scores_or_is_data_error(model_dir, case):
+    rows = np.random.default_rng(6).standard_normal((6, 4)).tolist()
+    text = "a,b,c,d,label\n" + "".join(
+        ",".join(map(repr, row)) + f",{i % 2}\n" for i, row in enumerate(rows))
+    with tempfile.TemporaryDirectory() as tmp:
+        table = os.path.join(tmp, "t.csv")
+        with open(table, "w", encoding="utf-8") as fh:
+            fh.write(_damage_csv(text, case))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.main(["score", "--model-dir", str(model_dir), "--dataset",
+                           table, "--out", os.path.join(tmp, "scored")])
+        assert rc in (cli.EXIT_OK, cli.EXIT_DATA)
+        if rc == cli.EXIT_DATA:
+            assert err.getvalue().startswith(f"data error: {table}: ")
+
+
 @pytest.mark.parametrize("leak", ["0", "1.5"])
 def test_leak_outside_unit_interval_is_usage_error(tmp_path, capsys, leak):
     cfg = tmp_path / "leak.cfg"

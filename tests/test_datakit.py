@@ -1,3 +1,8 @@
+import os
+import re
+import tempfile
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,6 +91,126 @@ def test_load_csv_thyroid_shape(tmp_path):
     p = write_csv(tmp_path, "".join(f"{row},0\n" for _ in range(10)))
     ds = dk.load_csv(p, 6, "1")
     assert ds.dim == 6
+
+
+def test_load_csv_row_errors_name_the_file(tmp_path):
+    p = write_csv(tmp_path, "a,b,label\n1,oops,0\n")
+    with pytest.raises(dk.DataError, match=f"^{p}: row 2, column 1"):
+        dk.load_csv(p, "label", "1")
+
+
+def test_load_csv_by_index_non_finite_first_row_is_data(tmp_path):
+    p = write_csv(tmp_path, "1,nan,0\n3,4,1\n")
+    with pytest.raises(dk.DataError, match="row 1, column 1: non-finite cell 'nan'"):
+        dk.load_csv(p, 2, "1")
+
+
+def test_load_csv_header_sets_the_column_count(tmp_path):
+    p = write_csv(tmp_path, "a,b,label\n1,2,3,0\n3,4,1\n")
+    with pytest.raises(dk.DataError, match="row 2: has 4 columns, expected 3"):
+        dk.load_csv(p, "label", "1")
+
+
+def test_load_csv_without_header_first_row_sets_the_column_count(tmp_path):
+    p = write_csv(tmp_path, "1,2,0\n\n3,4,5,1\n")
+    with pytest.raises(dk.DataError, match="row 2: has 4 columns, expected 3"):
+        dk.load_csv(p, 2, "1")
+
+
+FAULTS = {"ragged": "1,2\n", "non-numeric": "1,oops,0\n",
+          "non-finite": "1,inf,0\n"}
+
+
+@pytest.mark.parametrize("first", FAULTS)
+@pytest.mark.parametrize("second", FAULTS)
+def test_load_csv_reports_the_first_fault_in_file_order(tmp_path, first, second):
+    p = write_csv(tmp_path, "a,b,label\n1,2,0\n" + FAULTS[first]
+                  + "3,4,1\n" + FAULTS[second])
+    with pytest.raises(dk.DataError, match=r": row 3\b"):
+        dk.load_csv(p, "label", "1")
+
+
+def test_load_csv_memory_stays_near_the_features(tmp_path):
+    x = np.random.default_rng(5).standard_normal((20000, 21))
+    p = tmp_path / "big.csv"
+    with open(p, "w", encoding="utf-8") as fh:
+        fh.write(",".join([f"f{i}" for i in range(21)] + ["label"]) + "\n")
+        for i, row in enumerate(x.tolist()):
+            fh.write(",".join(map(repr, row)) + f",{i % 2}\n")
+    tracemalloc.start()
+    try:
+        ds = dk.load_csv(p, "label", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.features.tobytes() == x.tobytes()
+    assert peak <= 4 * ds.features.nbytes
+
+
+# a valid table: header f0,f1,f2,label and the label last
+TABLES = st.lists(
+    st.tuples(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                       min_size=3, max_size=3),
+              st.sampled_from([0, 1])),
+    min_size=1, max_size=6)
+
+
+def _table_lines(rows) -> list:
+    return ["f0,f1,f2,label"] + [",".join(map(repr, feats)) + f",{label}"
+                                 for feats, label in rows]
+
+
+def _load_text(text):
+    """(path, dataset or DataError) of ``text`` written to a fresh file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        try:
+            return path, dk.load_csv(path, "label", "1")
+        except dk.DataError as exc:
+            return path, exc
+
+
+@settings(max_examples=150, deadline=None)
+@given(TABLES, st.data())
+def test_truncated_csv_loads_its_whole_rows_or_names_the_cut_row(rows, data):
+    text = "\n".join(_table_lines(rows)) + "\n"
+    cut = text[:data.draw(st.integers(0, len(text)), label="offset")]
+    lines = cut.splitlines()
+    path, got = _load_text(cut)
+    if isinstance(got, dk.DataError):
+        if len(lines) < 2:  # no data row: empty, cut header or header only
+            assert str(got).startswith(f"{path}: ")
+        else:
+            assert re.match(rf"{re.escape(path)}: row {len(lines)}\b", str(got))
+    else:
+        # a cut after the last comma leaves an empty label: a normal row
+        assert len(got) == len(lines) - 1
+        want = np.array([feats for feats, _ in rows[:len(got)]])
+        assert got.features.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(TABLES, st.sampled_from(["comma", "empty", "nan"]), st.data())
+def test_spliced_fault_is_reported_at_its_row(rows, fault, data):
+    lines = _table_lines(rows)
+    r = data.draw(st.integers(1, len(lines) - 1), label="row")
+    col = None
+    if fault == "comma":
+        pos = data.draw(st.integers(0, len(lines[r])), label="offset")
+        lines[r] = lines[r][:pos] + "," + lines[r][pos:]
+    else:
+        cells = lines[r].split(",")
+        col = data.draw(st.integers(0, len(cells) - 1), label="column")
+        cells[col] = "" if fault == "empty" else "nan"
+        lines[r] = ",".join(cells)
+    path, got = _load_text("\n".join(lines) + "\n")
+    if col == 3:  # an empty or nan label is just not the positive token
+        assert got.labels[r - 1] == dk.LABEL_NORMAL
+    else:
+        assert isinstance(got, dk.DataError)
+        assert re.match(rf"{re.escape(path)}: row {r + 1}\b", str(got))
 
 
 # ---------------------------------------------------------------------------

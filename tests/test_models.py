@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -260,6 +262,48 @@ def test_score_batch_size_does_not_change_values():
     np.testing.assert_array_equal(full, chunked)
 
 
+def _reference_score(model, x, n_samples, batch_size):
+    """Scoring as one (S, n, d_z) noise draw, sliced per row batch."""
+    noise = nb.philox_rng(model.seed, nb.STREAM_SCORE).standard_normal(
+        (n_samples, x.shape[0], model.encoder.latent_dim))
+    out = np.empty(x.shape[0])
+    with gc.no_grad():
+        for lo in range(0, x.shape[0], batch_size):
+            hi = lo + batch_size
+            rep = vb.elbo(model.encoder, model.decoder, x[lo:hi], None, 1.0,
+                          n_samples=n_samples, noise=noise[:, lo:hi])
+            out[lo:hi] = rep.per_sample.data
+    return out
+
+
+@pytest.mark.parametrize("n", [5, 32, 37])  # < batch, a multiple, neither
+@pytest.mark.parametrize("n_samples", [1, 64])
+@pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
+def test_score_equals_one_noise_draw_byte_for_byte(n, n_samples, family):
+    model = md.SsadModel.create(nb.MlpSpec(widths=(6, 4, 3)), 5, "mml",
+                                seed=8, family=family)
+    x = rng(28).standard_normal((n, 5))
+    got = md.score(model, x, n_samples=n_samples, batch_size=16)
+    assert got.tobytes() == _reference_score(model, x, n_samples, 16).tobytes()
+
+
+def test_score_of_no_rows_is_empty():
+    assert md.score(toy_model(), np.empty((0, 2)), n_samples=4).shape == (0,)
+
+
+def test_score_memory_does_not_grow_with_samples():
+    # one (S, n, d_z) draw alone would be 20000 * 64 * 8 * 8 B = 82 MB
+    model = md.SsadModel.create(nb.MlpSpec(widths=(32, 16, 8)), 21, "mml", seed=9)
+    x = rng(29).standard_normal((20000, 21))
+    tracemalloc.start()
+    try:
+        md.score(model, x, n_samples=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
 def test_score_variance_shrinks_with_samples():
     model = toy_model()
     x = rng(23).standard_normal((5, 2))
@@ -316,6 +360,33 @@ def test_ensemble_save_load_roundtrip(tmp_path):
     x = rng(27).standard_normal((6, 2))
     np.testing.assert_array_equal(md.ensemble_score(loaded, x, 4),
                                   md.ensemble_score(ens, x, 4))
+
+
+@pytest.mark.parametrize("key,edit", [
+    ("family", lambda old: "bernoulli"),
+    ("spec", lambda old: dict(old, activation="relu")),
+    ("n_encoder_arrays", lambda old: old - 1),
+    ("n_decoder_arrays", lambda old: old + 1),
+])
+def test_load_ensemble_rejects_a_sidecar_that_disagrees(tmp_path, key, edit):
+    # arrays of the same shapes load, so only the check can catch these
+    md.save_ensemble(tmp_path, md.Ensemble([toy_model(seed=3), toy_model(seed=4)]))
+    sidecar = tmp_path / "member_01.json"
+    fields = json.loads(sidecar.read_text())
+    fields[key] = edit(fields[key])
+    sidecar.write_text(json.dumps(fields))
+    with pytest.raises(dk.DataError, match=f"^{sidecar}: {key}"):
+        md.load_ensemble(tmp_path)
+
+
+def test_load_ensemble_names_the_manifest_for_its_own_keys(tmp_path):
+    md.save_ensemble(tmp_path, md.Ensemble([toy_model(seed=3)]))
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    del manifest["alpha"]
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(dk.DataError,
+                       match=f"^{tmp_path / 'manifest.json'}: missing key 'alpha'"):
+        md.load_ensemble(tmp_path)
 
 
 # ---------------------------------------------------------------------------
