@@ -300,8 +300,10 @@ def run_score(args) -> int:
     in_dim, stats = _manifest_standardization(args.model_dir, manifest)
     base = load_base_dataset(cfg, cfg["seeds"][0])
     if base.dim != in_dim:
+        source = f"--synth {cfg['synth']}" if cfg.get("synth") else cfg["dataset"]
         raise dk.DataError(
-            f"dataset has {base.dim} features but the model expects {in_dim}")
+            f"{source} has {base.dim} features, but "
+            f"{os.path.join(args.model_dir, 'manifest.json')} has in_dim {in_dim}")
     features = stats.apply(base.features)
     scores = md.ensemble_score(ens, features, n_samples=cfg["s_score"])
 

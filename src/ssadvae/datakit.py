@@ -355,11 +355,6 @@ class EvalReport:
     seed: int
     config_digest: str
 
-    def to_json_dict(self) -> dict:
-        return {"auroc": self.auroc, "seed": self.seed,
-                "config_digest": self.config_digest,
-                "n_scores": int(len(self.scores))}
-
     def write_scores_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)

@@ -1,8 +1,10 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Small on purpose: exactly the operations an MLP VAE and its losses need
-(elementwise math, matmul, reductions, logsumexp, stack, take). Gradients are
-accumulated into trainable leaf tensors; everything runs on numpy buffers.
+(elementwise math, matmul, a fused affine layer, reductions, logsumexp, stack,
+take). Gradients are accumulated into trainable leaf tensors, or into a
+caller's gradient buffer (``Tensor.grad_view``); everything runs on numpy
+buffers.
 
 Broadcasting is right-aligned and one-sided: one operand's shape must fit
 into the other's, with the same last axis and every other axis equal or 1
@@ -21,7 +23,7 @@ import numpy as np
 __all__ = [
     "Tensor", "Graph", "no_grad", "constant", "parameter",
     "add", "sub", "mul", "neg", "exp", "log", "square", "relu",
-    "leaky_relu", "sigmoid", "softplus", "clamp", "matmul", "reduce_sum",
+    "leaky_relu", "sigmoid", "softplus", "clamp", "matmul", "affine", "reduce_sum",
     "reduce_mean", "reduce_max", "logsumexp", "stack", "take", "backward",
     "finite_diff_check",
 ]
@@ -54,15 +56,19 @@ class Tensor:
 
     Leaves are created directly (``op == "leaf"``); derived tensors carry
     their parents and a vector-Jacobian closure. ``grad`` buffers are only
-    ever materialized on trainable leaves.
+    ever materialized on trainable leaves. A leaf with a ``grad_view`` has
+    its gradient written into that array, so the leaves of one model can
+    share one gradient buffer.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "op", "parents", "_vjp")
+    __slots__ = ("data", "grad", "grad_view", "requires_grad", "op", "parents",
+                 "_vjp")
 
     def __init__(self, data, requires_grad: bool = False, op: str = "leaf",
                  parents: tuple = (), vjp: Optional[Callable] = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
+        self.grad_view: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
         self.op = op
         self.parents = parents
@@ -294,6 +300,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                  lambda g: (g @ np.swapaxes(db, -1, -2), np.swapaxes(da, -1, -2) @ g))
 
 
+def affine(h: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+    """One dense layer as one node: ``(h @ w) + b``, the same two numpy
+    operations as ``add(matmul(h, w), b)``, with operands shaped as for
+    ``matmul`` and a bias that broadcasts into the product. ``b=None`` is
+    the plain product. Gradients are computed only for operands that
+    require them."""
+    dh, dw = h.data, w.data
+    if dh.ndim != dw.ndim or dh.ndim not in (2, 3) or dh.shape[:-2] != dw.shape[:-2]:
+        raise ValueError(f"affine expects two 2-D or two 3-D operands with the "
+                         f"same leading axis, got {dh.shape} and {dw.shape}")
+    if dh.shape[-1] != dw.shape[-2]:
+        raise ValueError(f"affine inner dimensions disagree: {dh.shape} vs {dw.shape}")
+    out = dh @ dw
+    sb = None if b is None else b.data.shape
+    if b is not None:
+        if not _fits(sb, out.shape):
+            raise ValueError(f"affine: bias shape {sb} does not broadcast into {out.shape}")
+        out = out + b.data
+    need_h, need_w = h.requires_grad, w.requires_grad
+    need_b = b is not None and b.requires_grad
+    return _make(out, "affine", (h, w) if b is None else (h, w, b), lambda g: (
+        g @ np.swapaxes(dw, -1, -2) if need_h else None,
+        np.swapaxes(dh, -1, -2) @ g if need_w else None,
+        _unbroadcast(g, sb) if need_b else None))
+
+
 def _norm_axis(axis, ndim: int, opname: str):
     if axis is None:
         return None
@@ -400,7 +432,9 @@ def backward(out: Tensor, graph: Optional[Graph] = None) -> None:
 
     Repeated calls without resetting leaf grads add up; intermediate state
     never persists between calls, so two runs accumulate exactly twice the
-    one-run gradient.
+    one-run gradient. A leaf's first gradient is written into its
+    ``grad_view`` when it has one (``.grad`` is then that view), and later
+    ones add into it in place: the same bytes as a fresh array.
     """
     if out.data.ndim != 0:
         raise ValueError(f"backward requires a scalar output, got shape {out.data.shape}")
@@ -414,8 +448,15 @@ def backward(out: Tensor, graph: Optional[Graph] = None) -> None:
         if g is None:
             continue
         if node._vjp is None:
-            if node.requires_grad:
-                node.grad = g + 0.0 if node.grad is None else node.grad + g
+            if not node.requires_grad:
+                continue
+            if node.grad is None:
+                view = node.grad_view
+                node.grad = g + 0.0 if view is None else np.add(g, 0.0, out=view)
+            elif node.grad is node.grad_view:
+                node.grad += g
+            else:
+                node.grad = node.grad + g
             continue
         for parent, pg in zip(node.parents, node._vjp(g)):
             if pg is None or not parent.requires_grad:

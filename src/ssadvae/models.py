@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -37,6 +38,17 @@ CUBO_LOG_DOMAIN_MIN = -5.0
 
 
 @dataclass
+class FlatParams:
+    """The (K, P) buffers that a stacked model's parameters and their
+    gradients are views into. Member k is row k; the encoder's tensors fill
+    columns [0, n_encoder) in ``parameters()`` order, the decoder's the rest."""
+
+    data: np.ndarray
+    grad: np.ndarray
+    n_encoder: int
+
+
+@dataclass
 class SsadModel:
     encoder: nb.EncoderParams
     decoder: nb.DecoderParams
@@ -46,6 +58,8 @@ class SsadModel:
     beta_kl: float = 0.05
     beta_cubo: float = 0.05
     seed: int = 0
+    # set by stack_members: the buffers behind the stacked parameters
+    flat: Optional[FlatParams] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -75,15 +89,30 @@ class SsadModel:
 
 def stack_members(members: list) -> SsadModel:
     """One model whose parameters hold the members' along a new leading
-    axis: weights (K, fan_in, fan_out), biases (K, 1, fan_out)."""
+    axis: weights (K, fan_in, fan_out), biases (K, 1, fan_out). Each one is
+    a view into ``flat.data`` and writes its gradient into the matching
+    view of ``flat.grad``."""
     stacked = copy.deepcopy(members[0])
-    for slot, *ts in zip(stacked.parameters(), *(m.parameters() for m in members)):
-        slot.data = np.stack([np.atleast_2d(t.data) for t in ts])
+    slots = stacked.parameters()
+    shapes = [np.atleast_2d(t.data).shape for t in slots]
+    sizes = [math.prod(shape) for shape in shapes]
+    k, n_enc = len(members), len(stacked.encoder.tensors())
+    data, grad = np.empty((k, sum(sizes))), np.zeros((k, sum(sizes)))
+    off = 0
+    for slot, shape, size, *ts in zip(slots, shapes, sizes,
+                                      *(m.parameters() for m in members)):
+        cols = slice(off, off + size)
+        slot.data = data[:, cols].reshape(k, *shape)
+        slot.data[...] = np.stack([np.atleast_2d(t.data) for t in ts])
+        slot.grad_view = grad[:, cols].reshape(k, *shape)
+        off += size
+    stacked.flat = FlatParams(data, grad, n_encoder=sum(sizes[:n_enc]))
     return stacked
 
 
 def unstack_members(stacked: SsadModel, members: list) -> None:
-    """Copy member k's slice of every stacked parameter back into members[k]."""
+    """Copy member k's slice of every stacked parameter back into members[k];
+    no member array shares memory with the stacked buffers."""
     for slot, *ts in zip(stacked.parameters(), *(m.parameters() for m in members)):
         for k, t in enumerate(ts):
             t.data = slot.data[k].reshape(t.data.shape).copy()

@@ -204,11 +204,6 @@ def init_decoder(spec: MlpSpec, out_dim: int, seed: int,
     return DecoderParams(spec, out_dim, ws, bs, family)
 
 
-def _affine(h: Tensor, w: Tensor, b: Optional[Tensor]) -> Tensor:
-    out = gc.matmul(h, w)
-    return out if b is None else gc.add(out, b)
-
-
 def _check_input(xt: Tensor, w: Tensor, width: int, who: str, what: str) -> None:
     """``xt`` must be (batch, width), or (K, batch, width) when the first
     layer's weight ``w`` stacks K members."""
@@ -229,9 +224,9 @@ def encode(params: EncoderParams, x) -> GaussianPosterior:
         raise ValueError("non-finite input row rejected before forward pass")
     h = xt
     for w, b in zip(params.trunk_w, params.trunk_b):
-        h = _activate(params.spec, _affine(h, w, b))
-    mu = _affine(h, params.mu_w, params.mu_b)
-    logvar = gc.clamp(_affine(h, params.logvar_w, params.logvar_b),
+        h = _activate(params.spec, gc.affine(h, w, b))
+    mu = gc.affine(h, params.mu_w, params.mu_b)
+    logvar = gc.clamp(gc.affine(h, params.logvar_w, params.logvar_b),
                       LOGVAR_MIN, LOGVAR_MAX)
     return GaussianPosterior(mu, logvar)
 
@@ -253,7 +248,7 @@ def decode(params: DecoderParams, z) -> Tensor:
     h = zt
     last = len(params.ws) - 1
     for i, (w, b) in enumerate(zip(params.ws, params.bs)):
-        h = _affine(h, w, b)
+        h = gc.affine(h, w, b)
         if i != last:
             h = _activate(params.spec, h)
     return h

@@ -10,7 +10,10 @@ its init, shuffle and noise streams from that seed alone.
 
 The K members train as one stacked computation: each step gathers every
 member's own batch into (K, batch, d), runs one graph, one backward and one
-Adam update, and the result equals K separate trainings bit for bit.
+Adam update, and the result equals K separate trainings bit for bit. The
+stacked parameters and their gradients are views into two (K, P) buffers
+(``models.FlatParams``), so the Adam update is one elementwise pass: over
+all columns on a normal step, over the encoder's on an outlier step.
 """
 from __future__ import annotations
 
@@ -117,38 +120,45 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment buffers per parameter and one step counter."""
+    """First/second moments over one flat parameter buffer, one step counter."""
 
-    ms: list
-    vs: list
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params) -> "AdamState":
-        return cls(ms=[np.zeros_like(p.data) for p in params],
-                   vs=[np.zeros_like(p.data) for p in params])
+    def like(cls, params: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
-def adam_step(state: AdamState, params, grads, lr: float) -> None:
-    """One bias-corrected Adam update; params with a None grad are skipped."""
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
+              lr: float) -> None:
+    """One bias-corrected Adam update of ``params`` in place.
+
+    ``params`` and ``grads`` cover the leading columns (last axis) of the
+    state's buffers: all of them, or the encoder's on an outlier step. The
+    moments of the other columns are left as they are. Adam is elementwise,
+    so every entry gets the bytes a per-tensor update would give it.
+    """
+    n = params.shape[-1]
+    m, v = state.m[..., :n], state.v[..., :n]
+    if grads.shape != params.shape or m.shape != params.shape:
+        raise ValueError(f"adam_step: params {params.shape}, grads "
+                         f"{grads.shape} and moments {state.m.shape} disagree")
+    if not np.isfinite(grads).all():
+        bad = np.argwhere(~np.isfinite(grads))[0]
+        raise NumericalAbort("gradient", f"entry {tuple(bad.tolist())}")
     state.t += 1
     c1 = 1.0 - state.beta1 ** state.t
     c2 = 1.0 - state.beta2 ** state.t
-    for i, (p, g) in enumerate(zip(params, grads)):
-        if g is None:
-            continue
-        if not np.isfinite(g).all():
-            raise NumericalAbort("gradient", f"parameter {i}")
-        m = state.ms[i]
-        v = state.vs[i]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grads
+    v *= state.beta2
+    v += (1.0 - state.beta2) * (grads * grads)
+    params -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
 
 
 def kl_anneal_coeff(epoch: int, anneal_epochs: int, beta_final: float) -> float:
@@ -227,36 +237,41 @@ def _wants_outlier_updates(method: str, config: TrainConfig, n_outliers: int) ->
     return True
 
 
-def _first_nonfinite(arrays) -> int:
-    """The first member (leading index) with a non-finite entry in any of
-    the stacked arrays."""
-    bad = [~np.isfinite(a).reshape(len(a), -1).all(axis=1)
-           for a in arrays if a is not None]
-    return int(np.flatnonzero(np.any(bad, axis=0))[0])
+def _first_nonfinite(a: np.ndarray) -> int:
+    """The first member (leading index) with a non-finite entry."""
+    return int(np.flatnonzero(~np.isfinite(a).reshape(len(a), -1).all(axis=1))[0])
 
 
 def _check_loss(loss: gc.Tensor, term: str, seeds: list, epoch: int,
                 batch=None) -> None:
     if not np.isfinite(loss.data).all():
-        k = _first_nonfinite([loss.data])
+        k = _first_nonfinite(loss.data)
         raise NumericalAbort(term, f"value {loss.data[k]}", epoch=epoch,
                              batch=batch, seed=seeds[k])
 
 
-def _update(adam: AdamState, params, grads, lr: float, seeds: list,
-            epoch: int, batch=None) -> None:
+def _check_grads(tensors) -> None:
+    # a leaf without a gradient would leave last step's bytes in its view
+    if any(t.grad is None for t in tensors):
+        raise AssertionError("a trained parameter received no gradient")
+
+
+def _clip_members(tensors, max_norm: float) -> None:
+    """``clip_gradients`` on each member's slices of the stacked tensors'
+    gradients, written back into those gradients."""
+    for k in range(len(tensors[0].grad)):
+        views = [t.grad[k] for t in tensors]
+        for view, clipped in zip(views, clip_gradients(views, max_norm)):
+            if clipped is not view:
+                view[...] = clipped
+
+
+def _update(adam: AdamState, params: np.ndarray, grads: np.ndarray, lr: float,
+            seeds: list, epoch: int, batch=None) -> None:
     try:
         adam_step(adam, params, grads, lr)
     except NumericalAbort as e:
         raise e.with_context(epoch, batch, seeds[_first_nonfinite(grads)])
-
-
-def _clip_members(grads, max_norm: float, n_members: int) -> list:
-    """``clip_gradients`` on each member's slices, restacked."""
-    clipped = [clip_gradients([None if g is None else g[k] for g in grads], max_norm)
-               for k in range(n_members)]
-    return [None if g is None else np.stack([c[i] for c in clipped])
-            for i, g in enumerate(grads)]
 
 
 def train(config: TrainConfig, dataset: SsadDataset, method: str):
@@ -281,8 +296,9 @@ def train(config: TrainConfig, dataset: SsadDataset, method: str):
     model = md.stack_members(members)
     shuffle_rngs = [philox_rng(seed, nb.STREAM_SHUFFLE) for seed in seeds]
     noise_rngs = [philox_rng(seed, nb.STREAM_NOISE) for seed in seeds]
-    params = model.parameters()
-    adam = AdamState.for_params(params)
+    params, enc_params = model.parameters(), model.encoder.tensors()
+    flat, p_enc = model.flat, model.flat.n_encoder
+    adam = AdamState.like(flat.data)
     n, bs = len(normal_x), config.batch_size
     do_outlier = _wants_outlier_updates(method, config, len(outlier_x))
     histories = [TrainHistory(seed=seed) for seed in seeds]
@@ -299,8 +315,8 @@ def train(config: TrainConfig, dataset: SsadDataset, method: str):
             _check_loss(loss, "normal-term loss", seeds, epoch, bi)
             model.zero_grads()
             gc.backward(gc.reduce_sum(loss))
-            _update(adam, params, [t.grad for t in params], config.lr, seeds,
-                    epoch, bi)
+            _check_grads(params)
+            _update(adam, flat.data, flat.grad, config.lr, seeds, epoch, bi)
             sums += xb.shape[1] * np.stack(
                 [rep.elbo.data, rep.kl.data, rep.recon.data], axis=1)
             # drop this step's graph before the next forward builds its own
@@ -327,9 +343,10 @@ def train(config: TrainConfig, dataset: SsadDataset, method: str):
             outlier_lr = outlier_path_lr(config.lr, epoch,
                                          config.lr_decay_every,
                                          config.lr_decay_factor)
-            grads = _clip_members([t.grad for t in params], config.clip_norm,
-                                  len(seeds))
-            _update(adam, params, grads, outlier_lr, seeds, epoch)
+            _check_grads(enc_params)
+            _clip_members(enc_params, config.clip_norm)
+            _update(adam, flat.data[:, :p_enc], flat.grad[:, :p_enc],
+                    outlier_lr, seeds, epoch)
 
         wall_time = time.perf_counter() - t0
         for k, history in enumerate(histories):

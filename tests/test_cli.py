@@ -310,6 +310,26 @@ def test_negative_label_col_from_the_cli(model_dir, tmp_path, capsys):
     assert "label column index -99 out of range" in capsys.readouterr().err
 
 
+def test_score_width_mismatch_names_the_csv_and_the_manifest(model_dir, tmp_path,
+                                                             capsys):
+    table = tmp_path / "wide.csv"
+    table.write_text("a,b,c,d,e,label\n0,1,2,3,4,0\n1,0,2,3,4,1\n",
+                     encoding="utf-8")
+    out = tmp_path / "scored"
+    rc = cli.main(["score", "--model-dir", str(model_dir), "--dataset",
+                   str(table), "--out", str(out)])
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert (f"{table} has 5 features, but {model_dir / 'manifest.json'} "
+            "has in_dim 4") in err
+    assert not out.exists()
+    rc = cli.main(["score", "--model-dir", str(model_dir), "--synth", "3,40,3.0",
+                   "--out", str(out)])
+    assert rc == cli.EXIT_DATA
+    assert (f"--synth 3,40,3.0 has 3 features, but {model_dir / 'manifest.json'} "
+            "has in_dim 4") in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key", ["in_dim", "standardize_mean", "standardize_scale"])
 def test_score_manifest_missing_key_is_data_error(model_dir, tmp_path, capsys, key):
     bad = tmp_path / "model"

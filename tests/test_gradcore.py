@@ -139,6 +139,56 @@ def test_take_routes_gradient_to_its_slot():
     np.testing.assert_array_equal(a.grad, [[0.0, 0.0], [5.0, 7.0], [0.0, 0.0]])
 
 
+AFFINE_SHAPES = [((6, 3), (3, 4), (4,)), ((2, 6, 3), (2, 3, 4), (2, 1, 4)),
+                 ((6, 3), (3, 4), None), ((2, 6, 3), (2, 3, 4), None)]
+
+
+def _affine_id(shapes):
+    return f"{len(shapes[0])}d-{'nobias' if shapes[2] is None else 'bias'}"
+
+
+@pytest.mark.parametrize("shapes", AFFINE_SHAPES, ids=_affine_id)
+def test_affine_equals_matmul_then_add_bit_for_bit(shapes):
+    # value and all three gradients against the two-node form it replaces
+    g = rng(21)
+    arrays = [None if s is None else g.standard_normal(s) for s in shapes]
+    up = gc.constant(g.standard_normal(shapes[0][:-1] + shapes[1][-1:]))
+
+    def run(fused):
+        h, w, b = [None if a is None else gc.parameter(a) for a in arrays]
+        if fused:
+            out = gc.affine(h, w, b)
+        else:
+            out = gc.matmul(h, w) if b is None else gc.add(gc.matmul(h, w), b)
+        gc.backward(gc.reduce_sum(gc.mul(out, up)))
+        return [out.data] + [t.grad for t in (h, w, b) if t is not None]
+
+    for a, b in zip(run(True), run(False), strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_affine_skips_gradients_of_constant_operands():
+    h = gc.constant(rng(22).standard_normal((5, 3)))
+    w = gc.parameter(rng(23).standard_normal((3, 2)))
+    b = gc.constant(np.ones(2))
+    out = gc.affine(h, w, b)
+    assert out.parents == (h, w, b)
+    assert [g is None for g in out._vjp(np.ones((5, 2)))] == [True, False, True]
+
+
+def test_affine_shape_checks():
+    with pytest.raises(ValueError, match="inner dimensions"):
+        gc.affine(gc.constant(np.ones((2, 3))), gc.constant(np.ones((2, 3))))
+    with pytest.raises(ValueError, match="leading axis"):
+        gc.affine(gc.constant(np.ones((2, 3, 4))), gc.constant(np.ones((4, 5))))
+    with pytest.raises(ValueError, match="bias shape"):
+        gc.affine(gc.constant(np.ones((2, 3))), gc.constant(np.ones((3, 4))),
+                  gc.constant(np.ones(3)))
+    with pytest.raises(ValueError, match="bias shape"):
+        gc.affine(gc.constant(np.ones((2, 5, 3))), gc.constant(np.ones((2, 3, 4))),
+                  gc.constant(np.ones((2, 5, 1))))
+
+
 def test_matmul_backward_formulas():
     a = gc.parameter(rng(1).standard_normal((3, 4)))
     b = gc.parameter(rng(2).standard_normal((4, 2)))
@@ -252,6 +302,28 @@ def test_backward_reset_is_bit_identical():
     x.zero_grad()
     gc.backward(out)
     np.testing.assert_array_equal(x.grad, first)
+
+
+def test_backward_writes_into_a_grad_view():
+    # the first gradient lands in the view with the bytes of a fresh array
+    # (-0.0 becomes +0.0 either way); a second backward adds in place
+    buf = np.full(6, 9.0)
+    x = gc.parameter([1.0, -2.0, 0.0])
+    x.grad_view = buf[1:4]
+    plain = gc.parameter(x.data.copy())
+    outs = [gc.reduce_sum(gc.mul(gc.square(leaf), gc.constant([1.0, 3.0, -1.0])))
+            for leaf in (x, plain)]
+    for out in outs:
+        gc.backward(out)
+    assert x.grad is x.grad_view
+    assert x.grad.tobytes() == plain.grad.tobytes()
+    assert not np.signbit(x.grad[2])
+    np.testing.assert_array_equal(buf[[0, 4, 5]], 9.0)
+    gc.backward(outs[0])
+    assert x.grad is x.grad_view
+    np.testing.assert_array_equal(x.grad, 2.0 * plain.grad)
+    x.zero_grad()
+    assert x.grad is None and x.grad_view is not None
 
 
 def test_frozen_leaves_get_no_grad_buffer():
@@ -399,6 +471,22 @@ def test_fd_matmul_reduce_logsumexp():
             h = gc.matmul(t, b)
             return gc.add(gc.logsumexp(h, axis=None),
                           gc.reduce_mean(gc.square(h)))
+
+        assert gc.finite_diff_check(f, p) < 1e-4
+
+
+@pytest.mark.parametrize("operand", ["h", "w", "b"])
+@pytest.mark.parametrize("shapes", AFFINE_SHAPES[:2], ids=_affine_id)
+def test_fd_affine(shapes, operand):
+    g = rng(19)
+    arrays = dict(zip("hwb", (g.standard_normal(s) for s in shapes)))
+    for _ in range(20):
+        p = g.standard_normal(arrays[operand].shape)
+
+        def f(t):
+            args = {k: t if k == operand else gc.constant(a)
+                    for k, a in arrays.items()}
+            return gc.reduce_mean(gc.square(gc.affine(args["h"], args["w"], args["b"])))
 
         assert gc.finite_diff_check(f, p) < 1e-4
 

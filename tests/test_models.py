@@ -447,3 +447,25 @@ def test_stacked_outlier_term_keeps_an_overflow_to_its_member():
             g = slot.grad[k].reshape(t.shape)
             assert np.isfinite(g).all()
             assert g.tobytes() == t.grad.tobytes()
+
+
+def test_stacked_parameters_are_views_into_the_flat_buffers():
+    # encoder tensors first, in parameters() order, then the decoder; each
+    # one's data and gradient are column ranges of the (K, P) buffers
+    members = [toy_model(seed=s) for s in (3, 4)]
+    stacked = md.stack_members(members)
+    flat = stacked.flat
+    off = 0
+    for i, (slot, t) in enumerate(zip(stacked.parameters(), members[1].parameters())):
+        if i == len(stacked.encoder.tensors()):
+            assert off == flat.n_encoder
+        cols = flat.data[:, off:off + t.data.size]
+        assert np.shares_memory(slot.data, flat.data)
+        assert np.shares_memory(slot.grad_view, flat.grad)
+        assert cols[1].tobytes() == t.data.tobytes()
+        assert slot.data[1].tobytes() == t.data.tobytes()
+        off += t.data.size
+    assert off == flat.data.shape[1] and flat.data.shape == flat.grad.shape == (2, off)
+    slot = stacked.parameters()[0]
+    slot.data[1] += 1.0  # an update through the view lands in the buffer
+    assert flat.data[1, :slot.data[1].size].tobytes() == slot.data[1].tobytes()

@@ -48,50 +48,104 @@ def test_config_roundtrip():
 # adam
 
 def test_adam_first_step_magnitude():
-    p = gc.parameter(np.zeros(4))
-    state = tr.AdamState.for_params([p])
-    tr.adam_step(state, [p], [np.ones(4)], lr=1e-3)
+    p = np.zeros(4)
+    state = tr.AdamState.like(p)
+    tr.adam_step(state, p, np.ones(4), lr=1e-3)
     expect = -1e-3 * (1.0 / (1.0 + 1e-8))
-    np.testing.assert_allclose(p.data, expect, rtol=1e-12)
+    np.testing.assert_allclose(p, expect, rtol=1e-12)
 
 
 def test_adam_zero_gradient_keeps_params_but_decays_moments():
-    p = gc.parameter(np.full(3, 7.0))
-    state = tr.AdamState.for_params([p])
-    tr.adam_step(state, [p], [np.ones(3)], lr=1e-2)
-    m_before = state.ms[0].copy()
-    pos_before = p.data.copy()
-    tr.adam_step(state, [p], [np.zeros(3)], lr=1e-2)
+    p = np.full(3, 7.0)
+    state = tr.AdamState.like(p)
+    tr.adam_step(state, p, np.ones(3), lr=1e-2)
+    m_before = state.m.copy()
+    pos_before = p.copy()
+    tr.adam_step(state, p, np.zeros(3), lr=1e-2)
     # zero grad: moments decay toward zero, position moves only via stale momentum
-    assert np.all(np.abs(state.ms[0]) < np.abs(m_before))
-    assert not np.array_equal(p.data, pos_before)  # momentum still acts
+    assert np.all(np.abs(state.m) < np.abs(m_before))
+    assert not np.array_equal(p, pos_before)  # momentum still acts
 
 
 def test_adam_none_grad_skipped_entirely():
-    p = gc.parameter(np.ones(2))
-    q = gc.parameter(np.ones(2))
-    state = tr.AdamState.for_params([p, q])
-    tr.adam_step(state, [p, q], [np.ones(2), None], lr=1e-3)
-    np.testing.assert_array_equal(q.data, np.ones(2))
-    np.testing.assert_array_equal(state.ms[1], np.zeros(2))
+    # a parameter without a gradient is, in the flat buffer, columns past
+    # the updated range: two parameters of 2 entries, only the first updates
+    buf = np.ones(4)
+    state = tr.AdamState.like(buf)
+    tr.adam_step(state, buf[:2], np.ones(2), lr=1e-3)
+    np.testing.assert_array_equal(buf[2:], np.ones(2))
+    np.testing.assert_array_equal(state.m[2:], np.zeros(2))
+    np.testing.assert_array_equal(state.v[2:], np.zeros(2))
 
 
 def test_adam_deterministic_over_100_steps():
     def run():
-        p = gc.parameter(np.linspace(-1, 1, 5))
-        state = tr.AdamState.for_params([p])
+        p = np.linspace(-1, 1, 5)
+        state = tr.AdamState.like(p)
         g = np.sin(np.arange(5.0))
         for t in range(100):
-            tr.adam_step(state, [p], [g * np.cos(t)], lr=3e-3)
-        return p.data
+            tr.adam_step(state, p, g * np.cos(t), lr=3e-3)
+        return p
     np.testing.assert_array_equal(run(), run())
 
 
 def test_adam_nonfinite_grad_aborts():
-    p = gc.parameter(np.ones(2))
-    state = tr.AdamState.for_params([p])
+    p = np.ones(2)
+    state = tr.AdamState.like(p)
     with pytest.raises(tr.NumericalAbort, match="gradient"):
-        tr.adam_step(state, [p], [np.array([1.0, np.nan])], lr=1e-3)
+        tr.adam_step(state, p, np.array([1.0, np.nan]), lr=1e-3)
+
+
+def test_adam_rejects_mismatched_shapes():
+    state = tr.AdamState.like(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="disagree"):
+        tr.adam_step(state, np.zeros((2, 3)), np.zeros((2, 2)), lr=1e-3)
+    with pytest.raises(ValueError, match="disagree"):
+        tr.adam_step(state, np.zeros((3, 3)), np.zeros((3, 3)), lr=1e-3)
+
+
+def _per_tensor_adam(state, params, grads, lr):
+    # the per-tensor rule that the flat update replaced: a None grad skips
+    # its tensor and leaves its moments alone
+    state["t"] += 1
+    c1 = 1.0 - 0.9 ** state["t"]
+    c2 = 1.0 - 0.999 ** state["t"]
+    for i, (p, g) in enumerate(zip(params, grads)):
+        if g is None:
+            continue
+        m, v = state["ms"][i], state["vs"][i]
+        m *= 0.9
+        m += (1.0 - 0.9) * g
+        v *= 0.999
+        v += (1.0 - 0.999) * (g * g)
+        p -= lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
+
+
+def test_flat_adam_equals_the_per_tensor_rule_bit_for_bit():
+    # K=3 rows of four tensors (6 + 2 "encoder", 4 + 3 "decoder" columns);
+    # every third step updates the encoder columns only
+    rng = np.random.default_rng(5)
+    sizes, n_enc = [6, 2, 4, 3], 8
+    offs = np.cumsum([0] + sizes)
+    flat = rng.standard_normal((3, offs[-1]))
+    tensors = [flat[:, a:b].copy() for a, b in zip(offs, offs[1:])]
+    state = tr.AdamState.like(flat)
+    ref = {"t": 0, "ms": [np.zeros_like(t) for t in tensors],
+           "vs": [np.zeros_like(t) for t in tensors]}
+    for step in range(20):
+        g = rng.standard_normal(flat.shape) * 10.0 ** rng.integers(-6, 3)
+        g[rng.random(g.shape) < 0.1] = 0.0
+        lr = 1e-3 if step % 3 else 1e-4
+        cols = n_enc if step % 3 == 0 else offs[-1]
+        tr.adam_step(state, flat[:, :cols], g[:, :cols], lr)
+        _per_tensor_adam(ref, tensors,
+                         [g[:, a:b] if b <= cols else None
+                          for a, b in zip(offs, offs[1:])], lr)
+    assert state.t == ref["t"] == 20
+    for i, (a, b) in enumerate(zip(offs, offs[1:])):
+        assert flat[:, a:b].tobytes() == tensors[i].tobytes()
+        assert state.m[:, a:b].tobytes() == ref["ms"][i].tobytes()
+        assert state.v[:, a:b].tobytes() == ref["vs"][i].tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -349,3 +403,78 @@ def test_numerical_abort_names_the_member_seed():
     huge = dk.SsadDataset(train.features * 1e200, train.labels, train.roles)
     with pytest.raises(tr.NumericalAbort, match=r"member seed 7, epoch 0, batch 0"):
         tr.train(tiny_config(ensemble_size=2, master_seed=7), huge, "vae")
+
+
+def test_member_clipping_equals_clip_gradients_on_each_members_slices():
+    # member 0's gradient is clipped, member 1's is left alone, and each
+    # member's slices end up with the bytes clip_gradients returns for them
+    from ssadvae import models as md
+    from ssadvae import netblocks as nb
+
+    spec = nb.MlpSpec(widths=(6, 2))
+    stacked = md.stack_members([md.SsadModel.create(spec, 3, "dp", seed=s, alpha=5.0)
+                                for s in (1, 2)])
+    enc = stacked.encoder.tensors()
+    g = np.random.default_rng(3).standard_normal(stacked.flat.grad.shape)
+    g[0] *= 10.0
+    g[1] *= 1e-3
+    stacked.flat.grad[...] = g
+    for t in enc:
+        t.grad = t.grad_view
+    norms = [np.sqrt(sum(float((t.grad[k] ** 2).sum()) for t in enc)) for k in range(2)]
+    assert norms[0] > 1.0 > norms[1]
+    want = [tr.clip_gradients([t.grad[k].copy() for t in enc], 1.0) for k in range(2)]
+    tr._clip_members(enc, 1.0)
+    for k in range(2):
+        for t, w in zip(enc, want[k]):
+            assert t.grad[k].tobytes() == w.tobytes()
+    p_enc = stacked.flat.n_encoder
+    assert stacked.flat.grad[:, p_enc:].tobytes() == g[:, p_enc:].tobytes()
+    assert stacked.flat.grad[1].tobytes() == g[1].tobytes()
+    assert stacked.flat.grad[0, :p_enc].tobytes() != g[0, :p_enc].tobytes()
+
+
+# sha256 of member_00.bin after a K=2 training, computed with the per-tensor
+# Adam loop and the two-node affine layers that the flat buffers replaced
+MEMBER_00_SHA256 = {
+    "vae": "3aec38aaca26b1c5e47c7e07450593c9a4c7848970bf6ad9b7cb84c46ee0428b",
+    "mml": "fcfdb9a36dcd5a75a4577058bda413b7c1936b6627f031c7a0def79ad35e9846",
+    "dp": "14e510d80a2ce72fc18b8924efbaa0a0ca37fdc856ad5014c2a642d2df13a483",
+    "hybrid": "02726128b2932bdd9382eb3c1806bd4b18f02e0a84e236a165a26f42d916515c",
+}
+
+
+@pytest.mark.parametrize("method", sorted(MEMBER_00_SHA256))
+def test_trained_member_file_bytes_are_pinned(monkeypatch, tmp_path, method):
+    import hashlib
+
+    from ssadvae import models as md
+
+    stacked = []
+    _record(monkeypatch, md, "stack_members", lambda args, out: stacked.append(out))
+    cfg = tiny_config(epochs=7, warmup_epochs=3, ensemble_size=2, clip_norm=0.5,
+                      master_seed=4)
+    ens, _ = tr.train(cfg, tiny_train_set(d=3, gamma_l=0.3), method)
+    md.save_ensemble(tmp_path, ens)
+    digest = hashlib.sha256((tmp_path / "member_00.bin").read_bytes()).hexdigest()
+    assert digest == MEMBER_00_SHA256[method]
+    # the returned members own their arrays: none is a view of the buffers
+    # the training updated in place
+    (model,) = stacked
+    for m in ens.members:
+        for t in m.parameters():
+            assert not np.shares_memory(t.data, model.flat.data)
+            assert not np.shares_memory(t.data, model.flat.grad)
+            assert t.grad is None and t.grad_view is None
+
+
+def test_nonfinite_flat_gradient_names_its_member_seed():
+    flat = np.zeros((3, 5))
+    grads = np.ones((3, 5))
+    grads[2, 4] = np.inf
+    grads[1, 3] = np.nan
+    state = tr.AdamState.like(flat)
+    with pytest.raises(tr.NumericalAbort,
+                       match=r"gradient at member seed 11, epoch 6: entry \(1, 3\)"):
+        tr._update(state, flat[:, :4], grads[:, :4], 1e-3, [10, 11, 12], epoch=6)
+    assert state.t == 0 and not flat.any()
