@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from dataclasses import fields as dc_fields
+from typing import Optional
 
 import numpy as np
 
@@ -225,9 +226,12 @@ def load_base_dataset(cfg: dict, seed: int) -> dk.SsadDataset:
     return dk.load_csv(cfg["dataset"], label_col, cfg["positive_token"])
 
 
-def prepare_seed(cfg: dict, seed: int):
-    """split -> standardize -> subsample [-> pollute] for one protocol seed."""
-    base = load_base_dataset(cfg, seed)
+def prepare_seed(cfg: dict, seed: int, base: Optional[dk.SsadDataset] = None):
+    """split -> standardize -> subsample [-> pollute] for one protocol seed.
+    ``base`` is a table already loaded from ``--dataset``, which every seed
+    shares; a ``--synth`` table is drawn per seed."""
+    if base is None:
+        base = load_base_dataset(cfg, seed)
     train, test = dk.split_stratified(base, cfg["train_fraction"], seed=seed)
     train, test, stats = dk.standardize(train, test)
     train = dk.subsample_labeled_outliers(train, cfg["gamma_l"], seed=seed)
@@ -326,13 +330,19 @@ def run_benchmark(args) -> int:
     cfg = effective_config(args)
     digest = config_digest(cfg)
     run_dir = os.path.join(_out_root(args), f"benchmark_{digest}")
-    prepare_seed(cfg, cfg["seeds"][0])  # validate inputs before creating output
+    seeds = cfg["seeds"]
+    # a CSV shared by several seeds is parsed once; the first seed is
+    # prepared before any output exists, so bad inputs leave no run directory
+    base = (load_base_dataset(cfg, seeds[0])
+            if len(seeds) > 1 and not cfg.get("synth") else None)
+    prepared = prepare_seed(cfg, seeds[0], base)
     os.makedirs(run_dir, exist_ok=True)
 
     per_seed = []
     try:
-        for seed in cfg["seeds"]:
-            train, test, _ = prepare_seed(cfg, seed)
+        for seed in seeds:
+            train, test, _ = prepared or prepare_seed(cfg, seed, base)
+            prepared = None
             config = train_config_from(cfg, master_seed=seed)
             ens, _ = tr.train(config, train, cfg["method"])
             scores = md.ensemble_score(ens, test.features,

@@ -31,15 +31,6 @@ ROLE_TRAIN_POLLUTION = 3
 ROLE_TEST = 4
 ROLE_DROPPED = 5
 
-ROLE_NAMES = {
-    ROLE_UNSPLIT: "unsplit",
-    ROLE_TRAIN_NORMAL: "train-normal",
-    ROLE_TRAIN_OUTLIER: "train-labeled-outlier",
-    ROLE_TRAIN_POLLUTION: "train-pollution",
-    ROLE_TEST: "test",
-    ROLE_DROPPED: "dropped",
-}
-
 # Philox streams for protocol randomness (netblocks owns 0-5)
 STREAM_SPLIT = 10
 STREAM_SUBSAMPLE = 11
@@ -80,11 +71,6 @@ class SsadDataset:
 
     def labeled_outliers(self) -> np.ndarray:
         return self.features[self.roles == ROLE_TRAIN_OUTLIER]
-
-    def role_counts(self) -> dict:
-        return {name: int((self.roles == role).sum())
-                for role, name in ROLE_NAMES.items()
-                if (self.roles == role).any()}
 
 
 # ---------------------------------------------------------------------------

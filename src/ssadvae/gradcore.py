@@ -2,9 +2,11 @@
 
 Small on purpose: exactly the operations an MLP VAE and its losses need
 (elementwise math, matmul, a fused affine layer, reductions, logsumexp, stack,
-take). Gradients are accumulated into trainable leaf tensors, or into a
-caller's gradient buffer (``Tensor.grad_view``); everything runs on numpy
-buffers.
+take). ``make_node`` builds a node from a value and a handwritten
+vector-Jacobian closure, which is how the ELBO terms in ``netblocks`` and
+``vbounds`` become one node each. Gradients are accumulated into trainable
+leaf tensors, or into a caller's gradient buffer (``Tensor.grad_view``);
+everything runs on numpy buffers.
 
 Broadcasting is right-aligned and one-sided: one operand's shape must fit
 into the other's, with the same last axis and every other axis equal or 1
@@ -21,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 __all__ = [
-    "Tensor", "Graph", "no_grad", "constant", "parameter",
+    "Tensor", "Graph", "no_grad", "constant", "parameter", "make_node",
     "add", "sub", "mul", "neg", "exp", "log", "square", "relu",
     "leaky_relu", "sigmoid", "softplus", "clamp", "matmul", "affine", "reduce_sum",
     "reduce_mean", "reduce_max", "logsumexp", "stack", "take", "backward",
@@ -149,7 +151,11 @@ class Graph:
         return cls(nodes)
 
 
-def _make(data, op: str, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
+def make_node(data, op: str, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
+    """A node holding ``data`` that is recorded only when grad mode is on and
+    a parent is trainable. ``vjp(g)`` returns one gradient (or None) per
+    entry of ``parents``; a parent may be listed more than once, and
+    ``backward`` then adds its gradients in list order."""
     if _GRAD_MODE.enabled and any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, op=op, parents=tuple(parents), vjp=vjp)
     return Tensor(data, op=op)
@@ -191,68 +197,70 @@ def _as_tensor(x) -> Tensor:
 
 def add(a: Tensor, b) -> Tensor:
     if isinstance(b, (int, float)):
-        return _make(a.data + b, "add", (a,), lambda g: (g,))
+        return make_node(a.data + b, "add", (a,), lambda g: (g,))
     b = _as_tensor(b)
     _check_binary(a, b, "add")
     sa, sb = a.data.shape, b.data.shape
-    return _make(a.data + b.data, "add", (a, b),
-                 lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
+    return make_node(a.data + b.data, "add", (a, b),
+                     lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a: Tensor, b) -> Tensor:
     if isinstance(b, (int, float)):
-        return _make(a.data - b, "sub", (a,), lambda g: (g,))
+        return make_node(a.data - b, "sub", (a,), lambda g: (g,))
     b = _as_tensor(b)
     _check_binary(a, b, "sub")
     sa, sb = a.data.shape, b.data.shape
-    return _make(a.data - b.data, "sub", (a, b),
-                 lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
+    return make_node(a.data - b.data, "sub", (a, b),
+                     lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def mul(a: Tensor, b) -> Tensor:
     if isinstance(b, (int, float)):
-        return _make(a.data * b, "mul", (a,), lambda g: (g * b,))
+        return make_node(a.data * b, "mul", (a,), lambda g: (g * b,))
     b = _as_tensor(b)
     _check_binary(a, b, "mul")
     da, db = a.data, b.data
-    return _make(da * db, "mul", (a, b),
-                 lambda g: (_unbroadcast(g * db, da.shape),
-                            _unbroadcast(g * da, db.shape)))
+    return make_node(da * db, "mul", (a, b),
+                     lambda g: (_unbroadcast(g * db, da.shape),
+                                _unbroadcast(g * da, db.shape)))
 
 
 def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, "neg", (a,), lambda g: (-g,))
+    return make_node(-a.data, "neg", (a,), lambda g: (-g,))
 
 
 def exp(a: Tensor) -> Tensor:
     out = np.exp(a.data)
-    return _make(out, "exp", (a,), lambda g: (g * out,))
+    return make_node(out, "exp", (a,), lambda g: (g * out,))
 
 
 def log(a: Tensor) -> Tensor:
     da = a.data
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.log(da)
-    return _make(out, "log", (a,), lambda g: (g / da,))
+    return make_node(out, "log", (a,), lambda g: (g / da,))
 
 
 def square(a: Tensor) -> Tensor:
     da = a.data
-    return _make(da * da, "square", (a,), lambda g: (g * (2.0 * da),))
+    return make_node(da * da, "square", (a,), lambda g: (g * (2.0 * da),))
 
 
 def relu(a: Tensor) -> Tensor:
     da = a.data
-    return _make(np.maximum(da, 0.0), "relu", (a,),
-                 lambda g: (g * (da > 0.0),))
+    return make_node(np.maximum(da, 0.0), "relu", (a,),
+                     lambda g: (g * (da > 0.0),))
 
 
 def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
     """max(x, slope*x) for 0 < slope <= 1: branch-free, and byte-equal to
     the select form for signed zeros, infinities, nan and subnormals."""
     da = a.data
-    return _make(np.maximum(da, slope * da), "leaky-relu", (a,),
-                 lambda g: (g * np.maximum(da >= 0.0, slope),))
+    out = np.multiply(da, slope, out=np.empty_like(da))
+    np.maximum(da, out, out=out)
+    return make_node(out, "leaky-relu", (a,),
+                     lambda g: (g * np.maximum(da >= 0.0, slope),))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -266,21 +274,21 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(a: Tensor) -> Tensor:
     out = _sigmoid(np.atleast_1d(a.data)).reshape(a.data.shape)
-    return _make(out, "sigmoid", (a,), lambda g: (g * out * (1.0 - out),))
+    return make_node(out, "sigmoid", (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def softplus(a: Tensor) -> Tensor:
     da = a.data
     out = np.maximum(da, 0.0) + np.log1p(np.exp(-np.abs(da)))
     sig = _sigmoid(np.atleast_1d(da)).reshape(da.shape)
-    return _make(out, "softplus", (a,), lambda g: (g * sig,))
+    return make_node(out, "softplus", (a,), lambda g: (g * sig,))
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     da = a.data
     inside = (da >= lo) & (da <= hi)
-    return _make(np.clip(da, lo, hi), "clamp", (a,),
-                 lambda g: (g * inside,))
+    return make_node(np.clip(da, lo, hi), "clamp", (a,),
+                     lambda g: (g * inside,))
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +304,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                          f"same leading axis, got {da.shape} and {db.shape}")
     if da.shape[-1] != db.shape[-2]:
         raise ValueError(f"matmul inner dimensions disagree: {da.shape} vs {db.shape}")
-    return _make(da @ db, "matmul", (a, b),
-                 lambda g: (g @ np.swapaxes(db, -1, -2), np.swapaxes(da, -1, -2) @ g))
+    return make_node(da @ db, "matmul", (a, b),
+                     lambda g: (g @ np.swapaxes(db, -1, -2), np.swapaxes(da, -1, -2) @ g))
 
 
 def affine(h: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
@@ -317,10 +325,10 @@ def affine(h: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     if b is not None:
         if not _fits(sb, out.shape):
             raise ValueError(f"affine: bias shape {sb} does not broadcast into {out.shape}")
-        out = out + b.data
+        np.add(out, b.data, out=out)  # the product is fresh: no second array
     need_h, need_w = h.requires_grad, w.requires_grad
     need_b = b is not None and b.requires_grad
-    return _make(out, "affine", (h, w) if b is None else (h, w, b), lambda g: (
+    return make_node(out, "affine", (h, w) if b is None else (h, w, b), lambda g: (
         g @ np.swapaxes(dw, -1, -2) if need_h else None,
         np.swapaxes(dh, -1, -2) @ g if need_w else None,
         _unbroadcast(g, sb) if need_b else None))
@@ -346,7 +354,7 @@ def reduce_sum(a: Tensor, axis=None) -> Tensor:
             return (np.broadcast_to(g, shape).copy(),)
         return (np.broadcast_to(np.expand_dims(g, ax), shape).copy(),)
 
-    return _make(a.data.sum(axis=ax), "sum", (a,), vjp)
+    return make_node(a.data.sum(axis=ax), "sum", (a,), vjp)
 
 
 def reduce_mean(a: Tensor, axis=None) -> Tensor:
@@ -359,7 +367,7 @@ def reduce_mean(a: Tensor, axis=None) -> Tensor:
             return (np.broadcast_to(g / n, shape).copy(),)
         return (np.broadcast_to(np.expand_dims(g, ax) / n, shape).copy(),)
 
-    return _make(a.data.mean(axis=ax), "mean", (a,), vjp)
+    return make_node(a.data.mean(axis=ax), "mean", (a,), vjp)
 
 
 def reduce_max(a: Tensor, axis=None) -> Tensor:
@@ -376,7 +384,7 @@ def reduce_max(a: Tensor, axis=None) -> Tensor:
         np.put_along_axis(mask, idx, 1.0, ax)
         return (mask * np.expand_dims(g, ax),)
 
-    return _make(da.max(axis=ax), "max", (a,), vjp)
+    return make_node(da.max(axis=ax), "max", (a,), vjp)
 
 
 def logsumexp(a: Tensor, axis=None) -> Tensor:
@@ -395,7 +403,7 @@ def logsumexp(a: Tensor, axis=None) -> Tensor:
         gk = g if ax is None else np.expand_dims(g, ax)
         return (w * gk,)
 
-    return _make(out, "logsumexp", (a,), vjp)
+    return make_node(out, "logsumexp", (a,), vjp)
 
 
 def stack(tensors: Sequence[Tensor]) -> Tensor:
@@ -408,8 +416,8 @@ def stack(tensors: Sequence[Tensor]) -> Tensor:
         if t.data.shape != shape:
             raise ValueError(f"stack: mismatched shapes {shape} vs {t.data.shape}")
     out = np.stack([t.data for t in tensors], axis=0)
-    return _make(out, "stack", tuple(tensors),
-                 lambda g: tuple(g[i] for i in range(len(tensors))))
+    return make_node(out, "stack", tuple(tensors),
+                     lambda g: tuple(g[i] for i in range(len(tensors))))
 
 
 def take(a: Tensor, k: int) -> Tensor:
@@ -421,7 +429,7 @@ def take(a: Tensor, k: int) -> Tensor:
         out[k] = g
         return (out,)
 
-    return _make(da[k], "take", (a,), vjp)
+    return make_node(da[k], "take", (a,), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -158,10 +158,15 @@ class DecoderParams:
 @dataclass
 class GaussianPosterior:
     """Per-sample mean and diagonal log-variance from the encoder, shaped
-    (batch, d_z), or (members, batch, d_z) for stacked members."""
+    (batch, d_z), or (members, batch, d_z) for stacked members. ``std`` is
+    exp(logvar / 2), computed once and shared by every Monte-Carlo draw."""
 
     mu: Tensor
     logvar: Tensor
+    std: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.std = np.exp(self.logvar.data * 0.5)
 
     @property
     def batch(self) -> int:
@@ -232,13 +237,20 @@ def encode(params: EncoderParams, x) -> GaussianPosterior:
 
 
 def reparameterize(post: GaussianPosterior, noise) -> Tensor:
-    """z = mu + exp(logvar/2) * noise; gradient reaches mu and logvar only."""
-    eps = noise if isinstance(noise, Tensor) else gc.constant(noise)
-    if eps.data.shape != post.mu.data.shape:
+    """z = mu + exp(logvar/2) * noise as one node; gradient reaches mu and
+    logvar only. The value and both gradients have the bytes of
+    ``add(mu, mul(exp(mul(logvar, 0.5)), noise))`` built from small
+    gradcore ops."""
+    eps = noise.data if isinstance(noise, Tensor) else np.asarray(noise, np.float64)
+    mu, logvar, std = post.mu, post.logvar, post.std
+    if eps.shape != mu.data.shape:
         raise ValueError(
-            f"noise shape {eps.data.shape} != posterior shape {post.mu.data.shape}")
-    std = gc.exp(gc.mul(post.logvar, 0.5))
-    return gc.add(post.mu, gc.mul(std, eps.detach() if eps.requires_grad else eps))
+            f"noise shape {eps.shape} != posterior shape {mu.data.shape}")
+    z = std * eps
+    z += mu.data
+    need_logvar = logvar.requires_grad
+    return gc.make_node(z, "reparameterize", (mu, logvar), lambda g: (
+        g, ((g * eps) * std) * 0.5 if need_logvar else None))
 
 
 def decode(params: DecoderParams, z) -> Tensor:

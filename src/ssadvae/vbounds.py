@@ -92,10 +92,18 @@ def kl_to_gaussian_prior(post: nb.GaussianPosterior, mu_o=None) -> Tensor:
 
     Closed form: -1/2 sum_i [1 + log s2_i - s2_i - mu_i^2 + 2 mu_i mu_o_i
     - mu_o_i^2]; mu_o None means the zero-mean prior.
+
+    One node, with the value and gradient bytes of the same formula built
+    from small gradcore ops: ``((logvar + 1) - exp(logvar)) - mu^2
+    [+ (mu * mu_o) * 2 - mu_o^2]``, summed and times -1/2. The node lists a
+    parent once per path of that formula (mu for the square term, mu for
+    the cross term when mu_o is not zero, logvar for the +1 term, logvar
+    for the exp term), so ``backward`` adds the paths' gradients in the
+    small-op graph's order; float addition is not associative, and a
+    pre-summed gradient would change the trained bytes.
     """
     mu, logvar = post.mu, post.logvar
-    sig2 = gc.exp(logvar)
-    inner = gc.sub(gc.sub(gc.add(logvar, 1.0), sig2), gc.square(mu))
+    dm, dl = mu.data, logvar.data
     if mu_o is not None:
         mu_o = np.asarray(mu_o, dtype=np.float64)
         if mu_o.ndim == 0:
@@ -103,26 +111,54 @@ def kl_to_gaussian_prior(post: nb.GaussianPosterior, mu_o=None) -> Tensor:
         if mu_o.shape != (post.dim,):
             raise ValueError(
                 f"prior mean shape {mu_o.shape} != latent dim ({post.dim},)")
-        if mu_o.any():
-            cross = gc.mul(gc.mul(mu, gc.constant(mu_o)), 2.0)
-            inner = gc.sub(gc.add(inner, cross), gc.constant(mu_o * mu_o))
-    return gc.mul(gc.reduce_sum(inner, axis=-1), -0.5)
+        if not mu_o.any():
+            mu_o = None
+    sig2 = np.exp(dl)
+    inner = dl + 1.0
+    inner -= sig2
+    inner -= dm * dm
+    if mu_o is not None:
+        inner += (dm * mu_o) * 2.0
+        inner -= mu_o * mu_o
+    out = inner.sum(axis=-1)
+    out *= -0.5
+
+    def vjp(g):
+        grad = np.broadcast_to(np.expand_dims(g * -0.5, -1), dm.shape)
+        neg = -grad
+        square = neg * (2.0 * dm)
+        if mu_o is None:
+            return square, grad, neg * sig2
+        return square, (grad * 2.0) * mu_o, grad, neg * sig2
+
+    parents = (mu, logvar, logvar) if mu_o is None else (mu, mu, logvar, logvar)
+    return gc.make_node(out, "kl-gaussian", parents, vjp)
 
 
 def reconstruction_loss(pred: Tensor, x, family: str) -> Tensor:
     """Per-sample negative log-likelihood of x under the decoder output.
 
     gaussian: 1/2 ||x - pred||^2 + (d/2) log 2pi (unit variance, so the
-    ELBO is a genuine log-likelihood bound); bernoulli: stable cross-entropy
-    from logits, summed over features.
+    ELBO is a genuine log-likelihood bound), one node with the value and
+    gradient bytes of ``sum(square(x - pred)) * 0.5 + (d/2) log 2pi`` built
+    from small gradcore ops; x is data and gets no gradient. bernoulli:
+    stable cross-entropy from logits, summed over features.
     """
     xt = x if isinstance(x, Tensor) else gc.constant(x)
     if pred.shape != xt.shape:
         raise ValueError(f"prediction shape {pred.shape} != data shape {xt.shape}")
     d = xt.shape[-1]
     if family == "gaussian":
-        sq = gc.reduce_sum(gc.square(gc.sub(xt, pred)), axis=-1)
-        return gc.add(gc.mul(sq, 0.5), 0.5 * d * LOG_2PI)
+        diff = xt.data - pred.data
+        out = (diff * diff).sum(axis=-1)
+        out *= 0.5
+        out += 0.5 * d * LOG_2PI
+
+        def vjp(g):
+            grad = np.broadcast_to(np.expand_dims(g * 0.5, -1), diff.shape)
+            return (-(grad * (2.0 * diff)),)
+
+        return gc.make_node(out, "gaussian-nll", (pred,), vjp)
     if family == "bernoulli":
         ce = gc.sub(gc.softplus(pred), gc.mul(pred, xt))
         return gc.reduce_sum(ce, axis=-1)

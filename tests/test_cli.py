@@ -271,6 +271,37 @@ def test_benchmark_failure_leaves_marker(tmp_path):
     assert failed["completed_seeds"] == []
 
 
+def test_benchmark_parses_its_csv_once(tmp_path, monkeypatch):
+    # one seed or two, a --dataset table takes one load_csv call, and the
+    # two-seed report holds each seed's one-seed result
+    from ssadvae import datakit as dk
+
+    ds = dk.synth_gaussian_ad(4, 200, 50, 3.0, seed=2)
+    table = tmp_path / "t.csv"
+    table.write_text("a,b,c,d,label\n" + "".join(
+        ",".join(map(repr, row)) + f",{label}\n"
+        for row, label in zip(ds.features.tolist(), ds.labels)), encoding="utf-8")
+    calls = []
+    load_csv = dk.load_csv
+    monkeypatch.setattr(dk, "load_csv",
+                        lambda *a, **kw: calls.append(a) or load_csv(*a, **kw))
+    cfg = write_fast_cfg(tmp_path)
+
+    def per_seed(seeds):
+        out = tmp_path / f"runs_{seeds}"
+        calls.clear()
+        rc = cli.main(["benchmark", "--dataset", str(table), "--method", "dp",
+                       "--gamma-l", "0.05", "--config", cfg, "--epochs", "6",
+                       "--ensemble", "1", "--seeds", seeds, *FAST_CFG,
+                       "--out", str(out)])
+        assert rc == cli.EXIT_OK and len(calls) == 1
+        rep = next(p for p in next(out.iterdir()).iterdir()
+                   if p.name.startswith("report_"))
+        return json.loads(rep.read_text())["per_seed"]
+
+    assert per_seed("0,1") == per_seed("0") + per_seed("1")
+
+
 # ---------------------------------------------------------------------------
 # bad inputs: exit 2 with the row or file named, never a traceback
 

@@ -345,13 +345,11 @@ def test_pipeline_row_accounting():
     train3 = dk.subsample_labeled_outliers(train2, 0.01, seed=7)
     train4 = dk.pollute(train3, 0.02, seed=7)
     assert len(train4) + len(test2) == len(ds)
-    counts = train4.role_counts()
-    total = sum(counts.values())
-    assert total == len(train4)
-    assert counts["train-normal"] == 300
-    n_out = counts.get("train-labeled-outlier", 0)
-    n_pol = counts.get("train-pollution", 0)
-    assert counts["dropped"] == 60 - n_out - n_pol
+    counts = np.bincount(train4.roles, minlength=dk.ROLE_DROPPED + 1)
+    assert counts.sum() == len(train4)
+    assert counts[dk.ROLE_TRAIN_NORMAL] == 300
+    assert counts[dk.ROLE_DROPPED] == (60 - counts[dk.ROLE_TRAIN_OUTLIER]
+                                       - counts[dk.ROLE_TRAIN_POLLUTION])
 
 
 # ---------------------------------------------------------------------------

@@ -351,3 +351,105 @@ def test_prior_spec_vectors():
     p = vb.PriorSpec(dim=3, alpha=5.0)
     np.testing.assert_array_equal(p.mu_outlier, np.full(3, 5.0))
     np.testing.assert_array_equal(vb.PriorSpec(dim=2).mu_outlier, np.zeros(2))
+
+
+# ---------------------------------------------------------------------------
+# one node per ELBO term, against the same formulas built from small ops
+
+def composed_reparameterize(post, eps):
+    std = gc.exp(gc.mul(post.logvar, 0.5))
+    return gc.add(post.mu, gc.mul(std, gc.constant(eps)))
+
+
+def composed_gaussian_nll(pred, x):
+    sq = gc.reduce_sum(gc.square(gc.sub(gc.constant(x), pred)), axis=-1)
+    return gc.add(gc.mul(sq, 0.5), 0.5 * x.shape[-1] * LOG_2PI)
+
+
+def composed_kl(post, mu_o):
+    mu, logvar = post.mu, post.logvar
+    inner = gc.sub(gc.sub(gc.add(logvar, 1.0), gc.exp(logvar)), gc.square(mu))
+    if mu_o is not None:
+        cross = gc.mul(gc.mul(mu, gc.constant(mu_o)), 2.0)
+        inner = gc.sub(gc.add(inner, cross), gc.constant(mu_o * mu_o))
+    return gc.mul(gc.reduce_sum(inner, axis=-1), -0.5)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 5.0], ids=["zero-prior", "alpha-prior"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["2d", "3d"])
+def test_fused_elbo_terms_equal_composed_forms_bit_for_bit(stacked, alpha):
+    # a whole encode -> reparameterize -> decode -> reconstruction + KL graph
+    # shaped as vb.elbo builds it, so mu and the clamped log-variance each
+    # add up three gradients: the values and every parameter gradient match
+    from ssadvae import models as md
+
+    g = rng(31)
+    members = [md.SsadModel.create(nb.MlpSpec(widths=(6, 3)), 4, "vae", seed=s)
+               for s in (1, 2, 3)]
+    model = md.stack_members(members) if stacked else members[0]
+    lead = (3,) if stacked else ()
+    x = g.standard_normal(lead + (10, 4))
+    eps = g.standard_normal(lead + (10, 3))
+    mu_o = None if alpha == 0.0 else np.full(3, alpha)
+
+    def run(fused):
+        model.zero_grads()
+        post = nb.encode(model.encoder, x)
+        if fused:
+            z = nb.reparameterize(post, eps)
+            recon = vb.reconstruction_loss(nb.decode(model.decoder, z), x, "gaussian")
+            kl = vb.kl_to_gaussian_prior(post, mu_o)
+        else:
+            z = composed_reparameterize(post, eps)
+            recon = composed_gaussian_nll(nb.decode(model.decoder, z), x)
+            kl = composed_kl(post, mu_o)
+        elbo = gc.sub(gc.neg(gc.reduce_mean(recon, axis=-1)),
+                      gc.mul(gc.reduce_mean(kl, axis=-1), 0.05))
+        gc.backward(gc.reduce_sum(gc.neg(elbo)))
+        return [z.data, recon.data, kl.data] + [t.grad.copy() for t in model.parameters()]
+
+    for a, b in zip(run(True), run(False), strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("operand", ["mu", "logvar"])
+def test_fd_reparameterize(operand):
+    g = rng(32)
+    arrays = {"mu": g.standard_normal((3, 2)), "logvar": g.standard_normal((3, 2))}
+    eps, up = g.standard_normal((3, 2)), gc.constant(g.standard_normal((3, 2)))
+
+    def f(t):
+        mu, lv = (t if k == operand else gc.constant(a) for k, a in arrays.items())
+        z = nb.reparameterize(nb.GaussianPosterior(mu, lv), eps)
+        return gc.reduce_sum(gc.mul(gc.square(z), up))
+
+    for _ in range(20):
+        assert gc.finite_diff_check(f, g.standard_normal((3, 2))) < 1e-4
+
+
+def test_fd_gaussian_reconstruction_loss():
+    g = rng(33)
+    x = g.standard_normal((4, 3))
+    up = gc.constant(g.standard_normal(4))
+
+    def f(t):
+        return gc.reduce_sum(gc.mul(vb.reconstruction_loss(t, x, "gaussian"), up))
+
+    for _ in range(20):
+        assert gc.finite_diff_check(f, g.standard_normal((4, 3))) < 1e-4
+
+
+@pytest.mark.parametrize("mu_o", [None, np.array([1.5, -0.5])], ids=["zero", "nonzero"])
+@pytest.mark.parametrize("operand", ["mu", "logvar"])
+def test_fd_kl_to_gaussian_prior(operand, mu_o):
+    g = rng(34)
+    arrays = {"mu": g.standard_normal((3, 2)), "logvar": g.standard_normal((3, 2))}
+    up = gc.constant(g.standard_normal(3))
+
+    def f(t):
+        mu, lv = (t if k == operand else gc.constant(a) for k, a in arrays.items())
+        kl = vb.kl_to_gaussian_prior(nb.GaussianPosterior(mu, lv), mu_o)
+        return gc.reduce_sum(gc.mul(kl, up))
+
+    for _ in range(20):
+        assert gc.finite_diff_check(f, g.standard_normal((3, 2))) < 1e-4
