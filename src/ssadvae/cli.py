@@ -101,10 +101,6 @@ def load_config_file(path: str) -> dict:
     return out
 
 
-def list_bundled_configs() -> list:
-    return sorted(f for f in os.listdir(_CONFIG_DIR) if f.endswith(".cfg"))
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -116,9 +112,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--dataset", help="CSV file with numeric features and a label column")
-    p.add_argument("--label-col", default="label",
+    p.add_argument("--label-col",
                    help="label column name, or an integer index (default: label)")
-    p.add_argument("--positive-token", default="1",
+    p.add_argument("--positive-token",
                    help="label value marking anomalies (default: 1)")
     p.add_argument("--synth", metavar="D,N,SHIFT[,N_ANOM]",
                    help="synthetic data instead of a CSV, e.g. 8,2000,3.0")
@@ -153,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--model-dir", required=True,
                            help="directory written by 'ssadvae train'")
         if name == "benchmark":
-            p.add_argument("--save-scores", action="store_true",
+            p.add_argument("--save-scores", action="store_true", default=None,
                            help="also write per-seed score CSVs")
     return parser
 
@@ -164,20 +160,8 @@ def effective_config(args: argparse.Namespace) -> dict:
     cfg.update(_TRAIN_DEFAULTS, widths=list(_TRAIN_DEFAULTS["widths"]))
     if args.config:
         cfg.update(load_config_file(args.config))
-    flag_map = {
-        "dataset": args.dataset, "synth": args.synth,
-        "label_col": args.label_col if args.label_col != "label" else None,
-        "positive_token": args.positive_token if args.positive_token != "1" else None,
-        "method": args.method, "gamma_l": args.gamma_l, "gamma_p": args.gamma_p,
-        "seeds": args.seeds, "epochs": args.epochs,
-        "ensemble_size": args.ensemble_size, "alpha": args.alpha,
-        "beta_kl": args.beta_kl, "beta_cubo": args.beta_cubo,
-        "gamma": args.gamma, "lr": args.lr, "widths": args.widths,
-    }
-    if getattr(args, "save_scores", False):
-        flag_map["save_scores"] = True
-    for key, value in flag_map.items():
-        if value is not None:
+    for key, value in vars(args).items():  # a flag left unset is None
+        if key in _KEY_TYPES and value is not None:
             cfg[key] = _coerce(key, value)
     if not cfg.get("dataset") and not cfg.get("synth"):
         raise UsageError("either --dataset or --synth is required")

@@ -243,9 +243,21 @@ def standardize(train: SsadDataset, test: Optional[SsadDataset] = None):
     return train2, test2, stats
 
 
-def _pool_size(ratio: float, n_other: int) -> int:
-    # solve k / (n_other + k) = ratio for k, rounded half-up
-    return int(ratio * n_other / (1.0 - ratio) + 0.5)
+def _claim_dropped_anomalies(train: SsadDataset, ratio: float, seed: int,
+                             stream: int, role: int) -> tuple:
+    """Re-tag k = round(ratio * N_normal / (1 - ratio)) dropped anomalies, or
+    all of them if fewer are available, as ``role``: k / (N_normal + k) is
+    then ``ratio``. Returns (roles, k, achieved ratio)."""
+    roles = train.roles.copy()
+    n_normal = int((roles == ROLE_TRAIN_NORMAL).sum())
+    want = int(ratio * n_normal / (1.0 - ratio) + 0.5)
+    avail = np.flatnonzero((roles == ROLE_DROPPED)
+                           & (train.labels == LABEL_ANOMALY))
+    take = min(want, avail.size)
+    if take > 0:
+        roles[philox_rng(seed, stream).permutation(avail)[:take]] = role
+    achieved = take / (n_normal + take) if (n_normal + take) else 0.0
+    return roles, take, achieved
 
 
 def subsample_labeled_outliers(train: SsadDataset, gamma_l: float,
@@ -255,17 +267,8 @@ def subsample_labeled_outliers(train: SsadDataset, gamma_l: float,
     available, all are used and the achieved ratio is recorded."""
     if not 0.0 <= gamma_l < 1.0:
         raise ValueError("gamma_l must be in [0, 1)")
-    roles = train.roles.copy()
-    n_normal = int((roles == ROLE_TRAIN_NORMAL).sum())
-    want = _pool_size(gamma_l, n_normal)
-    avail = np.flatnonzero((roles == ROLE_DROPPED)
-                           & (train.labels == LABEL_ANOMALY))
-    take = min(want, avail.size)
-    if take > 0:
-        rng = philox_rng(seed, STREAM_SUBSAMPLE)
-        chosen = rng.permutation(avail)[:take]
-        roles[chosen] = ROLE_TRAIN_OUTLIER
-    achieved = take / (n_normal + take) if (n_normal + take) else 0.0
+    roles, take, achieved = _claim_dropped_anomalies(
+        train, gamma_l, seed, STREAM_SUBSAMPLE, ROLE_TRAIN_OUTLIER)
     prov = dict(train.provenance, gamma_l_requested=gamma_l,
                 gamma_l_achieved=achieved, n_labeled_outliers=take,
                 subsample_seed=seed)
@@ -279,17 +282,8 @@ def pollute(train: SsadDataset, gamma_p: float, seed: int = 0) -> SsadDataset:
         raise ValueError("gamma_p must be in [0, 1)")
     if gamma_p == 0.0:
         return train
-    roles = train.roles.copy()
-    n_normal = int((roles == ROLE_TRAIN_NORMAL).sum())
-    want = _pool_size(gamma_p, n_normal)
-    avail = np.flatnonzero((roles == ROLE_DROPPED)
-                           & (train.labels == LABEL_ANOMALY))
-    take = min(want, avail.size)
-    if take > 0:
-        rng = philox_rng(seed, STREAM_POLLUTE)
-        chosen = rng.permutation(avail)[:take]
-        roles[chosen] = ROLE_TRAIN_POLLUTION
-    achieved = take / (n_normal + take) if (n_normal + take) else 0.0
+    roles, take, achieved = _claim_dropped_anomalies(
+        train, gamma_p, seed, STREAM_POLLUTE, ROLE_TRAIN_POLLUTION)
     prov = dict(train.provenance, gamma_p_requested=gamma_p,
                 gamma_p_achieved=achieved, n_pollution=take, pollute_seed=seed)
     return SsadDataset(train.features, train.labels, roles, prov)

@@ -8,11 +8,11 @@ vector-Jacobian closure, which is how the ELBO terms in ``netblocks`` and
 leaf tensors, or into a caller's gradient buffer (``Tensor.grad_view``);
 everything runs on numpy buffers.
 
-Broadcasting is right-aligned and one-sided: one operand's shape must fit
-into the other's, with the same last axis and every other axis equal or 1
-(a bias of shape (d,) against activations (B, d), or (K, 1, d) against
-(K, B, d) when K ensemble members are stacked on a leading axis). Anything
-fancier is rejected so the backward rules stay small and auditable.
+There is no broadcasting: ``add``, ``sub`` and ``mul`` take two tensors of
+one shape, or a tensor and a Python number. The one operand that is spread
+over a batch, a layer's bias, is ``affine``'s business: (d,) against a
+(B, d) product, or (K, 1, d) against (K, B, d) when K ensemble members are
+stacked on a leading axis. So every backward rule stays small and auditable.
 """
 from __future__ import annotations
 
@@ -93,29 +93,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.data.shape})"
 
-    # operator sugar; scalars fold into the closure, tensors go through ops
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return add(neg(self), other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
@@ -161,31 +138,10 @@ def make_node(data, op: str, parents: Sequence[Tensor], vjp: Callable) -> Tensor
     return Tensor(data, op=op)
 
 
-def _fits(small: tuple, big: tuple) -> bool:
-    """``small`` broadcasts into ``big``: right-aligned, the same last axis,
-    every other axis equal or 1."""
-    return (len(small) <= len(big) and small[-1] == big[-1]
-            and all(s in (b, 1) for s, b in zip(small[::-1], big[::-1])))
-
-
 def _check_binary(a: Tensor, b: Tensor, opname: str) -> None:
-    sa, sb = a.data.shape, b.data.shape
-    if sa == sb or sa == () or sb == () or _fits(sa, sb) or _fits(sb, sa):
-        return
-    raise ValueError(
-        f"{opname}: shapes {sa} and {sb} are neither equal nor "
-        "broadcastable along the leading axes")
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    if g.shape == shape:
-        return g
-    while g.ndim > len(shape):
-        g = g.sum(axis=0)
-    for i, (gs, ss) in enumerate(zip(g.shape, shape)):
-        if ss == 1 and gs != 1:
-            g = g.sum(axis=i, keepdims=True)
-    return g.reshape(shape)
+    if a.data.shape != b.data.shape:
+        raise ValueError(f"{opname}: operand shapes {a.data.shape} and "
+                         f"{b.data.shape} differ; gradcore does not broadcast")
 
 
 def _as_tensor(x) -> Tensor:
@@ -200,9 +156,7 @@ def add(a: Tensor, b) -> Tensor:
         return make_node(a.data + b, "add", (a,), lambda g: (g,))
     b = _as_tensor(b)
     _check_binary(a, b, "add")
-    sa, sb = a.data.shape, b.data.shape
-    return make_node(a.data + b.data, "add", (a, b),
-                     lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
+    return make_node(a.data + b.data, "add", (a, b), lambda g: (g, g))
 
 
 def sub(a: Tensor, b) -> Tensor:
@@ -210,9 +164,7 @@ def sub(a: Tensor, b) -> Tensor:
         return make_node(a.data - b, "sub", (a,), lambda g: (g,))
     b = _as_tensor(b)
     _check_binary(a, b, "sub")
-    sa, sb = a.data.shape, b.data.shape
-    return make_node(a.data - b.data, "sub", (a, b),
-                     lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
+    return make_node(a.data - b.data, "sub", (a, b), lambda g: (g, -g))
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -221,9 +173,7 @@ def mul(a: Tensor, b) -> Tensor:
     b = _as_tensor(b)
     _check_binary(a, b, "mul")
     da, db = a.data, b.data
-    return make_node(da * db, "mul", (a, b),
-                     lambda g: (_unbroadcast(g * db, da.shape),
-                                _unbroadcast(g * da, db.shape)))
+    return make_node(da * db, "mul", (a, b), lambda g: (g * db, g * da))
 
 
 def neg(a: Tensor) -> Tensor:
@@ -309,11 +259,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def affine(h: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
-    """One dense layer as one node: ``(h @ w) + b``, the same two numpy
-    operations as ``add(matmul(h, w), b)``, with operands shaped as for
-    ``matmul`` and a bias that broadcasts into the product. ``b=None`` is
-    the plain product. Gradients are computed only for operands that
-    require them."""
+    """One dense layer as one node: ``(h @ w) + b``, with operands shaped as
+    for ``matmul`` and a bias of shape (d,) for a 2-D product or (K, 1, d)
+    for K stacked members, added to every row. ``b=None`` is the plain
+    product. Gradients are computed only for operands that require them."""
     dh, dw = h.data, w.data
     if dh.ndim != dw.ndim or dh.ndim not in (2, 3) or dh.shape[:-2] != dw.shape[:-2]:
         raise ValueError(f"affine expects two 2-D or two 3-D operands with the "
@@ -321,17 +270,18 @@ def affine(h: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     if dh.shape[-1] != dw.shape[-2]:
         raise ValueError(f"affine inner dimensions disagree: {dh.shape} vs {dw.shape}")
     out = dh @ dw
-    sb = None if b is None else b.data.shape
     if b is not None:
-        if not _fits(sb, out.shape):
-            raise ValueError(f"affine: bias shape {sb} does not broadcast into {out.shape}")
+        want = out.shape[-1:] if out.ndim == 2 else (out.shape[0], 1, out.shape[-1])
+        if b.data.shape != want:
+            raise ValueError(f"affine: bias shape {b.data.shape} is not {want} "
+                             f"for a product of shape {out.shape}")
         np.add(out, b.data, out=out)  # the product is fresh: no second array
     need_h, need_w = h.requires_grad, w.requires_grad
     need_b = b is not None and b.requires_grad
     return make_node(out, "affine", (h, w) if b is None else (h, w, b), lambda g: (
         g @ np.swapaxes(dw, -1, -2) if need_h else None,
         np.swapaxes(dh, -1, -2) @ g if need_w else None,
-        _unbroadcast(g, sb) if need_b else None))
+        g.sum(axis=-2, keepdims=g.ndim == 3) if need_b else None))
 
 
 def _norm_axis(axis, ndim: int, opname: str):

@@ -169,7 +169,7 @@ def outlier_update_term(model: SsadModel, outlier_x,
     this term, and only the normal term trains the decoder.
     """
     if model.method == "mml":
-        cubo = vb.cubo_loss(model.encoder, model.decoder, outlier_x, None,
+        cubo = vb.cubo_loss(model.encoder, model.decoder, outlier_x,
                             model.beta_cubo, n_samples=s_cubo, rng=rng)
         target, log_domain = _cubo_target(cubo)
         loss = gc.mul(target, model.gamma)
@@ -181,7 +181,7 @@ def outlier_update_term(model: SsadModel, outlier_x,
         loss = gc.neg(rep_o.elbo)
         report = LossReport(loss=loss, outlier_elbo=rep_o)
         if model.method == "hybrid" and model.gamma > 0.0:
-            cubo = vb.cubo_loss(model.encoder, model.decoder, outlier_x, None,
+            cubo = vb.cubo_loss(model.encoder, model.decoder, outlier_x,
                                 model.beta_cubo, n_samples=s_cubo, rng=rng)
             target, log_domain = _cubo_target(cubo)
             report.loss = gc.add(gc.mul(target, model.gamma), report.loss)

@@ -108,15 +108,6 @@ class TrainConfig:
         return nb.MlpSpec(widths=self.widths, activation=self.activation,
                           leak=self.leak, use_bias=self.use_bias)
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["widths"] = list(self.widths)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**{k: (tuple(v) if k == "widths" else v) for k, v in d.items()})
-
 
 @dataclass
 class AdamState:

@@ -2,7 +2,8 @@
 the exponentiated chi-square upper-bound (CUBO) loss.
 
 The KL term admits a Gaussian prior with arbitrary mean and identity
-covariance, which is what the dual-prior objective needs. The CUBO loss is
+covariance, which is what the dual-prior objective needs. The CUBO loss,
+taken under the standard-normal prior that max-min likelihood uses, is
 evaluated in log domain throughout and exponentiated once at the end; the
 log-domain value is always reported alongside so callers can optimize it
 directly when the exponentiation would overflow (or vanish), which by
@@ -106,8 +107,6 @@ def kl_to_gaussian_prior(post: nb.GaussianPosterior, mu_o=None) -> Tensor:
     dm, dl = mu.data, logvar.data
     if mu_o is not None:
         mu_o = np.asarray(mu_o, dtype=np.float64)
-        if mu_o.ndim == 0:
-            mu_o = np.full(post.dim, float(mu_o))
         if mu_o.shape != (post.dim,):
             raise ValueError(
                 f"prior mean shape {mu_o.shape} != latent dim ({post.dim},)")
@@ -254,33 +253,23 @@ def elbo(enc: nb.EncoderParams, dec: nb.DecoderParams, x, prior_mean,
 
 def cubo_from_posterior(post: nb.GaussianPosterior,
                         recon_fn: Callable[[Tensor], Tensor],
-                        mu_o, beta_cubo: float,
-                        noise: np.ndarray) -> CuboReport:
-    """Exponentiated CUBO_2 loss from a posterior and pinned noise.
+                        beta_cubo: float, noise: np.ndarray) -> CuboReport:
+    """Exponentiated CUBO_2 loss under the standard-normal prior, from a
+    posterior and pinned noise.
 
     Per sample, in log domain:
-      b*(log|S_q| + mu_q' S_q^-1 mu_q - mu_o' mu_o)
-      + log mean_s exp(-2 L_R(z_s) + b*(-z'z + 2 z'mu_o + z' S_q^-1 z
-                                        - 2 z' S_q^-1 mu_q))
+      b*(log|S_q| + mu_q' S_q^-1 mu_q)
+      + log mean_s exp(-2 L_R(z_s) + b*(-z'z + z' S_q^-1 z - 2 z' S_q^-1 mu_q))
     with z_s reparameterized from the posterior. The inner expectation is
     estimated with the log-sum-exp trick.
     """
     mu, logvar = post.mu, post.logvar
     n_samples = noise.shape[0]
-    if mu_o is not None:
-        mu_o = np.asarray(mu_o, dtype=np.float64)
-        if mu_o.ndim == 0:
-            mu_o = np.full(post.dim, float(mu_o))
-        if not mu_o.any():
-            mu_o = None
 
     prec = gc.exp(gc.neg(logvar))  # diagonal of S_q^-1
     logdet = gc.reduce_sum(logvar, axis=-1)
     quad_mu = gc.reduce_sum(gc.mul(gc.square(mu), prec), axis=-1)
-    head = gc.add(logdet, quad_mu)
-    if mu_o is not None:
-        head = gc.sub(head, float(mu_o @ mu_o))
-    head = gc.mul(head, beta_cubo)
+    head = gc.mul(gc.add(logdet, quad_mu), beta_cubo)
 
     inner_terms = []
     for s in range(n_samples):
@@ -291,9 +280,6 @@ def cubo_from_posterior(post: nb.GaussianPosterior,
                       gc.reduce_sum(zsq, axis=-1))
         quad = gc.sub(quad, gc.mul(
             gc.reduce_sum(gc.mul(gc.mul(z, prec), mu), axis=-1), 2.0))
-        if mu_o is not None:
-            quad = gc.add(quad, gc.mul(
-                gc.reduce_sum(gc.mul(z, gc.constant(mu_o)), axis=-1), 2.0))
         inner_terms.append(gc.add(gc.mul(lr, -2.0), gc.mul(quad, beta_cubo)))
     stacked = gc.stack(inner_terms)  # (S, [K,] batch)
     log_mean = gc.sub(gc.logsumexp(stacked, axis=0), math.log(n_samples))
@@ -301,7 +287,7 @@ def cubo_from_posterior(post: nb.GaussianPosterior,
     return _cubo_report(per_sample_log, gc.reduce_mean(per_sample_log, axis=-1))
 
 
-def cubo_loss(enc: nb.EncoderParams, dec: nb.DecoderParams, x, mu_o,
+def cubo_loss(enc: nb.EncoderParams, dec: nb.DecoderParams, x,
               beta_cubo: float, n_samples: int = 8, rng=None,
               noise=None) -> CuboReport:
     """CUBO loss of a batch; the decoder is a frozen constant inside this op,
@@ -313,4 +299,4 @@ def cubo_loss(enc: nb.EncoderParams, dec: nb.DecoderParams, x, mu_o,
     eps = _draw_noise(n_samples, post, rng, noise)
     frozen = dec.detached()
     recon_fn = lambda z: reconstruction_loss(nb.decode(frozen, z), xt, frozen.family)
-    return cubo_from_posterior(post, recon_fn, mu_o, beta_cubo, eps)
+    return cubo_from_posterior(post, recon_fn, beta_cubo, eps)

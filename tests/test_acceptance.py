@@ -5,6 +5,7 @@ Criteria 6 and 7 need converted ODDS CSVs (see scripts/convert_odds.py and
 the README); they skip when the files are absent and run in full when
 SSADVAE_ODDS_DIR (or ./data/odds) provides thyroid.csv / cardio.csv.
 """
+import dataclasses
 import math
 import os
 import time
@@ -172,7 +173,7 @@ def test_criterion_1_gradient_correctness():
     # exp form and the log-domain form (O(1) gradients at toy scale)
     worst_cubo = max(_max_fd_error(
         _encoder_slots(mml),
-        lambda: getattr(vb.cubo_loss(mml.encoder, mml.decoder, xo, None, 0.05,
+        lambda: getattr(vb.cubo_loss(mml.encoder, mml.decoder, xo, 0.05,
                                      n_samples=4, noise=noise_c), form))
         for form in ("value", "log_value"))
 
@@ -249,7 +250,7 @@ def test_criterion_3_bound_sandwich():
                                     gc.constant(np.full((n, 1), lv)))
         xt = gc.constant(np.full((n, 1), x))
         recon_fn = lambda z: vb.reconstruction_loss(z, xt, "gaussian")
-        rep = vb.cubo_from_posterior(post, recon_fn, None, 1.0,
+        rep = vb.cubo_from_posterior(post, recon_fn, 1.0,
                                      g.standard_normal((1, n, 1)))
         draws = np.exp(rep.per_sample_log.data)
         m = draws.mean()
@@ -276,7 +277,7 @@ def test_criterion_4_cubo_separation_monotone():
     values = []
     for m in (0.0, 0.5, 1.0, 2.0, 4.0):
         post = nb.GaussianPosterior(gc.constant([[m]]), gc.constant([[0.0]]))
-        rep = vb.cubo_from_posterior(post, const_recon, None, 0.05, noise)
+        rep = vb.cubo_from_posterior(post, const_recon, 0.05, noise)
         values.append(rep.value.item())
     dt = time.perf_counter() - t0
     decreasing = all(a > b for a, b in zip(values, values[1:]))
@@ -453,7 +454,7 @@ def test_criterion_8_freeze_and_trajectory_invariants(monkeypatch):
 
     # gamma=0 / empty-outlier runs are bit-identical to a plain VAE
     vae, _ = tr.train(cfg, train, "vae")
-    mml0, _ = tr.train(tr.TrainConfig(**{**cfg.to_dict(), "gamma": 0.0}), train, "mml")
+    mml0, _ = tr.train(dataclasses.replace(cfg, gamma=0.0), train, "mml")
     empty = dk.subsample_labeled_outliers(
         dk.SsadDataset(train.features, train.labels,
                        np.where(train.labels == 0, dk.ROLE_TRAIN_NORMAL,

@@ -20,15 +20,6 @@ def fast_args(*extra, out):
     return [*extra, *FAST, *FAST_CFG, "--out", str(out)]
 
 
-def patch_fast_defaults(monkeypatch):
-    # small warm-up/anneal so 6-epoch runs are legal
-    monkeypatch.setitem(cli._DEFAULTS, "gamma_l", 0.05)
-    for key, val in (("warmup_epochs", 3), ("anneal_epochs", 2)):
-        monkeypatch.setattr(
-            cli, "_DEFAULTS", {**cli._DEFAULTS}, raising=True)
-    # easier: inject through a config file in each test instead
-
-
 def write_fast_cfg(tmp_path):
     p = tmp_path / "fast.cfg"
     p.write_text("warmup_epochs = 3\nanneal_epochs = 2\n", encoding="utf-8")
@@ -196,6 +187,15 @@ def test_config_file_flags_override(tmp_path):
     assert cfg["epochs"] == 9
 
 
+def test_flag_equal_to_its_default_beats_the_config_file(tmp_path):
+    p = tmp_path / "c.cfg"
+    p.write_text("label_col = y\npositive_token = 2\n", encoding="utf-8")
+    cfg = cli.effective_config(cli.build_parser().parse_args(
+        ["train", "--dataset", "d.csv", "--config", str(p),
+         "--label-col", "label", "--positive-token", "1"]))
+    assert cfg["label_col"] == "label" and cfg["positive_token"] == "1"
+
+
 def test_config_unknown_key_rejected(tmp_path):
     p = tmp_path / "c.cfg"
     p.write_text("methodd = dp\n", encoding="utf-8")
@@ -204,7 +204,7 @@ def test_config_unknown_key_rejected(tmp_path):
 
 
 def test_bundled_configs_resolve_and_parse():
-    names = cli.list_bundled_configs()
+    names = os.listdir(cli._CONFIG_DIR)
     assert "dp-cardio.cfg" in names and "mml-thyroid.cfg" in names
     cfg = cli.load_config_file("dp-cardio")
     assert cfg["method"] == "dp"
@@ -313,6 +313,22 @@ def model_dir(tmp_path_factory):
                    "--config", cfg, *fast_args(out=root / "runs")])
     assert rc == cli.EXIT_OK
     return next((root / "runs").iterdir())
+
+
+def test_score_digest_covers_the_model_dir(model_dir, tmp_path):
+    # the same data scored with two ensembles: two runs, neither overwritten
+    other = tmp_path / "other-ensemble"
+    shutil.copytree(model_dir, other)
+    out = tmp_path / "scored"
+    for ens in (model_dir, other):
+        rc = cli.main(["score", "--model-dir", str(ens), "--synth", "4,40,3.0",
+                       "--out", str(out)])
+        assert rc == cli.EXIT_OK
+    runs = sorted(out.iterdir())
+    assert len(runs) == 2
+    named = {json.loads((r / "manifest.json").read_text())["config"]["model_dir"]
+             for r in runs}
+    assert named == {str(model_dir), str(other)}
 
 
 @pytest.mark.parametrize("token", ["nan", "1e400"])
@@ -549,7 +565,8 @@ def _digest(*argv):
 
 
 def test_bundled_config_digests_pinned():
-    assert sorted(PINNED_DIGESTS) == cli.list_bundled_configs()
+    assert sorted(PINNED_DIGESTS) == sorted(
+        f for f in os.listdir(cli._CONFIG_DIR) if f.endswith(".cfg"))
     for name, digest in PINNED_DIGESTS.items():
         assert _digest("--synth", "8,200,3.0", "--config", name) == digest, name
 

@@ -31,32 +31,47 @@ def test_add_values():
 
 
 def test_bias_broadcast_along_batch():
+    # the bias of a dense layer is added to every row by affine
     h = gc.parameter(np.ones((3, 2)))
     b = gc.parameter(np.array([1.0, -1.0]))
-    out = gc.add(h, b)
+    out = gc.affine(h, gc.constant(np.eye(2)), b)
     assert out.shape == (3, 2)
+    np.testing.assert_array_equal(out.data, [[2.0, 0.0]] * 3)
     gc.backward(gc.reduce_sum(out))
     np.testing.assert_array_equal(b.grad, [3.0, 3.0])
     np.testing.assert_array_equal(h.grad, np.ones((3, 2)))
 
 
 def test_stacked_bias_broadcasts_right_aligned():
-    # (K, 1, d) and (d,) against (K, B, d): the gradient sums over the
-    # broadcast axes only
+    # a (K, 1, d) bias against a (K, B, d) product: the gradient sums over
+    # the batch axis only; a (d,) bias is rejected for stacked members
     h = gc.parameter(np.ones((2, 3, 4)))
-    for shape, want in (((2, 1, 4), np.full((2, 1, 4), 3.0)),
-                        ((4,), np.full(4, 6.0))):
-        b = gc.parameter(np.zeros(shape))
-        out = gc.add(h, b)
-        assert out.shape == (2, 3, 4)
-        gc.backward(gc.reduce_sum(out))
-        np.testing.assert_array_equal(b.grad, want)
+    w = gc.constant(np.broadcast_to(np.eye(4), (2, 4, 4)).copy())
+    b = gc.parameter(np.zeros((2, 1, 4)))
+    out = gc.affine(h, w, b)
+    assert out.shape == (2, 3, 4)
+    gc.backward(gc.reduce_sum(out))
+    np.testing.assert_array_equal(b.grad, np.full((2, 1, 4), 3.0))
+    with pytest.raises(ValueError, match="bias shape"):
+        gc.affine(h, w, gc.parameter(np.zeros(4)))
+
+
+def test_bias_broadcast_in_add_rejected():
+    # a bias against a batch of activations is affine's job: add, sub and
+    # mul take operands of one shape, so each of these shapes is rejected
+    for h_shape, b_shape in (((3, 2), (2,)), ((2, 3, 4), (2, 1, 4)),
+                             ((2, 3, 4), (4,))):
+        h = gc.parameter(np.ones(h_shape))
+        b = gc.parameter(np.zeros(b_shape))
+        for op in (gc.add, gc.sub, gc.mul):
+            with pytest.raises(ValueError, match="differ"):
+                op(h, b)
 
 
 def test_broadcast_of_both_operands_rejected():
-    with pytest.raises(ValueError, match="broadcastable"):
+    with pytest.raises(ValueError, match="differ"):
         gc.add(gc.constant(np.ones((2, 1, 4))), gc.constant(np.ones((1, 3, 4))))
-    with pytest.raises(ValueError, match="broadcastable"):
+    with pytest.raises(ValueError, match="differ"):
         gc.mul(gc.constant(np.ones((2, 3, 1))), gc.constant(np.ones((2, 3, 4))))
 
 
@@ -159,8 +174,15 @@ def test_affine_equals_matmul_then_add_bit_for_bit(shapes):
         if fused:
             out = gc.affine(h, w, b)
         else:
-            out = gc.matmul(h, w) if b is None else gc.add(gc.matmul(h, w), b)
+            # the bias spread over the batch as an explicit array; its
+            # gradient is summed back over the batch axis below
+            out = gc.matmul(h, w)
+            if b is not None:
+                spread = gc.parameter(np.broadcast_to(b.data, out.shape).copy())
+                out = gc.add(out, spread)
         gc.backward(gc.reduce_sum(gc.mul(out, up)))
+        if b is not None and not fused:
+            b.grad = spread.grad.sum(axis=-2, keepdims=spread.grad.ndim == 3)
         return [out.data] + [t.grad for t in (h, w, b) if t is not None]
 
     for a, b in zip(run(True), run(False), strict=True):
@@ -187,6 +209,9 @@ def test_affine_shape_checks():
     with pytest.raises(ValueError, match="bias shape"):
         gc.affine(gc.constant(np.ones((2, 5, 3))), gc.constant(np.ones((2, 3, 4))),
                   gc.constant(np.ones((2, 5, 1))))
+    with pytest.raises(ValueError, match="bias shape"):
+        gc.affine(gc.constant(np.ones((2, 5, 3))), gc.constant(np.ones((2, 3, 4))),
+                  gc.constant(np.ones(4)))
 
 
 def test_matmul_backward_formulas():

@@ -90,7 +90,7 @@ def test_mml_terms_compose_from_vbounds_oracles():
     for shift in (0.0, 4.0):
         xo = rng(4).standard_normal((2, 1)) + shift
         loss, rep = full_loss(model, xn, xo, noise_n, rng(6))
-        cubo_ref = vb.cubo_loss(model.encoder, model.decoder, xo, None, 0.05,
+        cubo_ref = vb.cubo_loss(model.encoder, model.decoder, xo, 0.05,
                                 noise=rng(6).standard_normal((8, 2, 2)))
         assert rep.cubo_log_domain == md.cubo_objective(cubo_ref)[1]
         assert loss.item() == pytest.approx(
@@ -147,7 +147,7 @@ def test_hybrid_is_dp_plus_weighted_cubo():
     nc = g.standard_normal((8, 2, 2))
     dp_ref = vb.elbo(model.encoder, model.decoder.detached(), xo,
                      np.full(2, 5.0), 0.05, noise=no).elbo.item()
-    cubo_ref = vb.cubo_loss(model.encoder, model.decoder, xo, None, 0.05,
+    cubo_ref = vb.cubo_loss(model.encoder, model.decoder, xo, 0.05,
                             noise=nc)
     assert rep.cubo_log_domain == md.cubo_objective(cubo_ref)[1]
     assert rep.loss.item() == pytest.approx(

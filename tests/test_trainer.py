@@ -5,6 +5,8 @@ import pytest
 
 from ssadvae import datakit as dk
 from ssadvae import gradcore as gc
+from ssadvae import models as md
+from ssadvae import netblocks as nb
 from ssadvae import trainer as tr
 
 
@@ -38,10 +40,44 @@ def test_config_invariants_enforced():
         tiny_config(batch_size=0)
 
 
-def test_config_roundtrip():
-    cfg = tiny_config()
-    again = tr.TrainConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
-    assert again == cfg
+# ---------------------------------------------------------------------------
+# activations other than the default leaky relu
+
+NUMPY_ACTIVATIONS = {"relu": lambda h: np.maximum(h, 0.0),
+                     "sigmoid": lambda h: 1.0 / (1.0 + np.exp(-h))}
+
+
+@pytest.mark.parametrize("activation", sorted(NUMPY_ACTIVATIONS))
+def test_activation_forward_matches_numpy_and_trains_finite(activation, tmp_path):
+    act = NUMPY_ACTIVATIONS[activation]
+    spec = nb.MlpSpec(widths=(6, 4, 2), activation=activation)
+    enc = nb.init_encoder(spec, 3, seed=4)
+    dec = nb.init_decoder(spec, 3, seed=4)
+    x = nb.philox_rng(5, 9).standard_normal((7, 3))
+    z = nb.philox_rng(6, 9).standard_normal((7, 2))
+
+    h = x
+    for w, b in zip(enc.trunk_w, enc.trunk_b):
+        h = act(h @ w.data + b.data)
+    post = nb.encode(enc, x)
+    np.testing.assert_allclose(post.mu.data, h @ enc.mu_w.data + enc.mu_b.data,
+                               rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(
+        post.logvar.data,
+        np.clip(h @ enc.logvar_w.data + enc.logvar_b.data, -10.0, 10.0),
+        rtol=1e-12, atol=1e-14)
+    h = z
+    for i, (w, b) in enumerate(zip(dec.ws, dec.bs)):
+        h = h @ w.data + b.data
+        h = act(h) if i < len(dec.ws) - 1 else h
+    np.testing.assert_allclose(nb.decode(dec, z).data, h, rtol=1e-12, atol=1e-14)
+
+    ens, _ = tr.train(tiny_config(activation=activation, ensemble_size=2),
+                      tiny_train_set(), "mml")
+    md.save_ensemble(tmp_path, ens)
+    for k in range(2):
+        arrays = nb.read_arrays(tmp_path / f"member_{k:02d}.bin")
+        assert arrays and all(np.isfinite(a).all() for a in arrays)
 
 
 # ---------------------------------------------------------------------------
