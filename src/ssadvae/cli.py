@@ -46,6 +46,7 @@ _DEFAULTS = {
 # a default take strings
 _KEY_TYPES = {"dataset": str, "synth": str, "model_dir": str,
               **{k: type(v) for k, v in {**_TRAIN_DEFAULTS, **_DEFAULTS}.items()}}
+_PATH_KEYS = ("dataset", "model_dir")
 
 
 class UsageError(ValueError):
@@ -70,6 +71,9 @@ def _coerce(key: str, value):
         if isinstance(value, (list, tuple)):
             return [int(v) for v in value]
         return [int(v) for v in value.split(",") if v.strip()]
+    if key in _PATH_KEYS and value:
+        # one spelling per path, so `d`, `./d` and `d/` share a digest
+        return os.path.normpath(str(value))
     return kind(value)
 
 

@@ -222,7 +222,9 @@ class StandardizeStats:
     scale: np.ndarray
 
     def apply(self, features: np.ndarray) -> np.ndarray:
-        return (np.asarray(features, np.float64) - self.mean) / self.scale
+        out = np.asarray(features, np.float64) - self.mean
+        out /= self.scale  # in place: one table-sized array per call
+        return out
 
 
 def standardize(train: SsadDataset, test: Optional[SsadDataset] = None):

@@ -6,7 +6,9 @@ take). ``make_node`` builds a node from a value and a handwritten
 vector-Jacobian closure, which is how the ELBO terms in ``netblocks`` and
 ``vbounds`` become one node each. Gradients are accumulated into trainable
 leaf tensors, or into a caller's gradient buffer (``Tensor.grad_view``);
-everything runs on numpy buffers.
+everything runs on numpy buffers. The hot paths call numpy's ufuncs and
+array methods directly (``np.add.reduce``, ``out=`` targets, ``[..., None]``)
+rather than its Python-level helpers, with the same bytes.
 
 There is no broadcasting: ``add``, ``sub`` and ``mul`` take two tensors of
 one shape, or a tensor and a Python number. The one operand that is spread
@@ -27,7 +29,7 @@ __all__ = [
     "add", "sub", "mul", "neg", "exp", "log", "square", "relu",
     "leaky_relu", "sigmoid", "softplus", "clamp", "matmul", "affine", "reduce_sum",
     "reduce_mean", "reduce_max", "logsumexp", "stack", "take", "backward",
-    "finite_diff_check",
+    "mean_of", "finite_diff_check",
 ]
 
 
@@ -64,7 +66,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "grad_view", "requires_grad", "op", "parents",
-                 "_vjp")
+                 "_vjp", "_pending")
 
     def __init__(self, data, requires_grad: bool = False, op: str = "leaf",
                  parents: tuple = (), vjp: Optional[Callable] = None):
@@ -75,6 +77,7 @@ class Tensor:
         self.op = op
         self.parents = parents
         self._vjp = vjp
+        self._pending: Optional[np.ndarray] = None  # set only inside backward
 
     @property
     def shape(self) -> tuple:
@@ -255,7 +258,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if da.shape[-1] != db.shape[-2]:
         raise ValueError(f"matmul inner dimensions disagree: {da.shape} vs {db.shape}")
     return make_node(da @ db, "matmul", (a, b),
-                     lambda g: (g @ np.swapaxes(db, -1, -2), np.swapaxes(da, -1, -2) @ g))
+                     lambda g: (g @ db.swapaxes(-1, -2), da.swapaxes(-1, -2) @ g))
 
 
 def affine(h: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
@@ -279,9 +282,9 @@ def affine(h: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     need_h, need_w = h.requires_grad, w.requires_grad
     need_b = b is not None and b.requires_grad
     return make_node(out, "affine", (h, w) if b is None else (h, w, b), lambda g: (
-        g @ np.swapaxes(dw, -1, -2) if need_h else None,
-        np.swapaxes(dh, -1, -2) @ g if need_w else None,
-        g.sum(axis=-2, keepdims=g.ndim == 3) if need_b else None))
+        g @ dw.swapaxes(-1, -2) if need_h else None,
+        dh.swapaxes(-1, -2) @ g if need_w else None,
+        np.add.reduce(g, axis=-2, keepdims=g.ndim == 3) if need_b else None))
 
 
 def _norm_axis(axis, ndim: int, opname: str):
@@ -295,16 +298,33 @@ def _norm_axis(axis, ndim: int, opname: str):
     return ax
 
 
+def _kept_shape(shape: tuple, ax) -> tuple:
+    """``shape`` with the reduced axis kept as length 1 (all axes for None)."""
+    if ax is None:
+        return (1,) * len(shape)
+    return shape[:ax] + (1,) + shape[ax + 1:]
+
+
 def reduce_sum(a: Tensor, axis=None) -> Tensor:
     ax = _norm_axis(axis, a.data.ndim, "sum")
     shape = a.data.shape
 
     def vjp(g):
-        if ax is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, ax), shape).copy(),)
+        out = np.empty(shape)
+        out[...] = g.reshape(_kept_shape(shape, ax))
+        return (out,)
 
-    return make_node(a.data.sum(axis=ax), "sum", (a,), vjp)
+    return make_node(np.add.reduce(a.data, axis=ax), "sum", (a,), vjp)
+
+
+def mean_of(data: np.ndarray, axis=None):
+    """The bytes of ``data.mean(axis)`` for float64: a sum, then a division
+    by the count, in place when the sum is an array."""
+    total = np.add.reduce(data, axis=axis)
+    n = data.size if axis is None else data.shape[axis]
+    if type(total) is np.ndarray:
+        return np.true_divide(total, n, out=total)
+    return total / n
 
 
 def reduce_mean(a: Tensor, axis=None) -> Tensor:
@@ -313,11 +333,10 @@ def reduce_mean(a: Tensor, axis=None) -> Tensor:
     n = a.data.size if ax is None else shape[ax]
 
     def vjp(g):
-        if ax is None:
-            return (np.broadcast_to(g / n, shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, ax) / n, shape).copy(),)
+        return (np.true_divide(g.reshape(_kept_shape(shape, ax)), n,
+                               out=np.empty(shape)),)
 
-    return make_node(a.data.mean(axis=ax), "mean", (a,), vjp)
+    return make_node(mean_of(a.data, ax), "mean", (a,), vjp)
 
 
 def reduce_max(a: Tensor, axis=None) -> Tensor:
@@ -365,9 +384,11 @@ def stack(tensors: Sequence[Tensor]) -> Tensor:
     for t in tensors:
         if t.data.shape != shape:
             raise ValueError(f"stack: mismatched shapes {shape} vs {t.data.shape}")
-    out = np.stack([t.data for t in tensors], axis=0)
-    return make_node(out, "stack", tuple(tensors),
-                     lambda g: tuple(g[i] for i in range(len(tensors))))
+    out = np.empty((len(tensors),) + shape)
+    for i, t in enumerate(tensors):
+        out[i] = t.data
+    # the vjp is ``tuple``: one slice of g per input, along the leading axis
+    return make_node(out, "stack", tuple(tensors), tuple)
 
 
 def take(a: Tensor, k: int) -> Tensor:
@@ -390,9 +411,11 @@ def backward(out: Tensor, graph: Optional[Graph] = None) -> None:
 
     Repeated calls without resetting leaf grads add up; intermediate state
     never persists between calls, so two runs accumulate exactly twice the
-    one-run gradient. A leaf's first gradient is written into its
-    ``grad_view`` when it has one (``.grad`` is then that view), and later
-    ones add into it in place: the same bytes as a fresh array.
+    one-run gradient. A node's pending gradient is held on the node itself
+    while the pass runs, and every node's is cleared when it ends, a raising
+    vjp included. A leaf's first gradient is written into its ``grad_view``
+    when it has one (``.grad`` is then that view), and later ones add into
+    it in place: the same bytes as a fresh array.
     """
     if out.data.ndim != 0:
         raise ValueError(f"backward requires a scalar output, got shape {out.data.shape}")
@@ -400,27 +423,33 @@ def backward(out: Tensor, graph: Optional[Graph] = None) -> None:
         return
     if graph is None:
         graph = Graph.trace(out)
-    grads: dict[int, np.ndarray] = {id(out): np.array(1.0)}
-    for node in reversed(graph.nodes):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node._vjp is None:
-            if not node.requires_grad:
+    nodes = graph.nodes
+    out._pending = np.array(1.0)
+    try:
+        for node in reversed(nodes):
+            g = node._pending
+            if g is None:
                 continue
-            if node.grad is None:
-                view = node.grad_view
-                node.grad = g + 0.0 if view is None else np.add(g, 0.0, out=view)
-            elif node.grad is node.grad_view:
-                node.grad += g
-            else:
-                node.grad = node.grad + g
-            continue
-        for parent, pg in zip(node.parents, node._vjp(g)):
-            if pg is None or not parent.requires_grad:
+            node._pending = None
+            if node._vjp is None:
+                if not node.requires_grad:
+                    continue
+                if node.grad is None:
+                    view = node.grad_view
+                    node.grad = g + 0.0 if view is None else np.add(g, 0.0, out=view)
+                elif node.grad is node.grad_view:
+                    node.grad += g
+                else:
+                    node.grad = node.grad + g
                 continue
-            acc = grads.get(id(parent))
-            grads[id(parent)] = pg if acc is None else acc + pg
+            for parent, pg in zip(node.parents, node._vjp(g)):
+                if pg is None or not parent.requires_grad:
+                    continue
+                acc = parent._pending
+                parent._pending = pg if acc is None else acc + pg
+    finally:
+        for node in nodes:
+            node._pending = None
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ vector whose entries equal the K unstacked evaluations bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -50,42 +51,53 @@ class PriorSpec:
 
 @dataclass
 class BoundReport:
-    """ELBO evaluation: stored elbo is exactly -recon - beta_kl * kl."""
+    """ELBO evaluation: stored elbo is exactly -recon - beta_kl * kl.
+
+    ``elbo`` is the graph node; ``recon`` and ``kl`` are constant batch
+    means for reporting. ``per_sample`` (-recon_i - beta_kl * kl_i per row,
+    a constant) is computed from the per-row terms on first read.
+    """
 
     recon: Tensor
     kl: Tensor
     elbo: Tensor
-    per_sample: Tensor
     beta_kl: float
+    recon_rows: np.ndarray = field(repr=False)
+    kl_rows: np.ndarray = field(repr=False)
+
+    @cached_property
+    def per_sample(self) -> Tensor:
+        return gc.constant((-self.recon_rows) - self.kl_rows * self.beta_kl)
 
 
 @dataclass
 class CuboReport:
     """CUBO loss in exp domain plus the always-valid log-domain value.
 
-    ``value`` is None when exponentiation would overflow; ``log_value`` is
-    the mean per-sample log-domain loss and shares its optima with the exp
-    form.
+    ``log_value`` is the mean per-sample log-domain loss and shares its
+    optima with the exp form. ``value``, the exp-domain loss, is built on
+    first read, and is None when exponentiation would overflow.
     """
 
-    value: Optional[Tensor]
     log_value: Tensor
     per_sample_log: Tensor
-    overflowed: bool
+    overflowed: bool = field(init=False)
+
+    def __post_init__(self):
+        self.overflowed = bool(self.per_sample_log.data.max() > LOG_EXP_LIMIT)
+
+    @cached_property
+    def value(self) -> Optional[Tensor]:
+        if self.overflowed:
+            return None
+        return gc.reduce_mean(gc.exp(self.per_sample_log), axis=-1)
 
     def member(self, k: int) -> "CuboReport":
         """Member k's report out of a report over stacked members. Its exp
         value is built from its own slice, so another member's overflow
         cannot reach its gradients."""
-        return _cubo_report(gc.take(self.per_sample_log, k),
-                            gc.take(self.log_value, k))
-
-
-def _cubo_report(per_sample_log: Tensor, log_value: Tensor) -> CuboReport:
-    overflowed = bool(per_sample_log.data.max() > LOG_EXP_LIMIT)
-    value = None if overflowed else gc.reduce_mean(gc.exp(per_sample_log), axis=-1)
-    return CuboReport(value=value, log_value=log_value,
-                      per_sample_log=per_sample_log, overflowed=overflowed)
+        return CuboReport(gc.take(self.log_value, k),
+                          gc.take(self.per_sample_log, k))
 
 
 def kl_to_gaussian_prior(post: nb.GaussianPosterior, mu_o=None) -> Tensor:
@@ -119,16 +131,18 @@ def kl_to_gaussian_prior(post: nb.GaussianPosterior, mu_o=None) -> Tensor:
     if mu_o is not None:
         inner += (dm * mu_o) * 2.0
         inner -= mu_o * mu_o
-    out = inner.sum(axis=-1)
+    out = np.add.reduce(inner, axis=-1)
     out *= -0.5
 
     def vjp(g):
-        grad = np.broadcast_to(np.expand_dims(g * -0.5, -1), dm.shape)
-        neg = -grad
+        half = (g * -0.5)[..., None]
+        grad = np.empty(dm.shape)
+        grad[...] = half
+        neg = -half
         square = neg * (2.0 * dm)
         if mu_o is None:
             return square, grad, neg * sig2
-        return square, (grad * 2.0) * mu_o, grad, neg * sig2
+        return square, (half * 2.0) * mu_o, grad, neg * sig2
 
     parents = (mu, logvar, logvar) if mu_o is None else (mu, mu, logvar, logvar)
     return gc.make_node(out, "kl-gaussian", parents, vjp)
@@ -149,13 +163,12 @@ def reconstruction_loss(pred: Tensor, x, family: str) -> Tensor:
     d = xt.shape[-1]
     if family == "gaussian":
         diff = xt.data - pred.data
-        out = (diff * diff).sum(axis=-1)
+        out = np.add.reduce(diff * diff, axis=-1)
         out *= 0.5
         out += 0.5 * d * LOG_2PI
 
         def vjp(g):
-            grad = np.broadcast_to(np.expand_dims(g * 0.5, -1), diff.shape)
-            return (-(grad * (2.0 * diff)),)
+            return (-((g * 0.5)[..., None] * (2.0 * diff)),)
 
         return gc.make_node(out, "gaussian-nll", (pred,), vjp)
     if family == "bernoulli":
@@ -181,8 +194,10 @@ def _draw_noise(n_samples: int, post: nb.GaussianPosterior, rng, noise) -> np.nd
     if len(rng) != post.mu.shape[0] or post.mu.data.ndim != 3:
         raise ValueError(f"{len(rng)} member generators for posterior shape "
                          f"{post.mu.shape}")
-    block = (n_samples, post.batch, post.dim)
-    return np.stack([r.standard_normal(block) for r in rng], axis=1)
+    out = np.empty((len(rng), n_samples, post.batch, post.dim))
+    for r, block in zip(rng, out):
+        r.standard_normal(out=block)
+    return out.swapaxes(0, 1)
 
 
 def elbo_by_row_blocks(posts: Sequence[nb.GaussianPosterior],
@@ -217,14 +232,32 @@ def elbo_by_row_blocks(posts: Sequence[nb.GaussianPosterior],
     for post, recon_i in zip(posts, recon):
         if n_samples > 1:
             recon_i = gc.mul(recon_i, 1.0 / n_samples)
-        kl_i = kl_to_gaussian_prior(post, prior_mean)
-        per_sample = gc.sub(gc.neg(recon_i), gc.mul(kl_i, beta_kl))
-        recon_mean = gc.reduce_mean(recon_i, axis=-1)
-        kl = gc.reduce_mean(kl_i, axis=-1)
-        value = gc.sub(gc.neg(recon_mean), gc.mul(kl, beta_kl))
-        reports.append(BoundReport(recon=recon_mean, kl=kl, elbo=value,
-                                   per_sample=per_sample, beta_kl=beta_kl))
+        reports.append(_bound_report(recon_i, kl_to_gaussian_prior(post, prior_mean),
+                                     beta_kl))
     return reports
+
+
+def _bound_report(recon_i: Tensor, kl_i: Tensor, beta_kl: float) -> BoundReport:
+    """The batch ELBO ``-mean(recon_i) - beta_kl * mean(kl_i)`` as one node.
+
+    Its value and gradients have the bytes of the five small gradcore ops
+    it stands for, ``sub(neg(reduce_mean(recon_i)), mul(reduce_mean(kl_i),
+    beta_kl))``: ``sub`` passes (g, -g), ``neg`` and ``mul`` turn those into
+    -g and -g * beta_kl, and each mean spreads its gradient divided by the
+    row count.
+    """
+    rd, kd = recon_i.data, kl_i.data
+    recon, kl = gc.mean_of(rd, -1), gc.mean_of(kd, -1)
+    shape, n = rd.shape, rd.shape[-1]
+
+    def vjp(g):
+        neg = -g
+        return (np.true_divide(neg[..., None], n, out=np.empty(shape)),
+                np.true_divide((neg * beta_kl)[..., None], n, out=np.empty(shape)))
+
+    value = gc.make_node((-recon) - kl * beta_kl, "elbo", (recon_i, kl_i), vjp)
+    return BoundReport(recon=gc.constant(recon), kl=gc.constant(kl), elbo=value,
+                       beta_kl=beta_kl, recon_rows=rd, kl_rows=kd)
 
 
 def elbo_from_posterior(post: nb.GaussianPosterior,
@@ -284,7 +317,7 @@ def cubo_from_posterior(post: nb.GaussianPosterior,
     stacked = gc.stack(inner_terms)  # (S, [K,] batch)
     log_mean = gc.sub(gc.logsumexp(stacked, axis=0), math.log(n_samples))
     per_sample_log = gc.add(head, log_mean)
-    return _cubo_report(per_sample_log, gc.reduce_mean(per_sample_log, axis=-1))
+    return CuboReport(gc.reduce_mean(per_sample_log, axis=-1), per_sample_log)
 
 
 def cubo_loss(enc: nb.EncoderParams, dec: nb.DecoderParams, x,

@@ -331,6 +331,22 @@ def test_score_digest_covers_the_model_dir(model_dir, tmp_path):
     assert named == {str(model_dir), str(other)}
 
 
+def test_score_digest_ignores_how_the_model_dir_is_spelled(model_dir, tmp_path,
+                                                          monkeypatch):
+    # `runs/x`, `./runs/x` and `runs/x/` name one ensemble: one score run
+    monkeypatch.chdir(model_dir.parent.parent)
+    rel = os.path.join(model_dir.parent.name, model_dir.name)
+    out = tmp_path / "scored"
+    for spelled in (rel, os.path.join(".", rel), rel + os.sep):
+        rc = cli.main(["score", "--model-dir", spelled, "--synth", "4,40,3.0",
+                       "--out", str(out)])
+        assert rc == cli.EXIT_OK
+    (run,) = out.iterdir()
+    manifest = json.loads((run / "manifest.json").read_text())
+    assert manifest["config"]["model_dir"] == rel
+    assert cli._coerce("dataset", "./data//t.csv") == os.path.join("data", "t.csv")
+
+
 @pytest.mark.parametrize("token", ["nan", "1e400"])
 def test_nonfinite_csv_cell_is_data_error(model_dir, tmp_path, capsys, token):
     table = tmp_path / "bad.csv"

@@ -351,6 +351,28 @@ def test_backward_writes_into_a_grad_view():
     assert x.grad is None and x.grad_view is not None
 
 
+def test_raising_vjp_leaves_no_pending_gradient():
+    # the pass stops inside the graph after h has been handed a gradient;
+    # none may survive to be added into the next pass through h
+    x = gc.parameter(rng(4).standard_normal(3))
+    h = gc.exp(x)
+
+    def fail(g):
+        raise FloatingPointError("vjp failed")
+
+    bad = gc.make_node(h.data * 2.0, "bad", (h,), fail)
+    root = gc.reduce_sum(gc.add(gc.mul(h, h), bad))
+    with pytest.raises(FloatingPointError, match="vjp failed"):
+        gc.backward(root)
+    assert all(node._pending is None for node in gc.Graph.trace(root).nodes)
+    x.zero_grad()
+    gc.backward(gc.reduce_sum(gc.mul(h, h)))
+    fresh = gc.parameter(x.data.copy())
+    h2 = gc.exp(fresh)
+    gc.backward(gc.reduce_sum(gc.mul(h2, h2)))
+    assert x.grad.tobytes() == fresh.grad.tobytes()
+
+
 def test_frozen_leaves_get_no_grad_buffer():
     w = gc.parameter([2.0])
     frozen = gc.constant([5.0])

@@ -226,19 +226,21 @@ def test_bernoulli_family_trains_end_to_end():
 
 
 def test_cubo_objective_band():
-    lo = vb.CuboReport(value=gc.constant(0.0), log_value=gc.constant(-40.0),
-                       per_sample_log=gc.constant([-40.0]), overflowed=False)
+    # the exp-domain value is built only when it is the target
+    lo = vb.CuboReport(log_value=gc.constant(-40.0),
+                       per_sample_log=gc.constant([-40.0]))
     target, log_domain = md.cubo_objective(lo)
     assert log_domain and target.item() == -40.0
-    mid = vb.CuboReport(value=gc.constant(math.exp(-3.0)),
-                        log_value=gc.constant(-3.0),
-                        per_sample_log=gc.constant([-3.0]), overflowed=False)
+    assert not lo.overflowed and "value" not in vars(lo)
+    mid = vb.CuboReport(log_value=gc.constant(-3.0),
+                        per_sample_log=gc.constant([-3.0]))
     target, log_domain = md.cubo_objective(mid)
-    assert not log_domain and target.item() == math.exp(-3.0)
-    hi = vb.CuboReport(value=None, log_value=gc.constant(800.0),
-                       per_sample_log=gc.constant([800.0]), overflowed=True)
+    assert not log_domain and target is mid.value
+    assert target.item() == np.exp(np.array([-3.0]))[0] == pytest.approx(math.exp(-3.0))
+    hi = vb.CuboReport(log_value=gc.constant(800.0),
+                       per_sample_log=gc.constant([800.0]))
     target, log_domain = md.cubo_objective(hi)
-    assert log_domain
+    assert log_domain and hi.overflowed and hi.value is None
 
 
 # ---------------------------------------------------------------------------

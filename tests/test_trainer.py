@@ -504,6 +504,52 @@ def test_trained_member_file_bytes_are_pinned(monkeypatch, tmp_path, method):
             assert t.grad is None and t.grad_view is None
 
 
+# sha256 of member_00.bin after a K=2 hybrid training with two ELBO samples
+# and three CUBO samples, computed at the commit before the ELBO batch
+# summary became one graph node (it pins the multi-sample 1/S scaling and
+# reductions that the pins above, all at s_elbo = 1, leave unchecked)
+MULTI_SAMPLE_HYBRID_SHA256 = (
+    "4348eef48267c745f308c40582e24336a8969fe445c445ff52a7bed38f81edcd")
+
+
+def test_multi_sample_member_file_bytes_are_pinned(tmp_path):
+    import hashlib
+
+    from ssadvae import models as md
+
+    cfg = tiny_config(epochs=7, warmup_epochs=3, ensemble_size=2, clip_norm=0.5,
+                      master_seed=4, s_elbo=2, s_cubo=3)
+    ens, _ = tr.train(cfg, tiny_train_set(d=3, gamma_l=0.3), "hybrid")
+    md.save_ensemble(tmp_path, ens)
+    digest = hashlib.sha256((tmp_path / "member_00.bin").read_bytes()).hexdigest()
+    assert digest == MULTI_SAMPLE_HYBRID_SHA256
+
+
+def test_graph_nodes_per_k5_step(monkeypatch):
+    # make_node calls per step (forward through the step's backward) at the
+    # criterion-5 shape: K=5, widths 32,16,8, s_cubo = 8
+    counts, made = [], [0]
+    make_node, backward = gc.make_node, gc.backward
+
+    def counted_make_node(*args, **kwargs):
+        made[0] += 1
+        return make_node(*args, **kwargs)
+
+    def counted_backward(*args, **kwargs):
+        counts.append(made[0])
+        made[0] = 0
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(gc, "make_node", counted_make_node)
+    monkeypatch.setattr(gc, "backward", counted_backward)
+    cfg = tiny_config(epochs=2, warmup_epochs=1, anneal_epochs=1, batch_size=64,
+                      ensemble_size=5, widths=(32, 16, 8), s_cubo=8)
+    tr.train(cfg, tiny_train_set(d=8, gamma_l=0.3), "mml")
+    *normal, outlier = counts
+    assert len(normal) == 4 and max(normal) <= 18  # 25 before the ELBO summary node
+    assert outlier <= 193  # 205 before the exp-domain CUBO was built on demand
+
+
 def test_nonfinite_flat_gradient_names_its_member_seed():
     flat = np.zeros((3, 5))
     grads = np.ones((3, 5))

@@ -364,12 +364,22 @@ def composed_kl(post, mu_o):
     return gc.mul(gc.reduce_sum(inner, axis=-1), -0.5)
 
 
+def composed_summary(recon, kl, beta_kl):
+    """The batch ELBO from five small ops, and the per-row ELBO."""
+    elbo = gc.sub(gc.neg(gc.reduce_mean(recon, axis=-1)),
+                  gc.mul(gc.reduce_mean(kl, axis=-1), beta_kl))
+    return elbo, gc.sub(gc.neg(recon), gc.mul(kl, beta_kl))
+
+
 @pytest.mark.parametrize("alpha", [0.0, 5.0], ids=["zero-prior", "alpha-prior"])
 @pytest.mark.parametrize("stacked", [False, True], ids=["2d", "3d"])
 def test_fused_elbo_terms_equal_composed_forms_bit_for_bit(stacked, alpha):
-    # a whole encode -> reparameterize -> decode -> reconstruction + KL graph
-    # shaped as vb.elbo builds it, so mu and the clamped log-variance each
-    # add up three gradients: the values and every parameter gradient match
+    # a whole encode -> reparameterize -> decode -> reconstruction + KL ->
+    # batch ELBO graph shaped as vb.elbo builds it, so mu and the clamped
+    # log-variance each add up the gradients of every sample's
+    # reparameterization and of the KL: the per-row terms, the batch
+    # summary, the per-row ELBO and every parameter gradient match, for
+    # beta_kl 0 and 0.05 and for 1 and 3 samples
     from ssadvae import models as md
 
     g = rng(31)
@@ -378,26 +388,59 @@ def test_fused_elbo_terms_equal_composed_forms_bit_for_bit(stacked, alpha):
     model = md.stack_members(members) if stacked else members[0]
     lead = (3,) if stacked else ()
     x = g.standard_normal(lead + (10, 4))
-    eps = g.standard_normal(lead + (10, 3))
     mu_o = None if alpha == 0.0 else np.full(3, alpha)
+    for beta_kl in (0.0, 0.05):
+        for n_samples in (1, 3):
+            eps = g.standard_normal((n_samples,) + lead + (10, 3))
+            check_fused_elbo(model, x, eps, mu_o, beta_kl, g)
+
+
+def check_fused_elbo(model, x, eps, mu_o, beta_kl, g):
+    n_samples, lead = len(eps), x.shape[:-2]
 
     def run(fused):
         model.zero_grads()
         post = nb.encode(model.encoder, x)
         if fused:
-            z = nb.reparameterize(post, eps)
-            recon = vb.reconstruction_loss(nb.decode(model.decoder, z), x, "gaussian")
-            kl = vb.kl_to_gaussian_prior(post, mu_o)
+            rep = vb.elbo_from_posterior(
+                post, lambda z: vb.reconstruction_loss(nb.decode(model.decoder, z),
+                                                       x, "gaussian"),
+                mu_o, beta_kl, eps)
+            elbo = rep.elbo
+            terms = [rep.recon_rows, rep.kl_rows, rep.recon.data, rep.kl.data,
+                     rep.per_sample.data]
         else:
-            z = composed_reparameterize(post, eps)
-            recon = composed_gaussian_nll(nb.decode(model.decoder, z), x)
+            recon = None
+            for e in eps:
+                z = composed_reparameterize(post, e)
+                term = composed_gaussian_nll(nb.decode(model.decoder, z), x)
+                recon = term if recon is None else gc.add(recon, term)
+            if n_samples > 1:
+                recon = gc.mul(recon, 1.0 / n_samples)
             kl = composed_kl(post, mu_o)
-        elbo = gc.sub(gc.neg(gc.reduce_mean(recon, axis=-1)),
-                      gc.mul(gc.reduce_mean(kl, axis=-1), 0.05))
+            elbo, per_sample = composed_summary(recon, kl, beta_kl)
+            terms = [recon.data, kl.data, gc.reduce_mean(recon, axis=-1).data,
+                     gc.reduce_mean(kl, axis=-1).data, per_sample.data]
         gc.backward(gc.reduce_sum(gc.neg(elbo)))
-        return [z.data, recon.data, kl.data] + [t.grad.copy() for t in model.parameters()]
+        return ([np.asarray(elbo.data)] + [np.asarray(t) for t in terms]
+                + [t.grad.copy() for t in model.parameters()])
 
     for a, b in zip(run(True), run(False), strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    # the summary node alone, on leaf per-row terms under an uneven upstream
+    # gradient: its value and both gradients against the five small ops
+    rows = [g.standard_normal(lead + (10,)) for _ in range(2)]
+    up = g.standard_normal(lead)
+
+    def summary(fused):
+        recon, kl = gc.parameter(rows[0]), gc.parameter(rows[1])
+        elbo = (vb._bound_report(recon, kl, beta_kl).elbo if fused
+                else composed_summary(recon, kl, beta_kl)[0])
+        gc.backward(gc.reduce_sum(gc.mul(elbo, gc.constant(up))))
+        return [np.asarray(elbo.data), recon.grad, kl.grad]
+
+    for a, b in zip(summary(True), summary(False), strict=True):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
