@@ -8,7 +8,10 @@ vector-Jacobian closure, which is how the ELBO terms in ``netblocks`` and
 leaf tensors, or into a caller's gradient buffer (``Tensor.grad_view``);
 everything runs on numpy buffers. The hot paths call numpy's ufuncs and
 array methods directly (``np.add.reduce``, ``out=`` targets, ``[..., None]``)
-rather than its Python-level helpers, with the same bytes.
+rather than its Python-level helpers, with the same bytes. The forward
+formulas that a caller without gradients also needs are array functions
+(``affine_of``, ``relu_of``, ``leaky_relu_of``, ``sigmoid_of``,
+``softplus_of``), which the ops call for their values.
 
 There is no broadcasting: ``add``, ``sub`` and ``mul`` take two tensors of
 one shape, or a tensor and a Python number. The one operand that is spread
@@ -29,7 +32,8 @@ __all__ = [
     "add", "sub", "mul", "neg", "exp", "log", "square", "relu",
     "leaky_relu", "sigmoid", "softplus", "clamp", "matmul", "affine", "reduce_sum",
     "reduce_mean", "reduce_max", "logsumexp", "stack", "take", "backward",
-    "mean_of", "finite_diff_check",
+    "mean_of", "affine_of", "relu_of", "leaky_relu_of", "sigmoid_of",
+    "softplus_of", "finite_diff_check",
 ]
 
 
@@ -200,41 +204,52 @@ def square(a: Tensor) -> Tensor:
     return make_node(da * da, "square", (a,), lambda g: (g * (2.0 * da),))
 
 
+def relu_of(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0)
+
+
 def relu(a: Tensor) -> Tensor:
     da = a.data
-    return make_node(np.maximum(da, 0.0), "relu", (a,),
-                     lambda g: (g * (da > 0.0),))
+    return make_node(relu_of(da), "relu", (a,), lambda g: (g * (da > 0.0),))
+
+
+def leaky_relu_of(x: np.ndarray, slope: float) -> np.ndarray:
+    """max(x, slope*x) for 0 < slope <= 1: branch-free, and byte-equal to
+    the select form for signed zeros, infinities, nan and subnormals."""
+    out = np.multiply(x, slope, out=np.empty_like(x))
+    return np.maximum(x, out, out=out)
 
 
 def leaky_relu(a: Tensor, slope: float = 0.1) -> Tensor:
-    """max(x, slope*x) for 0 < slope <= 1: branch-free, and byte-equal to
-    the select form for signed zeros, infinities, nan and subnormals."""
     da = a.data
-    out = np.multiply(da, slope, out=np.empty_like(da))
-    np.maximum(da, out, out=out)
-    return make_node(out, "leaky-relu", (a,),
+    return make_node(leaky_relu_of(da, slope), "leaky-relu", (a,),
                      lambda g: (g * np.maximum(da >= 0.0, slope),))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
+def sigmoid_of(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) where x >= 0, exp(x) / (1 + exp(x)) elsewhere."""
+    flat = np.atleast_1d(x)
+    out = np.empty_like(flat)
+    pos = flat >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-flat[pos]))
+    ex = np.exp(flat[~pos])
     out[~pos] = ex / (1.0 + ex)
-    return out
+    return out.reshape(x.shape)
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out = _sigmoid(np.atleast_1d(a.data)).reshape(a.data.shape)
+    out = sigmoid_of(a.data)
     return make_node(out, "sigmoid", (a,), lambda g: (g * out * (1.0 - out),))
+
+
+def softplus_of(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 def softplus(a: Tensor) -> Tensor:
     da = a.data
-    out = np.maximum(da, 0.0) + np.log1p(np.exp(-np.abs(da)))
-    sig = _sigmoid(np.atleast_1d(da)).reshape(da.shape)
-    return make_node(out, "softplus", (a,), lambda g: (g * sig,))
+    sig = sigmoid_of(da)
+    return make_node(softplus_of(da), "softplus", (a,), lambda g: (g * sig,))
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
@@ -261,6 +276,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                      lambda g: (g @ db.swapaxes(-1, -2), da.swapaxes(-1, -2) @ g))
 
 
+def affine_of(h: np.ndarray, w: np.ndarray, b: Optional[np.ndarray]) -> np.ndarray:
+    """``(h @ w) + b`` on arrays, the bias added in place into the fresh
+    product. ``b`` may be spread to the product's shape already: the sums
+    are the same."""
+    out = h @ w
+    if b is not None:
+        np.add(out, b, out=out)
+    return out
+
+
 def affine(h: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
     """One dense layer as one node: ``(h @ w) + b``, with operands shaped as
     for ``matmul`` and a bias of shape (d,) for a 2-D product or (K, 1, d)
@@ -272,13 +297,13 @@ def affine(h: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
                          f"same leading axis, got {dh.shape} and {dw.shape}")
     if dh.shape[-1] != dw.shape[-2]:
         raise ValueError(f"affine inner dimensions disagree: {dh.shape} vs {dw.shape}")
-    out = dh @ dw
+    shape = dh.shape[:-1] + dw.shape[-1:]
     if b is not None:
-        want = out.shape[-1:] if out.ndim == 2 else (out.shape[0], 1, out.shape[-1])
+        want = shape[-1:] if len(shape) == 2 else (shape[0], 1, shape[-1])
         if b.data.shape != want:
             raise ValueError(f"affine: bias shape {b.data.shape} is not {want} "
-                             f"for a product of shape {out.shape}")
-        np.add(out, b.data, out=out)  # the product is fresh: no second array
+                             f"for a product of shape {shape}")
+    out = affine_of(dh, dw, None if b is None else b.data)
     need_h, need_w = h.requires_grad, w.requires_grad
     need_b = b is not None and b.requires_grad
     return make_node(out, "affine", (h, w) if b is None else (h, w, b), lambda g: (

@@ -206,6 +206,10 @@ def score(model: SsadModel, x, n_samples: int = 64,
     batches of ``batch_size``; then sample s draws its (n, d_z) noise block,
     which holds the numbers one (S, n, d_z) draw puts at [s], and each batch
     is decoded with its rows of that block.
+
+    The decoder passes run on plain arrays (``nb.decode_array``) with the
+    operations of the graph path, ``vb.elbo`` per batch, in its order, so a
+    score has the bytes that path gives it.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
@@ -214,15 +218,29 @@ def score(model: SsadModel, x, n_samples: int = 64,
     n, d_z = x.shape[0], model.encoder.latent_dim
     if n == 0:
         return np.empty(0)
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     dec = model.decoder
-    batches = [x[lo:lo + batch_size] for lo in range(0, n, batch_size)]
+    starts = range(0, n, batch_size)
+    batches = [x[lo:lo + batch_size] for lo in starts]
     with gc.no_grad():
         posts = [nb.encode(model.encoder, xb) for xb in batches]
-        recon_fns = [lambda z, xb=xb: vb.reconstruction_loss(
-            nb.decode(dec, z), xb, dec.family) for xb in batches]
-        noise = (rng.standard_normal((n, d_z)) for _ in range(n_samples))
-        reps = vb.elbo_by_row_blocks(posts, recon_fns, None, 1.0, noise)
-    return np.concatenate([rep.per_sample.data for rep in reps])
+        kls = [vb.kl_to_gaussian_prior(post).data for post in posts]
+    layers = nb.decoder_arrays(dec, len(batches[0]))
+    recon = [None] * len(batches)
+    for _ in range(n_samples):
+        eps = rng.standard_normal((n, d_z))
+        for k, (lo, post, xb) in enumerate(zip(starts, posts, batches)):
+            z = nb.reparameterize_array(post, eps[lo:lo + len(xb)])
+            term = vb.nll_array(nb.decode_array(dec.spec, layers, z), xb, dec.family)
+            if recon[k] is None:
+                recon[k] = term
+            else:
+                recon[k] += term
+    if n_samples > 1:
+        recon = [r * (1.0 / n_samples) for r in recon]
+    # the per-row ELBO at beta_kl = 1, as BoundReport.per_sample computes it
+    return np.concatenate([(-r) - kl * 1.0 for r, kl in zip(recon, kls)])
 
 
 @dataclass

@@ -308,8 +308,8 @@ def train(config: TrainConfig, dataset: SsadDataset, method: str):
             gc.backward(gc.reduce_sum(loss))
             _check_grads(params)
             _update(adam, flat.data, flat.grad, config.lr, seeds, epoch, bi)
-            sums += xb.shape[1] * np.stack(
-                [rep.elbo.data, rep.kl.data, rep.recon.data], axis=1)
+            for j, term in enumerate((rep.elbo, rep.kl, rep.recon)):
+                sums[:, j] += xb.shape[1] * term.data
             # drop this step's graph before the next forward builds its own
             del loss, rep
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -82,6 +82,8 @@ class CuboReport:
     log_value: Tensor
     per_sample_log: Tensor
     overflowed: bool = field(init=False)
+    # set by ``member``: the stacked per-sample tensor and the member index
+    stacked: Optional[tuple] = field(default=None, repr=False)
 
     def __post_init__(self):
         self.overflowed = bool(self.per_sample_log.data.max() > LOG_EXP_LIMIT)
@@ -90,14 +92,18 @@ class CuboReport:
     def value(self) -> Optional[Tensor]:
         if self.overflowed:
             return None
-        return gc.reduce_mean(gc.exp(self.per_sample_log), axis=-1)
+        rows = self.per_sample_log if self.stacked is None else gc.take(*self.stacked)
+        return gc.reduce_mean(gc.exp(rows), axis=-1)
 
     def member(self, k: int) -> "CuboReport":
-        """Member k's report out of a report over stacked members. Its exp
-        value is built from its own slice, so another member's overflow
-        cannot reach its gradients."""
+        """Member k's report out of a report over stacked members. Its
+        ``per_sample_log`` is a constant slice; the exp value, built on
+        first read, takes member k's slot of the stacked tensor, so another
+        member's overflow cannot reach its gradients, and a log-domain
+        member adds no slice node to the graph."""
         return CuboReport(gc.take(self.log_value, k),
-                          gc.take(self.per_sample_log, k))
+                          gc.constant(self.per_sample_log.data[k]),
+                          stacked=(self.per_sample_log, k))
 
 
 def kl_to_gaussian_prior(post: nb.GaussianPosterior, mu_o=None) -> Tensor:
@@ -160,12 +166,9 @@ def reconstruction_loss(pred: Tensor, x, family: str) -> Tensor:
     xt = x if isinstance(x, Tensor) else gc.constant(x)
     if pred.shape != xt.shape:
         raise ValueError(f"prediction shape {pred.shape} != data shape {xt.shape}")
-    d = xt.shape[-1]
     if family == "gaussian":
         diff = xt.data - pred.data
-        out = np.add.reduce(diff * diff, axis=-1)
-        out *= 0.5
-        out += 0.5 * d * LOG_2PI
+        out = _gaussian_nll_of(diff)
 
         def vjp(g):
             return (-((g * 0.5)[..., None] * (2.0 * diff)),)
@@ -175,6 +178,21 @@ def reconstruction_loss(pred: Tensor, x, family: str) -> Tensor:
         ce = gc.sub(gc.softplus(pred), gc.mul(pred, xt))
         return gc.reduce_sum(ce, axis=-1)
     raise ValueError(f"unknown likelihood family {family!r}")
+
+
+def _gaussian_nll_of(diff: np.ndarray) -> np.ndarray:
+    out = np.add.reduce(diff * diff, axis=-1)
+    out *= 0.5
+    out += 0.5 * diff.shape[-1] * LOG_2PI
+    return out
+
+
+def nll_array(pred: np.ndarray, x: np.ndarray, family: str) -> np.ndarray:
+    """The value of ``reconstruction_loss`` on plain arrays of one shape,
+    with its operations in its order; no shape or family check."""
+    if family == "gaussian":
+        return _gaussian_nll_of(x - pred)
+    return np.add.reduce(gc.softplus_of(pred) - pred * x, axis=-1)
 
 
 def _draw_noise(n_samples: int, post: nb.GaussianPosterior, rng, noise) -> np.ndarray:
@@ -198,43 +216,6 @@ def _draw_noise(n_samples: int, post: nb.GaussianPosterior, rng, noise) -> np.nd
     for r, block in zip(rng, out):
         r.standard_normal(out=block)
     return out.swapaxes(0, 1)
-
-
-def elbo_by_row_blocks(posts: Sequence[nb.GaussianPosterior],
-                       recon_fns: Sequence[Callable[[Tensor], Tensor]],
-                       prior_mean, beta_kl: float,
-                       noise: Iterable[np.ndarray]) -> list:
-    """ELBOs of rows split into consecutive blocks, one posterior and one
-    per-row reconstruction-loss closure per block; one BoundReport each.
-
-    ``noise`` yields one block per Monte-Carlo sample covering all rows in
-    block order, shaped like the posteriors joined along the batch axis: an
-    (S, rows, d_z) array or any iterable of blocks, so a generator can draw
-    each sample's block only when it is consumed. Each block's terms are
-    summed in sample order, so a row's ELBO does not depend on the blocks.
-    """
-    recon = [None] * len(posts)
-    n_samples = 0
-    for eps in noise:
-        lo = 0
-        for k, (post, recon_fn) in enumerate(zip(posts, recon_fns)):
-            hi = lo + post.batch
-            term = recon_fn(nb.reparameterize(post, eps[..., lo:hi, :]))
-            recon[k] = term if recon[k] is None else gc.add(recon[k], term)
-            lo = hi
-        if lo != eps.shape[-2]:
-            raise ValueError(f"noise block has {eps.shape[-2]} rows, the "
-                             f"posteriors {lo}")
-        n_samples += 1
-    if n_samples == 0:
-        raise ValueError("n_samples must be >= 1")
-    reports = []
-    for post, recon_i in zip(posts, recon):
-        if n_samples > 1:
-            recon_i = gc.mul(recon_i, 1.0 / n_samples)
-        reports.append(_bound_report(recon_i, kl_to_gaussian_prior(post, prior_mean),
-                                     beta_kl))
-    return reports
 
 
 def _bound_report(recon_i: Tensor, kl_i: Tensor, beta_kl: float) -> BoundReport:
@@ -263,11 +244,20 @@ def _bound_report(recon_i: Tensor, kl_i: Tensor, beta_kl: float) -> BoundReport:
 def elbo_from_posterior(post: nb.GaussianPosterior,
                         recon_fn: Callable[[Tensor], Tensor],
                         prior_mean, beta_kl: float,
-                        noise: Iterable[np.ndarray]) -> BoundReport:
+                        noise: np.ndarray) -> BoundReport:
     """ELBO given a posterior, a per-sample reconstruction-loss closure, and
-    pinned reparameterization noise of shape (S, batch, d_z): the one-block
-    case of ``elbo_by_row_blocks``."""
-    return elbo_by_row_blocks([post], [recon_fn], prior_mean, beta_kl, noise)[0]
+    pinned reparameterization noise of shape (S, batch, d_z); the terms are
+    summed in sample order."""
+    n_samples = len(noise)
+    if n_samples == 0:
+        raise ValueError("n_samples must be >= 1")
+    recon = None
+    for eps in noise:
+        term = recon_fn(nb.reparameterize(post, eps))
+        recon = term if recon is None else gc.add(recon, term)
+    if n_samples > 1:
+        recon = gc.mul(recon, 1.0 / n_samples)
+    return _bound_report(recon, kl_to_gaussian_prior(post, prior_mean), beta_kl)
 
 
 def elbo(enc: nb.EncoderParams, dec: nb.DecoderParams, x, prior_mean,

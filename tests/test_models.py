@@ -282,11 +282,18 @@ def _reference_score(model, x, n_samples, batch_size):
 @pytest.mark.parametrize("n_samples", [1, 64])
 @pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
 def test_score_equals_one_noise_draw_byte_for_byte(n, n_samples, family):
-    model = md.SsadModel.create(nb.MlpSpec(widths=(6, 4, 3)), 5, "mml",
-                                seed=8, family=family)
+    # every activation; (80, 4, 3) has a decoder layer too wide to spread its
+    # bias. Biases start at zero, so they are drawn here to show in the bytes.
     x = rng(28).standard_normal((n, 5))
-    got = md.score(model, x, n_samples=n_samples, batch_size=16)
-    assert got.tobytes() == _reference_score(model, x, n_samples, 16).tobytes()
+    for widths in ((6, 4, 3), (80, 4, 3)):
+        for activation in ("leaky-relu", "relu", "sigmoid"):
+            spec = nb.MlpSpec(widths=widths, activation=activation)
+            model = md.SsadModel.create(spec, 5, "mml", seed=8, family=family)
+            for b in model.encoder.trunk_b + model.decoder.bs:
+                b.data = rng(30).standard_normal(b.data.shape)
+            got = md.score(model, x, n_samples=n_samples, batch_size=16)
+            want = _reference_score(model, x, n_samples, 16)
+            assert got.tobytes() == want.tobytes(), (widths, activation)
 
 
 def test_score_of_no_rows_is_empty():

@@ -181,26 +181,9 @@ def test_elbo_pinned_noise_matches_scalar_oracle():
     rep = vb.elbo_from_posterior(post, identity_recon([[x]]), None, beta,
                                  np.array([[[e]]]))
     assert rep.per_sample.data[0] == pytest.approx(want, rel=1e-12)
-
-
-def test_elbo_by_row_blocks_equals_one_block():
-    mu, lv, x = (rng(s).standard_normal((7, 2)) for s in (7, 8, 9))
-    noise = rng(10).standard_normal((5, 7, 2))
-    whole = vb.elbo_from_posterior(make_posterior(mu, lv), identity_recon(x),
-                                   np.full(2, 0.5), 0.3, noise)
-    cuts = [slice(0, 3), slice(3, 4), slice(4, 7)]
-    reps = vb.elbo_by_row_blocks(
-        [make_posterior(mu[c], lv[c]) for c in cuts],
-        [identity_recon(x[c]) for c in cuts], np.full(2, 0.5), 0.3,
-        iter(noise))
-    joined = np.concatenate([r.per_sample.data for r in reps])
-    assert joined.tobytes() == whole.per_sample.data.tobytes()
-    with pytest.raises(ValueError, match="noise block has 7 rows, the posteriors 4"):
-        vb.elbo_by_row_blocks([make_posterior(mu[:4], lv[:4])],
-                              [identity_recon(x[:4])], None, 1.0, noise)
     with pytest.raises(ValueError, match="n_samples must be >= 1"):
-        vb.elbo_from_posterior(make_posterior(mu, lv), identity_recon(x), None,
-                               1.0, iter(()))
+        vb.elbo_from_posterior(post, identity_recon([[x]]), None, beta,
+                               np.empty((0, 1, 1)))
 
 
 def test_elbo_beta_zero_equals_negative_recon():
