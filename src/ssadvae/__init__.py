@@ -6,11 +6,11 @@ outliers) and a dual-prior loss (separate Gaussian prior means for normal
 and outlier latents). Scores are per-sample ELBOs averaged over an ensemble.
 """
 
-from .gradcore import Tensor, Graph, no_grad, finite_diff_check
+from .gradcore import Tensor, Graph
 from .netblocks import (MlpSpec, EncoderParams, DecoderParams,
                         GaussianPosterior, philox_rng, init_encoder,
                         init_decoder, encode, decode, reparameterize)
-from .vbounds import (PriorSpec, BoundReport, CuboReport, elbo, cubo_loss,
+from .vbounds import (BoundReport, CuboReport, elbo, cubo_loss,
                       kl_to_gaussian_prior, reconstruction_loss)
 from .models import (SsadModel, Ensemble, LossReport, normal_term,
                      outlier_update_term, score, ensemble_score,
@@ -25,11 +25,11 @@ from .datakit import (SsadDataset, EvalReport, DataError, load_csv,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Tensor", "Graph", "no_grad", "finite_diff_check",
+    "Tensor", "Graph",
     "MlpSpec", "EncoderParams", "DecoderParams", "GaussianPosterior",
     "philox_rng", "init_encoder", "init_decoder", "encode", "decode",
     "reparameterize",
-    "PriorSpec", "BoundReport", "CuboReport", "elbo", "cubo_loss",
+    "BoundReport", "CuboReport", "elbo", "cubo_loss",
     "kl_to_gaussian_prior", "reconstruction_loss",
     "SsadModel", "Ensemble", "LossReport", "normal_term",
     "outlier_update_term", "score", "ensemble_score",

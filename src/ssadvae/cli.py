@@ -13,6 +13,7 @@ import argparse
 import ctypes
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import fields as dc_fields
@@ -67,14 +68,19 @@ def _coerce(key: str, value):
         if value in ("false", "0", "no"):
             return False
         raise UsageError(f"{key}: expected a boolean, got {value!r}")
-    if kind in (list, tuple):  # comma-separated ints
-        if isinstance(value, (list, tuple)):
-            return [int(v) for v in value]
-        return [int(v) for v in value.split(",") if v.strip()]
     if key in _PATH_KEYS and value:
         # one spelling per path, so `d`, `./d` and `d/` share a digest
         return os.path.normpath(str(value))
-    return kind(value)
+    try:
+        if kind in (list, tuple):  # comma-separated ints
+            items = value if isinstance(value, (list, tuple)) else value.split(",")
+            return [int(v) for v in items]
+        value = kind(value)
+    except (TypeError, ValueError):
+        raise UsageError(f"{key}: invalid value {value!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise UsageError(f"{key}: expected a finite number, got {value!r}")
+    return value
 
 
 def load_config_file(path: str) -> dict:

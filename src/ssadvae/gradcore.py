@@ -21,42 +21,18 @@ stacked on a leading axis. So every backward rule stays small and auditable.
 """
 from __future__ import annotations
 
-import math
-import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
-    "Tensor", "Graph", "no_grad", "constant", "parameter", "make_node",
+    "Tensor", "Graph", "constant", "parameter", "make_node",
     "add", "sub", "mul", "neg", "exp", "log", "square", "relu",
     "leaky_relu", "sigmoid", "softplus", "clamp", "matmul", "affine", "reduce_sum",
     "reduce_mean", "reduce_max", "logsumexp", "stack", "take", "backward",
     "mean_of", "affine_of", "relu_of", "leaky_relu_of", "sigmoid_of",
-    "softplus_of", "finite_diff_check",
+    "softplus_of",
 ]
-
-
-class _GradMode(threading.local):
-    # thread-local so a scoring thread's no_grad cannot disturb a training
-    # thread's graph construction
-    enabled = True
-
-
-_GRAD_MODE = _GradMode()
-
-
-class no_grad:
-    """Context manager that disables graph construction (e.g. for scoring)."""
-
-    def __enter__(self):
-        self._prev = _GRAD_MODE.enabled
-        _GRAD_MODE.enabled = False
-        return self
-
-    def __exit__(self, *exc):
-        _GRAD_MODE.enabled = self._prev
-        return False
 
 
 class Tensor:
@@ -136,11 +112,12 @@ class Graph:
 
 
 def make_node(data, op: str, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
-    """A node holding ``data`` that is recorded only when grad mode is on and
-    a parent is trainable. ``vjp(g)`` returns one gradient (or None) per
-    entry of ``parents``; a parent may be listed more than once, and
-    ``backward`` then adds its gradients in list order."""
-    if _GRAD_MODE.enabled and any(p.requires_grad for p in parents):
+    """A node holding ``data`` that is recorded only when a parent is
+    trainable, so a computation over constants (``Tensor.detach`` views)
+    builds no graph. ``vjp(g)`` returns one gradient (or None) per entry of
+    ``parents``; a parent may be listed more than once, and ``backward``
+    then adds its gradients in list order."""
+    if any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, op=op, parents=tuple(parents), vjp=vjp)
     return Tensor(data, op=op)
 
@@ -151,17 +128,12 @@ def _check_binary(a: Tensor, b: Tensor, opname: str) -> None:
                          f"{b.data.shape} differ; gradcore does not broadcast")
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 # ---------------------------------------------------------------------------
 # elementwise operations
 
 def add(a: Tensor, b) -> Tensor:
     if isinstance(b, (int, float)):
         return make_node(a.data + b, "add", (a,), lambda g: (g,))
-    b = _as_tensor(b)
     _check_binary(a, b, "add")
     return make_node(a.data + b.data, "add", (a, b), lambda g: (g, g))
 
@@ -169,7 +141,6 @@ def add(a: Tensor, b) -> Tensor:
 def sub(a: Tensor, b) -> Tensor:
     if isinstance(b, (int, float)):
         return make_node(a.data - b, "sub", (a,), lambda g: (g,))
-    b = _as_tensor(b)
     _check_binary(a, b, "sub")
     return make_node(a.data - b.data, "sub", (a, b), lambda g: (g, -g))
 
@@ -177,7 +148,6 @@ def sub(a: Tensor, b) -> Tensor:
 def mul(a: Tensor, b) -> Tensor:
     if isinstance(b, (int, float)):
         return make_node(a.data * b, "mul", (a,), lambda g: (g * b,))
-    b = _as_tensor(b)
     _check_binary(a, b, "mul")
     da, db = a.data, b.data
     return make_node(da * db, "mul", (a, b), lambda g: (g * db, g * da))
@@ -265,7 +235,6 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """2-D matrix product, or one product per leading index of two 3-D
     operands (stacked members: (K, B, n) @ (K, n, m))."""
-    b = _as_tensor(b)
     da, db = a.data, b.data
     if da.ndim != db.ndim or da.ndim not in (2, 3) or da.shape[:-2] != db.shape[:-2]:
         raise ValueError(f"matmul expects two 2-D or two 3-D operands with the "
@@ -431,7 +400,7 @@ def take(a: Tensor, k: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # backward pass
 
-def backward(out: Tensor, graph: Optional[Graph] = None) -> None:
+def backward(out: Tensor) -> None:
     """Accumulate d(out)/d(leaf) into every trainable leaf below ``out``.
 
     Repeated calls without resetting leaf grads add up; intermediate state
@@ -446,9 +415,7 @@ def backward(out: Tensor, graph: Optional[Graph] = None) -> None:
         raise ValueError(f"backward requires a scalar output, got shape {out.data.shape}")
     if not out.requires_grad:
         return
-    if graph is None:
-        graph = Graph.trace(out)
-    nodes = graph.nodes
+    nodes = Graph.trace(out).nodes
     out._pending = np.array(1.0)
     try:
         for node in reversed(nodes):
@@ -476,36 +443,3 @@ def backward(out: Tensor, graph: Optional[Graph] = None) -> None:
         for node in nodes:
             node._pending = None
 
-
-# ---------------------------------------------------------------------------
-# finite-difference oracle
-
-def finite_diff_check(f: Callable[[Tensor], Tensor], point, eps: float = 1e-5) -> float:
-    """Max relative error between autodiff and central finite differences.
-
-    ``f`` maps a trainable leaf tensor to a scalar tensor. Returns
-    max_i |g_ad_i - g_fd_i| / max(1, |g_ad_i|). Non-finite function values
-    near the point are a check failure and raise.
-    """
-    point = np.asarray(point, dtype=np.float64)
-    leaf = parameter(point.copy())
-    out = f(leaf)
-    if not np.isfinite(out.data):
-        raise FloatingPointError("non-finite function value at the check point")
-    backward(out)
-    g_ad = np.zeros_like(point) if leaf.grad is None else leaf.grad.copy()
-
-    flat = point.reshape(-1)
-    fd = np.empty_like(flat)
-    for i in range(flat.size):
-        bumped = flat.copy()
-        bumped[i] = flat[i] + eps
-        fp = f(constant(bumped.reshape(point.shape))).item()
-        bumped[i] = flat[i] - eps
-        fm = f(constant(bumped.reshape(point.shape))).item()
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            raise FloatingPointError(f"non-finite function value near point (index {i})")
-        fd[i] = (fp - fm) / (2.0 * eps)
-    fd = fd.reshape(point.shape)
-    rel = np.abs(g_ad - fd) / np.maximum(1.0, np.abs(g_ad))
-    return float(rel.max()) if rel.size else 0.0

@@ -53,7 +53,8 @@ class SsadModel:
     encoder: nb.EncoderParams
     decoder: nb.DecoderParams
     method: str
-    prior: vb.PriorSpec
+    # the outlier prior mean is alpha * 1 (dp, hybrid); normals use mean 0
+    alpha: float
     gamma: float = 1.0
     beta_kl: float = 0.05
     beta_cubo: float = 0.05
@@ -64,7 +65,7 @@ class SsadModel:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        if self.method in ("dp", "hybrid") and self.prior.alpha == 0.0:
+        if self.method in ("dp", "hybrid") and self.alpha == 0.0:
             raise ValueError(f"method {self.method!r} requires a nonzero prior alpha")
         if self.method in ("mml", "hybrid") and self.gamma < 0.0:
             raise ValueError("gamma must be >= 0")
@@ -82,8 +83,7 @@ class SsadModel:
                beta_cubo: float = 0.05, family: str = "gaussian") -> "SsadModel":
         enc = nb.init_encoder(spec, in_dim, seed)
         dec = nb.init_decoder(spec, in_dim, seed, family=family)
-        prior = vb.PriorSpec(dim=spec.latent_dim, alpha=alpha)
-        return cls(enc, dec, method, prior, gamma=gamma, beta_kl=beta_kl,
+        return cls(enc, dec, method, alpha, gamma=gamma, beta_kl=beta_kl,
                    beta_cubo=beta_cubo, seed=seed)
 
 
@@ -140,15 +140,6 @@ def cubo_objective(rep: vb.CuboReport):
     return rep.value, False
 
 
-def _cubo_target(cubo: vb.CuboReport):
-    """``cubo_objective`` once per member: stacked members each pick their
-    own domain, and their targets are stacked into a (K,) vector."""
-    if cubo.log_value.data.ndim == 0:
-        return cubo_objective(cubo)
-    picks = [cubo_objective(cubo.member(k)) for k in range(len(cubo.log_value.data))]
-    return gc.stack([t for t, _ in picks]), [d for _, d in picks]
-
-
 def normal_term(model: SsadModel, x, beta_kl: Optional[float] = None,
                 n_samples: int = 1, rng=None, noise=None):
     """Negative ELBO of a normal batch under the zero-mean prior."""
@@ -168,27 +159,28 @@ def outlier_update_term(model: SsadModel, outlier_x,
     frozen constant throughout, so a method's full loss is normal_term plus
     this term, and only the normal term trains the decoder.
     """
-    if model.method == "mml":
+    if model.method == "vae":
+        raise ValueError(f"method {model.method!r} has no outlier update")
+    loss = rep_o = cubo = log_domain = None
+    if model.method in ("dp", "hybrid"):  # hybrid draws this noise first
+        beta = model.beta_kl if beta_kl is None else beta_kl
+        mu_o = np.full(model.encoder.latent_dim, float(model.alpha))
+        rep_o = vb.elbo(model.encoder, model.decoder.detached(), outlier_x,
+                        mu_o, beta, n_samples=s_elbo, rng=rng)
+        loss = gc.neg(rep_o.elbo)
+    if model.method == "mml" or (model.method == "hybrid" and model.gamma > 0.0):
         cubo = vb.cubo_loss(model.encoder, model.decoder, outlier_x,
                             model.beta_cubo, n_samples=s_cubo, rng=rng)
-        target, log_domain = _cubo_target(cubo)
-        loss = gc.mul(target, model.gamma)
-        return LossReport(loss=loss, cubo=cubo, cubo_log_domain=log_domain)
-    if model.method in ("dp", "hybrid"):
-        beta = model.beta_kl if beta_kl is None else beta_kl
-        rep_o = vb.elbo(model.encoder, model.decoder.detached(), outlier_x,
-                        model.prior.mu_outlier, beta, n_samples=s_elbo, rng=rng)
-        loss = gc.neg(rep_o.elbo)
-        report = LossReport(loss=loss, outlier_elbo=rep_o)
-        if model.method == "hybrid" and model.gamma > 0.0:
-            cubo = vb.cubo_loss(model.encoder, model.decoder, outlier_x,
-                                model.beta_cubo, n_samples=s_cubo, rng=rng)
-            target, log_domain = _cubo_target(cubo)
-            report.loss = gc.add(gc.mul(target, model.gamma), report.loss)
-            report.cubo = cubo
-            report.cubo_log_domain = log_domain
-        return report
-    raise ValueError(f"method {model.method!r} has no outlier update")
+        if cubo.log_value.data.ndim == 0:
+            target, log_domain = cubo_objective(cubo)
+        else:  # stacked members each pick their own domain
+            picks = [cubo_objective(cubo.member(k))
+                     for k in range(len(cubo.log_value.data))]
+            target, log_domain = gc.stack([t for t, _ in picks]), [d for _, d in picks]
+        weighted = gc.mul(target, model.gamma)
+        loss = weighted if loss is None else gc.add(weighted, loss)
+    return LossReport(loss=loss, outlier_elbo=rep_o, cubo=cubo,
+                      cubo_log_domain=log_domain)
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +215,9 @@ def score(model: SsadModel, x, n_samples: int = 64,
     dec = model.decoder
     starts = range(0, n, batch_size)
     batches = [x[lo:lo + batch_size] for lo in starts]
-    with gc.no_grad():
-        posts = [nb.encode(model.encoder, xb) for xb in batches]
-        kls = [vb.kl_to_gaussian_prior(post).data for post in posts]
+    enc = model.encoder.detached()  # constants only: no node is recorded
+    posts = [nb.encode(enc, xb) for xb in batches]
+    kls = [vb.kl_to_gaussian_prior(post).data for post in posts]
     layers = nb.decoder_arrays(dec, len(batches[0]))
     recon = [None] * len(batches)
     for _ in range(n_samples):
@@ -261,10 +253,6 @@ class Ensemble:
             if m.encoder.spec != first.spec or m.encoder.in_dim != first.in_dim:
                 raise ValueError("members disagree on architecture")
 
-    @property
-    def method(self) -> str:
-        return self.members[0].method
-
 
 def ensemble_score(ens: Ensemble, x, n_samples: int = 64,
                    batch_size: int = 1024) -> np.ndarray:
@@ -285,7 +273,7 @@ def save_ensemble(dirpath, ens: Ensemble, extra: Optional[dict] = None) -> None:
     manifest = {
         "method": first.method,
         "gamma": first.gamma,
-        "alpha": first.prior.alpha,
+        "alpha": first.alpha,
         "beta_kl": first.beta_kl,
         "beta_cubo": first.beta_cubo,
         "seeds": [m.seed for m in ens.members],
@@ -331,8 +319,7 @@ def load_ensemble(dirpath) -> tuple:
             params.append((enc, dec))
         path, named = manifest_path, [manifest_path]
         members = [SsadModel(
-            enc, dec, manifest["method"],
-            vb.PriorSpec(dim=enc.spec.latent_dim, alpha=manifest["alpha"]),
+            enc, dec, manifest["method"], manifest["alpha"],
             gamma=manifest["gamma"], beta_kl=manifest["beta_kl"],
             beta_cubo=manifest["beta_cubo"], seed=seed)
             for (enc, dec), seed in zip(params, manifest["seeds"])]

@@ -142,6 +142,15 @@ class EncoderParams:
             out.append(self.logvar_b)
         return out
 
+    def detached(self) -> "EncoderParams":
+        """Same buffers, no gradient flow: the constant view that scoring
+        encodes with, so its forward pass builds no graph."""
+        heads = [None if t is None else t.detach()
+                 for t in (self.mu_w, self.mu_b, self.logvar_w, self.logvar_b)]
+        return EncoderParams(
+            self.spec, self.in_dim, [w.detach() for w in self.trunk_w],
+            [None if b is None else b.detach() for b in self.trunk_b], *heads)
+
 
 @dataclass
 class DecoderParams:

@@ -90,13 +90,17 @@ class TrainConfig:
     def __post_init__(self):
         self.widths = tuple(int(w) for w in self.widths)
         self.spec  # MlpSpec rejects a bad width, activation or leak up front
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.warmup_epochs >= self.epochs:
             raise ValueError("warmup_epochs must be < epochs")
         if self.anneal_epochs > self.epochs:
             raise ValueError("anneal_epochs must be <= epochs")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.lr <= 0:
+        if not (self.lr > 0):
             raise ValueError("lr must be > 0")
         if self.nd_update_interval < 1:
             raise ValueError("nd_update_interval must be >= 1")

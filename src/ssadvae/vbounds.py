@@ -32,23 +32,6 @@ LOG_2PI = math.log(2.0 * math.pi)
 LOG_EXP_LIMIT = math.log(np.finfo(np.float64).max) - 10.0
 
 
-@dataclass(frozen=True)
-class PriorSpec:
-    """Gaussian prior pair: mean 0 for normals, alpha*1 for outliers.
-
-    Covariances are identity and not configurable. alpha == 0 is legal to
-    construct (collapses the two priors); model-level validation insists on
-    a nonzero alpha for the dual-prior method.
-    """
-
-    dim: int
-    alpha: float = 0.0
-
-    @property
-    def mu_outlier(self) -> np.ndarray:
-        return np.full(self.dim, float(self.alpha))
-
-
 @dataclass
 class BoundReport:
     """ELBO evaluation: stored elbo is exactly -recon - beta_kl * kl.

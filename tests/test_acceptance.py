@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import conftest
+from fdcheck import finite_diff_check
 
 from ssadvae import cli
 from ssadvae import datakit as dk
@@ -93,7 +94,7 @@ def _max_fd_error(slots, loss_fn):
             finally:
                 _slot_set(slot, original)
 
-        worst = max(worst, gc.finite_diff_check(f, original.data, eps=1e-5))
+        worst = max(worst, finite_diff_check(f, original.data, eps=1e-5))
     return worst
 
 
@@ -114,27 +115,27 @@ def test_criterion_1_gradient_correctness():
     for op in (gc.neg, gc.exp, gc.square, gc.sigmoid, gc.softplus):
         for _ in range(100):
             p = g.standard_normal(4) * 1.5
-            worst_ops = max(worst_ops, gc.finite_diff_check(
+            worst_ops = max(worst_ops, finite_diff_check(
                 lambda t: gc.reduce_sum(gc.square(op(t))), p))
     for _ in range(100):  # log on its positive domain
         p = g.uniform(0.5, 3.0, 4)
-        worst_ops = max(worst_ops, gc.finite_diff_check(
+        worst_ops = max(worst_ops, finite_diff_check(
             lambda t: gc.reduce_sum(gc.square(gc.log(t))), p))
     for op in (gc.relu, gc.leaky_relu):  # piecewise, sampled away from the kink
         for _ in range(100):
             p = g.standard_normal(4)
             p = np.where(np.abs(p) < 0.05, p + 0.2, p)
-            worst_ops = max(worst_ops, gc.finite_diff_check(
+            worst_ops = max(worst_ops, finite_diff_check(
                 lambda t: gc.reduce_sum(gc.square(op(t))), p))
     for _ in range(100):  # clamp inside its pass-through range
         p = g.uniform(-2, 2, 4)
-        worst_ops = max(worst_ops, gc.finite_diff_check(
+        worst_ops = max(worst_ops, finite_diff_check(
             lambda t: gc.reduce_sum(gc.square(gc.clamp(t, -5.0, 5.0))), p))
     other = gc.constant(g.standard_normal(4))
     for op in (gc.add, gc.sub, gc.mul):
         for _ in range(100):
             p = g.standard_normal(4)
-            worst_ops = max(worst_ops, gc.finite_diff_check(
+            worst_ops = max(worst_ops, finite_diff_check(
                 lambda t: gc.reduce_sum(gc.square(op(t, other))), p))
     b = gc.constant(g.standard_normal((3, 2)))
     for _ in range(100):  # matmul, reductions, logsumexp, stack in one graph
@@ -146,7 +147,7 @@ def test_criterion_1_gradient_correctness():
             return gc.add(gc.logsumexp(pieces, axis=None),
                           gc.add(gc.reduce_max(gc.square(h)), gc.reduce_mean(gc.square(h))))
 
-        worst_ops = max(worst_ops, gc.finite_diff_check(f, p))
+        worst_ops = max(worst_ops, finite_diff_check(f, p))
 
     spec = nb.MlpSpec(widths=(4, 2))
     xn = g.standard_normal((4, 2))

@@ -523,6 +523,27 @@ def test_leak_outside_unit_interval_is_usage_error(tmp_path, capsys, leak):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--lr", "nan"), ("--beta-kl", "nan"), ("--alpha", "inf"), ("--gamma-l", "nan"),
+    ("--widths", "32,,8"), ("--seeds", "0,,1"), ("--seeds", "0..x")])
+def test_malformed_value_is_usage_error_naming_the_key(tmp_path, capsys, flag, value):
+    out = tmp_path / "runs"
+    rc = cli.main(["train", "--synth", "4,60,3.0", "--config", write_fast_cfg(tmp_path),
+                   "--epochs", "6", "--ensemble", "1", flag, value, "--out", str(out)])
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{flag[2:].replace('-', '_')}: " in err and value in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_malformed_config_file_value_names_the_key(tmp_path):
+    p = tmp_path / "bad.cfg"
+    p.write_text("epochs = six\n", encoding="utf-8")
+    with pytest.raises(cli.UsageError, match="epochs: invalid value 'six'"):
+        cli.load_config_file(str(p))
+
+
 # ---------------------------------------------------------------------------
 # config keys and digests
 

@@ -118,7 +118,7 @@ def test_dp_terms_compose_from_elbo_oracles():
 def test_dp_alpha_zero_override_collapses_priors():
     # bypass the constructor invariant to probe the degenerate-prior case
     model = toy_model(method="dp", alpha=1.0, in_dim=2)
-    model.prior = vb.PriorSpec(dim=2, alpha=0.0)
+    model.alpha = 0.0
     _, xo = batches()
     rep = md.outlier_update_term(model, xo, rng=rng(11))
     same_prior = vb.elbo(model.encoder, model.decoder.detached(), xo, None,
@@ -269,12 +269,12 @@ def _reference_score(model, x, n_samples, batch_size):
     noise = nb.philox_rng(model.seed, nb.STREAM_SCORE).standard_normal(
         (n_samples, x.shape[0], model.encoder.latent_dim))
     out = np.empty(x.shape[0])
-    with gc.no_grad():
-        for lo in range(0, x.shape[0], batch_size):
-            hi = lo + batch_size
-            rep = vb.elbo(model.encoder, model.decoder, x[lo:hi], None, 1.0,
-                          n_samples=n_samples, noise=noise[:, lo:hi])
-            out[lo:hi] = rep.per_sample.data
+    enc, dec = model.encoder.detached(), model.decoder.detached()
+    for lo in range(0, x.shape[0], batch_size):
+        hi = lo + batch_size
+        rep = vb.elbo(enc, dec, x[lo:hi], None, 1.0,
+                      n_samples=n_samples, noise=noise[:, lo:hi])
+        out[lo:hi] = rep.per_sample.data
     return out
 
 
@@ -325,9 +325,26 @@ def test_dp_score_invariant_to_alpha():
     model = toy_model(method="dp", alpha=5.0)
     x = rng(24).standard_normal((6, 2))
     a = md.score(model, x, n_samples=4)
-    model.prior = vb.PriorSpec(dim=2, alpha=50.0)
+    model.alpha = 50.0
     b = md.score(model, x, n_samples=4)
     np.testing.assert_array_equal(a, b)
+
+
+def test_scoring_builds_no_graph(monkeypatch):
+    # every node scoring makes must be a constant: a recorded node would keep
+    # a block's activations alive until the whole score ends
+    made, make_node = [], gc.make_node
+
+    def recording_make_node(*args, **kwargs):
+        made.append(make_node(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(gc, "make_node", recording_make_node)
+    ens = md.Ensemble([toy_model(seed=s) for s in range(2)])
+    md.ensemble_score(ens, rng(31).standard_normal((7, 2)), n_samples=3,
+                      batch_size=4)
+    assert made
+    assert not any(t.parents or t.requires_grad for t in made)
 
 
 def test_ensemble_score_mean_and_permutation_invariance():

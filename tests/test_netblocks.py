@@ -183,6 +183,20 @@ def test_detached_decoder_shares_buffers():
     assert not any(t.requires_grad for t in frozen.tensors())
 
 
+@pytest.mark.parametrize("use_bias", [True, False])
+def test_detached_encoder_shares_buffers_and_passes_no_gradient(use_bias):
+    enc = nb.init_encoder(nb.MlpSpec(widths=(6, 4, 3), use_bias=use_bias), 5, seed=0)
+    frozen = enc.detached()
+    assert all(f.data is t.data for f, t in zip(frozen.tensors(), enc.tensors()))
+    assert not any(t.requires_grad for t in frozen.tensors())
+    # a trainable input, so backward runs through every frozen layer
+    x = gc.parameter(nb.philox_rng(3, 9).standard_normal((4, 5)))
+    post = nb.encode(frozen, x)
+    gc.backward(gc.reduce_sum(gc.add(post.mu, post.logvar)))
+    assert x.grad is not None
+    assert all(t.grad is None for t in enc.tensors())
+
+
 def test_serialization_roundtrip(tmp_path):
     spec = nb.MlpSpec(widths=(16, 8, 4))
     enc = nb.init_encoder(spec, 9, seed=42)

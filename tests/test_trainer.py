@@ -38,6 +38,9 @@ def test_config_invariants_enforced():
         tiny_config(lr=0.0)
     with pytest.raises(ValueError, match="batch_size"):
         tiny_config(batch_size=0)
+    for key in ("lr", "beta_kl", "alpha", "clip_norm"):
+        with pytest.raises(ValueError, match=key):
+            tiny_config(**{key: float("nan")})
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +320,7 @@ def test_hybrid_training_runs_outlier_updates():
     train = tiny_train_set()
     cfg = tiny_config(epochs=6, warmup_epochs=4)
     ens, hists = tr.train(cfg, train, "hybrid")
-    assert ens.method == "hybrid"
+    assert {m.method for m in ens.members} == {"hybrid"}
     recs = hists[0].records
     assert all(r.outlier_term is None for r in recs[:4])
     assert recs[4].outlier_term is not None
