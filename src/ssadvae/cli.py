@@ -71,16 +71,31 @@ def _coerce(key: str, value):
     if key in _PATH_KEYS and value:
         # one spelling per path, so `d`, `./d` and `d/` share a digest
         return os.path.normpath(str(value))
+    if kind is str:
+        return str(value)
+    if kind in (list, tuple):  # comma-separated ints
+        items = value.split(",") if isinstance(value, str) else value
+        if not isinstance(items, list):
+            raise UsageError(f"{key}: invalid value {value!r}")
+        return [_number(key, int, item, value) for item in items]
+    return _number(key, kind, value, value)
+
+
+def _number(key: str, kind: type, item, value):
+    """``item``, ``value`` itself or one of its list entries, as an int or a
+    finite float; a bool, a float where an int is due, or text that does
+    not parse is a UsageError naming the key and ``value``."""
+    accepted = (str, int) if kind is int else (str, int, float)
     try:
-        if kind in (list, tuple):  # comma-separated ints
-            items = value if isinstance(value, (list, tuple)) else value.split(",")
-            return [int(v) for v in items]
-        value = kind(value)
-    except (TypeError, ValueError):
-        raise UsageError(f"{key}: invalid value {value!r}") from None
-    if kind is float and not math.isfinite(value):
+        if isinstance(item, bool) or not isinstance(item, accepted):
+            raise ValueError
+        out = kind(item)
+    except (ValueError, OverflowError):
+        entry = "" if item is value else f": entry {item!r} is not an integer"
+        raise UsageError(f"{key}: invalid value {value!r}{entry}") from None
+    if not math.isfinite(out):
         raise UsageError(f"{key}: expected a finite number, got {value!r}")
-    return value
+    return out
 
 
 def load_config_file(path: str) -> dict:
@@ -94,9 +109,15 @@ def load_config_file(path: str) -> dict:
         else:
             raise UsageError(f"config file {path!r} not found")
     if path.endswith(".json"):
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        raw = data.get("config", data)  # accept a full run manifest
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
+        except ValueError as exc:
+            raise UsageError(f"{path}: invalid JSON: {exc}") from None
+        # accept a full run manifest too
+        raw = data.get("config", data) if isinstance(data, dict) else data
+        if not isinstance(raw, dict):
+            raise UsageError(f"{path}: expected a JSON object of config keys")
         return {k: _coerce(k, v) for k, v in raw.items() if k in _KEY_TYPES}
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -179,6 +200,9 @@ def effective_config(args: argparse.Namespace) -> dict:
         raise UsageError("--dataset and --synth are mutually exclusive")
     if not cfg["seeds"]:
         raise UsageError("at least one seed is required")
+    if cfg["method"] not in md.METHODS:
+        raise UsageError(f"method: expected one of {', '.join(md.METHODS)}, "
+                         f"got {cfg['method']!r}")
     return cfg
 
 
@@ -201,13 +225,26 @@ def train_config_from(cfg: dict, master_seed: int) -> tr.TrainConfig:
 # dataset plumbing
 
 def parse_synth(text: str) -> tuple:
+    """(D, N, SHIFT, N_ANOM) from ``D,N,SHIFT[,N_ANOM]``: the counts are
+    integers >= 1, SHIFT is a finite number, and N_ANOM defaults to
+    max(1, N // 4)."""
     parts = [p.strip() for p in str(text).split(",")]
     if len(parts) not in (3, 4):
         raise UsageError(f"--synth expects D,N,SHIFT[,N_ANOM], got {text!r}")
-    d, n = int(parts[0]), int(parts[1])
-    shift = float(parts[2])
-    n_anom = int(parts[3]) if len(parts) == 4 else max(1, n // 4)
-    return d, n, shift, n_anom
+    values = []
+    for name, part in zip(("D", "N", "SHIFT", "N_ANOM"), parts):
+        kind, want = ((float, "a finite number") if name == "SHIFT"
+                      else (int, "an integer >= 1"))
+        try:
+            value = kind(part)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and (kind is float or value >= 1)):
+            raise UsageError(f"--synth {name} must be {want}, got {part!r}")
+        values.append(value)
+    if len(values) == 3:
+        values.append(max(1, values[1] // 4))
+    return tuple(values)
 
 
 def load_base_dataset(cfg: dict, seed: int) -> dk.SsadDataset:
@@ -307,14 +344,8 @@ def run_score(args) -> int:
 
     run_dir = os.path.join(_out_root(args), f"score_{digest}")
     os.makedirs(run_dir, exist_ok=True)
-    report = dk.EvalReport(
-        auroc=float("nan"), scores=scores, labels=base.labels,
-        seed=cfg["seeds"][0], config_digest=digest)
-    try:
-        report.auroc = dk.auroc(scores, base.labels)
-    except ValueError:
-        pass  # single-class input: scores only, no AUROC
-    report.write_scores_csv(os.path.join(run_dir, f"scores_{digest}.csv"))
+    dk.EvalReport(scores, base.labels).write_scores_csv(
+        os.path.join(run_dir, f"scores_{digest}.csv"))
     _write_manifest(run_dir, "score", cfg, digest)
     print(run_dir)
     return EXIT_OK
@@ -326,10 +357,12 @@ def run_benchmark(args) -> int:
     run_dir = os.path.join(_out_root(args), f"benchmark_{digest}")
     seeds = cfg["seeds"]
     # a CSV shared by several seeds is parsed once; the first seed is
-    # prepared before any output exists, so bad inputs leave no run directory
+    # prepared and the training config built before any output exists, so
+    # bad inputs leave no run directory
     base = (load_base_dataset(cfg, seeds[0])
             if len(seeds) > 1 and not cfg.get("synth") else None)
     prepared = prepare_seed(cfg, seeds[0], base)
+    train_config_from(cfg, master_seed=seeds[0])
     os.makedirs(run_dir, exist_ok=True)
 
     per_seed = []
@@ -344,10 +377,7 @@ def run_benchmark(args) -> int:
             auc = dk.auroc(scores, test.labels)
             per_seed.append({"seed": seed, "auroc": auc})
             if cfg.get("save_scores"):
-                rep = dk.EvalReport(auroc=auc, scores=scores,
-                                    labels=test.labels, seed=seed,
-                                    config_digest=digest)
-                rep.write_scores_csv(
+                dk.EvalReport(scores, test.labels).write_scores_csv(
                     os.path.join(run_dir, f"scores_{digest}_seed{seed}.csv"))
     except Exception as exc:
         _write_json(os.path.join(run_dir, "FAILED.json"),

@@ -329,13 +329,10 @@ def auroc(scores, labels) -> float:
 
 @dataclass
 class EvalReport:
-    """One seed's evaluation; auroc is recomputable from scores/labels."""
+    """One evaluation's per-row scores and labels."""
 
-    auroc: float
     scores: np.ndarray
     labels: np.ndarray
-    seed: int
-    config_digest: str
 
     def write_scores_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:

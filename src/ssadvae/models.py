@@ -29,11 +29,14 @@ from .gradcore import Tensor
 
 METHODS = ("vae", "mml", "dp", "hybrid")
 
-# exp-domain CUBO gradients carry the factor exp(log-value); once that factor
-# is below ~e^-5 they are suppressed >100x against the normal-path gradients
-# sharing the Adam moments, so the log-domain form (same optima by
-# monotonicity) is optimized instead. Sum-reduced reconstruction losses put
-# tabular data here almost always.
+# The CUBO is optimized in exp domain only between these two limits on a
+# member's largest per-sample log value. Above LOG_EXP_LIMIT exp() would
+# overflow. Below CUBO_LOG_DOMAIN_MIN the exp-domain gradients, which carry
+# the factor exp(log-value), are suppressed >100x against the normal-path
+# gradients sharing the Adam moments; sum-reduced reconstruction losses put
+# tabular data here almost always. Outside the band the log-domain form,
+# which has the same optima by monotonicity, is optimized instead.
+LOG_EXP_LIMIT = math.log(np.finfo(np.float64).max) - 10.0
 CUBO_LOG_DOMAIN_MIN = -5.0
 
 
@@ -121,30 +124,31 @@ def unstack_members(stacked: SsadModel, members: list) -> None:
 @dataclass
 class LossReport:
     loss: Tensor
-    outlier_elbo: Optional[vb.BoundReport] = None
-    cubo: Optional[vb.CuboReport] = None
-    # None: no CUBO term in the loss; one bool per member when stacked
-    cubo_log_domain: Optional[bool | list] = None
+    # None: no CUBO term in the loss; else one bool per member
+    cubo_log_domain: Optional[list] = None
 
 
-def cubo_objective(rep: vb.CuboReport):
-    """Pick the optimization target from a CUBO report.
+def cubo_objective(rep: vb.CuboReport, k: int):
+    """Member k's optimization target from a CUBO report over stacked
+    members, and whether it is the log-domain one.
 
-    The exp-domain value is used when it is representable and its gradient
-    has not underflowed; otherwise the log-domain value, which shares its
-    optima by monotonicity of exp.
+    The exp-domain value, mean(exp(per-sample log value)), is used when
+    member k's largest per-sample log value lies within
+    [CUBO_LOG_DOMAIN_MIN, LOG_EXP_LIMIT]; otherwise the log-domain value.
+    Only the exp form slices member k's row of the per-sample tensor, so
+    another member's overflow cannot reach its gradients.
     """
-    top = rep.per_sample_log.data.max()
-    if rep.overflowed or top < CUBO_LOG_DOMAIN_MIN:
-        return rep.log_value, True
-    return rep.value, False
+    top = rep.per_sample_log.data[k].max()
+    if top > LOG_EXP_LIMIT or top < CUBO_LOG_DOMAIN_MIN:
+        return gc.take(rep.log_value, k), True
+    return gc.reduce_mean(gc.exp(gc.take(rep.per_sample_log, k)), axis=-1), False
 
 
 def normal_term(model: SsadModel, x, beta_kl: Optional[float] = None,
                 n_samples: int = 1, rng=None, noise=None):
     """Negative ELBO of a normal batch under the zero-mean prior."""
     beta = model.beta_kl if beta_kl is None else beta_kl
-    rep = vb.elbo(model.encoder, model.decoder, x, None, beta,
+    rep = vb.elbo(model.encoder, model.decoder, x, 0.0, beta,
                   n_samples=n_samples, rng=rng, noise=noise)
     return gc.neg(rep.elbo), rep
 
@@ -152,35 +156,35 @@ def normal_term(model: SsadModel, x, beta_kl: Optional[float] = None,
 def outlier_update_term(model: SsadModel, outlier_x,
                         beta_kl: Optional[float] = None, s_elbo: int = 1,
                         s_cubo: int = 8, rng=None) -> LossReport:
-    """The outlier-only objective used on novelty-detection update steps.
+    """The outlier-only objective used on novelty-detection update steps,
+    for K stacked members (``stack_members``): ``outlier_x`` is
+    (K, batch, d) and ``rng`` holds one generator per member.
 
-    mml: gamma * CUBO(outliers) under the zero-mean prior; dp: the negative
-    outlier ELBO under the alpha*1 prior; hybrid: both. The decoder is a
-    frozen constant throughout, so a method's full loss is normal_term plus
-    this term, and only the normal term trains the decoder.
+    mml: gamma * CUBO(outliers) under the zero-mean prior, each member in
+    the domain ``cubo_objective`` picks; dp: the negative outlier ELBO under
+    the alpha*1 prior; hybrid: both. The decoder is a frozen constant
+    throughout, so a method's full loss is normal_term plus this term, and
+    only the normal term trains the decoder.
     """
     if model.method == "vae":
         raise ValueError(f"method {model.method!r} has no outlier update")
-    loss = rep_o = cubo = log_domain = None
+    if model.flat is None:
+        raise ValueError("outlier_update_term takes stacked members; "
+                         "wrap a lone model as stack_members([model])")
+    loss = log_domain = None
     if model.method in ("dp", "hybrid"):  # hybrid draws this noise first
         beta = model.beta_kl if beta_kl is None else beta_kl
-        mu_o = np.full(model.encoder.latent_dim, float(model.alpha))
         rep_o = vb.elbo(model.encoder, model.decoder.detached(), outlier_x,
-                        mu_o, beta, n_samples=s_elbo, rng=rng)
+                        model.alpha, beta, n_samples=s_elbo, rng=rng)
         loss = gc.neg(rep_o.elbo)
     if model.method == "mml" or (model.method == "hybrid" and model.gamma > 0.0):
         cubo = vb.cubo_loss(model.encoder, model.decoder, outlier_x,
                             model.beta_cubo, n_samples=s_cubo, rng=rng)
-        if cubo.log_value.data.ndim == 0:
-            target, log_domain = cubo_objective(cubo)
-        else:  # stacked members each pick their own domain
-            picks = [cubo_objective(cubo.member(k))
-                     for k in range(len(cubo.log_value.data))]
-            target, log_domain = gc.stack([t for t, _ in picks]), [d for _, d in picks]
+        picks = [cubo_objective(cubo, k) for k in range(len(cubo.log_value.data))]
+        target, log_domain = gc.stack([t for t, _ in picks]), [d for _, d in picks]
         weighted = gc.mul(target, model.gamma)
         loss = weighted if loss is None else gc.add(weighted, loss)
-    return LossReport(loss=loss, outlier_elbo=rep_o, cubo=cubo,
-                      cubo_log_domain=log_domain)
+    return LossReport(loss=loss, cubo_log_domain=log_domain)
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,9 @@ class TrainConfig:
     def __post_init__(self):
         self.widths = tuple(int(w) for w in self.widths)
         self.spec  # MlpSpec rejects a bad width, activation or leak up front
+        if self.family not in nb.FAMILIES:
+            raise ValueError(f"family: expected one of {', '.join(nb.FAMILIES)}, "
+                             f"got {self.family!r}")
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not np.isfinite(value):

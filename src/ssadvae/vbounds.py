@@ -1,13 +1,12 @@
 """Variational quantities: reconstruction loss, closed-form KL, ELBO, and
-the exponentiated chi-square upper-bound (CUBO) loss.
+the chi-square upper-bound (CUBO) loss in log domain.
 
-The KL term admits a Gaussian prior with arbitrary mean and identity
+The KL term takes a Gaussian prior with mean alpha * 1 and identity
 covariance, which is what the dual-prior objective needs. The CUBO loss,
 taken under the standard-normal prior that max-min likelihood uses, is
-evaluated in log domain throughout and exponentiated once at the end; the
-log-domain value is always reported alongside so callers can optimize it
-directly when the exponentiation would overflow (or vanish), which by
-monotonicity reaches the same optima.
+reported in log domain, per sample and as a batch mean; ``models``
+decides per member whether to optimize that value or its exponentiated
+form, which by monotonicity reach the same optima.
 
 Every quantity reduces over the last axis and is per member: given the
 (K, batch, d) tensors of K stacked members, an ELBO or CUBO is a (K,)
@@ -18,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -27,9 +26,6 @@ from . import netblocks as nb
 from .gradcore import Tensor
 
 LOG_2PI = math.log(2.0 * math.pi)
-
-# stay clear of exp() overflow: log(float64 max) - 10
-LOG_EXP_LIMIT = math.log(np.finfo(np.float64).max) - 10.0
 
 
 @dataclass
@@ -55,71 +51,37 @@ class BoundReport:
 
 @dataclass
 class CuboReport:
-    """CUBO loss in exp domain plus the always-valid log-domain value.
-
-    ``log_value`` is the mean per-sample log-domain loss and shares its
-    optima with the exp form. ``value``, the exp-domain loss, is built on
-    first read, and is None when exponentiation would overflow.
-    """
+    """Log-domain CUBO loss: ``per_sample_log`` per row, and ``log_value``,
+    its mean over the batch, which shares its optima with the exp form."""
 
     log_value: Tensor
     per_sample_log: Tensor
-    overflowed: bool = field(init=False)
-    # set by ``member``: the stacked per-sample tensor and the member index
-    stacked: Optional[tuple] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        self.overflowed = bool(self.per_sample_log.data.max() > LOG_EXP_LIMIT)
-
-    @cached_property
-    def value(self) -> Optional[Tensor]:
-        if self.overflowed:
-            return None
-        rows = self.per_sample_log if self.stacked is None else gc.take(*self.stacked)
-        return gc.reduce_mean(gc.exp(rows), axis=-1)
-
-    def member(self, k: int) -> "CuboReport":
-        """Member k's report out of a report over stacked members. Its
-        ``per_sample_log`` is a constant slice; the exp value, built on
-        first read, takes member k's slot of the stacked tensor, so another
-        member's overflow cannot reach its gradients, and a log-domain
-        member adds no slice node to the graph."""
-        return CuboReport(gc.take(self.log_value, k),
-                          gc.constant(self.per_sample_log.data[k]),
-                          stacked=(self.per_sample_log, k))
 
 
-def kl_to_gaussian_prior(post: nb.GaussianPosterior, mu_o=None) -> Tensor:
-    """Per-sample KL(q || N(mu_o, I)) for a diagonal Gaussian posterior.
+def kl_to_gaussian_prior(post: nb.GaussianPosterior, alpha: float = 0.0) -> Tensor:
+    """Per-sample KL(q || N(alpha * 1, I)) for a diagonal Gaussian posterior.
 
-    Closed form: -1/2 sum_i [1 + log s2_i - s2_i - mu_i^2 + 2 mu_i mu_o_i
-    - mu_o_i^2]; mu_o None means the zero-mean prior.
+    Closed form: -1/2 sum_i [1 + log s2_i - s2_i - mu_i^2 + 2 alpha mu_i
+    - alpha^2].
 
     One node, with the value and gradient bytes of the same formula built
     from small gradcore ops: ``((logvar + 1) - exp(logvar)) - mu^2
-    [+ (mu * mu_o) * 2 - mu_o^2]``, summed and times -1/2. The node lists a
-    parent once per path of that formula (mu for the square term, mu for
-    the cross term when mu_o is not zero, logvar for the +1 term, logvar
+    [+ (mu * alpha) * 2 - alpha^2]``, summed and times -1/2. The node lists
+    a parent once per path of that formula (mu for the square term, mu for
+    the cross term when alpha is not zero, logvar for the +1 term, logvar
     for the exp term), so ``backward`` adds the paths' gradients in the
     small-op graph's order; float addition is not associative, and a
     pre-summed gradient would change the trained bytes.
     """
     mu, logvar = post.mu, post.logvar
     dm, dl = mu.data, logvar.data
-    if mu_o is not None:
-        mu_o = np.asarray(mu_o, dtype=np.float64)
-        if mu_o.shape != (post.dim,):
-            raise ValueError(
-                f"prior mean shape {mu_o.shape} != latent dim ({post.dim},)")
-        if not mu_o.any():
-            mu_o = None
     sig2 = np.exp(dl)
     inner = dl + 1.0
     inner -= sig2
     inner -= dm * dm
-    if mu_o is not None:
-        inner += (dm * mu_o) * 2.0
-        inner -= mu_o * mu_o
+    if alpha:
+        inner += (dm * alpha) * 2.0
+        inner -= alpha * alpha
     out = np.add.reduce(inner, axis=-1)
     out *= -0.5
 
@@ -129,11 +91,12 @@ def kl_to_gaussian_prior(post: nb.GaussianPosterior, mu_o=None) -> Tensor:
         grad[...] = half
         neg = -half
         square = neg * (2.0 * dm)
-        if mu_o is None:
+        if not alpha:
             return square, grad, neg * sig2
-        return square, (half * 2.0) * mu_o, grad, neg * sig2
+        cross = np.multiply(half * 2.0, alpha, out=np.empty(dm.shape))
+        return square, cross, grad, neg * sig2
 
-    parents = (mu, logvar, logvar) if mu_o is None else (mu, mu, logvar, logvar)
+    parents = (mu, mu, logvar, logvar) if alpha else (mu, logvar, logvar)
     return gc.make_node(out, "kl-gaussian", parents, vjp)
 
 
@@ -179,9 +142,10 @@ def nll_array(pred: np.ndarray, x: np.ndarray, family: str) -> np.ndarray:
 
 
 def _draw_noise(n_samples: int, post: nb.GaussianPosterior, rng, noise) -> np.ndarray:
-    """Noise of shape (S, *posterior shape). ``rng`` is one generator, or
-    one per member for stacked members: member k draws its (S, batch, d_z)
-    block from its own stream."""
+    """Noise of shape (S, K, batch, d_z) for K stacked members: ``rng``
+    holds one generator per member, and member k draws its (S, batch, d_z)
+    block from its own stream. Pinned ``noise`` of that shape (or of
+    (S, *posterior shape) for an unstacked posterior) is used as given."""
     shape = (n_samples,) + post.mu.shape
     if noise is not None:
         noise = np.asarray(noise, dtype=np.float64)
@@ -190,11 +154,9 @@ def _draw_noise(n_samples: int, post: nb.GaussianPosterior, rng, noise) -> np.nd
         return noise
     if rng is None:
         raise ValueError("either rng or explicit noise is required")
-    if isinstance(rng, np.random.Generator):
-        return rng.standard_normal(shape)
-    if len(rng) != post.mu.shape[0] or post.mu.data.ndim != 3:
-        raise ValueError(f"{len(rng)} member generators for posterior shape "
-                         f"{post.mu.shape}")
+    if post.mu.data.ndim != 3 or len(rng) != post.mu.shape[0]:
+        raise ValueError("rng must hold one generator per stacked member, "
+                         f"for posterior shape {post.mu.shape}")
     out = np.empty((len(rng), n_samples, post.batch, post.dim))
     for r, block in zip(rng, out):
         r.standard_normal(out=block)
@@ -226,11 +188,11 @@ def _bound_report(recon_i: Tensor, kl_i: Tensor, beta_kl: float) -> BoundReport:
 
 def elbo_from_posterior(post: nb.GaussianPosterior,
                         recon_fn: Callable[[Tensor], Tensor],
-                        prior_mean, beta_kl: float,
+                        alpha: float, beta_kl: float,
                         noise: np.ndarray) -> BoundReport:
-    """ELBO given a posterior, a per-sample reconstruction-loss closure, and
-    pinned reparameterization noise of shape (S, batch, d_z); the terms are
-    summed in sample order."""
+    """ELBO under the N(alpha * 1, I) prior given a posterior, a per-sample
+    reconstruction-loss closure, and pinned reparameterization noise of
+    shape (S, *posterior shape); the terms are summed in sample order."""
     n_samples = len(noise)
     if n_samples == 0:
         raise ValueError("n_samples must be >= 1")
@@ -240,27 +202,27 @@ def elbo_from_posterior(post: nb.GaussianPosterior,
         recon = term if recon is None else gc.add(recon, term)
     if n_samples > 1:
         recon = gc.mul(recon, 1.0 / n_samples)
-    return _bound_report(recon, kl_to_gaussian_prior(post, prior_mean), beta_kl)
+    return _bound_report(recon, kl_to_gaussian_prior(post, alpha), beta_kl)
 
 
-def elbo(enc: nb.EncoderParams, dec: nb.DecoderParams, x, prior_mean,
+def elbo(enc: nb.EncoderParams, dec: nb.DecoderParams, x, alpha: float,
          beta_kl: float, n_samples: int = 1, rng=None,
          noise=None) -> BoundReport:
-    """Monte-Carlo ELBO of a batch under the given encoder/decoder; ``rng``
-    is a generator, or one generator per member for stacked members."""
+    """Monte-Carlo ELBO of a batch under the given encoder/decoder and the
+    N(alpha * 1, I) prior; ``rng`` holds one generator per stacked member."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     xt = x if isinstance(x, Tensor) else gc.constant(x)
     post = nb.encode(enc, xt)
     eps = _draw_noise(n_samples, post, rng, noise)
     recon_fn = lambda z: reconstruction_loss(nb.decode(dec, z), xt, dec.family)
-    return elbo_from_posterior(post, recon_fn, prior_mean, beta_kl, eps)
+    return elbo_from_posterior(post, recon_fn, alpha, beta_kl, eps)
 
 
 def cubo_from_posterior(post: nb.GaussianPosterior,
                         recon_fn: Callable[[Tensor], Tensor],
                         beta_cubo: float, noise: np.ndarray) -> CuboReport:
-    """Exponentiated CUBO_2 loss under the standard-normal prior, from a
+    """Log-domain CUBO_2 loss under the standard-normal prior, from a
     posterior and pinned noise.
 
     Per sample, in log domain:

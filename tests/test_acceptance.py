@@ -155,28 +155,36 @@ def test_criterion_1_gradient_correctness():
     noise_n = g.standard_normal((1, 4, 2))
     noise_c = g.standard_normal((4, 2, 2))
 
-    def full_loss(model, outlier_seed):
-        # what training optimizes; a fresh generator pins the outlier noise
-        outlier = md.outlier_update_term(model, xo, s_cubo=4,
-                                         rng=rng(outlier_seed))
-        return gc.add(md.normal_term(model, xn, noise=noise_n)[0], outlier.loss)
+    def normal_loss(model):
+        return gc.reduce_sum(md.normal_term(model, xn[None],
+                                            noise=noise_n[:, None])[0])
 
-    mml = md.SsadModel.create(spec, 2, "mml", seed=5, gamma=1.0,
-                              beta_kl=0.05, beta_cubo=0.05)
+    def full_loss(model, outlier_seed):
+        # what training optimizes, on the K=1 stack that an ensemble of one
+        # trains as; a fresh generator pins the outlier noise
+        outlier = md.outlier_update_term(model, xo[None], s_cubo=4,
+                                         rng=[rng(outlier_seed)])
+        return gc.add(normal_loss(model), gc.reduce_sum(outlier.loss))
+
+    mml = md.stack_members([md.SsadModel.create(
+        spec, 2, "mml", seed=5, gamma=1.0, beta_kl=0.05, beta_cubo=0.05)])
     worst_mml = _max_fd_error_over_params(
-        mml, lambda: full_loss(mml, 2),
-        lambda: md.normal_term(mml, xn, noise=noise_n)[0])
-    dp = md.SsadModel.create(spec, 2, "dp", seed=6, alpha=5.0, beta_kl=0.05)
+        mml, lambda: full_loss(mml, 2), lambda: normal_loss(mml))
+    dp = md.stack_members([md.SsadModel.create(
+        spec, 2, "dp", seed=6, alpha=5.0, beta_kl=0.05)])
     worst_dp = _max_fd_error_over_params(
-        dp, lambda: full_loss(dp, 3),
-        lambda: md.normal_term(dp, xn, noise=noise_n)[0])
-    # both CUBO forms the outlier update may optimize, checked directly: the
-    # exp form and the log-domain form (O(1) gradients at toy scale)
+        dp, lambda: full_loss(dp, 3), lambda: normal_loss(dp))
+    # both CUBO forms the outlier update may optimize, checked directly and
+    # built as cubo_objective builds them: the exp form and the log-domain
+    # form (O(1) gradients at toy scale)
+    forms = (lambda rep: gc.reduce_mean(gc.exp(gc.take(rep.per_sample_log, 0)),
+                                        axis=-1),
+             lambda rep: gc.take(rep.log_value, 0))
     worst_cubo = max(_max_fd_error(
         _encoder_slots(mml),
-        lambda: getattr(vb.cubo_loss(mml.encoder, mml.decoder, xo, 0.05,
-                                     n_samples=4, noise=noise_c), form))
-        for form in ("value", "log_value"))
+        lambda: form(vb.cubo_loss(mml.encoder, mml.decoder, xo[None], 0.05,
+                                  n_samples=4, noise=noise_c[:, None])))
+        for form in forms)
 
     dt = time.perf_counter() - t0
     worst = max(worst_ops, worst_mml, worst_dp, worst_cubo)
@@ -200,14 +208,14 @@ def test_criterion_2_kl_oracle_equivalence():
         d = int(g.integers(1, 7))
         mu = g.normal(0, 2, d)
         lv = g.uniform(-2, 2, d)
-        mo = g.normal(0, 2, d)
+        alpha = g.normal(0, 2)
         z = mu + np.exp(lv / 2.0) * g.standard_normal((n, d))
         log_q = (-0.5 * (LOG_2PI + lv) - (z - mu) ** 2 / (2 * np.exp(lv))).sum(axis=1)
-        log_p = (-0.5 * LOG_2PI - (z - mo) ** 2 / 2.0).sum(axis=1)
+        log_p = (-0.5 * LOG_2PI - (z - alpha) ** 2 / 2.0).sum(axis=1)
         diff = log_q - log_p
         mc, se = diff.mean(), diff.std(ddof=1) / math.sqrt(n)
         post = nb.GaussianPosterior(gc.constant(mu[None, :]), gc.constant(lv[None, :]))
-        closed = vb.kl_to_gaussian_prior(post, mu_o=mo).data[0]
+        closed = vb.kl_to_gaussian_prior(post, alpha=alpha).data[0]
         worst_sigma = max(worst_sigma, abs(closed - mc) / se)
         assert abs(closed - mc) < 4.0 * se
     dt = time.perf_counter() - t0
@@ -279,7 +287,7 @@ def test_criterion_4_cubo_separation_monotone():
     for m in (0.0, 0.5, 1.0, 2.0, 4.0):
         post = nb.GaussianPosterior(gc.constant([[m]]), gc.constant([[0.0]]))
         rep = vb.cubo_from_posterior(post, const_recon, 0.05, noise)
-        values.append(rep.value.item())
+        values.append(math.exp(rep.log_value.item()))
     dt = time.perf_counter() - t0
     decreasing = all(a > b for a, b in zip(values, values[1:]))
     ok = decreasing and dt < 5.0

@@ -1,9 +1,11 @@
 import contextlib
 import io
 import json
+import math
 import os
 import shutil
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +221,22 @@ def test_synth_spec_parsing():
     assert cli.parse_synth("4,100,1.5,37") == (4, 100, 1.5, 37)
     with pytest.raises(cli.UsageError):
         cli.parse_synth("8,2000")
+
+
+@pytest.mark.parametrize("text, field", [
+    ("8,abc,3", "N"), ("0,200,3", "D"), ("8.5,200,3", "D"), ("8,-2,3", "N"),
+    ("8,200,inf", "SHIFT"), ("8,200,nan", "SHIFT"), ("8,200,x", "SHIFT"),
+    ("8,200,3,0", "N_ANOM"), ("8,200,3,", "N_ANOM")])
+def test_synth_field_errors_name_the_field(tmp_path, capsys, text, field):
+    with pytest.raises(cli.UsageError, match=f"^--synth {field} must be"):
+        cli.parse_synth(text)
+    out = tmp_path / "runs"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = cli.main(["train", "--synth", text, *FAST, "--out", str(out)])
+    assert rc == cli.EXIT_USAGE
+    assert f"--synth {field} must be" in capsys.readouterr().err
+    assert not caught and not out.exists()
 
 
 def test_benchmark_hybrid_with_pollution(tmp_path):
@@ -537,6 +555,33 @@ def test_malformed_value_is_usage_error_naming_the_key(tmp_path, capsys, flag, v
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, key, entry", [
+    ('{"widths": [16.7, 8.2]}', "widths", "16.7"), ('{"seeds": [0.9]}', "seeds", "0.9"),
+    ('{"widths": [true, 8]}', "widths", "True"), ('{"seeds": [0, ""]}', "seeds", "''")])
+def test_json_list_entry_that_is_not_an_integer_names_the_key(tmp_path, text, key,
+                                                              entry):
+    p = tmp_path / "c.json"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(cli.UsageError,
+                       match=f"^{key}: invalid value .*: entry {entry} is not an integer"):
+        cli.load_config_file(str(p))
+
+
+@pytest.mark.parametrize("text, problem", [
+    ("[1, 2]", "expected a JSON object"), ('"x"', "expected a JSON object"),
+    ('{"config": [1]}', "expected a JSON object"), ("{bad", "invalid JSON")])
+def test_json_config_that_is_not_an_object_names_the_file(tmp_path, capsys, text,
+                                                          problem):
+    p = tmp_path / "c.json"
+    p.write_text(text, encoding="utf-8")
+    out = tmp_path / "runs"
+    rc = cli.main(["train", "--synth", "4,60,3.0", "--config", str(p), "--out", str(out)])
+    assert rc == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{p}: {problem}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_malformed_config_file_value_names_the_key(tmp_path):
     p = tmp_path / "bad.cfg"
     p.write_text("epochs = six\n", encoding="utf-8")
@@ -625,3 +670,61 @@ def test_label_col_index_is_unknown_config_key(tmp_path, capsys):
                    "--out", str(tmp_path / "runs")])
     assert rc == cli.EXIT_USAGE
     assert "unknown config key 'label_col_index'" in capsys.readouterr().err
+
+
+# keys whose value is free text: any string is well formed, and what it names
+# (a CSV, a model directory, a label column or token) is checked when it is
+# read, as a data error (exit 2)
+FREE_TEXT_KEYS = {"dataset", "model_dir", "label_col", "positive_token"}
+
+# a quick valid training, so a bad value that slipped through would show as
+# exit 0; the key under test is left out of it
+QUICK = {"synth": "4,60,3.0", "epochs": 2, "warmup_epochs": 1,
+         "anneal_epochs": 1, "ensemble_size": 1, "widths": "4,2"}
+
+# not finite, an empty list entry, not a number, a non-integer list entry:
+# malformed for every key outside FREE_TEXT_KEYS
+_NON_NUMBER = st.text(alphabet="abckqxz", min_size=1, max_size=8)
+_NON_INTEGER = st.floats(-1e6, 1e6).filter(lambda v: v != int(v))
+BAD_VALUES = st.one_of(
+    st.tuples(st.just("cfg"), st.one_of(
+        st.sampled_from(["nan", "inf", "-inf", "1,,2", "2,"]), _NON_NUMBER,
+        _NON_INTEGER.map(lambda v: f"1,{v!r}"))),
+    st.tuples(st.just("json"), st.one_of(
+        st.sampled_from([math.nan, math.inf, [1, ""], [1, 2.5], [True, 2]]),
+        _NON_NUMBER, _NON_INTEGER.map(lambda v: [1, v]))))
+
+
+def test_every_config_key_is_checked_or_free_text():
+    assert FREE_TEXT_KEYS < set(cli._KEY_TYPES)
+    assert all(cli._KEY_TYPES[k] is str for k in FREE_TEXT_KEYS)
+
+
+@pytest.mark.parametrize("key", sorted(set(cli._KEY_TYPES) - FREE_TEXT_KEYS))
+@settings(max_examples=10, deadline=None)
+@given(case=BAD_VALUES)
+@example(case=("cfg", "nan"))
+@example(case=("cfg", "inf"))
+@example(case=("cfg", "1,,2"))
+@example(case=("cfg", "abc"))
+@example(case=("json", [1, 2.5]))
+def test_malformed_value_of_every_key_is_a_usage_error(key, case):
+    carrier, value = case
+    settings_ = {**{k: v for k, v in QUICK.items() if k != key}, key: value}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c." + carrier)
+        with open(path, "w", encoding="utf-8") as fh:
+            if carrier == "json":
+                json.dump(settings_, fh)
+            else:
+                fh.writelines(f"{k} = {v}\n" for k, v in settings_.items())
+        out = os.path.join(tmp, "runs")
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            rc = cli.main(["train", "--config", path, "--out", out])
+        assert rc == cli.EXIT_USAGE, (key, value)
+        assert key in err.getvalue() and "Traceback" not in err.getvalue()
+        assert not any(issubclass(w.category, RuntimeWarning) for w in caught)
+        assert not os.path.exists(out)

@@ -38,26 +38,42 @@ def test_model_validation():
         toy_model(method="mml", gamma=-1.0)
 
 
-def full_loss(model, xn, xo, noise_normal, outlier_rng):
-    """What training optimizes: the normal term plus the outlier term."""
-    loss, _ = md.normal_term(model, xn, noise=noise_normal)
-    rep = md.outlier_update_term(model, xo, rng=outlier_rng)
+def stack1(model):
+    """A lone member as the K=1 stack that train(ensemble_size=1) builds."""
+    return md.stack_members([model])
+
+
+def outlier_term(stacked, xo, seed, **kwargs):
+    """The outlier term of a K=1 stack on (m, d) outliers, its noise drawn
+    from rng(seed)."""
+    return md.outlier_update_term(stacked, xo[None], rng=[rng(seed)], **kwargs)
+
+
+def full_loss(stacked, xn, xo, noise_normal, outlier_seed):
+    """What training optimizes for a K=1 stack: the normal term plus the
+    outlier term."""
+    loss, _ = md.normal_term(stacked, xn[None], noise=noise_normal[:, None])
+    rep = outlier_term(stacked, xo, outlier_seed)
     return gc.add(loss, rep.loss), rep
 
 
-def cubo_target(cubo, log_domain):
-    return (cubo.log_value if log_domain else cubo.value).item()
+def cubo_oracle(cubo):
+    """(target, log domain) of an unstacked CUBO report, by the rule that
+    cubo_objective applies to each member."""
+    rows = cubo.per_sample_log.data
+    log_domain = not md.CUBO_LOG_DOMAIN_MIN <= rows.max() <= md.LOG_EXP_LIMIT
+    return (cubo.log_value.item() if log_domain else np.exp(rows).mean()), log_domain
 
 
 def test_mml_gamma_zero_is_exact_negative_elbo():
     model = toy_model(gamma=0.0)
     xn, xo = batches()
     noise = rng(2).standard_normal((1, 4, 2))
-    loss, rep = full_loss(model, xn, xo, noise, rng(3))
-    direct = vb.elbo(model.encoder, model.decoder, xn, None, model.beta_kl,
+    loss, rep = full_loss(stack1(model), xn, xo, noise, 3)
+    direct = vb.elbo(model.encoder, model.decoder, xn, 0.0, model.beta_kl,
                      noise=noise)
-    assert rep.loss.item() == 0.0
-    assert loss.item() == -direct.elbo.item()
+    assert rep.loss.data[0] == 0.0
+    assert loss.data[0] == -direct.elbo.item()
 
 
 def test_mml_empty_outlier_batch_matches_gamma_zero():
@@ -84,19 +100,18 @@ def test_mml_terms_compose_from_vbounds_oracles():
     model = toy_model(gamma=0.7, in_dim=1)
     xn = rng(3).standard_normal((4, 1))
     noise_n = rng(5).standard_normal((1, 4, 2))
-    elbo_ref = vb.elbo(model.encoder, model.decoder, xn, None, 0.05,
+    elbo_ref = vb.elbo(model.encoder, model.decoder, xn, 0.0, 0.05,
                        noise=noise_n).elbo.item()
     domains = []
     for shift in (0.0, 4.0):
         xo = rng(4).standard_normal((2, 1)) + shift
-        loss, rep = full_loss(model, xn, xo, noise_n, rng(6))
-        cubo_ref = vb.cubo_loss(model.encoder, model.decoder, xo, 0.05,
-                                noise=rng(6).standard_normal((8, 2, 2)))
-        assert rep.cubo_log_domain == md.cubo_objective(cubo_ref)[1]
-        assert loss.item() == pytest.approx(
-            0.7 * cubo_target(cubo_ref, rep.cubo_log_domain) - elbo_ref,
-            rel=1e-12)
-        domains.append(rep.cubo_log_domain)
+        loss, rep = full_loss(stack1(model), xn, xo, noise_n, 6)
+        cubo_ref, log_domain = cubo_oracle(vb.cubo_loss(
+            model.encoder, model.decoder, xo, 0.05,
+            noise=rng(6).standard_normal((8, 2, 2))))
+        assert rep.cubo_log_domain == [log_domain]
+        assert loss.data[0] == pytest.approx(0.7 * cubo_ref - elbo_ref, rel=1e-12)
+        domains.append(log_domain)
     assert domains == [False, True]
 
 
@@ -105,26 +120,26 @@ def test_dp_terms_compose_from_elbo_oracles():
     xn = rng(7).standard_normal((4, 1))
     xo = rng(8).standard_normal((2, 1)) + 4.0
     noise_n = rng(9).standard_normal((1, 4, 2))
-    loss, rep = full_loss(model, xn, xo, noise_n, rng(10))
+    loss, rep = full_loss(stack1(model), xn, xo, noise_n, 10)
 
-    e_n = vb.elbo(model.encoder, model.decoder, xn, None, 0.05, noise=noise_n)
+    e_n = vb.elbo(model.encoder, model.decoder, xn, 0.0, 0.05, noise=noise_n)
     e_o = vb.elbo(model.encoder, model.decoder.detached(), xo,
-                  np.full(2, 10.0), 0.05, noise=rng(10).standard_normal((1, 2, 2)))
-    assert rep.cubo is None and rep.cubo_log_domain is None
-    assert loss.item() == pytest.approx(
+                  10.0, 0.05, noise=rng(10).standard_normal((1, 2, 2)))
+    assert rep.cubo_log_domain is None
+    assert loss.data[0] == pytest.approx(
         -(e_n.elbo.item() + e_o.elbo.item()), rel=1e-12)
 
 
 def test_dp_alpha_zero_override_collapses_priors():
     # bypass the constructor invariant to probe the degenerate-prior case
     model = toy_model(method="dp", alpha=1.0, in_dim=2)
-    model.alpha = 0.0
+    stacked = stack1(model)
+    stacked.alpha = 0.0
     _, xo = batches()
-    rep = md.outlier_update_term(model, xo, rng=rng(11))
-    same_prior = vb.elbo(model.encoder, model.decoder.detached(), xo, None,
+    rep = outlier_term(stacked, xo, 11)
+    same_prior = vb.elbo(model.encoder, model.decoder.detached(), xo, 0.0,
                          0.05, noise=rng(11).standard_normal((1, 2, 2)))
-    assert rep.outlier_elbo.elbo.item() == pytest.approx(
-        same_prior.elbo.item(), rel=1e-12)
+    assert rep.loss.data[0] == pytest.approx(-same_prior.elbo.item(), rel=1e-12)
 
 
 def test_dp_empty_outlier_batch_plain_negative_elbo():
@@ -134,24 +149,23 @@ def test_dp_empty_outlier_batch_plain_negative_elbo():
     xn, _ = batches()
     noise = rng(2).standard_normal((1, 4, 2))
     loss, _ = md.normal_term(model, xn, noise=noise)
-    direct = vb.elbo(model.encoder, model.decoder, xn, None, 0.05, noise=noise)
+    direct = vb.elbo(model.encoder, model.decoder, xn, 0.0, 0.05, noise=noise)
     assert loss.item() == -direct.elbo.item()
 
 
 def test_hybrid_is_dp_plus_weighted_cubo():
     model = toy_model(method="hybrid", alpha=5.0, gamma=0.5, in_dim=2)
     _, xo = batches()
-    rep = md.outlier_update_term(model, xo, rng=rng(14))
+    rep = outlier_term(stack1(model), xo, 14)
     g = rng(14)  # the outlier ELBO draws its noise first, then the CUBO
     no = g.standard_normal((1, 2, 2))
     nc = g.standard_normal((8, 2, 2))
     dp_ref = vb.elbo(model.encoder, model.decoder.detached(), xo,
-                     np.full(2, 5.0), 0.05, noise=no).elbo.item()
-    cubo_ref = vb.cubo_loss(model.encoder, model.decoder, xo, 0.05,
-                            noise=nc)
-    assert rep.cubo_log_domain == md.cubo_objective(cubo_ref)[1]
-    assert rep.loss.item() == pytest.approx(
-        -dp_ref + 0.5 * cubo_target(cubo_ref, rep.cubo_log_domain), rel=1e-12)
+                     5.0, 0.05, noise=no).elbo.item()
+    cubo_ref, log_domain = cubo_oracle(vb.cubo_loss(
+        model.encoder, model.decoder, xo, 0.05, noise=nc))
+    assert rep.cubo_log_domain == [log_domain]
+    assert rep.loss.data[0] == pytest.approx(-dp_ref + 0.5 * cubo_ref, rel=1e-12)
 
 
 def test_shared_encoder_by_identity(monkeypatch):
@@ -166,34 +180,34 @@ def test_shared_encoder_by_identity(monkeypatch):
     xn, xo = batches()
     for method in ("dp", "mml"):
         seen.clear()
-        model = toy_model(method=method, alpha=5.0)
-        full_loss(model, xn, xo, rng(16).standard_normal((1, 4, 2)), rng(17))
+        model = stack1(toy_model(method=method, alpha=5.0))
+        full_loss(model, xn, xo, rng(16).standard_normal((1, 4, 2)), 17)
         assert len(seen) == 2 and seen[0] is seen[1]
 
 
 @pytest.mark.parametrize("method", ["mml", "dp", "hybrid"])
 def test_outlier_terms_leave_decoder_gradient_free(method):
-    model = toy_model(method=method, alpha=5.0)
+    model = stack1(toy_model(method=method, alpha=5.0))
     _, xo = batches()
-    rep = md.outlier_update_term(model, xo, rng=rng(18))
-    gc.backward(rep.loss)
+    rep = outlier_term(model, xo, 18)
+    gc.backward(gc.reduce_sum(rep.loss))
     assert all(t.grad is None for t in model.decoder.tensors())
     assert any(t.grad is not None for t in model.encoder.tensors())
 
 
 def test_full_loss_decoder_gradient_comes_only_from_normal_term():
-    model = toy_model(method="mml", gamma=2.0)
+    model = stack1(toy_model(method="mml", gamma=2.0))
     xn, xo = batches()
     nn = rng(19).standard_normal((1, 4, 2))
-    loss, _ = full_loss(model, xn, xo, nn, rng(20))
+    loss, _ = full_loss(model, xn, xo, nn, 20)
     model.zero_grads()
-    gc.backward(loss)
+    gc.backward(gc.reduce_sum(loss))
     with_outliers = [t.grad for t in model.decoder.tensors()]
     assert all(g is not None for g in with_outliers)
     # same seed -> same decoder; the outlier term must not have added anything
-    ref_model = toy_model(method="mml", gamma=2.0)
-    ref, _ = md.normal_term(ref_model, xn, noise=nn)
-    gc.backward(ref)
+    ref_model = stack1(toy_model(method="mml", gamma=2.0))
+    ref, _ = md.normal_term(ref_model, xn[None], noise=nn[:, None])
+    gc.backward(gc.reduce_sum(ref))
     for g_full, t in zip(with_outliers, ref_model.decoder.tensors()):
         np.testing.assert_array_equal(g_full, t.grad)
 
@@ -201,14 +215,19 @@ def test_full_loss_decoder_gradient_comes_only_from_normal_term():
 def test_outlier_update_term_dispatch_all_methods():
     _, xo = batches()
     with pytest.raises(ValueError, match="no outlier update"):
-        md.outlier_update_term(toy_model(method="vae"), xo, rng=rng(30))
+        outlier_term(stack1(toy_model(method="vae")), xo, 30)
     for method in ("mml", "dp", "hybrid"):
-        model = toy_model(method=method, alpha=5.0)
-        rep = md.outlier_update_term(model, xo, rng=rng(30))
-        assert np.isfinite(rep.loss.data)
-        assert (rep.outlier_elbo is not None) == (method in ("dp", "hybrid"))
-        assert (rep.cubo is not None) == (method in ("mml", "hybrid"))
-        assert (rep.cubo_log_domain is not None) == (rep.cubo is not None)
+        rep = outlier_term(stack1(toy_model(method=method, alpha=5.0)), xo, 30)
+        assert rep.loss.shape == (1,) and np.isfinite(rep.loss.data).all()
+        assert (rep.cubo_log_domain is not None) == (method in ("mml", "hybrid"))
+
+
+@pytest.mark.parametrize("method", ["mml", "dp", "hybrid"])
+def test_unstacked_outlier_update_term_names_stack_members(method):
+    _, xo = batches()
+    with pytest.raises(ValueError, match=r"stack_members\(\[model\]\)"):
+        md.outlier_update_term(toy_model(method=method, alpha=5.0), xo,
+                               rng=[rng(30)])
 
 
 def test_bernoulli_family_trains_end_to_end():
@@ -216,31 +235,49 @@ def test_bernoulli_family_trains_end_to_end():
     x = (g.uniform(size=(40, 5)) < 0.3).astype(float)  # binary data in [0,1]
     model = md.SsadModel.create(nb.MlpSpec(widths=(6, 2)), 5, "mml", seed=9,
                                 gamma=1.0, family="bernoulli")
-    loss, rep = md.normal_term(model, x, rng=rng(32))
+    loss, rep = md.normal_term(model, x, noise=rng(32).standard_normal((1, 40, 2)))
     model.zero_grads()
     gc.backward(loss)
     assert np.isfinite(loss.data)
     assert all(t.grad is not None for t in model.decoder.ws)
-    cubo = md.outlier_update_term(model, x[:4], rng=rng(33))
-    assert np.isfinite(cubo.loss.data)
+    cubo = outlier_term(stack1(model), x[:4], 33)
+    assert np.isfinite(cubo.loss.data).all()
 
 
 def test_cubo_objective_band():
-    # the exp-domain value is built only when it is the target
-    lo = vb.CuboReport(log_value=gc.constant(-40.0),
-                       per_sample_log=gc.constant([-40.0]))
-    target, log_domain = md.cubo_objective(lo)
-    assert log_domain and target.item() == -40.0
-    assert not lo.overflowed and "value" not in vars(lo)
-    mid = vb.CuboReport(log_value=gc.constant(-3.0),
-                        per_sample_log=gc.constant([-3.0]))
-    target, log_domain = md.cubo_objective(mid)
-    assert not log_domain and target is mid.value
-    assert target.item() == np.exp(np.array([-3.0]))[0] == pytest.approx(math.exp(-3.0))
-    hi = vb.CuboReport(log_value=gc.constant(800.0),
-                       per_sample_log=gc.constant([800.0]))
-    target, log_domain = md.cubo_objective(hi)
-    assert log_domain and hi.overflowed and hi.value is None
+    # a K=1 report: the log domain below CUBO_LOG_DOMAIN_MIN and above
+    # LOG_EXP_LIMIT, the exp domain in between
+    for top, want_log in ((-40.0, True), (-3.0, False), (800.0, True)):
+        rep = vb.CuboReport(log_value=gc.constant([top]),
+                            per_sample_log=gc.constant([[top]]))
+        target, log_domain = md.cubo_objective(rep, 0)
+        assert log_domain == want_log
+        assert target.item() == (top if want_log else np.exp(np.array([top]))[0])
+
+
+@pytest.mark.parametrize("tops", [
+    ("over", "mid"), ("mid", "over"), ("under", "mid"), ("mid", "under"),
+    ("over", "under"), ("under", "over")])
+def test_cubo_objective_picks_each_members_domain(tops):
+    # K=2, the members' largest per-sample log values on opposite sides of
+    # a limit: each member gets its own domain, its target reads only its
+    # own row, and an overflowing neighbour leaves its gradient finite
+    at = {"over": md.LOG_EXP_LIMIT + 100.0, "mid": md.LOG_EXP_LIMIT - 1.0,
+          "under": md.CUBO_LOG_DOMAIN_MIN - 0.5}
+    if "over" not in tops:
+        at["mid"] = md.CUBO_LOG_DOMAIN_MIN + 0.5
+    rows = np.array([[at[t], at[t] - 1.0, at[t] - 2.0] for t in tops])
+    per_sample = gc.parameter(rows)
+    rep = vb.CuboReport(gc.reduce_mean(per_sample, axis=-1), per_sample)
+    for k, top in enumerate(tops):
+        per_sample.zero_grad()
+        target, log_domain = md.cubo_objective(rep, k)
+        assert log_domain == (top != "mid")
+        want = rows[k].mean() if log_domain else np.exp(rows[k]).mean()
+        assert target.item() == pytest.approx(want, rel=1e-12)
+        gc.backward(target)
+        assert np.isfinite(per_sample.grad).all()
+        assert per_sample.grad[k].all() and not per_sample.grad[1 - k].any()
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +309,7 @@ def _reference_score(model, x, n_samples, batch_size):
     enc, dec = model.encoder.detached(), model.decoder.detached()
     for lo in range(0, x.shape[0], batch_size):
         hi = lo + batch_size
-        rep = vb.elbo(enc, dec, x[lo:hi], None, 1.0,
+        rep = vb.elbo(enc, dec, x[lo:hi], 0.0, 1.0,
                       n_samples=n_samples, noise=noise[:, lo:hi])
         out[lo:hi] = rep.per_sample.data
     return out
@@ -448,16 +485,19 @@ def test_stacked_outlier_term_keeps_an_overflow_to_its_member():
     def solo(seed, x, bias):
         m = member(seed)
         m.decoder.bs[-1].data[...] = bias
-        rep = md.outlier_update_term(m, x, s_cubo=4, rng=rng(seed, 40))
-        gc.backward(rep.loss)
-        return m, rep
+        m = md.stack_members([m])
+        rep = md.outlier_update_term(m, x[None], s_cubo=4, rng=[rng(seed, 40)])
+        gc.backward(gc.reduce_sum(rep.loss))
+        cubo = vb.cubo_loss(m.encoder, m.decoder, x[None], m.beta_cubo,
+                            n_samples=4, rng=[rng(seed, 40)])
+        return m, rep, cubo.per_sample_log.data.max() > md.LOG_EXP_LIMIT
 
     x_over = np.full((3, 1), 50.0)
     x_exp = np.array([[0.0], [1.0], [0.0]])
-    over, rep_over = solo(1, x_over, 20.0)
-    exp, rep_exp = solo(2, x_exp, 0.0)
-    assert (rep_over.cubo_log_domain, rep_exp.cubo_log_domain) == (True, False)
-    assert rep_over.cubo.overflowed and not rep_exp.cubo.overflowed
+    over, rep_over, overflowed = solo(1, x_over, 20.0)
+    exp, rep_exp, exp_overflowed = solo(2, x_exp, 0.0)
+    assert (rep_over.cubo_log_domain, rep_exp.cubo_log_domain) == ([True], [False])
+    assert overflowed and not exp_overflowed
 
     fresh = [member(1), member(2)]
     fresh[0].decoder.bs[-1].data[...] = 20.0

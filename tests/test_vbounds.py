@@ -41,7 +41,7 @@ def test_kl_standard_normal_vs_itself_is_zero():
 
 def test_kl_unit_gaussians_mean_two():
     post = make_posterior([0.0], [0.0])
-    kl = vb.kl_to_gaussian_prior(post, mu_o=np.array([2.0]))
+    kl = vb.kl_to_gaussian_prior(post, alpha=2.0)
     assert kl.data[0] == pytest.approx(2.0, abs=1e-12)
 
 
@@ -59,9 +59,9 @@ def test_kl_matches_textbook_oracle_multidim():
         d = int(g.integers(1, 6))
         mu = g.standard_normal(d) * 2
         lv = g.uniform(-2, 2, d)
-        mo = g.standard_normal(d) * 3
+        mo = g.standard_normal() * 3
         post = make_posterior(mu, lv)
-        got = vb.kl_to_gaussian_prior(post, mu_o=mo).data[0]
+        got = vb.kl_to_gaussian_prior(post, alpha=mo).data[0]
         assert got == pytest.approx(ref_kl(mu, lv, mo), rel=1e-10, abs=1e-10)
 
 
@@ -76,8 +76,7 @@ def test_kl_monte_carlo_agreement_small():
         log_p = -0.5 * LOG_2PI - (z - mo) ** 2 / 2.0
         diff = log_q - log_p
         mc, se = diff.mean(), diff.std(ddof=1) / math.sqrt(n)
-        got = vb.kl_to_gaussian_prior(
-            make_posterior([mu], [lv]), mu_o=np.array([mo])).data[0]
+        got = vb.kl_to_gaussian_prior(make_posterior([mu], [lv]), alpha=mo).data[0]
         assert abs(got - mc) < 4.0 * se
 
 
@@ -85,24 +84,24 @@ def test_kl_monte_carlo_agreement_small():
 @given(st.floats(-5, 5), st.floats(-4, 4), st.floats(-5, 5))
 def test_kl_nonnegative_property(mu, lv, mo):
     post = make_posterior([mu], [lv])
-    kl = vb.kl_to_gaussian_prior(post, mu_o=np.array([mo])).data[0]
+    kl = vb.kl_to_gaussian_prior(post, alpha=mo).data[0]
     assert kl >= -1e-12
 
 
 def test_kl_zero_iff_matching_moments():
-    post = make_posterior([3.0, -1.0], [0.0, 0.0])
-    kl = vb.kl_to_gaussian_prior(post, mu_o=np.array([3.0, -1.0])).data[0]
+    post = make_posterior([3.0, 3.0], [0.0, 0.0])
+    kl = vb.kl_to_gaussian_prior(post, alpha=3.0).data[0]
     assert kl == pytest.approx(0.0, abs=1e-12)
+    for mu, lv in (([3.0, -1.0], [0.0, 0.0]), ([3.0, 3.0], [0.0, 0.5])):
+        assert vb.kl_to_gaussian_prior(make_posterior(mu, lv), alpha=3.0).data[0] > 0.0
 
 
 def test_kl_gradient_matches_finite_differences():
-    mo = np.array([1.5, -0.5])
-
     def f(t):
         post = nb.GaussianPosterior(
             gc.mul(t, gc.constant(np.array([[1.0, 1.0]]))),
             gc.constant([[0.3, -0.2]]))
-        return gc.reduce_sum(vb.kl_to_gaussian_prior(post, mu_o=mo))
+        return gc.reduce_sum(vb.kl_to_gaussian_prior(post, alpha=1.5))
 
     assert finite_diff_check(f, np.array([[0.7, 0.1]])) < 1e-6
 
@@ -158,7 +157,7 @@ def test_elbo_optimal_posterior_attains_log_marginal():
     n = 100_000
     noise = rng(3).standard_normal((n, 1, 1))
     post = make_posterior([0.0], [math.log(0.5)])
-    rep = vb.elbo_from_posterior(post, identity_recon([[0.0]]), None, 1.0, noise)
+    rep = vb.elbo_from_posterior(post, identity_recon([[0.0]]), 0.0, 1.0, noise)
     se = math.sqrt(0.125 / n)  # Var(z^2/2) = s^4/2 at s2=1/2
     assert rep.elbo.item() == pytest.approx(-1.2655121234846454, abs=4 * se)
 
@@ -168,7 +167,7 @@ def test_elbo_prior_posterior_value():
     n = 100_000
     noise = rng(4).standard_normal((n, 1, 1))
     post = make_posterior([0.0], [0.0])
-    rep = vb.elbo_from_posterior(post, identity_recon([[0.0]]), None, 1.0, noise)
+    rep = vb.elbo_from_posterior(post, identity_recon([[0.0]]), 0.0, 1.0, noise)
     se = math.sqrt(0.5 / n)
     assert rep.elbo.item() == pytest.approx(-1.4189385332046727, abs=4 * se)
 
@@ -179,11 +178,11 @@ def test_elbo_pinned_noise_matches_scalar_oracle():
     lr = 0.5 * (x - z) ** 2 + 0.5 * LOG_2PI
     want = -lr - beta * ref_kl(mu, lv)
     post = make_posterior([mu], [lv])
-    rep = vb.elbo_from_posterior(post, identity_recon([[x]]), None, beta,
+    rep = vb.elbo_from_posterior(post, identity_recon([[x]]), 0.0, beta,
                                  np.array([[[e]]]))
     assert rep.per_sample.data[0] == pytest.approx(want, rel=1e-12)
     with pytest.raises(ValueError, match="n_samples must be >= 1"):
-        vb.elbo_from_posterior(post, identity_recon([[x]]), None, beta,
+        vb.elbo_from_posterior(post, identity_recon([[x]]), 0.0, beta,
                                np.empty((0, 1, 1)))
 
 
@@ -191,7 +190,8 @@ def test_elbo_beta_zero_equals_negative_recon():
     enc = nb.init_encoder(nb.MlpSpec(widths=(8, 3)), 4, seed=1)
     dec = nb.init_decoder(nb.MlpSpec(widths=(8, 3)), 4, seed=1)
     x = rng(5).standard_normal((6, 4))
-    rep = vb.elbo(enc, dec, x, None, beta_kl=0.0, n_samples=2, rng=rng(6))
+    rep = vb.elbo(enc, dec, x, 0.0, beta_kl=0.0, n_samples=2,
+                  noise=rng(6).standard_normal((2, 6, 3)))
     assert rep.elbo.item() == -rep.recon.item()
 
 
@@ -199,7 +199,8 @@ def test_bound_report_identity():
     enc = nb.init_encoder(nb.MlpSpec(widths=(8, 3)), 4, seed=1)
     dec = nb.init_decoder(nb.MlpSpec(widths=(8, 3)), 4, seed=1)
     x = rng(7).standard_normal((6, 4))
-    rep = vb.elbo(enc, dec, x, None, beta_kl=0.05, n_samples=1, rng=rng(8))
+    rep = vb.elbo(enc, dec, x, 0.0, beta_kl=0.05, n_samples=1,
+                  noise=rng(8).standard_normal((1, 6, 3)))
     assert rep.elbo.item() == -rep.recon.item() - 0.05 * rep.kl.item()
 
 
@@ -217,6 +218,11 @@ def test_elbo_upper_bounded_by_log_marginal():
 # ---------------------------------------------------------------------------
 # CUBO loss
 
+def exp_value(rep):
+    """The exp-domain CUBO: the batch mean of exp(per-sample log value)."""
+    return gc.reduce_mean(gc.exp(rep.per_sample_log), axis=-1)
+
+
 def const_recon(c, batch=1):
     arr = np.full(batch, float(c))
     return lambda z: gc.add(gc.mul(gc.reduce_sum(gc.mul(z, 0.0), axis=1), 0.0),
@@ -229,8 +235,8 @@ def test_cubo_posterior_equals_prior_collapses_to_exp_neg2c():
         noise = rng(10).standard_normal((s, 1, 1))
         post = make_posterior([0.0], [0.0])
         rep = vb.cubo_from_posterior(post, const_recon(c), 0.7, noise)
-        assert rep.value.item() == pytest.approx(math.exp(-2 * c), rel=1e-12)
-        assert not rep.overflowed
+        assert exp_value(rep).item() == pytest.approx(math.exp(-2 * c), rel=1e-12)
+        assert rep.log_value.item() == pytest.approx(-2 * c, rel=1e-12)
 
 
 def test_cubo_pinned_single_sample_matches_scalar_oracle():
@@ -242,7 +248,7 @@ def test_cubo_pinned_single_sample_matches_scalar_oracle():
     want = math.exp(head + inner)
     post = make_posterior([mu], [lv])
     rep = vb.cubo_from_posterior(post, const_recon(c), beta, np.array([[[e]]]))
-    assert rep.value.item() == pytest.approx(want, rel=1e-12)
+    assert exp_value(rep).item() == pytest.approx(want, rel=1e-12)
     assert rep.log_value.item() == pytest.approx(head + inner, rel=1e-12)
 
 
@@ -251,19 +257,20 @@ def test_cubo_beta_zero_ignores_posterior_terms():
     for mu, lv in [(0.0, 0.0), (5.0, 1.0), (-3.0, -2.0)]:
         rep = vb.cubo_from_posterior(make_posterior([mu], [lv]),
                                      const_recon(1.3), 0.0, noise)
-        assert rep.value.item() == pytest.approx(math.exp(-2 * 1.3), rel=1e-12)
+        assert exp_value(rep).item() == pytest.approx(math.exp(-2 * 1.3), rel=1e-12)
 
 
 def test_cubo_positive_and_overflow_flagged():
     post = make_posterior([0.0], [0.0])
+    # the log-domain report stays finite where exp() would overflow
     rep = vb.cubo_from_posterior(post, const_recon(-400.0), 1.0,
                                  np.zeros((1, 1, 1)))
-    assert rep.value is None
-    assert rep.overflowed
-    assert np.isfinite(rep.log_value.item())
+    assert rep.log_value.item() == pytest.approx(800.0, rel=1e-12)
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.exp(rep.per_sample_log.data)).all()
     ok = vb.cubo_from_posterior(post, const_recon(0.5), 1.0,
                                 np.zeros((1, 1, 1)))
-    assert ok.value.item() > 0.0
+    assert exp_value(ok).item() > 0.0
 
 
 def test_cubo_decoder_gets_no_gradient():
@@ -271,13 +278,15 @@ def test_cubo_decoder_gets_no_gradient():
     enc = nb.init_encoder(spec, 4, seed=2)
     dec = nb.init_decoder(spec, 4, seed=2)
     x = rng(12).standard_normal((5, 4))
-    rep = vb.cubo_loss(enc, dec, x, 0.05, n_samples=4, rng=rng(13))
-    gc.backward(rep.value)
+    rep = vb.cubo_loss(enc, dec, x, 0.05, n_samples=4,
+                       noise=rng(13).standard_normal((4, 5, 3)))
+    gc.backward(exp_value(rep))
     assert all(t.grad is None for t in dec.tensors())
     assert any(t.grad is not None for t in enc.tensors())
     for t in enc.tensors():
         t.zero_grad()
-    rep2 = vb.cubo_loss(enc, dec, x, 0.05, n_samples=4, rng=rng(13))
+    rep2 = vb.cubo_loss(enc, dec, x, 0.05, n_samples=4,
+                        noise=rng(13).standard_normal((4, 5, 3)))
     gc.backward(rep2.log_value)
     assert all(t.grad is None for t in dec.tensors())
     assert any(t.grad is not None for t in enc.tensors())
@@ -294,7 +303,7 @@ def test_cubo_separation_monotone_in_posterior_mean():
     for m in (0.0, 0.5, 1.0, 2.0, 4.0):
         rep = vb.cubo_from_posterior(make_posterior([m], [0.0]),
                                      const_recon(1.0), 0.05, noise)
-        values.append(rep.value.item())
+        values.append(exp_value(rep).item())
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
@@ -333,6 +342,8 @@ def composed_gaussian_nll(pred, x):
 
 
 def composed_kl(post, mu_o):
+    """The KL from small ops under the N(mu_o, I) prior, mu_o a (d,) vector
+    or None for the zero-mean prior."""
     mu, logvar = post.mu, post.logvar
     inner = gc.sub(gc.sub(gc.add(logvar, 1.0), gc.exp(logvar)), gc.square(mu))
     if mu_o is not None:
@@ -366,15 +377,15 @@ def test_fused_elbo_terms_equal_composed_forms_bit_for_bit(stacked, alpha):
     model = md.stack_members(members) if stacked else members[0]
     lead = (3,) if stacked else ()
     x = g.standard_normal(lead + (10, 4))
-    mu_o = None if alpha == 0.0 else np.full(3, alpha)
     for beta_kl in (0.0, 0.05):
         for n_samples in (1, 3):
             eps = g.standard_normal((n_samples,) + lead + (10, 3))
-            check_fused_elbo(model, x, eps, mu_o, beta_kl, g)
+            check_fused_elbo(model, x, eps, alpha, beta_kl, g)
 
 
-def check_fused_elbo(model, x, eps, mu_o, beta_kl, g):
+def check_fused_elbo(model, x, eps, alpha, beta_kl, g):
     n_samples, lead = len(eps), x.shape[:-2]
+    mu_o = None if alpha == 0.0 else np.full(eps.shape[-1], alpha)
 
     def run(fused):
         model.zero_grads()
@@ -383,7 +394,7 @@ def check_fused_elbo(model, x, eps, mu_o, beta_kl, g):
             rep = vb.elbo_from_posterior(
                 post, lambda z: vb.reconstruction_loss(nb.decode(model.decoder, z),
                                                        x, "gaussian"),
-                mu_o, beta_kl, eps)
+                alpha, beta_kl, eps)
             elbo = rep.elbo
             terms = [rep.recon_rows, rep.kl_rows, rep.recon.data, rep.kl.data,
                      rep.per_sample.data]
@@ -422,6 +433,32 @@ def check_fused_elbo(model, x, eps, mu_o, beta_kl, g):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("alpha", [0.0, 5.0, -1.7])
+@pytest.mark.parametrize("k", [1, 3])
+def test_scalar_alpha_kl_equals_vector_prior_reference_bit_for_bit(k, alpha):
+    # the fused KL under the scalar prior mean alpha against the small-op
+    # form under the (d,) vector alpha * 1 (the zero-mean form at alpha 0):
+    # value and both gradients, under an uneven upstream gradient. As in the
+    # ELBO, mu and logvar also feed a reparameterization that backward
+    # reaches first, so a pre-summed KL gradient would show in the bytes
+    g = rng(35)
+    mu, logvar = g.standard_normal((k, 10, 4)) * 2, g.uniform(-3, 3, (k, 10, 4))
+    up = gc.constant(g.standard_normal((k, 10)))
+    eps = g.standard_normal((k, 10, 4))
+
+    def run(fused):
+        post = make_posterior(mu, logvar, trainable=True)
+        kl = (vb.kl_to_gaussian_prior(post, alpha) if fused else
+              composed_kl(post, None if alpha == 0.0 else np.full(4, alpha)))
+        z = nb.reparameterize(post, eps)
+        gc.backward(gc.add(gc.reduce_sum(gc.square(z)),
+                           gc.reduce_sum(gc.mul(kl, up))))
+        return [kl.data, post.mu.grad, post.logvar.grad]
+
+    for a, b in zip(run(True), run(False), strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("operand", ["mu", "logvar"])
 def test_fd_reparameterize(operand):
     g = rng(32)
@@ -449,16 +486,16 @@ def test_fd_gaussian_reconstruction_loss():
         assert finite_diff_check(f, g.standard_normal((4, 3))) < 1e-4
 
 
-@pytest.mark.parametrize("mu_o", [None, np.array([1.5, -0.5])], ids=["zero", "nonzero"])
+@pytest.mark.parametrize("alpha", [0.0, 1.5], ids=["zero", "nonzero"])
 @pytest.mark.parametrize("operand", ["mu", "logvar"])
-def test_fd_kl_to_gaussian_prior(operand, mu_o):
+def test_fd_kl_to_gaussian_prior(operand, alpha):
     g = rng(34)
     arrays = {"mu": g.standard_normal((3, 2)), "logvar": g.standard_normal((3, 2))}
     up = gc.constant(g.standard_normal(3))
 
     def f(t):
         mu, lv = (t if k == operand else gc.constant(a) for k, a in arrays.items())
-        kl = vb.kl_to_gaussian_prior(nb.GaussianPosterior(mu, lv), mu_o)
+        kl = vb.kl_to_gaussian_prior(nb.GaussianPosterior(mu, lv), alpha)
         return gc.reduce_sum(gc.mul(kl, up))
 
     for _ in range(20):
