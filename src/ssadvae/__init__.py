@@ -12,9 +12,8 @@ from .netblocks import (MlpSpec, EncoderParams, DecoderParams,
                         init_decoder, encode, decode, reparameterize)
 from .vbounds import (BoundReport, CuboReport, elbo, cubo_loss,
                       kl_to_gaussian_prior, reconstruction_loss)
-from .models import (SsadModel, Ensemble, LossReport, normal_term,
-                     outlier_update_term, score, ensemble_score,
-                     save_ensemble, load_ensemble)
+from .models import (SsadModel, LossReport, normal_term, outlier_update_term,
+                     score, ensemble_score, save_ensemble, load_ensemble)
 from .trainer import (TrainConfig, TrainHistory, AdamState, NumericalAbort,
                       adam_step, kl_anneal_coeff, clip_gradients,
                       outlier_path_lr, train)
@@ -31,9 +30,8 @@ __all__ = [
     "reparameterize",
     "BoundReport", "CuboReport", "elbo", "cubo_loss",
     "kl_to_gaussian_prior", "reconstruction_loss",
-    "SsadModel", "Ensemble", "LossReport", "normal_term",
-    "outlier_update_term", "score", "ensemble_score",
-    "save_ensemble", "load_ensemble",
+    "SsadModel", "LossReport", "normal_term", "outlier_update_term", "score",
+    "ensemble_score", "save_ensemble", "load_ensemble",
     "TrainConfig", "TrainHistory", "AdamState", "NumericalAbort",
     "adam_step", "kl_anneal_coeff", "clip_gradients", "outlier_path_lr",
     "train",

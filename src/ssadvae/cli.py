@@ -292,11 +292,11 @@ def run_train(args) -> int:
     train, test, stats = prepare_seed(cfg, seed)  # fails before any output
     config = train_config_from(cfg, master_seed=seed)
 
+    model, hists = tr.train(config, train, cfg["method"])
+    # save_ensemble makes the run directory, so a failed training leaves
+    # none; its manifest doubles as the run manifest (shared manifest.json)
     run_dir = os.path.join(_out_root(args), f"train_{digest}")
-    os.makedirs(run_dir, exist_ok=True)
-    ens, hists = tr.train(config, train, cfg["method"])
-    # the ensemble manifest doubles as the run manifest (shared manifest.json)
-    md.save_ensemble(run_dir, ens, extra={
+    md.save_ensemble(run_dir, model, extra={
         "command": "train", "digest": digest, "config": cfg,
         "epochs": config.epochs,
         "standardize_mean": stats.mean.tolist(),
@@ -310,8 +310,9 @@ def run_train(args) -> int:
 
 
 def _manifest_standardization(model_dir, manifest: dict) -> tuple:
-    """(in_dim, StandardizeStats) of a train run; a missing key or a vector
-    whose length is not in_dim is a DataError naming the manifest."""
+    """(in_dim, StandardizeStats) of a train run; a missing key, a vector
+    whose length is not in_dim, a non-finite entry or a scale entry that is
+    not > 0 is a DataError naming the manifest and the key."""
     path = os.path.join(model_dir, "manifest.json")
     try:
         in_dim = int(manifest["in_dim"])
@@ -321,17 +322,24 @@ def _manifest_standardization(model_dir, manifest: dict) -> tuple:
         raise dk.DataError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise dk.DataError(f"{path}: {exc}") from None
-    for key, vec in (("standardize_mean", mean), ("standardize_scale", scale)):
+    for key, vec, ok, want in (
+            ("standardize_mean", mean, np.isfinite(mean), "finite"),
+            ("standardize_scale", scale, np.isfinite(scale) & (scale > 0),
+             "finite and > 0")):
         if vec.shape != (in_dim,):
             raise dk.DataError(f"{path}: {key} has shape {vec.shape}, "
                                f"expected ({in_dim},) for in_dim {in_dim}")
+        if not ok.all():
+            j = int(np.flatnonzero(~ok)[0])
+            raise dk.DataError(f"{path}: {key}[{j}] is {float(vec[j])!r}, "
+                               f"expected {want}")
     return in_dim, dk.StandardizeStats(mean=mean, scale=scale)
 
 
 def run_score(args) -> int:
     cfg = effective_config(args)
     digest = config_digest(cfg)
-    ens, manifest = md.load_ensemble(args.model_dir)
+    model, manifest = md.load_ensemble(args.model_dir)
     in_dim, stats = _manifest_standardization(args.model_dir, manifest)
     base = load_base_dataset(cfg, cfg["seeds"][0])
     if base.dim != in_dim:
@@ -340,7 +348,7 @@ def run_score(args) -> int:
             f"{source} has {base.dim} features, but "
             f"{os.path.join(args.model_dir, 'manifest.json')} has in_dim {in_dim}")
     features = stats.apply(base.features)
-    scores = md.ensemble_score(ens, features, n_samples=cfg["s_score"])
+    scores = md.ensemble_score(model, features, n_samples=cfg["s_score"])
 
     run_dir = os.path.join(_out_root(args), f"score_{digest}")
     os.makedirs(run_dir, exist_ok=True)
@@ -371,8 +379,8 @@ def run_benchmark(args) -> int:
             train, test, _ = prepared or prepare_seed(cfg, seed, base)
             prepared = None
             config = train_config_from(cfg, master_seed=seed)
-            ens, _ = tr.train(config, train, cfg["method"])
-            scores = md.ensemble_score(ens, test.features,
+            model, _ = tr.train(config, train, cfg["method"])
+            scores = md.ensemble_score(model, test.features,
                                        n_samples=cfg["s_score"])
             auc = dk.auroc(scores, test.labels)
             per_seed.append({"seed": seed, "auroc": auc})

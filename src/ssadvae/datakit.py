@@ -229,11 +229,21 @@ class StandardizeStats:
 
 def standardize(train: SsadDataset, test: Optional[SsadDataset] = None):
     """Zero-mean/unit-variance per column from TRAIN rows only (population
-    variance); zero-variance columns are centered and passed through."""
+    variance); zero-variance columns are centered and passed through. A
+    column whose mean or standard deviation overflows is a DataError naming
+    the data source and the column."""
     if len(train) == 0:
         raise DataError("cannot standardize an empty training set")
-    mean = train.features.mean(axis=0)
-    sd = train.features.std(axis=0)  # population (1/N)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = train.features.mean(axis=0)
+        sd = train.features.std(axis=0)  # population (1/N)
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(sd)))
+    if bad.size:
+        j = int(bad[0])
+        raise DataError(f"{train.provenance.get('source', 'training set')}: "
+                        f"feature column {j} overflows standardization "
+                        f"(mean {float(mean[j])!r}, standard deviation "
+                        f"{float(sd[j])!r})")
     scale = np.where(sd == 0.0, 1.0, sd)
     stats = StandardizeStats(mean=mean, scale=scale)
     train2 = SsadDataset(stats.apply(train.features), train.labels.copy(),

@@ -6,13 +6,14 @@ neither lets the outlier term touch decoder parameters: the outlier passes
 run through a detached decoder view, so those gradients are exactly zero by
 construction rather than by cancellation.
 
-The losses also take K members stacked into one model (``stack_members``):
-the inputs are (K, batch, d), the losses are (K,) vectors, and member k's
-entry and gradients equal its own unstacked evaluation bit for bit.
+A model is K >= 1 ensemble members stacked along a leading axis: the
+inputs are (K, batch, d), the losses are (K,) vectors, and member k's
+entry and gradients equal its own K = 1 evaluation bit for bit. The same
+stack is trained, saved, loaded and scored; scoring and saving read
+member k through constant views (``EncoderParams.member``).
 """
 from __future__ import annotations
 
-import copy
 import json
 import math
 import os
@@ -42,9 +43,9 @@ CUBO_LOG_DOMAIN_MIN = -5.0
 
 @dataclass
 class FlatParams:
-    """The (K, P) buffers that a stacked model's parameters and their
-    gradients are views into. Member k is row k; the encoder's tensors fill
-    columns [0, n_encoder) in ``parameters()`` order, the decoder's the rest."""
+    """The (K, P) buffers that a model's parameters and their gradients are
+    views into. Member k is row k; the encoder's tensors fill columns
+    [0, n_encoder) in ``parameters()`` order, the decoder's the rest."""
 
     data: np.ndarray
     grad: np.ndarray
@@ -53,17 +54,21 @@ class FlatParams:
 
 @dataclass
 class SsadModel:
+    """K >= 1 members, member k trained from ``seeds[k]``. Weights are
+    (K, fan_in, fan_out) and biases (K, 1, fan_out), each a view into
+    ``flat.data`` that writes its gradient into the matching view of
+    ``flat.grad``."""
+
     encoder: nb.EncoderParams
     decoder: nb.DecoderParams
     method: str
     # the outlier prior mean is alpha * 1 (dp, hybrid); normals use mean 0
     alpha: float
+    seeds: list
+    flat: FlatParams = field(repr=False, compare=False)
     gamma: float = 1.0
     beta_kl: float = 0.05
     beta_cubo: float = 0.05
-    seed: int = 0
-    # set by stack_members: the buffers behind the stacked parameters
-    flat: Optional[FlatParams] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -72,6 +77,9 @@ class SsadModel:
             raise ValueError(f"method {self.method!r} requires a nonzero prior alpha")
         if self.method in ("mml", "hybrid") and self.gamma < 0.0:
             raise ValueError("gamma must be >= 0")
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds):
+            raise ValueError("member seeds must be non-empty and pairwise "
+                             f"distinct, got {self.seeds}")
 
     def parameters(self) -> list:
         return self.encoder.tensors() + self.decoder.tensors()
@@ -81,44 +89,35 @@ class SsadModel:
             t.zero_grad()
 
     @classmethod
-    def create(cls, spec: nb.MlpSpec, in_dim: int, method: str, seed: int,
+    def create(cls, spec: nb.MlpSpec, in_dim: int, method: str, seeds: list,
                alpha: float = 0.0, gamma: float = 1.0, beta_kl: float = 0.05,
                beta_cubo: float = 0.05, family: str = "gaussian") -> "SsadModel":
-        enc = nb.init_encoder(spec, in_dim, seed)
-        dec = nb.init_decoder(spec, in_dim, seed, family=family)
-        return cls(enc, dec, method, alpha, gamma=gamma, beta_kl=beta_kl,
-                   beta_cubo=beta_cubo, seed=seed)
+        """Freshly initialized members, member k from ``seeds[k]``."""
+        members = [(nb.init_encoder(spec, in_dim, seed),
+                    nb.init_decoder(spec, in_dim, seed, family=family))
+                   for seed in seeds]
+        return _stacked(members, method, alpha, list(seeds), gamma=gamma,
+                        beta_kl=beta_kl, beta_cubo=beta_cubo)
 
 
-def stack_members(members: list) -> SsadModel:
-    """One model whose parameters hold the members' along a new leading
-    axis: weights (K, fan_in, fan_out), biases (K, 1, fan_out). Each one is
-    a view into ``flat.data`` and writes its gradient into the matching
-    view of ``flat.grad``."""
-    stacked = copy.deepcopy(members[0])
-    slots = stacked.parameters()
-    shapes = [np.atleast_2d(t.data).shape for t in slots]
-    sizes = [math.prod(shape) for shape in shapes]
-    k, n_enc = len(members), len(stacked.encoder.tensors())
-    data, grad = np.empty((k, sum(sizes))), np.zeros((k, sum(sizes)))
+def _stacked(members: list, method: str, alpha: float, seeds: list,
+             **hyper) -> SsadModel:
+    """The model holding K unstacked (encoder, decoder) pairs along a new
+    leading axis; member 0's tensors become its parameters."""
+    if not members:
+        raise ValueError(f"member seeds must be non-empty, got {seeds}")
+    enc, dec = members[0]
+    data = np.stack([np.concatenate([t.data.ravel() for t in e.tensors() + d.tensors()])
+                     for e, d in members])
+    grad = np.zeros_like(data)
+    flat = FlatParams(data, grad, sum(t.data.size for t in enc.tensors()))
     off = 0
-    for slot, shape, size, *ts in zip(slots, shapes, sizes,
-                                      *(m.parameters() for m in members)):
-        cols = slice(off, off + size)
-        slot.data = data[:, cols].reshape(k, *shape)
-        slot.data[...] = np.stack([np.atleast_2d(t.data) for t in ts])
-        slot.grad_view = grad[:, cols].reshape(k, *shape)
+    for t in enc.tensors() + dec.tensors():
+        shape, size = (len(members), *np.atleast_2d(t.data).shape), t.data.size
+        t.data = data[:, off:off + size].reshape(shape)
+        t.grad_view = grad[:, off:off + size].reshape(shape)
         off += size
-    stacked.flat = FlatParams(data, grad, n_encoder=sum(sizes[:n_enc]))
-    return stacked
-
-
-def unstack_members(stacked: SsadModel, members: list) -> None:
-    """Copy member k's slice of every stacked parameter back into members[k];
-    no member array shares memory with the stacked buffers."""
-    for slot, *ts in zip(stacked.parameters(), *(m.parameters() for m in members)):
-        for k, t in enumerate(ts):
-            t.data = slot.data[k].reshape(t.data.shape).copy()
+    return SsadModel(enc, dec, method, alpha, seeds, flat, **hyper)
 
 
 @dataclass
@@ -156,9 +155,9 @@ def normal_term(model: SsadModel, x, beta_kl: Optional[float] = None,
 def outlier_update_term(model: SsadModel, outlier_x,
                         beta_kl: Optional[float] = None, s_elbo: int = 1,
                         s_cubo: int = 8, rng=None) -> LossReport:
-    """The outlier-only objective used on novelty-detection update steps,
-    for K stacked members (``stack_members``): ``outlier_x`` is
-    (K, batch, d) and ``rng`` holds one generator per member.
+    """The outlier-only objective used on novelty-detection update steps:
+    ``outlier_x`` is (K, batch, d) and ``rng`` holds one generator per
+    member.
 
     mml: gamma * CUBO(outliers) under the zero-mean prior, each member in
     the domain ``cubo_objective`` picks; dp: the negative outlier ELBO under
@@ -168,9 +167,6 @@ def outlier_update_term(model: SsadModel, outlier_x,
     """
     if model.method == "vae":
         raise ValueError(f"method {model.method!r} has no outlier update")
-    if model.flat is None:
-        raise ValueError("outlier_update_term takes stacked members; "
-                         "wrap a lone model as stack_members([model])")
     loss = log_domain = None
     if model.method in ("dp", "hybrid"):  # hybrid draws this noise first
         beta = model.beta_kl if beta_kl is None else beta_kl
@@ -190,12 +186,13 @@ def outlier_update_term(model: SsadModel, outlier_x,
 # ---------------------------------------------------------------------------
 # scoring
 
-def score(model: SsadModel, x, n_samples: int = 64,
+def score(model: SsadModel, x, k: int, n_samples: int = 64,
           seed: Optional[int] = None, batch_size: int = 1024) -> np.ndarray:
-    """Per-sample anomaly score: the ELBO under the zero-mean prior at
-    beta_kl = 1 (a genuine likelihood bound). Higher means more normal.
+    """Member k's per-sample anomaly score: the ELBO under the zero-mean
+    prior at beta_kl = 1 (a genuine likelihood bound). Higher means more
+    normal.
 
-    Deterministic for a given seed; defaults to the model's own seed so
+    Deterministic for a given seed; defaults to the member's own seed so
     ensemble scoring does not depend on member order.
 
     Memory stays proportional to n, not S * n: rows are encoded once, in
@@ -210,94 +207,75 @@ def score(model: SsadModel, x, n_samples: int = 64,
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected a (n, d) matrix, got shape {x.shape}")
-    rng = nb.philox_rng(model.seed if seed is None else seed, nb.STREAM_SCORE)
+    rng = nb.philox_rng(model.seeds[k] if seed is None else seed, nb.STREAM_SCORE)
     n, d_z = x.shape[0], model.encoder.latent_dim
     if n == 0:
         return np.empty(0)
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    dec = model.decoder
+    # constant views of member k: no node is recorded
+    enc, dec = model.encoder.member(k), model.decoder.member(k)
     starts = range(0, n, batch_size)
     batches = [x[lo:lo + batch_size] for lo in starts]
-    enc = model.encoder.detached()  # constants only: no node is recorded
     posts = [nb.encode(enc, xb) for xb in batches]
     kls = [vb.kl_to_gaussian_prior(post).data for post in posts]
     layers = nb.decoder_arrays(dec, len(batches[0]))
     recon = [None] * len(batches)
     for _ in range(n_samples):
         eps = rng.standard_normal((n, d_z))
-        for k, (lo, post, xb) in enumerate(zip(starts, posts, batches)):
+        for i, (lo, post, xb) in enumerate(zip(starts, posts, batches)):
             z = nb.reparameterize_array(post, eps[lo:lo + len(xb)])
             term = vb.nll_array(nb.decode_array(dec.spec, layers, z), xb, dec.family)
-            if recon[k] is None:
-                recon[k] = term
+            if recon[i] is None:
+                recon[i] = term
             else:
-                recon[k] += term
+                recon[i] += term
     if n_samples > 1:
         recon = [r * (1.0 / n_samples) for r in recon]
     # the per-row ELBO at beta_kl = 1, as BoundReport.per_sample computes it
     return np.concatenate([(-r) - kl * 1.0 for r, kl in zip(recon, kls)])
 
 
-@dataclass
-class Ensemble:
-    members: list
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("ensemble needs at least one member")
-        seeds = [m.seed for m in self.members]
-        if len(set(seeds)) != len(seeds):
-            raise ValueError(f"member seeds must be pairwise distinct, got {seeds}")
-        methods = {m.method for m in self.members}
-        if len(methods) != 1:
-            raise ValueError(f"members disagree on method: {methods}")
-        first = self.members[0].encoder
-        for m in self.members[1:]:
-            if m.encoder.spec != first.spec or m.encoder.in_dim != first.in_dim:
-                raise ValueError("members disagree on architecture")
-
-
-def ensemble_score(ens: Ensemble, x, n_samples: int = 64,
+def ensemble_score(model: SsadModel, x, n_samples: int = 64,
                    batch_size: int = 1024) -> np.ndarray:
     """Arithmetic mean of member scores; member order is irrelevant."""
     total = np.zeros(np.asarray(x).shape[0])
-    for m in ens.members:
-        total = total + score(m, x, n_samples=n_samples, batch_size=batch_size)
-    return total / len(ens.members)
+    for k in range(len(model.seeds)):
+        total = total + score(model, x, k, n_samples=n_samples,
+                              batch_size=batch_size)
+    return total / len(model.seeds)
 
 
 # ---------------------------------------------------------------------------
 # persistence
 
-def save_ensemble(dirpath, ens: Ensemble, extra: Optional[dict] = None) -> None:
+def save_ensemble(dirpath, model: SsadModel, extra: Optional[dict] = None) -> None:
     """K member param files plus one manifest.json describing the run."""
     os.makedirs(dirpath, exist_ok=True)
-    first = ens.members[0]
     manifest = {
-        "method": first.method,
-        "gamma": first.gamma,
-        "alpha": first.alpha,
-        "beta_kl": first.beta_kl,
-        "beta_cubo": first.beta_cubo,
-        "seeds": [m.seed for m in ens.members],
-        "spec": first.encoder.spec.to_dict(),
-        "in_dim": first.encoder.in_dim,
-        "family": first.decoder.family,
+        "method": model.method,
+        "gamma": model.gamma,
+        "alpha": model.alpha,
+        "beta_kl": model.beta_kl,
+        "beta_cubo": model.beta_cubo,
+        "seeds": model.seeds,
+        "spec": model.encoder.spec.to_dict(),
+        "in_dim": model.encoder.in_dim,
+        "family": model.decoder.family,
     }
     if extra:
         manifest.update(extra)
-    for i, m in enumerate(ens.members):
-        nb.save_params(os.path.join(dirpath, f"member_{i:02d}.bin"),
-                       os.path.join(dirpath, f"member_{i:02d}.json"),
-                       m.encoder, m.decoder)
+    for k in range(len(model.seeds)):
+        nb.save_params(os.path.join(dirpath, f"member_{k:02d}.bin"),
+                       os.path.join(dirpath, f"member_{k:02d}.json"),
+                       model.encoder.member(k), model.decoder.member(k))
     with open(os.path.join(dirpath, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def load_ensemble(dirpath) -> tuple:
-    """Returns (Ensemble, manifest dict). A missing, corrupt or inconsistent
+    """Returns (SsadModel, manifest dict). A missing, corrupt or inconsistent
     manifest or member file raises DataError naming that file; so does a
     member sidecar whose in_dim, out_dim, spec or family differs from the
     manifest's."""
@@ -309,7 +287,7 @@ def load_ensemble(dirpath) -> tuple:
         want = {"in_dim": manifest["in_dim"], "out_dim": manifest["in_dim"],
                 "spec": nb.MlpSpec.from_dict(manifest["spec"]),
                 "family": manifest["family"]}
-        params = []
+        members = []
         for i in range(len(manifest["seeds"])):
             stem = os.path.join(dirpath, f"member_{i:02d}")
             path, named = stem + ".json", [stem + ".bin", stem + ".json"]
@@ -320,14 +298,13 @@ def load_ensemble(dirpath) -> tuple:
                 if got[key] != value:
                     raise ValueError(f"{path}: {key} {got[key]!r} does not "
                                      f"match manifest.json's {value!r}")
-            params.append((enc, dec))
+            members.append((enc, dec))
         path, named = manifest_path, [manifest_path]
-        members = [SsadModel(
-            enc, dec, manifest["method"], manifest["alpha"],
-            gamma=manifest["gamma"], beta_kl=manifest["beta_kl"],
-            beta_cubo=manifest["beta_cubo"], seed=seed)
-            for (enc, dec), seed in zip(params, manifest["seeds"])]
-        return Ensemble(members), manifest
+        model = _stacked(members, manifest["method"], manifest["alpha"],
+                         manifest["seeds"], gamma=manifest["gamma"],
+                         beta_kl=manifest["beta_kl"],
+                         beta_cubo=manifest["beta_cubo"])
+        return model, manifest
     except (OSError, ValueError, KeyError, TypeError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         if not any(p in detail for p in named):

@@ -113,6 +113,13 @@ def _init_layer(rng: np.random.Generator, fan_in: int, fan_out: int,
     return w, b
 
 
+def _view(t: Optional[Tensor], k: int, bias: bool = False) -> Optional[Tensor]:
+    """Member k of a stacked (K, fan_in, fan_out) weight or (K, 1, fan_out)
+    bias, a constant sharing its buffer. Role, not shape, tells the two
+    apart: one input feature gives a (K, 1, width) first weight."""
+    return None if t is None else gc.constant(t.data[k, 0] if bias else t.data[k])
+
+
 @dataclass
 class EncoderParams:
     spec: MlpSpec
@@ -142,14 +149,14 @@ class EncoderParams:
             out.append(self.logvar_b)
         return out
 
-    def detached(self) -> "EncoderParams":
-        """Same buffers, no gradient flow: the constant view that scoring
-        encodes with, so its forward pass builds no graph."""
-        heads = [None if t is None else t.detach()
-                 for t in (self.mu_w, self.mu_b, self.logvar_w, self.logvar_b)]
+    def member(self, k: int) -> "EncoderParams":
+        """Member k of stacked parameters as constants sharing their
+        buffers, so a forward pass through it builds no graph."""
         return EncoderParams(
-            self.spec, self.in_dim, [w.detach() for w in self.trunk_w],
-            [None if b is None else b.detach() for b in self.trunk_b], *heads)
+            self.spec, self.in_dim, [_view(w, k) for w in self.trunk_w],
+            [_view(b, k, True) for b in self.trunk_b], _view(self.mu_w, k),
+            _view(self.mu_b, k, True), _view(self.logvar_w, k),
+            _view(self.logvar_b, k, True))
 
 
 @dataclass
@@ -179,6 +186,11 @@ class DecoderParams:
             ws=[w.detach() for w in self.ws],
             bs=[None if b is None else b.detach() for b in self.bs],
             family=self.family)
+
+    def member(self, k: int) -> "DecoderParams":
+        """Member k of stacked parameters as constants sharing their buffers."""
+        return DecoderParams(self.spec, self.out_dim, [_view(w, k) for w in self.ws],
+                             [_view(b, k, True) for b in self.bs], self.family)
 
 
 @dataclass
@@ -392,7 +404,8 @@ def save_params(path_bin, path_json, enc: EncoderParams, dec: DecoderParams) -> 
 
 def load_params(path_bin, path_json) -> tuple:
     """Inverse of save_params. The sidecar's array counts must be the ones
-    its spec implies, or ValueError names the sidecar."""
+    its spec implies, or ValueError names the sidecar; a non-finite value
+    is a ValueError naming the binary file."""
     with open(path_json, "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
     spec = MlpSpec.from_dict(sidecar["spec"])
@@ -407,9 +420,11 @@ def load_params(path_bin, path_json) -> tuple:
     if len(arrays) != len(slots):
         raise ValueError(
             f"{path_bin}: expected {len(slots)} arrays, found {len(arrays)}")
-    for slot, arr in zip(slots, arrays):
+    for i, (slot, arr) in enumerate(zip(slots, arrays)):
         if slot.data.shape != arr.shape:
             raise ValueError(
                 f"{path_bin}: shape mismatch {arr.shape} vs {slot.data.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{path_bin}: array {i} holds a non-finite value")
         slot.data = arr
     return enc, dec

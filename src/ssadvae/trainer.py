@@ -275,7 +275,7 @@ def _update(adam: AdamState, params: np.ndarray, grads: np.ndarray, lr: float,
 def train(config: TrainConfig, dataset: SsadDataset, method: str):
     """Train an ensemble of K members on the dataset's training streams.
 
-    Returns (Ensemble, list of TrainHistory). Member i uses seed
+    Returns (SsadModel, list of TrainHistory). Member i uses seed
     master_seed + i for init, shuffling and reparameterization noise; the
     members train stacked, and a history's wall_time is the shared epoch's.
     """
@@ -287,11 +287,10 @@ def train(config: TrainConfig, dataset: SsadDataset, method: str):
         raise ValueError("training set has no normal rows")
 
     seeds = [config.master_seed + i for i in range(config.ensemble_size)]
-    members = [md.SsadModel.create(
-        config.spec, dataset.dim, method, seed=seed, alpha=config.alpha,
+    model = md.SsadModel.create(
+        config.spec, dataset.dim, method, seeds, alpha=config.alpha,
         gamma=config.gamma, beta_kl=config.beta_kl,
-        beta_cubo=config.beta_cubo, family=config.family) for seed in seeds]
-    model = md.stack_members(members)
+        beta_cubo=config.beta_cubo, family=config.family)
     shuffle_rngs = [philox_rng(seed, nb.STREAM_SHUFFLE) for seed in seeds]
     noise_rngs = [philox_rng(seed, nb.STREAM_NOISE) for seed in seeds]
     params, enc_params = model.parameters(), model.encoder.tensors()
@@ -356,5 +355,4 @@ def train(config: TrainConfig, dataset: SsadDataset, method: str):
                 wall_time=wall_time,
                 cubo_log_domain=None if log_domains is None else log_domains[k]))
 
-    md.unstack_members(model, members)
-    return md.Ensemble(members), histories
+    return model, histories

@@ -239,6 +239,40 @@ def test_synth_field_errors_name_the_field(tmp_path, capsys, text, field):
     assert not caught and not out.exists()
 
 
+def _quiet_main(argv):
+    """cli.main(argv) as (exit code, stderr, RuntimeWarnings raised)."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = cli.main(argv)
+    return rc, err.getvalue(), [w for w in caught
+                                if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("shift", ["1e308", "1e200"])  # mean, variance overflows
+def test_overflowing_synth_features_are_a_data_error(tmp_path, shift):
+    out = tmp_path / "runs"
+    rc, err, caught = _quiet_main(["train", "--synth", f"8,200,{shift}", *FAST,
+                                   "--out", str(out)])
+    assert rc == cli.EXIT_DATA
+    source = f"synth-gaussian(d=8,shift={float(shift)})"
+    assert f"{source}: feature column 0 overflows standardization" in err
+    assert not caught and "RuntimeWarning" not in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_aborted_train_leaves_no_run_directory(tmp_path, capsys):
+    out = tmp_path / "runs"
+    rc = cli.main(["train", "--synth", "4,200,3.0", "--method", "vae",
+                   "--config", write_fast_cfg(tmp_path), "--lr", "1e300",
+                   *FAST, *FAST_CFG, "--out", str(out)])
+    assert rc == cli.EXIT_NUMERIC
+    assert "numerical abort" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_benchmark_hybrid_with_pollution(tmp_path):
     cfg = write_fast_cfg(tmp_path)
     out = tmp_path / "runs"
@@ -437,6 +471,47 @@ def test_score_manifest_standardization_length_is_data_error(model_dir, tmp_path
                    "--out", str(tmp_path / "scored")])
     assert rc == cli.EXIT_DATA
     assert "manifest.json: standardize_scale has shape (3,)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edits, key", [
+    ({"standardize_scale": (0, 0.0)}, "standardize_scale[0] is 0.0"),
+    ({"standardize_scale": (2, -1.0)}, "standardize_scale[2] is -1.0"),
+    ({"standardize_scale": (1, math.inf)}, "standardize_scale[1] is inf"),
+    ({"standardize_mean": (3, math.nan)}, "standardize_mean[3] is nan"),
+    ({"standardize_scale": (0, 0.0), "standardize_mean": (1, math.nan)},
+     "standardize_mean[1] is nan")],
+    ids=["scale-zero", "scale-negative", "scale-inf", "mean-nan", "mean-nan-scale-zero"])
+def test_score_manifest_bad_standardization_is_data_error(model_dir, tmp_path,
+                                                          edits, key):
+    bad = tmp_path / "model"
+    shutil.copytree(model_dir, bad)
+    manifest = json.loads((bad / "manifest.json").read_text())
+    for name, (i, value) in edits.items():
+        manifest[name][i] = value
+    (bad / "manifest.json").write_text(json.dumps(manifest))
+    rc, err, caught = _quiet_main(["score", "--model-dir", str(bad), "--synth",
+                                   "4,40,3.0", "--out", str(tmp_path / "scored")])
+    assert rc == cli.EXIT_DATA
+    assert f"data error: {bad / 'manifest.json'}: {key}, expected finite" in err
+    assert not caught and "RuntimeWarning" not in err
+    assert not (tmp_path / "scored").exists()
+
+
+def test_score_nonfinite_member_weight_is_data_error(model_dir, tmp_path):
+    from ssadvae import netblocks as nb
+
+    bad = tmp_path / "model"
+    shutil.copytree(model_dir, bad)
+    member = bad / "member_00.bin"
+    arrays = nb.read_arrays(member)
+    arrays[2][1, 0] = math.nan
+    nb.write_arrays(member, arrays)
+    rc, err, caught = _quiet_main(["score", "--model-dir", str(bad), "--synth",
+                                   "4,40,3.0", "--out", str(tmp_path / "scored")])
+    assert rc == cli.EXIT_DATA
+    assert err.startswith(f"data error: {member}: array 2 holds a non-finite value")
+    assert not caught and "RuntimeWarning" not in err
+    assert not (tmp_path / "scored").exists()
 
 
 def _corrupt(blob: bytes, case) -> bytes:

@@ -2,6 +2,7 @@ import os
 import re
 import tempfile
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -264,6 +265,19 @@ def test_standardize_constant_column_passthrough():
     out, _, stats = dk.standardize(ds)
     np.testing.assert_array_equal(out.features[:, 0], [0.0, 0.0])
     assert stats.scale[0] == 1.0
+
+
+@pytest.mark.parametrize("big", [1e308, 1e200])  # mean, then variance overflows
+def test_standardize_overflow_names_the_source_and_column(big):
+    features = np.zeros((4, 3))
+    features[:, 1] = [big, big, -big, big]
+    ds = dk.SsadDataset(features, np.zeros(4), np.zeros(4),
+                        provenance={"source": "table.csv"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(dk.DataError,
+                           match=r"^table\.csv: feature column 1 overflows"):
+            dk.standardize(ds)
 
 
 def test_test_set_uses_train_stats():

@@ -19,9 +19,15 @@ def rng(seed, stream=9):
     return nb.philox_rng(seed, stream)
 
 
-def toy_model(method="mml", seed=0, alpha=5.0, gamma=1.0, in_dim=2):
-    return md.SsadModel.create(SPEC, in_dim, method, seed=seed, alpha=alpha,
+def toy_model(method="mml", seeds=(0,), alpha=5.0, gamma=1.0, in_dim=2):
+    return md.SsadModel.create(SPEC, in_dim, method, seeds, alpha=alpha,
                                gamma=gamma, beta_kl=0.05, beta_cubo=0.05)
+
+
+def solo(model):
+    """A K=1 model's encoder and decoder as unstacked constants: the oracles
+    below evaluate them on (batch, d) inputs."""
+    return model.encoder.member(0), model.decoder.member(0)
 
 
 def batches(seed=1, n=4, m=2, d=2):
@@ -36,11 +42,6 @@ def test_model_validation():
         toy_model(method="dp", alpha=0.0)
     with pytest.raises(ValueError, match="gamma"):
         toy_model(method="mml", gamma=-1.0)
-
-
-def stack1(model):
-    """A lone member as the K=1 stack that train(ensemble_size=1) builds."""
-    return md.stack_members([model])
 
 
 def outlier_term(stacked, xo, seed, **kwargs):
@@ -69,9 +70,8 @@ def test_mml_gamma_zero_is_exact_negative_elbo():
     model = toy_model(gamma=0.0)
     xn, xo = batches()
     noise = rng(2).standard_normal((1, 4, 2))
-    loss, rep = full_loss(stack1(model), xn, xo, noise, 3)
-    direct = vb.elbo(model.encoder, model.decoder, xn, 0.0, model.beta_kl,
-                     noise=noise)
+    loss, rep = full_loss(model, xn, xo, noise, 3)
+    direct = vb.elbo(*solo(model), xn, 0.0, model.beta_kl, noise=noise)
     assert rep.loss.data[0] == 0.0
     assert loss.data[0] == -direct.elbo.item()
 
@@ -89,8 +89,7 @@ def test_mml_empty_outlier_batch_matches_gamma_zero():
     assert len(with_pool.labeled_outliers()) > 0
     a, _ = tr.train(tr.TrainConfig(gamma=1.0, **cfg), empty_pool, "mml")
     b, _ = tr.train(tr.TrainConfig(gamma=0.0, **cfg), with_pool, "mml")
-    for ta, tb in zip(a.members[0].parameters(), b.members[0].parameters()):
-        np.testing.assert_array_equal(ta.data, tb.data)
+    np.testing.assert_array_equal(a.flat.data, b.flat.data)
 
 
 def test_mml_terms_compose_from_vbounds_oracles():
@@ -100,15 +99,13 @@ def test_mml_terms_compose_from_vbounds_oracles():
     model = toy_model(gamma=0.7, in_dim=1)
     xn = rng(3).standard_normal((4, 1))
     noise_n = rng(5).standard_normal((1, 4, 2))
-    elbo_ref = vb.elbo(model.encoder, model.decoder, xn, 0.0, 0.05,
-                       noise=noise_n).elbo.item()
+    elbo_ref = vb.elbo(*solo(model), xn, 0.0, 0.05, noise=noise_n).elbo.item()
     domains = []
     for shift in (0.0, 4.0):
         xo = rng(4).standard_normal((2, 1)) + shift
-        loss, rep = full_loss(stack1(model), xn, xo, noise_n, 6)
+        loss, rep = full_loss(model, xn, xo, noise_n, 6)
         cubo_ref, log_domain = cubo_oracle(vb.cubo_loss(
-            model.encoder, model.decoder, xo, 0.05,
-            noise=rng(6).standard_normal((8, 2, 2))))
+            *solo(model), xo, 0.05, noise=rng(6).standard_normal((8, 2, 2))))
         assert rep.cubo_log_domain == [log_domain]
         assert loss.data[0] == pytest.approx(0.7 * cubo_ref - elbo_ref, rel=1e-12)
         domains.append(log_domain)
@@ -120,11 +117,11 @@ def test_dp_terms_compose_from_elbo_oracles():
     xn = rng(7).standard_normal((4, 1))
     xo = rng(8).standard_normal((2, 1)) + 4.0
     noise_n = rng(9).standard_normal((1, 4, 2))
-    loss, rep = full_loss(stack1(model), xn, xo, noise_n, 10)
+    loss, rep = full_loss(model, xn, xo, noise_n, 10)
 
-    e_n = vb.elbo(model.encoder, model.decoder, xn, 0.0, 0.05, noise=noise_n)
-    e_o = vb.elbo(model.encoder, model.decoder.detached(), xo,
-                  10.0, 0.05, noise=rng(10).standard_normal((1, 2, 2)))
+    e_n = vb.elbo(*solo(model), xn, 0.0, 0.05, noise=noise_n)
+    e_o = vb.elbo(*solo(model), xo, 10.0, 0.05,
+                  noise=rng(10).standard_normal((1, 2, 2)))
     assert rep.cubo_log_domain is None
     assert loss.data[0] == pytest.approx(
         -(e_n.elbo.item() + e_o.elbo.item()), rel=1e-12)
@@ -133,12 +130,11 @@ def test_dp_terms_compose_from_elbo_oracles():
 def test_dp_alpha_zero_override_collapses_priors():
     # bypass the constructor invariant to probe the degenerate-prior case
     model = toy_model(method="dp", alpha=1.0, in_dim=2)
-    stacked = stack1(model)
-    stacked.alpha = 0.0
+    model.alpha = 0.0
     _, xo = batches()
-    rep = outlier_term(stacked, xo, 11)
-    same_prior = vb.elbo(model.encoder, model.decoder.detached(), xo, 0.0,
-                         0.05, noise=rng(11).standard_normal((1, 2, 2)))
+    rep = outlier_term(model, xo, 11)
+    same_prior = vb.elbo(*solo(model), xo, 0.0, 0.05,
+                         noise=rng(11).standard_normal((1, 2, 2)))
     assert rep.loss.data[0] == pytest.approx(-same_prior.elbo.item(), rel=1e-12)
 
 
@@ -148,22 +144,21 @@ def test_dp_empty_outlier_batch_plain_negative_elbo():
     model = toy_model(method="dp", alpha=5.0)
     xn, _ = batches()
     noise = rng(2).standard_normal((1, 4, 2))
-    loss, _ = md.normal_term(model, xn, noise=noise)
-    direct = vb.elbo(model.encoder, model.decoder, xn, 0.0, 0.05, noise=noise)
-    assert loss.item() == -direct.elbo.item()
+    loss, _ = md.normal_term(model, xn[None], noise=noise[:, None])
+    direct = vb.elbo(*solo(model), xn, 0.0, 0.05, noise=noise)
+    assert loss.data[0] == -direct.elbo.item()
 
 
 def test_hybrid_is_dp_plus_weighted_cubo():
     model = toy_model(method="hybrid", alpha=5.0, gamma=0.5, in_dim=2)
     _, xo = batches()
-    rep = outlier_term(stack1(model), xo, 14)
+    rep = outlier_term(model, xo, 14)
     g = rng(14)  # the outlier ELBO draws its noise first, then the CUBO
     no = g.standard_normal((1, 2, 2))
     nc = g.standard_normal((8, 2, 2))
-    dp_ref = vb.elbo(model.encoder, model.decoder.detached(), xo,
-                     5.0, 0.05, noise=no).elbo.item()
-    cubo_ref, log_domain = cubo_oracle(vb.cubo_loss(
-        model.encoder, model.decoder, xo, 0.05, noise=nc))
+    dp_ref = vb.elbo(*solo(model), xo, 5.0, 0.05, noise=no).elbo.item()
+    cubo_ref, log_domain = cubo_oracle(vb.cubo_loss(*solo(model), xo, 0.05,
+                                                    noise=nc))
     assert rep.cubo_log_domain == [log_domain]
     assert rep.loss.data[0] == pytest.approx(-dp_ref + 0.5 * cubo_ref, rel=1e-12)
 
@@ -180,14 +175,14 @@ def test_shared_encoder_by_identity(monkeypatch):
     xn, xo = batches()
     for method in ("dp", "mml"):
         seen.clear()
-        model = stack1(toy_model(method=method, alpha=5.0))
+        model = toy_model(method=method, alpha=5.0)
         full_loss(model, xn, xo, rng(16).standard_normal((1, 4, 2)), 17)
         assert len(seen) == 2 and seen[0] is seen[1]
 
 
 @pytest.mark.parametrize("method", ["mml", "dp", "hybrid"])
 def test_outlier_terms_leave_decoder_gradient_free(method):
-    model = stack1(toy_model(method=method, alpha=5.0))
+    model = toy_model(method=method, alpha=5.0)
     _, xo = batches()
     rep = outlier_term(model, xo, 18)
     gc.backward(gc.reduce_sum(rep.loss))
@@ -196,7 +191,7 @@ def test_outlier_terms_leave_decoder_gradient_free(method):
 
 
 def test_full_loss_decoder_gradient_comes_only_from_normal_term():
-    model = stack1(toy_model(method="mml", gamma=2.0))
+    model = toy_model(method="mml", gamma=2.0)
     xn, xo = batches()
     nn = rng(19).standard_normal((1, 4, 2))
     loss, _ = full_loss(model, xn, xo, nn, 20)
@@ -205,7 +200,7 @@ def test_full_loss_decoder_gradient_comes_only_from_normal_term():
     with_outliers = [t.grad for t in model.decoder.tensors()]
     assert all(g is not None for g in with_outliers)
     # same seed -> same decoder; the outlier term must not have added anything
-    ref_model = stack1(toy_model(method="mml", gamma=2.0))
+    ref_model = toy_model(method="mml", gamma=2.0)
     ref, _ = md.normal_term(ref_model, xn[None], noise=nn[:, None])
     gc.backward(gc.reduce_sum(ref))
     for g_full, t in zip(with_outliers, ref_model.decoder.tensors()):
@@ -215,32 +210,25 @@ def test_full_loss_decoder_gradient_comes_only_from_normal_term():
 def test_outlier_update_term_dispatch_all_methods():
     _, xo = batches()
     with pytest.raises(ValueError, match="no outlier update"):
-        outlier_term(stack1(toy_model(method="vae")), xo, 30)
+        outlier_term(toy_model(method="vae"), xo, 30)
     for method in ("mml", "dp", "hybrid"):
-        rep = outlier_term(stack1(toy_model(method=method, alpha=5.0)), xo, 30)
+        rep = outlier_term(toy_model(method=method, alpha=5.0), xo, 30)
         assert rep.loss.shape == (1,) and np.isfinite(rep.loss.data).all()
         assert (rep.cubo_log_domain is not None) == (method in ("mml", "hybrid"))
-
-
-@pytest.mark.parametrize("method", ["mml", "dp", "hybrid"])
-def test_unstacked_outlier_update_term_names_stack_members(method):
-    _, xo = batches()
-    with pytest.raises(ValueError, match=r"stack_members\(\[model\]\)"):
-        md.outlier_update_term(toy_model(method=method, alpha=5.0), xo,
-                               rng=[rng(30)])
 
 
 def test_bernoulli_family_trains_end_to_end():
     g = rng(31)
     x = (g.uniform(size=(40, 5)) < 0.3).astype(float)  # binary data in [0,1]
-    model = md.SsadModel.create(nb.MlpSpec(widths=(6, 2)), 5, "mml", seed=9,
+    model = md.SsadModel.create(nb.MlpSpec(widths=(6, 2)), 5, "mml", [9],
                                 gamma=1.0, family="bernoulli")
-    loss, rep = md.normal_term(model, x, noise=rng(32).standard_normal((1, 40, 2)))
+    loss, rep = md.normal_term(model, x[None],
+                               noise=rng(32).standard_normal((1, 1, 40, 2)))
     model.zero_grads()
-    gc.backward(loss)
-    assert np.isfinite(loss.data)
+    gc.backward(gc.reduce_sum(loss))
+    assert np.isfinite(loss.data).all()
     assert all(t.grad is not None for t in model.decoder.ws)
-    cubo = outlier_term(stack1(model), x[:4], 33)
+    cubo = outlier_term(model, x[:4], 33)
     assert np.isfinite(cubo.loss.data).all()
 
 
@@ -286,27 +274,27 @@ def test_cubo_objective_picks_each_members_domain(tops):
 def test_score_deterministic_and_seeded():
     model = toy_model()
     x = rng(21).standard_normal((10, 2))
-    a = md.score(model, x, n_samples=4)
-    b = md.score(model, x, n_samples=4)
+    a = md.score(model, x, 0, n_samples=4)
+    b = md.score(model, x, 0, n_samples=4)
     np.testing.assert_array_equal(a, b)
-    c = md.score(model, x, n_samples=4, seed=123)
+    c = md.score(model, x, 0, n_samples=4, seed=123)
     assert not np.array_equal(a, c)
 
 
 def test_score_batch_size_does_not_change_values():
     model = toy_model()
     x = rng(22).standard_normal((30, 2))
-    full = md.score(model, x, n_samples=3)
-    chunked = md.score(model, x, n_samples=3, batch_size=7)
+    full = md.score(model, x, 0, n_samples=3)
+    chunked = md.score(model, x, 0, n_samples=3, batch_size=7)
     np.testing.assert_array_equal(full, chunked)
 
 
 def _reference_score(model, x, n_samples, batch_size):
     """Scoring as one (S, n, d_z) noise draw, sliced per row batch."""
-    noise = nb.philox_rng(model.seed, nb.STREAM_SCORE).standard_normal(
+    noise = nb.philox_rng(model.seeds[0], nb.STREAM_SCORE).standard_normal(
         (n_samples, x.shape[0], model.encoder.latent_dim))
     out = np.empty(x.shape[0])
-    enc, dec = model.encoder.detached(), model.decoder.detached()
+    enc, dec = solo(model)
     for lo in range(0, x.shape[0], batch_size):
         hi = lo + batch_size
         rep = vb.elbo(enc, dec, x[lo:hi], 0.0, 1.0,
@@ -325,25 +313,25 @@ def test_score_equals_one_noise_draw_byte_for_byte(n, n_samples, family):
     for widths in ((6, 4, 3), (80, 4, 3)):
         for activation in ("leaky-relu", "relu", "sigmoid"):
             spec = nb.MlpSpec(widths=widths, activation=activation)
-            model = md.SsadModel.create(spec, 5, "mml", seed=8, family=family)
+            model = md.SsadModel.create(spec, 5, "mml", [8], family=family)
             for b in model.encoder.trunk_b + model.decoder.bs:
-                b.data = rng(30).standard_normal(b.data.shape)
-            got = md.score(model, x, n_samples=n_samples, batch_size=16)
+                b.data[...] = rng(30).standard_normal(b.data.shape)
+            got = md.score(model, x, 0, n_samples=n_samples, batch_size=16)
             want = _reference_score(model, x, n_samples, 16)
             assert got.tobytes() == want.tobytes(), (widths, activation)
 
 
 def test_score_of_no_rows_is_empty():
-    assert md.score(toy_model(), np.empty((0, 2)), n_samples=4).shape == (0,)
+    assert md.score(toy_model(), np.empty((0, 2)), 0, n_samples=4).shape == (0,)
 
 
 def test_score_memory_does_not_grow_with_samples():
     # one (S, n, d_z) draw alone would be 20000 * 64 * 8 * 8 B = 82 MB
-    model = md.SsadModel.create(nb.MlpSpec(widths=(32, 16, 8)), 21, "mml", seed=9)
+    model = md.SsadModel.create(nb.MlpSpec(widths=(32, 16, 8)), 21, "mml", [9])
     x = rng(29).standard_normal((20000, 21))
     tracemalloc.start()
     try:
-        md.score(model, x, n_samples=64)
+        md.score(model, x, 0, n_samples=64)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -353,17 +341,17 @@ def test_score_memory_does_not_grow_with_samples():
 def test_score_variance_shrinks_with_samples():
     model = toy_model()
     x = rng(23).standard_normal((5, 2))
-    small = np.var([md.score(model, x, n_samples=1, seed=s) for s in range(20)], axis=0)
-    big = np.var([md.score(model, x, n_samples=16, seed=s) for s in range(20)], axis=0)
+    small = np.var([md.score(model, x, 0, n_samples=1, seed=s) for s in range(20)], axis=0)
+    big = np.var([md.score(model, x, 0, n_samples=16, seed=s) for s in range(20)], axis=0)
     assert big.mean() < small.mean() / 4.0  # expect ~1/16, allow slack
 
 
 def test_dp_score_invariant_to_alpha():
     model = toy_model(method="dp", alpha=5.0)
     x = rng(24).standard_normal((6, 2))
-    a = md.score(model, x, n_samples=4)
+    a = md.score(model, x, 0, n_samples=4)
     model.alpha = 50.0
-    b = md.score(model, x, n_samples=4)
+    b = md.score(model, x, 0, n_samples=4)
     np.testing.assert_array_equal(a, b)
 
 
@@ -377,52 +365,50 @@ def test_scoring_builds_no_graph(monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(gc, "make_node", recording_make_node)
-    ens = md.Ensemble([toy_model(seed=s) for s in range(2)])
-    md.ensemble_score(ens, rng(31).standard_normal((7, 2)), n_samples=3,
-                      batch_size=4)
+    md.ensemble_score(toy_model(seeds=(0, 1)), rng(31).standard_normal((7, 2)),
+                      n_samples=3, batch_size=4)
     assert made
     assert not any(t.parents or t.requires_grad for t in made)
 
 
 def test_ensemble_score_mean_and_permutation_invariance():
-    members = [toy_model(seed=s) for s in range(3)]
-    ens = md.Ensemble(members)
+    model = toy_model(seeds=(0, 1, 2))
     x = rng(25).standard_normal((8, 2))
-    got = md.ensemble_score(ens, x, n_samples=4)
-    per = np.stack([md.score(m, x, n_samples=4) for m in members])
+    got = md.ensemble_score(model, x, n_samples=4)
+    per = np.stack([md.score(model, x, k, n_samples=4) for k in range(3)])
     np.testing.assert_allclose(got, per.mean(axis=0), atol=1e-12)
-    shuffled = md.Ensemble([members[2], members[0], members[1]])
+    shuffled = toy_model(seeds=(2, 0, 1))
     np.testing.assert_allclose(md.ensemble_score(shuffled, x, n_samples=4),
                                got, atol=1e-12)
 
 
 def test_ensemble_single_member_equals_model_score():
-    m = toy_model(seed=4)
+    m = toy_model(seeds=(4,))
     x = rng(26).standard_normal((5, 2))
-    np.testing.assert_array_equal(md.ensemble_score(md.Ensemble([m]), x, 4),
-                                  md.score(m, x, 4))
+    np.testing.assert_array_equal(md.ensemble_score(m, x, 4),
+                                  md.score(m, x, 0, 4))
 
 
 def test_ensemble_validation():
-    with pytest.raises(ValueError, match="distinct"):
-        md.Ensemble([toy_model(seed=1), toy_model(seed=1)])
-    with pytest.raises(ValueError, match="at least one"):
-        md.Ensemble([])
-    other_arch = md.SsadModel.create(nb.MlpSpec(widths=(4, 2)), 2, "mml", seed=2)
-    with pytest.raises(ValueError, match="architecture"):
-        md.Ensemble([toy_model(seed=1), other_arch])
+    with pytest.raises(ValueError, match="distinct, got \\[1, 2, 1\\]"):
+        toy_model(seeds=(1, 2, 1))
+    with pytest.raises(ValueError, match="non-empty, got \\[\\]"):
+        toy_model(seeds=())
+    model = toy_model(seeds=(1, 2))
+    with pytest.raises(ValueError, match="non-empty"):
+        md.SsadModel(model.encoder, model.decoder, "mml", 0.0, [], model.flat)
 
 
 def test_ensemble_save_load_roundtrip(tmp_path):
-    members = [toy_model(method="dp", alpha=5.0, seed=s) for s in (3, 4)]
-    ens = md.Ensemble(members)
-    md.save_ensemble(tmp_path / "run", ens, extra={"epochs": 7})
+    model = toy_model(method="dp", alpha=5.0, seeds=(3, 4))
+    md.save_ensemble(tmp_path / "run", model, extra={"epochs": 7})
     loaded, manifest = md.load_ensemble(tmp_path / "run")
     assert manifest["epochs"] == 7
     assert manifest["method"] == "dp"
+    assert loaded.seeds == [3, 4]
     x = rng(27).standard_normal((6, 2))
     np.testing.assert_array_equal(md.ensemble_score(loaded, x, 4),
-                                  md.ensemble_score(ens, x, 4))
+                                  md.ensemble_score(model, x, 4))
 
 
 @pytest.mark.parametrize("key,edit", [
@@ -433,7 +419,7 @@ def test_ensemble_save_load_roundtrip(tmp_path):
 ])
 def test_load_ensemble_rejects_a_sidecar_that_disagrees(tmp_path, key, edit):
     # arrays of the same shapes load, so only the check can catch these
-    md.save_ensemble(tmp_path, md.Ensemble([toy_model(seed=3), toy_model(seed=4)]))
+    md.save_ensemble(tmp_path, toy_model(seeds=(3, 4)))
     sidecar = tmp_path / "member_01.json"
     fields = json.loads(sidecar.read_text())
     fields[key] = edit(fields[key])
@@ -443,7 +429,7 @@ def test_load_ensemble_rejects_a_sidecar_that_disagrees(tmp_path, key, edit):
 
 
 def test_load_ensemble_names_the_manifest_for_its_own_keys(tmp_path):
-    md.save_ensemble(tmp_path, md.Ensemble([toy_model(seed=3)]))
+    md.save_ensemble(tmp_path, toy_model(seeds=(3,)))
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     del manifest["alpha"]
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
@@ -452,23 +438,50 @@ def test_load_ensemble_names_the_manifest_for_its_own_keys(tmp_path):
         md.load_ensemble(tmp_path)
 
 
+def test_save_load_save_is_byte_equal(tmp_path):
+    # a one-feature hybrid model, every parameter drawn through the views
+    model = toy_model(method="hybrid", seeds=(3, 4, 5), in_dim=1)
+    model.flat.data[...] = rng(40).standard_normal(model.flat.data.shape)
+    md.save_ensemble(tmp_path / "a", model, extra={"epochs": 7})
+    loaded, manifest = md.load_ensemble(tmp_path / "a")
+    assert loaded.flat.data.tobytes() == model.flat.data.tobytes()
+    md.save_ensemble(tmp_path / "b", loaded, extra={"epochs": 7})
+    names = sorted(p.name for p in (tmp_path / "a").iterdir())
+    assert len(names) == 7
+    assert names == sorted(p.name for p in (tmp_path / "b").iterdir())
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+def test_loaded_stack_is_views_into_its_own_flat_buffer(tmp_path):
+    md.save_ensemble(tmp_path, toy_model(seeds=(3, 4)))
+    loaded, _ = md.load_ensemble(tmp_path)
+    flat = loaded.flat
+    assert flat.data.shape == flat.grad.shape
+    assert flat.data.shape[1] == sum(t.data[0].size for t in loaded.parameters())
+    for t in loaded.parameters():
+        assert t.data.shape[0] == 2
+        assert np.shares_memory(t.data, flat.data)
+        assert np.shares_memory(t.grad_view, flat.grad)
+    before = [t.data.copy() for t in loaded.parameters()]
+    flat.data += 1.0
+    for t, old in zip(loaded.parameters(), before):
+        np.testing.assert_array_equal(t.data, old + 1.0)
+
+
+@pytest.mark.parametrize("in_dim", [1, 2])  # 1: a (K, 1, width) first weight
+def test_member_score_equals_its_solo_stack(in_dim):
+    seeds = (5, 3, 8)
+    model = toy_model(seeds=seeds, in_dim=in_dim)
+    x = rng(42).standard_normal((9, in_dim))
+    for k, seed in enumerate(seeds):
+        alone = toy_model(seeds=(seed,), in_dim=in_dim)
+        assert (md.score(model, x, k, n_samples=3).tobytes()
+                == md.score(alone, x, 0, n_samples=3).tobytes())
+
+
 # ---------------------------------------------------------------------------
 # stacked members
-
-def test_stack_and_unstack_members_round_trip():
-    members = [toy_model(seed=s) for s in (3, 4, 5)]
-    stacked = md.stack_members(members)
-    for slot, *ts in zip(stacked.parameters(), *(m.parameters() for m in members)):
-        assert slot.shape[0] == 3 and slot.data.ndim == 3
-        for k, t in enumerate(ts):
-            np.testing.assert_array_equal(slot.data[k].reshape(t.shape), t.data)
-    for slot in stacked.parameters():
-        slot.data = slot.data + np.arange(3.0).reshape(3, 1, 1)
-    md.unstack_members(stacked, members)
-    for k, m in enumerate(members):
-        for t, fresh in zip(m.parameters(), toy_model(seed=3 + k).parameters()):
-            np.testing.assert_array_equal(t.data, fresh.data + k)
-
 
 def test_stacked_outlier_term_keeps_an_overflow_to_its_member():
     # member 0's CUBO overflows (log domain), member 1 sits in the exp
@@ -478,14 +491,13 @@ def test_stacked_outlier_term_keeps_an_overflow_to_its_member():
     # the exp limit.
     spec = nb.MlpSpec(widths=(6, 2))
 
-    def member(seed):
-        return md.SsadModel.create(spec, 1, "mml", seed=seed, gamma=1.0,
+    def members(*seeds):
+        return md.SsadModel.create(spec, 1, "mml", seeds, gamma=1.0,
                                    family="bernoulli")
 
-    def solo(seed, x, bias):
-        m = member(seed)
+    def alone(seed, x, bias):
+        m = members(seed)
         m.decoder.bs[-1].data[...] = bias
-        m = md.stack_members([m])
         rep = md.outlier_update_term(m, x[None], s_cubo=4, rng=[rng(seed, 40)])
         gc.backward(gc.reduce_sum(rep.loss))
         cubo = vb.cubo_loss(m.encoder, m.decoder, x[None], m.beta_cubo,
@@ -494,14 +506,13 @@ def test_stacked_outlier_term_keeps_an_overflow_to_its_member():
 
     x_over = np.full((3, 1), 50.0)
     x_exp = np.array([[0.0], [1.0], [0.0]])
-    over, rep_over, overflowed = solo(1, x_over, 20.0)
-    exp, rep_exp, exp_overflowed = solo(2, x_exp, 0.0)
+    over, rep_over, overflowed = alone(1, x_over, 20.0)
+    exp, rep_exp, exp_overflowed = alone(2, x_exp, 0.0)
     assert (rep_over.cubo_log_domain, rep_exp.cubo_log_domain) == ([True], [False])
     assert overflowed and not exp_overflowed
 
-    fresh = [member(1), member(2)]
-    fresh[0].decoder.bs[-1].data[...] = 20.0
-    stacked = md.stack_members(fresh)
+    stacked = members(1, 2)
+    stacked.decoder.bs[-1].data[0] = 20.0
     rep = md.outlier_update_term(stacked, np.stack([x_over, x_exp]), s_cubo=4,
                                  rng=[rng(1, 40), rng(2, 40)])
     assert rep.cubo_log_domain == [True, False]
@@ -518,11 +529,10 @@ def test_stacked_outlier_term_keeps_an_overflow_to_its_member():
 def test_stacked_parameters_are_views_into_the_flat_buffers():
     # encoder tensors first, in parameters() order, then the decoder; each
     # one's data and gradient are column ranges of the (K, P) buffers
-    members = [toy_model(seed=s) for s in (3, 4)]
-    stacked = md.stack_members(members)
+    stacked, second = toy_model(seeds=(3, 4)), toy_model(seeds=(4,))
     flat = stacked.flat
     off = 0
-    for i, (slot, t) in enumerate(zip(stacked.parameters(), members[1].parameters())):
+    for i, (slot, t) in enumerate(zip(stacked.parameters(), second.parameters())):
         if i == len(stacked.encoder.tensors()):
             assert off == flat.n_encoder
         cols = flat.data[:, off:off + t.data.size]

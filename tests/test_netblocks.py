@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ssadvae import gradcore as gc
+from ssadvae import models as md
 from ssadvae import netblocks as nb
 
 
@@ -184,17 +185,27 @@ def test_detached_decoder_shares_buffers():
 
 
 @pytest.mark.parametrize("use_bias", [True, False])
-def test_detached_encoder_shares_buffers_and_passes_no_gradient(use_bias):
-    enc = nb.init_encoder(nb.MlpSpec(widths=(6, 4, 3), use_bias=use_bias), 5, seed=0)
-    frozen = enc.detached()
-    assert all(f.data is t.data for f, t in zip(frozen.tensors(), enc.tensors()))
-    assert not any(t.requires_grad for t in frozen.tensors())
-    # a trainable input, so backward runs through every frozen layer
-    x = gc.parameter(nb.philox_rng(3, 9).standard_normal((4, 5)))
-    post = nb.encode(frozen, x)
-    gc.backward(gc.reduce_sum(gc.add(post.mu, post.logvar)))
+def test_member_view_shares_buffers_and_passes_no_gradient(use_bias):
+    # one input feature: the first weight is (K, 1, 6), shaped like a bias,
+    # yet member k's views have the shapes and bytes of its own init
+    spec = nb.MlpSpec(widths=(6, 4, 3), use_bias=use_bias)
+    model = md.SsadModel.create(spec, 1, "vae", [0, 1])
+    for k in range(2):
+        views = model.encoder.member(k).tensors() + model.decoder.member(k).tensors()
+        alone = (nb.init_encoder(spec, 1, seed=k).tensors()
+                 + nb.init_decoder(spec, 1, seed=k).tensors())
+        for view, stacked, ref in zip(views, model.parameters(), alone, strict=True):
+            assert view.data.shape == ref.data.shape
+            assert view.data.tobytes() == ref.data.tobytes()
+            assert np.shares_memory(view.data, stacked.data)
+            assert not view.requires_grad
+    # a trainable input, so backward runs through every layer of the views
+    x = gc.parameter(nb.philox_rng(3, 9).standard_normal((4, 1)))
+    post = nb.encode(model.encoder.member(1), x)
+    out = nb.decode(model.decoder.member(1), post.mu)
+    gc.backward(gc.add(gc.reduce_sum(gc.add(post.mu, post.logvar)), gc.reduce_sum(out)))
     assert x.grad is not None
-    assert all(t.grad is None for t in enc.tensors())
+    assert all(t.grad is None for t in model.parameters())
 
 
 def test_serialization_roundtrip(tmp_path):

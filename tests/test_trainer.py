@@ -75,9 +75,9 @@ def test_activation_forward_matches_numpy_and_trains_finite(activation, tmp_path
         h = act(h) if i < len(dec.ws) - 1 else h
     np.testing.assert_allclose(nb.decode(dec, z).data, h, rtol=1e-12, atol=1e-14)
 
-    ens, _ = tr.train(tiny_config(activation=activation, ensemble_size=2),
+    model, _ = tr.train(tiny_config(activation=activation, ensemble_size=2),
                       tiny_train_set(), "mml")
-    md.save_ensemble(tmp_path, ens)
+    md.save_ensemble(tmp_path, model)
     for k in range(2):
         arrays = nb.read_arrays(tmp_path / f"member_{k:02d}.bin")
         assert arrays and all(np.isfinite(a).all() for a in arrays)
@@ -244,11 +244,9 @@ def test_warmup_epochs_show_no_outlier_term():
 def test_train_determinism_bit_exact():
     train = tiny_train_set()
     cfg = tiny_config(ensemble_size=2)
-    ens1, _ = tr.train(cfg, train, "dp")
-    ens2, _ = tr.train(cfg, train, "dp")
-    for m1, m2 in zip(ens1.members, ens2.members):
-        for t1, t2 in zip(m1.parameters(), m2.parameters()):
-            np.testing.assert_array_equal(t1.data, t2.data)
+    model1, _ = tr.train(cfg, train, "dp")
+    model2, _ = tr.train(cfg, train, "dp")
+    assert model1.flat.data.tobytes() == model2.flat.data.tobytes()
 
 
 def test_concurrent_trainings_match_sequential():
@@ -271,16 +269,14 @@ def test_concurrent_trainings_match_sequential():
         t.start()
     for t in threads:
         t.join()
-    for method, ens in sequential.items():
-        for a, b in zip(ens.members[0].parameters(),
-                        results[method].members[0].parameters()):
-            np.testing.assert_array_equal(a.data, b.data)
+    for method, model in sequential.items():
+        np.testing.assert_array_equal(model.flat.data, results[method].flat.data)
 
 
 def test_member_seeds_derived_from_master():
     train = tiny_train_set()
-    ens, hists = tr.train(tiny_config(ensemble_size=3, master_seed=11), train, "vae")
-    assert [m.seed for m in ens.members] == [11, 12, 13]
+    model, hists = tr.train(tiny_config(ensemble_size=3, master_seed=11), train, "vae")
+    assert model.seeds == [11, 12, 13]
     assert [h.seed for h in hists] == [11, 12, 13]
 
 
@@ -289,8 +285,7 @@ def test_gamma_zero_mml_trajectory_equals_plain_vae():
     cfg = tiny_config(gamma=0.0)
     vae, _ = tr.train(cfg, train, "vae")
     mml, _ = tr.train(cfg, train, "mml")
-    for a, b in zip(vae.members[0].parameters(), mml.members[0].parameters()):
-        np.testing.assert_array_equal(a.data, b.data)
+    np.testing.assert_array_equal(vae.flat.data, mml.flat.data)
 
 
 def test_empty_outlier_pool_dp_equals_plain_vae():
@@ -298,8 +293,7 @@ def test_empty_outlier_pool_dp_equals_plain_vae():
     cfg = tiny_config()
     vae, _ = tr.train(cfg, train, "vae")
     dp, _ = tr.train(cfg, train, "dp")
-    for a, b in zip(vae.members[0].parameters(), dp.members[0].parameters()):
-        np.testing.assert_array_equal(a.data, b.data)
+    np.testing.assert_array_equal(vae.flat.data, dp.flat.data)
 
 
 @pytest.mark.parametrize("method", ["mml", "dp"])
@@ -319,8 +313,8 @@ def test_warmup_trajectory_matches_plain_vae(method):
 def test_hybrid_training_runs_outlier_updates():
     train = tiny_train_set()
     cfg = tiny_config(epochs=6, warmup_epochs=4)
-    ens, hists = tr.train(cfg, train, "hybrid")
-    assert {m.method for m in ens.members} == {"hybrid"}
+    model, hists = tr.train(cfg, train, "hybrid")
+    assert model.method == "hybrid"
     recs = hists[0].records
     assert all(r.outlier_term is None for r in recs[:4])
     assert recs[4].outlier_term is not None
@@ -420,10 +414,11 @@ def test_stacked_members_equal_solo_runs_bit_for_bit(monkeypatch, method, d):
     stacked, hists = tr.train(tiny_config(ensemble_size=3, **cfg), train, method)
     solo = [tr.train(tiny_config(**{**cfg, "master_seed": 4 + k}), train, method)
             for k in range(3)]
-    for k, (ens, solo_hists) in enumerate(solo):
-        assert stacked.members[k].seed == hists[k].seed == 4 + k
-        for a, b in zip(stacked.members[k].parameters(), ens.members[0].parameters()):
-            assert a.shape == b.shape and a.data.tobytes() == b.data.tobytes()
+    for k, (alone, solo_hists) in enumerate(solo):
+        assert stacked.seeds[k] == hists[k].seed == 4 + k
+        for a, b in zip(stacked.parameters(), alone.parameters()):
+            assert a.data[k].shape == b.data[0].shape
+            assert a.data[k].tobytes() == b.data[0].tobytes()
         rows = [[{**r, "wall_time": 0} for r in h.to_rows()]
                 for h in (hists[k], solo_hists[0])]
         assert rows[0] == rows[1]
@@ -451,8 +446,7 @@ def test_member_clipping_equals_clip_gradients_on_each_members_slices():
     from ssadvae import netblocks as nb
 
     spec = nb.MlpSpec(widths=(6, 2))
-    stacked = md.stack_members([md.SsadModel.create(spec, 3, "dp", seed=s, alpha=5.0)
-                                for s in (1, 2)])
+    stacked = md.SsadModel.create(spec, 3, "dp", [1, 2], alpha=5.0)
     enc = stacked.encoder.tensors()
     g = np.random.default_rng(3).standard_normal(stacked.flat.grad.shape)
     g[0] *= 10.0
@@ -484,27 +478,17 @@ MEMBER_00_SHA256 = {
 
 
 @pytest.mark.parametrize("method", sorted(MEMBER_00_SHA256))
-def test_trained_member_file_bytes_are_pinned(monkeypatch, tmp_path, method):
+def test_trained_member_file_bytes_are_pinned(tmp_path, method):
     import hashlib
 
     from ssadvae import models as md
 
-    stacked = []
-    _record(monkeypatch, md, "stack_members", lambda args, out: stacked.append(out))
     cfg = tiny_config(epochs=7, warmup_epochs=3, ensemble_size=2, clip_norm=0.5,
                       master_seed=4)
-    ens, _ = tr.train(cfg, tiny_train_set(d=3, gamma_l=0.3), method)
-    md.save_ensemble(tmp_path, ens)
+    model, _ = tr.train(cfg, tiny_train_set(d=3, gamma_l=0.3), method)
+    md.save_ensemble(tmp_path, model)
     digest = hashlib.sha256((tmp_path / "member_00.bin").read_bytes()).hexdigest()
     assert digest == MEMBER_00_SHA256[method]
-    # the returned members own their arrays: none is a view of the buffers
-    # the training updated in place
-    (model,) = stacked
-    for m in ens.members:
-        for t in m.parameters():
-            assert not np.shares_memory(t.data, model.flat.data)
-            assert not np.shares_memory(t.data, model.flat.grad)
-            assert t.grad is None and t.grad_view is None
 
 
 # sha256 of member_00.bin after a K=2 hybrid training with two ELBO samples
@@ -522,8 +506,8 @@ def test_multi_sample_member_file_bytes_are_pinned(tmp_path):
 
     cfg = tiny_config(epochs=7, warmup_epochs=3, ensemble_size=2, clip_norm=0.5,
                       master_seed=4, s_elbo=2, s_cubo=3)
-    ens, _ = tr.train(cfg, tiny_train_set(d=3, gamma_l=0.3), "hybrid")
-    md.save_ensemble(tmp_path, ens)
+    model, _ = tr.train(cfg, tiny_train_set(d=3, gamma_l=0.3), "hybrid")
+    md.save_ensemble(tmp_path, model)
     digest = hashlib.sha256((tmp_path / "member_00.bin").read_bytes()).hexdigest()
     assert digest == MULTI_SAMPLE_HYBRID_SHA256
 

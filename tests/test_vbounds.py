@@ -372,27 +372,32 @@ def test_fused_elbo_terms_equal_composed_forms_bit_for_bit(stacked, alpha):
     from ssadvae import models as md
 
     g = rng(31)
-    members = [md.SsadModel.create(nb.MlpSpec(widths=(6, 3)), 4, "vae", seed=s)
-               for s in (1, 2, 3)]
-    model = md.stack_members(members) if stacked else members[0]
+    spec = nb.MlpSpec(widths=(6, 3))
+    if stacked:
+        model = md.SsadModel.create(spec, 4, "vae", [1, 2, 3])
+        enc, dec = model.encoder, model.decoder
+    else:
+        enc, dec = nb.init_encoder(spec, 4, seed=1), nb.init_decoder(spec, 4, seed=1)
     lead = (3,) if stacked else ()
     x = g.standard_normal(lead + (10, 4))
     for beta_kl in (0.0, 0.05):
         for n_samples in (1, 3):
             eps = g.standard_normal((n_samples,) + lead + (10, 3))
-            check_fused_elbo(model, x, eps, alpha, beta_kl, g)
+            check_fused_elbo(enc, dec, x, eps, alpha, beta_kl, g)
 
 
-def check_fused_elbo(model, x, eps, alpha, beta_kl, g):
+def check_fused_elbo(enc, dec, x, eps, alpha, beta_kl, g):
     n_samples, lead = len(eps), x.shape[:-2]
     mu_o = None if alpha == 0.0 else np.full(eps.shape[-1], alpha)
 
     def run(fused):
-        model.zero_grads()
-        post = nb.encode(model.encoder, x)
+        params = enc.tensors() + dec.tensors()
+        for t in params:
+            t.zero_grad()
+        post = nb.encode(enc, x)
         if fused:
             rep = vb.elbo_from_posterior(
-                post, lambda z: vb.reconstruction_loss(nb.decode(model.decoder, z),
+                post, lambda z: vb.reconstruction_loss(nb.decode(dec, z),
                                                        x, "gaussian"),
                 alpha, beta_kl, eps)
             elbo = rep.elbo
@@ -402,7 +407,7 @@ def check_fused_elbo(model, x, eps, alpha, beta_kl, g):
             recon = None
             for e in eps:
                 z = composed_reparameterize(post, e)
-                term = composed_gaussian_nll(nb.decode(model.decoder, z), x)
+                term = composed_gaussian_nll(nb.decode(dec, z), x)
                 recon = term if recon is None else gc.add(recon, term)
             if n_samples > 1:
                 recon = gc.mul(recon, 1.0 / n_samples)
@@ -412,7 +417,7 @@ def check_fused_elbo(model, x, eps, alpha, beta_kl, g):
                      gc.reduce_mean(kl, axis=-1).data, per_sample.data]
         gc.backward(gc.reduce_sum(gc.neg(elbo)))
         return ([np.asarray(elbo.data)] + [np.asarray(t) for t in terms]
-                + [t.grad.copy() for t in model.parameters()])
+                + [t.grad.copy() for t in params])
 
     for a, b in zip(run(True), run(False), strict=True):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
