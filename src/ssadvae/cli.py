@@ -217,6 +217,10 @@ def _out_root(args) -> str:
 
 
 def train_config_from(cfg: dict, master_seed: int) -> tr.TrainConfig:
+    """The training config of one protocol seed; a value that training
+    would reject, the method's alpha and gamma rules included, is a
+    ValueError naming the key."""
+    md.check_method(cfg["method"], cfg["alpha"], cfg["gamma"])
     kw = {k: cfg[k] for k in _TRAIN_DEFAULTS if k in cfg}
     return tr.TrainConfig(master_seed=master_seed, **kw)
 
@@ -338,6 +342,8 @@ def _manifest_standardization(model_dir, manifest: dict) -> tuple:
 
 def run_score(args) -> int:
     cfg = effective_config(args)
+    if cfg["s_score"] < 1:
+        raise UsageError(f"s_score must be >= 1, got {cfg['s_score']!r}")
     digest = config_digest(cfg)
     model, manifest = md.load_ensemble(args.model_dir)
     in_dim, stats = _manifest_standardization(args.model_dir, manifest)

@@ -52,6 +52,20 @@ class FlatParams:
     n_encoder: int
 
 
+def check_method(method: str, alpha: float, gamma: float) -> None:
+    """The method's rules on the outlier prior mean and the CUBO weight; a
+    breach is a ValueError naming the key."""
+    if method not in METHODS:
+        raise ValueError(f"method: expected one of {', '.join(METHODS)}, "
+                         f"got {method!r}")
+    if method in ("dp", "hybrid") and alpha == 0.0:
+        raise ValueError(f"alpha: method {method!r} requires a nonzero prior "
+                         f"alpha, got {alpha!r}")
+    if method in ("mml", "hybrid") and gamma < 0.0:
+        raise ValueError(f"gamma: method {method!r} requires gamma >= 0, "
+                         f"got {gamma!r}")
+
+
 @dataclass
 class SsadModel:
     """K >= 1 members, member k trained from ``seeds[k]``. Weights are
@@ -71,12 +85,9 @@ class SsadModel:
     beta_cubo: float = 0.05
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
-        if self.method in ("dp", "hybrid") and self.alpha == 0.0:
-            raise ValueError(f"method {self.method!r} requires a nonzero prior alpha")
-        if self.method in ("mml", "hybrid") and self.gamma < 0.0:
-            raise ValueError("gamma must be >= 0")
+        check_method(self.method, self.alpha, self.gamma)
+        if not all(type(s) is int for s in self.seeds):
+            raise ValueError(f"member seeds must be integers, got {self.seeds}")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ValueError("member seeds must be non-empty and pairwise "
                              f"distinct, got {self.seeds}")

@@ -1,17 +1,18 @@
 """MLP encoder/decoder construction, initialization, and reparameterization.
 
 An encoder is a shared trunk followed by separate mean and log-variance
-heads; the decoder mirrors the trunk in reverse. Initialization uses a
-counter-based Philox stream so a single seed reproduces every parameter
-bit-exactly, across ensemble members and platforms.
+heads; the decoder mirrors the trunk in reverse. Each network holds its
+parameters as one list of (weight, bias) layers in forward order.
+Initialization uses a counter-based Philox stream so a single seed
+reproduces every parameter bit-exactly, across ensemble members and
+platforms.
 """
 from __future__ import annotations
 
 import json
 import math
 import struct
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -105,92 +106,59 @@ def _activate_array(spec: MlpSpec, h: np.ndarray) -> np.ndarray:
     return gc.sigmoid_of(h)
 
 
-def _init_layer(rng: np.random.Generator, fan_in: int, fan_out: int,
-                use_bias: bool) -> tuple:
-    bound = 1.0 / np.sqrt(fan_in)
-    w = gc.parameter(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-    b = gc.parameter(np.zeros(fan_out)) if use_bias else None
-    return w, b
+def _init_layers(rng: np.random.Generator, dims: list, use_bias: bool) -> list:
+    """One (weight, bias) pair per (fan_in, fan_out) in ``dims``, drawn in
+    that order; a weight is uniform in +-1/sqrt(fan_in), a bias zero, or
+    None without ``use_bias``."""
+    layers = []
+    for fan_in, fan_out in dims:
+        bound = 1.0 / np.sqrt(fan_in)
+        w = gc.parameter(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+        layers.append((w, gc.parameter(np.zeros(fan_out)) if use_bias else None))
+    return layers
 
 
-def _view(t: Optional[Tensor], k: int, bias: bool = False) -> Optional[Tensor]:
-    """Member k of a stacked (K, fan_in, fan_out) weight or (K, 1, fan_out)
-    bias, a constant sharing its buffer. Role, not shape, tells the two
-    apart: one input feature gives a (K, 1, width) first weight."""
-    return None if t is None else gc.constant(t.data[k, 0] if bias else t.data[k])
+class _Layers:
+    """A dense network's parameters as ``layers``, one (weight, bias) pair
+    per layer in forward order; the bias is None without ``use_bias``."""
+
+    @property
+    def latent_dim(self) -> int:
+        return self.spec.latent_dim
+
+    def tensors(self) -> list:
+        return [t for pair in self.layers for t in pair if t is not None]
+
+    def member(self, k: int):
+        """Member k of stacked parameters as constants sharing their
+        buffers, so a forward pass through it builds no graph: a weight is
+        ``data[k]``, a bias ``data[k, 0]``. The pair, not the shape, tells
+        them apart: one input feature gives a (K, 1, width) first weight."""
+        return replace(self, layers=[
+            (gc.constant(w.data[k]), None if b is None else gc.constant(b.data[k, 0]))
+            for w, b in self.layers])
 
 
 @dataclass
-class EncoderParams:
+class EncoderParams(_Layers):
+    """The trunk layers, then the mean head, then the log-variance head."""
+
     spec: MlpSpec
     in_dim: int
-    trunk_w: list
-    trunk_b: list
-    mu_w: Tensor
-    mu_b: Optional[Tensor]
-    logvar_w: Tensor
-    logvar_b: Optional[Tensor]
-
-    @property
-    def latent_dim(self) -> int:
-        return self.spec.latent_dim
-
-    def tensors(self) -> list:
-        out = []
-        for w, b in zip(self.trunk_w, self.trunk_b):
-            out.append(w)
-            if b is not None:
-                out.append(b)
-        out.append(self.mu_w)
-        if self.mu_b is not None:
-            out.append(self.mu_b)
-        out.append(self.logvar_w)
-        if self.logvar_b is not None:
-            out.append(self.logvar_b)
-        return out
-
-    def member(self, k: int) -> "EncoderParams":
-        """Member k of stacked parameters as constants sharing their
-        buffers, so a forward pass through it builds no graph."""
-        return EncoderParams(
-            self.spec, self.in_dim, [_view(w, k) for w in self.trunk_w],
-            [_view(b, k, True) for b in self.trunk_b], _view(self.mu_w, k),
-            _view(self.mu_b, k, True), _view(self.logvar_w, k),
-            _view(self.logvar_b, k, True))
+    layers: list
 
 
 @dataclass
-class DecoderParams:
+class DecoderParams(_Layers):
     spec: MlpSpec
     out_dim: int
-    ws: list
-    bs: list
+    layers: list
     family: str = "gaussian"
-
-    @property
-    def latent_dim(self) -> int:
-        return self.spec.latent_dim
-
-    def tensors(self) -> list:
-        out = []
-        for w, b in zip(self.ws, self.bs):
-            out.append(w)
-            if b is not None:
-                out.append(b)
-        return out
 
     def detached(self) -> "DecoderParams":
         """Same buffers, no gradient flow: the frozen-decoder view."""
-        return DecoderParams(
-            spec=self.spec, out_dim=self.out_dim,
-            ws=[w.detach() for w in self.ws],
-            bs=[None if b is None else b.detach() for b in self.bs],
-            family=self.family)
-
-    def member(self, k: int) -> "DecoderParams":
-        """Member k of stacked parameters as constants sharing their buffers."""
-        return DecoderParams(self.spec, self.out_dim, [_view(w, k) for w in self.ws],
-                             [_view(b, k, True) for b in self.bs], self.family)
+        return replace(self, layers=[
+            (w.detach(), None if b is None else b.detach()) for w, b in self.layers])
 
 
 @dataclass
@@ -216,18 +184,10 @@ class GaussianPosterior:
 
 
 def init_encoder(spec: MlpSpec, in_dim: int, seed: int) -> EncoderParams:
-    rng = philox_rng(seed, STREAM_ENCODER)
-    trunk_w, trunk_b = [], []
-    prev = in_dim
-    for width in spec.hidden:
-        w, b = _init_layer(rng, prev, width, spec.use_bias)
-        trunk_w.append(w)
-        trunk_b.append(b)
-        prev = width
-    mu_w, mu_b = _init_layer(rng, prev, spec.latent_dim, spec.use_bias)
-    logvar_w, logvar_b = _init_layer(rng, prev, spec.latent_dim, spec.use_bias)
-    return EncoderParams(spec, in_dim, trunk_w, trunk_b,
-                         mu_w, mu_b, logvar_w, logvar_b)
+    trunk = (in_dim, *spec.hidden)
+    dims = list(zip(trunk, trunk[1:])) + [(trunk[-1], spec.latent_dim)] * 2
+    return EncoderParams(spec, in_dim, _init_layers(
+        philox_rng(seed, STREAM_ENCODER), dims, spec.use_bias))
 
 
 def init_decoder(spec: MlpSpec, out_dim: int, seed: int,
@@ -235,16 +195,10 @@ def init_decoder(spec: MlpSpec, out_dim: int, seed: int,
     """Decoder mirroring the encoder: latent -> reversed hidden -> out_dim."""
     if family not in FAMILIES:
         raise ValueError(f"unknown likelihood family {family!r}")
-    rng = philox_rng(seed, STREAM_DECODER)
-    widths = list(reversed(spec.hidden)) + [out_dim]
-    ws, bs = [], []
-    prev = spec.latent_dim
-    for width in widths:
-        w, b = _init_layer(rng, prev, width, spec.use_bias)
-        ws.append(w)
-        bs.append(b)
-        prev = width
-    return DecoderParams(spec, out_dim, ws, bs, family)
+    widths = (spec.latent_dim, *reversed(spec.hidden), out_dim)
+    return DecoderParams(spec, out_dim, _init_layers(
+        philox_rng(seed, STREAM_DECODER), list(zip(widths, widths[1:])),
+        spec.use_bias), family)
 
 
 def _check_input(xt: Tensor, w: Tensor, width: int, who: str, what: str) -> None:
@@ -257,20 +211,25 @@ def _check_input(xt: Tensor, w: Tensor, width: int, who: str, what: str) -> None
         raise ValueError(f"{who} expects ({want}) {what}, got {xt.data.shape}")
 
 
+def _hidden(spec: MlpSpec, layers: list, h: Tensor) -> Tensor:
+    """Each layer's affine map, then the activation."""
+    for w, b in layers:
+        h = _activate(spec, gc.affine(h, w, b))
+    return h
+
+
 def encode(params: EncoderParams, x) -> GaussianPosterior:
     """Forward the encoder; log-variance is clamped to [-10, 10].
 
     Stacked parameters (leading members axis K) take (K, batch, in_dim)."""
     xt = x if isinstance(x, Tensor) else gc.constant(x)
-    _check_input(xt, params.trunk_w[0], params.in_dim, "encoder", "input")
+    _check_input(xt, params.layers[0][0], params.in_dim, "encoder", "input")
     if not np.isfinite(xt.data).all():
         raise ValueError("non-finite input row rejected before forward pass")
-    h = xt
-    for w, b in zip(params.trunk_w, params.trunk_b):
-        h = _activate(params.spec, gc.affine(h, w, b))
-    mu = gc.affine(h, params.mu_w, params.mu_b)
-    logvar = gc.clamp(gc.affine(h, params.logvar_w, params.logvar_b),
-                      LOGVAR_MIN, LOGVAR_MAX)
+    h = _hidden(params.spec, params.layers[:-2], xt)
+    mu_head, logvar_head = params.layers[-2:]
+    mu = gc.affine(h, *mu_head)
+    logvar = gc.clamp(gc.affine(h, *logvar_head), LOGVAR_MIN, LOGVAR_MAX)
     return GaussianPosterior(mu, logvar)
 
 
@@ -301,14 +260,8 @@ def reparameterize_array(post: GaussianPosterior, eps: np.ndarray) -> np.ndarray
 def decode(params: DecoderParams, z) -> Tensor:
     """Forward the decoder; returns raw means (gaussian) or logits (bernoulli)."""
     zt = z if isinstance(z, Tensor) else gc.constant(z)
-    _check_input(zt, params.ws[0], params.latent_dim, "decoder", "latents")
-    h = zt
-    last = len(params.ws) - 1
-    for i, (w, b) in enumerate(zip(params.ws, params.bs)):
-        h = gc.affine(h, w, b)
-        if i != last:
-            h = _activate(params.spec, h)
-    return h
+    _check_input(zt, params.layers[0][0], params.latent_dim, "decoder", "latents")
+    return gc.affine(_hidden(params.spec, params.layers[:-1], zt), *params.layers[-1])
 
 
 def decoder_arrays(params: DecoderParams, rows: int) -> list:
@@ -317,7 +270,7 @@ def decoder_arrays(params: DecoderParams, rows: int) -> list:
     ``SPREAD_BIAS_MAX_WIDTH`` wide is spread to (rows, width) once, so each
     block adds it as a same-shape array."""
     layers = []
-    for w, b in zip(params.ws, params.bs):
+    for w, b in params.layers:
         if b is not None:
             b = b.data
             if b.shape[-1] <= SPREAD_BIAS_MAX_WIDTH:

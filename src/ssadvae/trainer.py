@@ -101,14 +101,13 @@ class TrainConfig:
             raise ValueError("warmup_epochs must be < epochs")
         if self.anneal_epochs > self.epochs:
             raise ValueError("anneal_epochs must be <= epochs")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not (self.lr > 0):
-            raise ValueError("lr must be > 0")
-        if self.nd_update_interval < 1:
-            raise ValueError("nd_update_interval must be >= 1")
-        if self.ensemble_size < 1:
-            raise ValueError("ensemble_size must be >= 1")
+        for name in ("batch_size", "nd_update_interval", "ensemble_size",
+                     "s_elbo", "s_cubo", "s_score"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        for name in ("lr", "clip_norm"):
+            if not (getattr(self, name) > 0):
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
 
     @property
     def spec(self) -> nb.MlpSpec:
@@ -279,8 +278,7 @@ def train(config: TrainConfig, dataset: SsadDataset, method: str):
     master_seed + i for init, shuffling and reparameterization noise; the
     members train stacked, and a history's wall_time is the shared epoch's.
     """
-    if method not in md.METHODS:
-        raise ValueError(f"unknown method {method!r}")
+    md.check_method(method, config.alpha, config.gamma)
     normal_x = dataset.normal_stream()
     outlier_x = dataset.labeled_outliers()
     if len(normal_x) == 0:
@@ -300,59 +298,64 @@ def train(config: TrainConfig, dataset: SsadDataset, method: str):
     do_outlier = _wants_outlier_updates(method, config, len(outlier_x))
     histories = [TrainHistory(seed=seed) for seed in seeds]
 
-    for epoch in range(config.epochs):
-        t0 = time.perf_counter()
-        beta = kl_anneal_coeff(epoch, config.anneal_epochs, config.beta_kl)
-        perms = np.stack([rng.permutation(n) for rng in shuffle_rngs])
-        sums = np.zeros((len(seeds), 3))  # elbo, kl, recon weighted by batch size
-        for bi, lo in enumerate(range(0, n, bs)):
-            xb = normal_x[perms[:, lo:lo + bs]]
-            loss, rep = md.normal_term(model, xb, beta_kl=beta,
-                                       n_samples=config.s_elbo, rng=noise_rngs)
-            _check_loss(loss, "normal-term loss", seeds, epoch, bi)
-            model.zero_grads()
-            gc.backward(gc.reduce_sum(loss))
-            _check_grads(params)
-            _update(adam, flat.data, flat.grad, config.lr, seeds, epoch, bi)
-            for j, term in enumerate((rep.elbo, rep.kl, rep.recon)):
-                sums[:, j] += xb.shape[1] * term.data
-            # drop this step's graph before the next forward builds its own
-            del loss, rep
+    # A diverging run overflows inside numpy before a loss goes non-finite.
+    # The loss and gradient checks below abort it (exit 3 from the CLI),
+    # naming the member, epoch and batch, so numpy's own warnings would
+    # only repeat that, with a source line and no context.
+    with np.errstate(all="ignore"):
+        for epoch in range(config.epochs):
+            t0 = time.perf_counter()
+            beta = kl_anneal_coeff(epoch, config.anneal_epochs, config.beta_kl)
+            perms = np.stack([rng.permutation(n) for rng in shuffle_rngs])
+            sums = np.zeros((len(seeds), 3))  # elbo, kl, recon weighted by batch size
+            for bi, lo in enumerate(range(0, n, bs)):
+                xb = normal_x[perms[:, lo:lo + bs]]
+                loss, rep = md.normal_term(model, xb, beta_kl=beta,
+                                           n_samples=config.s_elbo, rng=noise_rngs)
+                _check_loss(loss, "normal-term loss", seeds, epoch, bi)
+                model.zero_grads()
+                gc.backward(gc.reduce_sum(loss))
+                _check_grads(params)
+                _update(adam, flat.data, flat.grad, config.lr, seeds, epoch, bi)
+                for j, term in enumerate((rep.elbo, rep.kl, rep.recon)):
+                    sums[:, j] += xb.shape[1] * term.data
+                # drop this step's graph before the next forward builds its own
+                del loss, rep
 
-        outlier_vals = outlier_lr = log_domains = None
-        due = (do_outlier and epoch >= config.warmup_epochs
-               and (epoch - config.warmup_epochs) % config.nd_update_interval == 0)
-        if due:
-            m = len(outlier_x)
-            rows = [rng.permutation(m)[:bs] if m > bs else np.arange(m)
-                    for rng in shuffle_rngs]
-            rep = md.outlier_update_term(model, outlier_x[np.stack(rows)],
-                                         beta_kl=beta, s_elbo=config.s_elbo,
-                                         s_cubo=config.s_cubo, rng=noise_rngs)
-            _check_loss(rep.loss, "outlier-term loss", seeds, epoch)
-            outlier_vals, log_domains = rep.loss.data.tolist(), rep.cubo_log_domain
-            model.zero_grads()
-            gc.backward(gc.reduce_sum(rep.loss))
-            del rep
-            dec_grads = [t.grad for t in model.decoder.tensors()]
-            if any(g is not None for g in dec_grads):
-                raise AssertionError("outlier update produced a decoder gradient")
-            outlier_lr = outlier_path_lr(config.lr, epoch,
-                                         config.lr_decay_every,
-                                         config.lr_decay_factor)
-            _check_grads(enc_params)
-            _clip_members(enc_params, config.clip_norm)
-            _update(adam, flat.data[:, :p_enc], flat.grad[:, :p_enc],
-                    outlier_lr, seeds, epoch)
+            outlier_vals = outlier_lr = log_domains = None
+            due = (do_outlier and epoch >= config.warmup_epochs
+                   and (epoch - config.warmup_epochs) % config.nd_update_interval == 0)
+            if due:
+                m = len(outlier_x)
+                rows = [rng.permutation(m)[:bs] if m > bs else np.arange(m)
+                        for rng in shuffle_rngs]
+                rep = md.outlier_update_term(model, outlier_x[np.stack(rows)],
+                                             beta_kl=beta, s_elbo=config.s_elbo,
+                                             s_cubo=config.s_cubo, rng=noise_rngs)
+                _check_loss(rep.loss, "outlier-term loss", seeds, epoch)
+                outlier_vals, log_domains = rep.loss.data.tolist(), rep.cubo_log_domain
+                model.zero_grads()
+                gc.backward(gc.reduce_sum(rep.loss))
+                del rep
+                dec_grads = [t.grad for t in model.decoder.tensors()]
+                if any(g is not None for g in dec_grads):
+                    raise AssertionError("outlier update produced a decoder gradient")
+                outlier_lr = outlier_path_lr(config.lr, epoch,
+                                             config.lr_decay_every,
+                                             config.lr_decay_factor)
+                _check_grads(enc_params)
+                _clip_members(enc_params, config.clip_norm)
+                _update(adam, flat.data[:, :p_enc], flat.grad[:, :p_enc],
+                        outlier_lr, seeds, epoch)
 
-        wall_time = time.perf_counter() - t0
-        for k, history in enumerate(histories):
-            history.records.append(EpochStats(
-                epoch=epoch, elbo=sums[k, 0] / n, kl=sums[k, 1] / n,
-                recon=sums[k, 2] / n,
-                outlier_term=None if outlier_vals is None else outlier_vals[k],
-                lr=config.lr, outlier_lr=outlier_lr, anneal_coeff=beta,
-                wall_time=wall_time,
-                cubo_log_domain=None if log_domains is None else log_domains[k]))
+            wall_time = time.perf_counter() - t0
+            for k, history in enumerate(histories):
+                history.records.append(EpochStats(
+                    epoch=epoch, elbo=sums[k, 0] / n, kl=sums[k, 1] / n,
+                    recon=sums[k, 2] / n,
+                    outlier_term=None if outlier_vals is None else outlier_vals[k],
+                    lr=config.lr, outlier_lr=outlier_lr, anneal_coeff=beta,
+                    wall_time=wall_time,
+                    cubo_log_domain=None if log_domains is None else log_domains[k]))
 
     return model, histories

@@ -53,33 +53,23 @@ def rng(seed, stream=33):
 # ---------------------------------------------------------------------------
 # 1. gradient correctness for every differentiable op and the full losses
 
-def _encoder_slots(model):
-    enc = model.encoder
-    slots = []
-    for lst in (enc.trunk_w, enc.trunk_b):
-        slots.extend((lst, i) for i, t in enumerate(lst) if t is not None)
-    slots.extend((enc, name) for name in ("mu_w", "mu_b", "logvar_w", "logvar_b")
-                 if getattr(enc, name) is not None)
-    return slots
-
-
-def _decoder_slots(model):
-    dec = model.decoder
-    return [(lst, i) for lst in (dec.ws, dec.bs)
-            for i, t in enumerate(lst) if t is not None]
+def _slots(params):
+    """(layer list, layer index, 0 for the weight or 1 for the bias) for
+    every parameter of one network."""
+    return [(params.layers, i, j) for i, pair in enumerate(params.layers)
+            for j, t in enumerate(pair) if t is not None]
 
 
 def _slot_get(slot):
-    holder, key = slot
-    return holder[key] if isinstance(key, int) else getattr(holder, key)
+    layers, i, j = slot
+    return layers[i][j]
 
 
 def _slot_set(slot, tensor):
-    holder, key = slot
-    if isinstance(key, int):
-        holder[key] = tensor
-    else:
-        setattr(holder, key, tensor)
+    layers, i, j = slot
+    pair = list(layers[i])
+    pair[j] = tensor
+    layers[i] = tuple(pair)
 
 
 def _max_fd_error(slots, loss_fn):
@@ -103,8 +93,8 @@ def _max_fd_error_over_params(model, full_loss_fn, normal_loss_fn):
     parameters against the normal term alone, because the outlier term
     treats the decoder as a frozen constant (its contribution to the
     decoder gradient is exactly zero by contract, checked separately)."""
-    return max(_max_fd_error(_encoder_slots(model), full_loss_fn),
-               _max_fd_error(_decoder_slots(model), normal_loss_fn))
+    return max(_max_fd_error(_slots(model.encoder), full_loss_fn),
+               _max_fd_error(_slots(model.decoder), normal_loss_fn))
 
 
 def test_criterion_1_gradient_correctness():
@@ -180,7 +170,7 @@ def test_criterion_1_gradient_correctness():
                                         axis=-1),
              lambda rep: gc.take(rep.log_value, 0))
     worst_cubo = max(_max_fd_error(
-        _encoder_slots(mml),
+        _slots(mml.encoder),
         lambda: form(vb.cubo_loss(mml.encoder, mml.decoder, xo[None], 0.05,
                                   n_samples=4, noise=noise_c[:, None])))
         for form in forms)

@@ -262,7 +262,6 @@ def test_overflowing_synth_features_are_a_data_error(tmp_path, shift):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_aborted_train_leaves_no_run_directory(tmp_path, capsys):
     out = tmp_path / "runs"
     rc = cli.main(["train", "--synth", "4,200,3.0", "--method", "vae",
@@ -270,6 +269,43 @@ def test_aborted_train_leaves_no_run_directory(tmp_path, capsys):
                    *FAST, *FAST_CFG, "--out", str(out)])
     assert rc == cli.EXIT_NUMERIC
     assert "numerical abort" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_diverging_train_prints_only_its_abort(tmp_path):
+    # the parameters overflow inside numpy a step before the loss check
+    # sees a nan; numpy's warnings about that stay off stderr
+    out = tmp_path / "runs"
+    rc, err, caught = _quiet_main(["train", "--synth", "4,200,3.0", "--method", "dp",
+                                   "--config", write_fast_cfg(tmp_path),
+                                   "--lr", "1e300", *fast_args(out=out)])
+    assert rc == cli.EXIT_NUMERIC
+    assert err.startswith("numerical abort: non-finite normal-term loss at "
+                          "member seed 0, epoch 1, batch 0")
+    assert err.count("\n") == 1 and not caught
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "benchmark"])
+@pytest.mark.parametrize("setting, key", [
+    ("method = dp\nalpha = 0", "alpha"), ("method = hybrid\nalpha = 0", "alpha"),
+    ("method = mml\ngamma = -1", "gamma"), ("method = hybrid\ngamma = -1", "gamma"),
+    ("s_elbo = 0", "s_elbo"), ("s_cubo = 0", "s_cubo"), ("s_score = 0", "s_score"),
+    ("clip_norm = 0", "clip_norm")],
+    ids=["dp-alpha", "hybrid-alpha", "mml-gamma", "hybrid-gamma", "s_elbo",
+         "s_cubo", "s_score", "clip_norm"])
+def test_value_training_would_reject_is_a_usage_error_up_front(tmp_path, command,
+                                                               setting, key):
+    # each used to fail inside training (s_score after it), and under
+    # benchmark left a FAILED.json behind
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"warmup_epochs = 3\nanneal_epochs = 2\n{setting}\n",
+                   encoding="utf-8")
+    out = tmp_path / "runs"
+    rc, err, _ = _quiet_main([command, "--synth", "4,200,3.0", "--gamma-l", "0.05",
+                              "--config", str(cfg), *fast_args(out=out)])
+    assert rc == cli.EXIT_USAGE
+    assert err.startswith(f"error: {key}") and "Traceback" not in err
     assert not out.exists()
 
 
@@ -298,7 +334,6 @@ def test_out_root_env_var(tmp_path, monkeypatch):
     assert root.exists() and any(root.iterdir())
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numerical_abort_exit_3(tmp_path, capsys):
     cfg = write_fast_cfg(tmp_path)
     # an absurd learning rate blows the parameters up within a few steps
@@ -312,11 +347,11 @@ def test_numerical_abort_exit_3(tmp_path, capsys):
 def test_benchmark_failure_leaves_marker(tmp_path):
     cfg = write_fast_cfg(tmp_path)
     out = tmp_path / "runs"
-    with pytest.warns(RuntimeWarning):
-        rc = cli.main(["benchmark", "--synth", "4,200,3.0", "--method", "vae",
-                       "--gamma-l", "0", "--config", cfg, "--lr", "1e30",
-                       *FAST, *FAST_CFG, "--out", str(out)])
+    rc, _, caught = _quiet_main(["benchmark", "--synth", "4,200,3.0", "--method",
+                                 "vae", "--gamma-l", "0", "--config", cfg, "--lr",
+                                 "1e30", *FAST, *FAST_CFG, "--out", str(out)])
     assert rc == cli.EXIT_NUMERIC
+    assert not caught
     run_dir = next(out.iterdir())
     failed = json.loads((run_dir / "FAILED.json").read_text())
     assert "non-finite" in failed["error"]
@@ -511,6 +546,32 @@ def test_score_nonfinite_member_weight_is_data_error(model_dir, tmp_path):
     assert rc == cli.EXIT_DATA
     assert err.startswith(f"data error: {member}: array 2 holds a non-finite value")
     assert not caught and "RuntimeWarning" not in err
+    assert not (tmp_path / "scored").exists()
+
+
+@pytest.mark.parametrize("seeds", [[0.5], ["a"], [True]])
+def test_score_manifest_non_integer_seeds_is_data_error(model_dir, tmp_path, seeds):
+    bad = tmp_path / "model"
+    shutil.copytree(model_dir, bad)
+    manifest = json.loads((bad / "manifest.json").read_text())
+    manifest["seeds"] = seeds
+    (bad / "manifest.json").write_text(json.dumps(manifest))
+    rc, err, _ = _quiet_main(["score", "--model-dir", str(bad), "--synth",
+                              "4,40,3.0", "--out", str(tmp_path / "scored")])
+    assert rc == cli.EXIT_DATA
+    assert err.startswith(f"data error: {bad / 'manifest.json'}: member seeds "
+                          "must be integers")
+    assert not (tmp_path / "scored").exists()
+
+
+def test_score_zero_samples_is_usage_error(model_dir, tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("s_score = 0\n", encoding="utf-8")
+    rc, err, _ = _quiet_main(["score", "--model-dir", str(model_dir), "--synth",
+                              "4,40,3.0", "--config", str(cfg),
+                              "--out", str(tmp_path / "scored")])
+    assert rc == cli.EXIT_USAGE
+    assert err.startswith("error: s_score must be >= 1")
     assert not (tmp_path / "scored").exists()
 
 

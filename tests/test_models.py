@@ -227,7 +227,7 @@ def test_bernoulli_family_trains_end_to_end():
     model.zero_grads()
     gc.backward(gc.reduce_sum(loss))
     assert np.isfinite(loss.data).all()
-    assert all(t.grad is not None for t in model.decoder.ws)
+    assert all(t.grad is not None for t in model.decoder.tensors())
     cubo = outlier_term(model, x[:4], 33)
     assert np.isfinite(cubo.loss.data).all()
 
@@ -314,7 +314,7 @@ def test_score_equals_one_noise_draw_byte_for_byte(n, n_samples, family):
         for activation in ("leaky-relu", "relu", "sigmoid"):
             spec = nb.MlpSpec(widths=widths, activation=activation)
             model = md.SsadModel.create(spec, 5, "mml", [8], family=family)
-            for b in model.encoder.trunk_b + model.decoder.bs:
+            for _, b in model.encoder.layers[:-2] + model.decoder.layers:
                 b.data[...] = rng(30).standard_normal(b.data.shape)
             got = md.score(model, x, 0, n_samples=n_samples, batch_size=16)
             want = _reference_score(model, x, n_samples, 16)
@@ -397,6 +397,10 @@ def test_ensemble_validation():
     model = toy_model(seeds=(1, 2))
     with pytest.raises(ValueError, match="non-empty"):
         md.SsadModel(model.encoder, model.decoder, "mml", 0.0, [], model.flat)
+    # a bool is an int to Python, but True would score with seed 1
+    for seeds in ([0.5, 1.5], ["a", "b"], [True, False]):
+        with pytest.raises(ValueError, match="seeds must be integers"):
+            md.SsadModel(model.encoder, model.decoder, "mml", 0.0, seeds, model.flat)
 
 
 def test_ensemble_save_load_roundtrip(tmp_path):
@@ -497,7 +501,7 @@ def test_stacked_outlier_term_keeps_an_overflow_to_its_member():
 
     def alone(seed, x, bias):
         m = members(seed)
-        m.decoder.bs[-1].data[...] = bias
+        m.decoder.layers[-1][1].data[...] = bias
         rep = md.outlier_update_term(m, x[None], s_cubo=4, rng=[rng(seed, 40)])
         gc.backward(gc.reduce_sum(rep.loss))
         cubo = vb.cubo_loss(m.encoder, m.decoder, x[None], m.beta_cubo,
@@ -512,7 +516,7 @@ def test_stacked_outlier_term_keeps_an_overflow_to_its_member():
     assert overflowed and not exp_overflowed
 
     stacked = members(1, 2)
-    stacked.decoder.bs[-1].data[0] = 20.0
+    stacked.decoder.layers[-1][1].data[0] = 20.0
     rep = md.outlier_update_term(stacked, np.stack([x_over, x_exp]), s_cubo=4,
                                  rng=[rng(1, 40), rng(2, 40)])
     assert rep.cubo_log_domain == [True, False]

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import struct
 import tempfile
@@ -53,8 +54,8 @@ def test_init_different_seeds_differ():
 def test_init_layers_fan_in_bound_and_zero_bias():
     enc = nb.init_encoder(CARDIO_SPEC, 21, seed=3)
     dec = nb.init_decoder(CARDIO_SPEC, 21, seed=3)
-    ws = enc.trunk_w + [enc.mu_w, enc.logvar_w] + dec.ws
-    bs = enc.trunk_b + [enc.mu_b, enc.logvar_b] + dec.bs
+    ws = [w for w, _ in enc.layers + dec.layers]
+    bs = [b for _, b in enc.layers + dec.layers]
     assert [w.shape for w in ws] == [(21, 32), (32, 16), (16, 8), (16, 8),
                                      (8, 16), (16, 32), (32, 21)]
     for w in ws:
@@ -92,7 +93,7 @@ def test_encoder_rejects_nonfinite_and_bad_dims():
 
 def test_logvar_clamped():
     enc = nb.init_encoder(nb.MlpSpec(widths=(4, 2)), 3, seed=0)
-    enc.logvar_b.data[...] = 50.0
+    enc.layers[-1][1].data[...] = 50.0  # the log-variance head's bias
     post = nb.encode(enc, np.zeros((2, 3)))
     assert post.logvar.data.max() <= nb.LOGVAR_MAX
 
@@ -139,7 +140,7 @@ def test_noise_gets_no_gradient():
 
 def test_decoder_shapes_mirror_encoder():
     dec = nb.init_decoder(CARDIO_SPEC, 21, seed=0)
-    assert [w.shape for w in dec.ws] == [(8, 16), (16, 32), (32, 21)]
+    assert [w.shape for w, _ in dec.layers] == [(8, 16), (16, 32), (32, 21)]
     z = nb.philox_rng(1, 9).standard_normal((128, 8))
     assert nb.decode(dec, z).shape == (128, 21)
 
@@ -174,7 +175,7 @@ def test_no_bias_network_still_forward_and_backward():
     z = nb.reparameterize(post, np.zeros((5, 4)))
     out = nb.decode(dec, z)
     gc.backward(gc.reduce_mean(gc.square(out)))
-    assert all(t.grad is not None for t in enc.trunk_w)
+    assert all(t.grad is not None for t in enc.tensors())
 
 
 def test_detached_decoder_shares_buffers():
@@ -182,6 +183,27 @@ def test_detached_decoder_shares_buffers():
     frozen = dec.detached()
     assert all(f.data is t.data for f, t in zip(frozen.tensors(), dec.tensors()))
     assert not any(t.requires_grad for t in frozen.tensors())
+
+
+# sha256 of the .bin and .json that save_params writes for a fresh
+# (widths 6,4,3; 5 features; seed 11) encoder and decoder: any change to
+# the Philox draw order or to the order of the saved tensors moves them
+FRESH_INIT_SHA256 = {
+    False: ("f756231a9231d9385b2daa217c2c259ba8b9869319494ebe19c2443865e027d5",
+            "5d03b0ffdf694d9a2a879a75b2efc5099be66a3b32dfdec5c976ad155fd23b97"),
+    True: ("59696d2ee78f19012a72a7dc9a0b92f106e8ecb11282123d442d62115b034daa",
+           "a4c96b50518adb612df2f7e58038df9ce7e8dd000dc0b09bad1be97eb54f12b6"),
+}
+
+
+@pytest.mark.parametrize("use_bias", [False, True])
+def test_fresh_init_file_bytes_are_pinned(use_bias, tmp_path):
+    spec = nb.MlpSpec(widths=(6, 4, 3), use_bias=use_bias)
+    paths = (tmp_path / "m.bin", tmp_path / "m.json")
+    nb.save_params(*paths, nb.init_encoder(spec, 5, seed=11),
+                   nb.init_decoder(spec, 5, seed=11))
+    got = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in paths)
+    assert got == FRESH_INIT_SHA256[use_bias]
 
 
 @pytest.mark.parametrize("use_bias", [True, False])

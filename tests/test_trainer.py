@@ -41,6 +41,11 @@ def test_config_invariants_enforced():
     for key in ("lr", "beta_kl", "alpha", "clip_norm"):
         with pytest.raises(ValueError, match=key):
             tiny_config(**{key: float("nan")})
+    for key in ("s_elbo", "s_cubo", "s_score"):
+        with pytest.raises(ValueError, match=f"^{key} must be >= 1, got 0"):
+            tiny_config(**{key: 0})
+    with pytest.raises(ValueError, match="^clip_norm must be > 0, got 0.0"):
+        tiny_config(clip_norm=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -60,19 +65,20 @@ def test_activation_forward_matches_numpy_and_trains_finite(activation, tmp_path
     z = nb.philox_rng(6, 9).standard_normal((7, 2))
 
     h = x
-    for w, b in zip(enc.trunk_w, enc.trunk_b):
+    for w, b in enc.layers[:-2]:
         h = act(h @ w.data + b.data)
     post = nb.encode(enc, x)
-    np.testing.assert_allclose(post.mu.data, h @ enc.mu_w.data + enc.mu_b.data,
+    (mu_w, mu_b), (logvar_w, logvar_b) = enc.layers[-2:]
+    np.testing.assert_allclose(post.mu.data, h @ mu_w.data + mu_b.data,
                                rtol=1e-12, atol=1e-14)
     np.testing.assert_allclose(
         post.logvar.data,
-        np.clip(h @ enc.logvar_w.data + enc.logvar_b.data, -10.0, 10.0),
+        np.clip(h @ logvar_w.data + logvar_b.data, -10.0, 10.0),
         rtol=1e-12, atol=1e-14)
     h = z
-    for i, (w, b) in enumerate(zip(dec.ws, dec.bs)):
+    for i, (w, b) in enumerate(dec.layers):
         h = h @ w.data + b.data
-        h = act(h) if i < len(dec.ws) - 1 else h
+        h = act(h) if i < len(dec.layers) - 1 else h
     np.testing.assert_allclose(nb.decode(dec, z).data, h, rtol=1e-12, atol=1e-14)
 
     model, _ = tr.train(tiny_config(activation=activation, ensemble_size=2),
