@@ -207,14 +207,24 @@ def score(model: SsadModel, x, k: int, n_samples: int = 64,
     ensemble scoring does not depend on member order.
 
     Memory stays proportional to n, not S * n: rows are encoded once, in
-    batches of ``batch_size``; then sample s draws its (n, d_z) noise block,
+    batches of ``batch_size``; then sample s takes its (n, d_z) noise block,
     which holds the numbers one (S, n, d_z) draw puts at [s], and each batch
-    is decoded with its rows of that block.
+    is decoded with its rows of that block. The noise lives in two (n, d_z)
+    buffers, 16 * n * d_z bytes each (2.56 MB together at n = 20 000,
+    d_z = 8): one helper thread fills the idle one with sample s + 1's block
+    while this thread decodes sample s, and the first block is drawn while
+    the rows are encoded. numpy releases the GIL while it draws, and the
+    one generator is still drawn in sample order, one call at a time, so
+    the numbers are those of a serial draw. The helper is joined before
+    this function returns or raises.
 
     The decoder passes run on plain arrays (``nb.decode_array``) with the
     operations of the graph path, ``vb.elbo`` per batch, in its order, so a
     score has the bytes that path gives it.
     """
+    # imported here: at module level it would slow every CLI start
+    from concurrent.futures import ThreadPoolExecutor
+
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected a (n, d) matrix, got shape {x.shape}")
@@ -228,19 +238,27 @@ def score(model: SsadModel, x, k: int, n_samples: int = 64,
     enc, dec = model.encoder.member(k), model.decoder.member(k)
     starts = range(0, n, batch_size)
     batches = [x[lo:lo + batch_size] for lo in starts]
-    posts = [nb.encode(enc, xb) for xb in batches]
-    kls = [vb.kl_to_gaussian_prior(post).data for post in posts]
-    layers = nb.decoder_arrays(dec, len(batches[0]))
+    noise = (np.empty((n, d_z)), np.empty((n, d_z)))
     recon = [None] * len(batches)
-    for _ in range(n_samples):
-        eps = rng.standard_normal((n, d_z))
-        for i, (lo, post, xb) in enumerate(zip(starts, posts, batches)):
-            z = nb.reparameterize_array(post, eps[lo:lo + len(xb)])
-            term = vb.nll_array(nb.decode_array(dec.spec, layers, z), xb, dec.family)
-            if recon[i] is None:
-                recon[i] = term
-            else:
-                recon[i] += term
+    # leaving the block joins the helper, also when a pass raises
+    with ThreadPoolExecutor(1) as helper:
+        drawn = helper.submit(rng.standard_normal, out=noise[0])
+        posts = [nb.encode(enc, xb) for xb in batches]
+        kls = [vb.kl_to_gaussian_prior(post).data for post in posts]
+        layers = nb.decoder_arrays(dec, len(batches[0]))
+        for s in range(n_samples):
+            eps = drawn.result()
+            if s + 1 < n_samples:
+                # the other buffer: sample s - 1, its last reader, is done
+                drawn = helper.submit(rng.standard_normal, out=noise[(s + 1) % 2])
+            for i, (lo, post, xb) in enumerate(zip(starts, posts, batches)):
+                z = nb.reparameterize_array(post, eps[lo:lo + len(xb)])
+                term = vb.nll_array(nb.decode_array(dec.spec, layers, z), xb,
+                                    dec.family)
+                if recon[i] is None:
+                    recon[i] = term
+                else:
+                    recon[i] += term
     if n_samples > 1:
         recon = [r * (1.0 / n_samples) for r in recon]
     # the per-row ELBO at beta_kl = 1, as BoundReport.per_sample computes it

@@ -108,6 +108,12 @@ class TrainConfig:
         for name in ("lr", "clip_norm"):
             if not (getattr(self, name) > 0):
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        # a negative factor would turn a bound or the outlier steps upside
+        # down; a decay factor of 0 stops the outlier steps moving the
+        # encoder after the first decay
+        for name in ("beta_kl", "beta_cubo", "lr_decay_factor"):
+            if not (getattr(self, name) >= 0):
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 
     @property
     def spec(self) -> nb.MlpSpec:

@@ -291,9 +291,11 @@ def test_diverging_train_prints_only_its_abort(tmp_path):
     ("method = dp\nalpha = 0", "alpha"), ("method = hybrid\nalpha = 0", "alpha"),
     ("method = mml\ngamma = -1", "gamma"), ("method = hybrid\ngamma = -1", "gamma"),
     ("s_elbo = 0", "s_elbo"), ("s_cubo = 0", "s_cubo"), ("s_score = 0", "s_score"),
-    ("clip_norm = 0", "clip_norm")],
+    ("clip_norm = 0", "clip_norm"), ("beta_kl = -1", "beta_kl"),
+    ("beta_cubo = -1", "beta_cubo"), ("lr_decay_factor = -1", "lr_decay_factor")],
     ids=["dp-alpha", "hybrid-alpha", "mml-gamma", "hybrid-gamma", "s_elbo",
-         "s_cubo", "s_score", "clip_norm"])
+         "s_cubo", "s_score", "clip_norm", "beta_kl", "beta_cubo",
+         "lr_decay_factor"])
 def test_value_training_would_reject_is_a_usage_error_up_front(tmp_path, command,
                                                                setting, key):
     # each used to fail inside training (s_score after it), and under

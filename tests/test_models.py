@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -336,6 +337,34 @@ def test_score_memory_does_not_grow_with_samples():
     finally:
         tracemalloc.stop()
     assert peak < 16e6
+
+
+@pytest.mark.parametrize("n_samples", [1, 3])
+def test_score_joins_its_noise_helper(monkeypatch, n_samples):
+    # the helper that draws the next noise block is gone when score
+    # returns, and when a decoder pass raises while a draw may be in flight
+    model = toy_model(seeds=(0, 1, 2))
+    x = rng(32).standard_normal((10, 2))  # three row batches of 4
+    before = threading.active_count()
+    for k in range(3):
+        md.score(model, x, k, n_samples=n_samples, batch_size=4)
+        assert threading.active_count() == before
+    calls, decode_array = [], nb.decode_array
+    boom = RuntimeError("third decoder pass")
+
+    def failing_decode_array(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise boom
+        return decode_array(*args)
+
+    monkeypatch.setattr(nb, "decode_array", failing_decode_array)
+    for k in range(3):
+        calls.clear()
+        with pytest.raises(RuntimeError) as caught:
+            md.score(model, x, k, n_samples=n_samples, batch_size=4)
+        assert caught.value is boom and len(calls) == 3
+        assert threading.active_count() == before
 
 
 def test_score_variance_shrinks_with_samples():

@@ -46,6 +46,11 @@ def test_config_invariants_enforced():
             tiny_config(**{key: 0})
     with pytest.raises(ValueError, match="^clip_norm must be > 0, got 0.0"):
         tiny_config(clip_norm=0.0)
+    for key in ("beta_kl", "beta_cubo", "lr_decay_factor"):
+        with pytest.raises(ValueError, match=f"^{key} must be >= 0, got -1.0"):
+            tiny_config(**{key: -1.0})
+        tiny_config(**{key: 0.0})
+    tiny_config(alpha=-5.0)  # a prior mean of -5 * 1
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +228,9 @@ def test_outlier_path_lr_decay():
     assert tr.outlier_path_lr(1e-3, 49) == 1e-3
     assert tr.outlier_path_lr(1e-3, 50) == pytest.approx(1e-4)
     assert tr.outlier_path_lr(1e-3, 100) == pytest.approx(1e-5)
+    # factor 0: the full rate until the first decay, then none
+    assert tr.outlier_path_lr(1e-3, 49, 50, 0.0) == 1e-3
+    assert tr.outlier_path_lr(1e-3, 50, 50, 0.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
