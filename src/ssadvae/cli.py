@@ -200,6 +200,8 @@ def effective_config(args: argparse.Namespace) -> dict:
         raise UsageError("--dataset and --synth are mutually exclusive")
     if not cfg["seeds"]:
         raise UsageError("at least one seed is required")
+    if len(set(cfg["seeds"])) != len(cfg["seeds"]):
+        raise UsageError(f"seeds must be distinct, got {cfg['seeds']}")
     if cfg["method"] not in md.METHODS:
         raise UsageError(f"method: expected one of {', '.join(md.METHODS)}, "
                          f"got {cfg['method']!r}")

@@ -240,8 +240,9 @@ def score(model: SsadModel, x, k: int, n_samples: int = 64,
     batches = [x[lo:lo + batch_size] for lo in starts]
     noise = (np.empty((n, d_z)), np.empty((n, d_z)))
     recon = [None] * len(batches)
-    # leaving the block joins the helper, also when a pass raises
-    with ThreadPoolExecutor(1) as helper:
+    # leaving the block joins the helper, also when a pass raises; a far-out
+    # row overflows to a score of -inf, which needs no numpy warning
+    with ThreadPoolExecutor(1) as helper, np.errstate(over="ignore"):
         drawn = helper.submit(rng.standard_normal, out=noise[0])
         posts = [nb.encode(enc, xb) for xb in batches]
         kls = [vb.kl_to_gaussian_prior(post).data for post in posts]
@@ -279,8 +280,15 @@ def ensemble_score(model: SsadModel, x, n_samples: int = 64,
 # persistence
 
 def save_ensemble(dirpath, model: SsadModel, extra: Optional[dict] = None) -> None:
-    """K member param files plus one manifest.json describing the run."""
+    """K member param files plus one manifest.json describing the run.
+
+    An existing manifest is removed before the first member is written, and
+    the new one is written to a temporary file and renamed into place last,
+    so a write cut short leaves no manifest and nothing that loads."""
     os.makedirs(dirpath, exist_ok=True)
+    manifest_path = os.path.join(dirpath, "manifest.json")
+    if os.path.exists(manifest_path):
+        os.remove(manifest_path)
     manifest = {
         "method": model.method,
         "gamma": model.gamma,
@@ -296,39 +304,32 @@ def save_ensemble(dirpath, model: SsadModel, extra: Optional[dict] = None) -> No
         manifest.update(extra)
     for k in range(len(model.seeds)):
         nb.save_params(os.path.join(dirpath, f"member_{k:02d}.bin"),
-                       os.path.join(dirpath, f"member_{k:02d}.json"),
                        model.encoder.member(k), model.decoder.member(k))
-    with open(os.path.join(dirpath, "manifest.json"), "w", encoding="utf-8") as fh:
+    with open(manifest_path + ".tmp", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    os.replace(manifest_path + ".tmp", manifest_path)
 
 
 def load_ensemble(dirpath) -> tuple:
-    """Returns (SsadModel, manifest dict). A missing, corrupt or inconsistent
-    manifest or member file raises DataError naming that file; so does a
-    member sidecar whose in_dim, out_dim, spec or family differs from the
-    manifest's."""
-    manifest_path = os.path.join(dirpath, "manifest.json")
-    path, named = manifest_path, [manifest_path]
+    """Returns (SsadModel, manifest dict); the manifest's spec, in_dim and
+    family describe every member file. A missing, corrupt or inconsistent
+    manifest or member file raises DataError naming that file."""
+    path = manifest_path = os.path.join(dirpath, "manifest.json")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-        want = {"in_dim": manifest["in_dim"], "out_dim": manifest["in_dim"],
-                "spec": nb.MlpSpec.from_dict(manifest["spec"]),
-                "family": manifest["family"]}
+        spec = nb.MlpSpec.from_dict(manifest["spec"])
+        in_dim, family = manifest["in_dim"], manifest["family"]
+        if type(in_dim) is not int or in_dim < 1:
+            raise ValueError(f"in_dim must be an integer >= 1, got {in_dim!r}")
+        if family not in nb.FAMILIES:
+            raise ValueError(f"family must be one of {nb.FAMILIES}, got {family!r}")
         members = []
         for i in range(len(manifest["seeds"])):
-            stem = os.path.join(dirpath, f"member_{i:02d}")
-            path, named = stem + ".json", [stem + ".bin", stem + ".json"]
-            enc, dec = nb.load_params(stem + ".bin", path)
-            got = {"in_dim": enc.in_dim, "out_dim": dec.out_dim,
-                   "spec": enc.spec, "family": dec.family}
-            for key, value in want.items():
-                if got[key] != value:
-                    raise ValueError(f"{path}: {key} {got[key]!r} does not "
-                                     f"match manifest.json's {value!r}")
-            members.append((enc, dec))
-        path, named = manifest_path, [manifest_path]
+            path = os.path.join(dirpath, f"member_{i:02d}.bin")
+            members.append(nb.load_params(path, spec, in_dim, family))
+        path = manifest_path
         model = _stacked(members, manifest["method"], manifest["alpha"],
                          manifest["seeds"], gamma=manifest["gamma"],
                          beta_kl=manifest["beta_kl"],
@@ -336,6 +337,6 @@ def load_ensemble(dirpath) -> tuple:
         return model, manifest
     except (OSError, ValueError, KeyError, TypeError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
-        if not any(p in detail for p in named):
+        if path not in detail:
             detail = f"{path}: {detail}"
         raise DataError(detail) from exc

@@ -9,7 +9,6 @@ platforms.
 """
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import dataclass, field, replace
@@ -293,7 +292,8 @@ def decode_array(spec: MlpSpec, layers: list, z: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# serialization: flat binary container + JSON sidecar
+# serialization: one flat binary container per member; the architecture
+# that reads it back is recorded by the caller (a run's manifest.json)
 
 def write_arrays(path, arrays) -> None:
     """magic | u32 count | per array: u32 ndim, u32 dims..., f64 row-major."""
@@ -338,46 +338,27 @@ def read_arrays(path) -> list:
     return arrays
 
 
-def save_params(path_bin, path_json, enc: EncoderParams, dec: DecoderParams) -> None:
-    """Encoder then decoder buffers in declaration order, plus a JSON sidecar."""
-    arrays = [t.data for t in enc.tensors()] + [t.data for t in dec.tensors()]
-    write_arrays(path_bin, arrays)
-    sidecar = {
-        "spec": enc.spec.to_dict(),
-        "in_dim": enc.in_dim,
-        "out_dim": dec.out_dim,
-        "family": dec.family,
-        "n_encoder_arrays": len(enc.tensors()),
-        "n_decoder_arrays": len(dec.tensors()),
-    }
-    with open(path_json, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def save_params(path, enc: EncoderParams, dec: DecoderParams) -> None:
+    """Encoder then decoder buffers in declaration order."""
+    write_arrays(path, [t.data for t in enc.tensors() + dec.tensors()])
 
 
-def load_params(path_bin, path_json) -> tuple:
-    """Inverse of save_params. The sidecar's array counts must be the ones
-    its spec implies, or ValueError names the sidecar; a non-finite value
-    is a ValueError naming the binary file."""
-    with open(path_json, "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    spec = MlpSpec.from_dict(sidecar["spec"])
-    enc = init_encoder(spec, sidecar["in_dim"], seed=0)
-    dec = init_decoder(spec, sidecar["out_dim"], seed=0, family=sidecar["family"])
-    for key, params in (("n_encoder_arrays", enc), ("n_decoder_arrays", dec)):
-        if sidecar[key] != len(params.tensors()):
-            raise ValueError(f"{path_json}: {key} is {sidecar[key]!r}, but its "
-                             f"spec has {len(params.tensors())}")
-    arrays = read_arrays(path_bin)
+def load_params(path, spec: MlpSpec, in_dim: int, family: str) -> tuple:
+    """Inverse of save_params for the architecture its caller records; an
+    array count or shape unlike that architecture's, or a non-finite value,
+    is a ValueError naming the file."""
+    enc = init_encoder(spec, in_dim, seed=0)
+    dec = init_decoder(spec, in_dim, seed=0, family=family)
+    arrays = read_arrays(path)
     slots = enc.tensors() + dec.tensors()
     if len(arrays) != len(slots):
         raise ValueError(
-            f"{path_bin}: expected {len(slots)} arrays, found {len(arrays)}")
+            f"{path}: expected {len(slots)} arrays, found {len(arrays)}")
     for i, (slot, arr) in enumerate(zip(slots, arrays)):
         if slot.data.shape != arr.shape:
             raise ValueError(
-                f"{path_bin}: shape mismatch {arr.shape} vs {slot.data.shape}")
+                f"{path}: shape mismatch {arr.shape} vs {slot.data.shape}")
         if not np.isfinite(arr).all():
-            raise ValueError(f"{path_bin}: array {i} holds a non-finite value")
+            raise ValueError(f"{path}: array {i} holds a non-finite value")
         slot.data = arr
     return enc, dec

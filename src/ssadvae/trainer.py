@@ -110,8 +110,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
         # a negative factor would turn a bound or the outlier steps upside
         # down; a decay factor of 0 stops the outlier steps moving the
-        # encoder after the first decay
-        for name in ("beta_kl", "beta_cubo", "lr_decay_factor"):
+        # encoder after the first decay, and lr_decay_every = 0 never decays
+        for name in ("beta_kl", "beta_cubo", "lr_decay_factor", "lr_decay_every"):
             if not (getattr(self, name) >= 0):
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 

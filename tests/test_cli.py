@@ -57,11 +57,11 @@ def test_train_writes_models_manifest_histories(tmp_path):
     run_dirs = list(out.iterdir())
     assert len(run_dirs) == 1
     files = {p.name for p in run_dirs[0].iterdir()}
-    assert "manifest.json" in files
-    assert "member_00.bin" in files and "member_00.json" in files
-    assert any(f.startswith("history_seed") and f.endswith(".csv") for f in files)
     manifest = json.loads((run_dirs[0] / "manifest.json").read_text())
     assert manifest["config"]["method"] == "dp"
+    (seed,) = manifest["seeds"]
+    assert files == {"manifest.json", "member_00.bin",
+                     f"history_seed{seed}.csv", f"history_seed{seed}.json"}
 
 
 def test_train_default_ensemble_is_five(tmp_path):
@@ -292,10 +292,11 @@ def test_diverging_train_prints_only_its_abort(tmp_path):
     ("method = mml\ngamma = -1", "gamma"), ("method = hybrid\ngamma = -1", "gamma"),
     ("s_elbo = 0", "s_elbo"), ("s_cubo = 0", "s_cubo"), ("s_score = 0", "s_score"),
     ("clip_norm = 0", "clip_norm"), ("beta_kl = -1", "beta_kl"),
-    ("beta_cubo = -1", "beta_cubo"), ("lr_decay_factor = -1", "lr_decay_factor")],
+    ("beta_cubo = -1", "beta_cubo"), ("lr_decay_factor = -1", "lr_decay_factor"),
+    ("lr_decay_every = -3", "lr_decay_every")],
     ids=["dp-alpha", "hybrid-alpha", "mml-gamma", "hybrid-gamma", "s_elbo",
          "s_cubo", "s_score", "clip_norm", "beta_kl", "beta_cubo",
-         "lr_decay_factor"])
+         "lr_decay_factor", "lr_decay_every"])
 def test_value_training_would_reject_is_a_usage_error_up_front(tmp_path, command,
                                                                setting, key):
     # each used to fail inside training (s_score after it), and under
@@ -612,20 +613,58 @@ def test_corrupt_model_file_is_data_error(model_dir, case):
         assert not os.path.exists(os.path.join(tmp, "scored"))
 
 
-def test_member_sidecar_family_unlike_the_manifest_is_data_error(model_dir, tmp_path,
-                                                                 capsys):
+@pytest.mark.parametrize("key, edit", [
+    ("spec", lambda old: dict(old, widths=[8])),
+    ("spec", lambda old: dict(old, activation="tanh")),
+    ("spec", lambda old: {k: v for k, v in old.items() if k != "leak"}),
+    ("in_dim", lambda old: 0), ("in_dim", lambda old: str(old)),
+    ("in_dim", lambda old: True), ("family", lambda old: "poisson")],
+    ids=["spec-one-width", "spec-activation", "spec-no-leak", "in_dim-zero",
+         "in_dim-text", "in_dim-bool", "family"])
+def test_score_manifest_bad_architecture_is_data_error(model_dir, tmp_path, key, edit):
+    # the manifest alone describes the member files, so it is the file named
     bad = tmp_path / "model"
     shutil.copytree(model_dir, bad)
-    sidecar = bad / "member_00.json"
-    fields = json.loads(sidecar.read_text())
-    fields["family"] = "bernoulli"  # the manifest says gaussian
-    sidecar.write_text(json.dumps(fields))
-    rc = cli.main(["score", "--model-dir", str(bad), "--synth", "4,40,3.0",
-                   "--out", str(tmp_path / "scored")])
+    manifest = json.loads((bad / "manifest.json").read_text())
+    manifest[key] = edit(manifest[key])
+    (bad / "manifest.json").write_text(json.dumps(manifest))
+    rc, err, caught = _quiet_main(["score", "--model-dir", str(bad), "--synth",
+                                   "4,40,3.0", "--out", str(tmp_path / "scored")])
     assert rc == cli.EXIT_DATA
-    assert (f"data error: {sidecar}: family 'bernoulli' does not match "
-            "manifest.json's 'gaussian'") in capsys.readouterr().err
+    assert err.startswith(f"data error: {bad / 'manifest.json'}: ")
+    assert not caught and "Traceback" not in err
     assert not (tmp_path / "scored").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda arrays: [arrays[0][:-1], *arrays[1:]], "shape mismatch (3, 8) vs (4, 8)"),
+    (lambda arrays: arrays[:-1], "expected 14 arrays, found 13")],
+    ids=["shape", "count"])
+def test_score_misshapen_member_file_is_data_error(model_dir, tmp_path, edit, message):
+    from ssadvae import netblocks as nb
+
+    bad = tmp_path / "model"
+    shutil.copytree(model_dir, bad)
+    member = bad / "member_00.bin"
+    nb.write_arrays(member, edit(nb.read_arrays(member)))
+    rc, err, _ = _quiet_main(["score", "--model-dir", str(bad), "--synth",
+                              "4,40,3.0", "--out", str(tmp_path / "scored")])
+    assert rc == cli.EXIT_DATA
+    assert err.startswith(f"data error: {member}: {message}")
+    assert not (tmp_path / "scored").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "benchmark", "score"])
+def test_repeated_seeds_are_a_usage_error(tmp_path, command):
+    # two runs of one seed would report a spread of 0.0 over "2 seeds"
+    out = tmp_path / "runs"
+    model = ["--model-dir", str(tmp_path)] if command == "score" else []
+    rc, err, _ = _quiet_main([command, "--synth", "4,200,3.0", *model,
+                              "--config", write_fast_cfg(tmp_path),
+                              "--seeds", "0,0", "--out", str(out)])
+    assert rc == cli.EXIT_USAGE
+    assert err.startswith("error: seeds must be distinct, got [0, 0]")
+    assert not out.exists()
 
 
 def _damage_csv(text: str, case) -> str:
