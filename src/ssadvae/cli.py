@@ -40,7 +40,7 @@ _TRAIN_DEFAULTS = {f.name: f.default for f in dc_fields(tr.TrainConfig)
 _DEFAULTS = {
     "label_col": "label", "positive_token": "1", "method": "dp",
     "gamma_l": 0.01, "gamma_p": 0.0, "seeds": [0], "train_fraction": 0.6,
-    "save_scores": False,
+    "save_scores": False, "s_score": 64,
 }
 
 # every accepted config key and the type of its default; the keys without
@@ -108,10 +108,14 @@ def load_config_file(path: str) -> dict:
             path = bundled
         else:
             raise UsageError(f"config file {path!r} not found")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"config file {path!r} cannot be read: {exc}") from None
     if path.endswith(".json"):
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+            data = json.loads(text)
         except ValueError as exc:
             raise UsageError(f"{path}: invalid JSON: {exc}") from None
         # accept a full run manifest too
@@ -120,15 +124,14 @@ def load_config_file(path: str) -> dict:
             raise UsageError(f"{path}: expected a JSON object of config keys")
         return {k: _coerce(k, v) for k, v in raw.items() if k in _KEY_TYPES}
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            out[key] = _coerce(key, value)
+    for lineno, line in enumerate(text.split("\n"), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        out[key] = _coerce(key, value)
     return out
 
 
@@ -149,19 +152,17 @@ def _add_common(p: argparse.ArgumentParser):
                    help="label value marking anomalies (default: 1)")
     p.add_argument("--synth", metavar="D,N,SHIFT[,N_ANOM]",
                    help="synthetic data instead of a CSV, e.g. 8,2000,3.0")
-    p.add_argument("--method", choices=md.METHODS)
-    p.add_argument("--gamma-l", type=float, dest="gamma_l",
-                   help="labeled-anomaly ratio (default 0.01)")
-    p.add_argument("--gamma-p", type=float, dest="gamma_p",
-                   help="pollution ratio of the unlabeled pool (default 0)")
+    p.add_argument("--method", help=f"one of {', '.join(md.METHODS)}")
+    p.add_argument("--gamma-l", help="labeled-anomaly ratio (default 0.01)")
+    p.add_argument("--gamma-p", help="pollution ratio of the unlabeled pool (default 0)")
     p.add_argument("--seeds", help="comma-separated protocol seeds (default: 0)")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--ensemble", type=int, dest="ensemble_size")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta-kl", type=float, dest="beta_kl")
-    p.add_argument("--beta-cubo", type=float, dest="beta_cubo")
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--lr", type=float)
+    p.add_argument("--epochs")
+    p.add_argument("--ensemble", dest="ensemble_size")
+    p.add_argument("--alpha")
+    p.add_argument("--beta-kl")
+    p.add_argument("--beta-cubo")
+    p.add_argument("--gamma")
+    p.add_argument("--lr")
     p.add_argument("--widths", help="MLP widths, e.g. 32,16,8")
     p.add_argument("--out", help=f"output root (default: ${OUT_ROOT_ENV} or ./runs)")
     p.add_argument("--config", help="config file, bundled config name, or a run manifest.json")
@@ -205,6 +206,8 @@ def effective_config(args: argparse.Namespace) -> dict:
     if cfg["method"] not in md.METHODS:
         raise UsageError(f"method: expected one of {', '.join(md.METHODS)}, "
                          f"got {cfg['method']!r}")
+    if cfg["s_score"] < 1:
+        raise UsageError(f"s_score must be >= 1, got {cfg['s_score']!r}")
     return cfg
 
 
@@ -299,29 +302,31 @@ def run_train(args) -> int:
     config = train_config_from(cfg, master_seed=seed)
 
     model, hists = tr.train(config, train, cfg["method"])
-    # save_ensemble makes the run directory, so a failed training leaves
-    # none; its manifest doubles as the run manifest (shared manifest.json)
+    # the run directory is made after training, so a failed training leaves
+    # none; the histories go in before save_ensemble, whose manifest (also
+    # the run manifest) goes in last, so a write cut short loads as nothing
     run_dir = os.path.join(_out_root(args), f"train_{digest}")
+    os.makedirs(run_dir, exist_ok=True)
+    for h in hists:
+        h.save_csv(os.path.join(run_dir, f"history_seed{h.seed}.csv"))
+        h.save_json(os.path.join(run_dir, f"history_seed{h.seed}.json"))
     md.save_ensemble(run_dir, model, extra={
         "command": "train", "digest": digest, "config": cfg,
         "epochs": config.epochs,
         "standardize_mean": stats.mean.tolist(),
         "standardize_scale": stats.scale.tolist(),
     })
-    for h in hists:
-        h.save_csv(os.path.join(run_dir, f"history_seed{h.seed}.csv"))
-        h.save_json(os.path.join(run_dir, f"history_seed{h.seed}.json"))
     print(run_dir)
     return EXIT_OK
 
 
-def _manifest_standardization(model_dir, manifest: dict) -> tuple:
-    """(in_dim, StandardizeStats) of a train run; a missing key, a vector
-    whose length is not in_dim, a non-finite entry or a scale entry that is
-    not > 0 is a DataError naming the manifest and the key."""
+def _manifest_standardization(model_dir, manifest: dict,
+                              in_dim: int) -> dk.StandardizeStats:
+    """The StandardizeStats of a train run; a missing key, a vector whose
+    length is not in_dim, a non-finite entry or a scale entry that is not
+    > 0 is a DataError naming the manifest and the key."""
     path = os.path.join(model_dir, "manifest.json")
     try:
-        in_dim = int(manifest["in_dim"])
         mean = np.asarray(manifest["standardize_mean"], dtype=np.float64)
         scale = np.asarray(manifest["standardize_scale"], dtype=np.float64)
     except KeyError as exc:
@@ -339,16 +344,15 @@ def _manifest_standardization(model_dir, manifest: dict) -> tuple:
             j = int(np.flatnonzero(~ok)[0])
             raise dk.DataError(f"{path}: {key}[{j}] is {float(vec[j])!r}, "
                                f"expected {want}")
-    return in_dim, dk.StandardizeStats(mean=mean, scale=scale)
+    return dk.StandardizeStats(mean=mean, scale=scale)
 
 
 def run_score(args) -> int:
     cfg = effective_config(args)
-    if cfg["s_score"] < 1:
-        raise UsageError(f"s_score must be >= 1, got {cfg['s_score']!r}")
     digest = config_digest(cfg)
     model, manifest = md.load_ensemble(args.model_dir)
-    in_dim, stats = _manifest_standardization(args.model_dir, manifest)
+    in_dim = model.encoder.in_dim
+    stats = _manifest_standardization(args.model_dir, manifest, in_dim)
     base = load_base_dataset(cfg, cfg["seeds"][0])
     if base.dim != in_dim:
         source = f"--synth {cfg['synth']}" if cfg.get("synth") else cfg["dataset"]
@@ -457,7 +461,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (dk.DataError, FileNotFoundError) as exc:
+    except (dk.DataError, OSError) as exc:  # an OSError names its path
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except tr.NumericalAbort as exc:

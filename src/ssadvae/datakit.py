@@ -90,6 +90,20 @@ def _label_index(path, first: list, label_column: Union[str, int]) -> int:
     return idx % len(first)  # -1 is the last column
 
 
+def _not_utf8(path) -> DataError:
+    """The error for a file that does not decode as UTF-8, naming the line
+    and the byte offset of its first bad byte."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        return DataError(f"{path}: line {line}, byte {exc.start}: not UTF-8 "
+                         f"({exc.reason})")
+    return DataError(f"{path}: not UTF-8")
+
+
 def _parses(cell: str) -> bool:
     try:
         float(cell)
@@ -129,34 +143,37 @@ def load_csv(path, label_column: Union[str, int] = "label",
     reported, as a DataError naming the file and the row."""
     token = str(positive_token).strip()
     feats, labels = array("d"), array("b")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = filter(None, csv.reader(fh))
-        first = next(rows, None)
-        if first is None:
-            raise DataError(f"{path}: empty file")
-        label_idx = _label_index(path, first, label_column)
-        ncols, body, line = len(first), rows, 2
-        # by index, the first row is data when its features all parse as
-        # floats (a non-finite one is then rejected as a data cell)
-        if not isinstance(label_column, str) and all(
-                _parses(cell) for col, cell in enumerate(first)
-                if col != label_idx):
-            body, line = itertools.chain([first], rows), 1
-        for line, row in enumerate(body, line):
-            if len(row) != ncols:
-                raise DataError(f"{path}: row {line}: has {len(row)} columns, "
-                                f"expected {ncols}")
-            labels.append(row.pop(label_idx).strip() == token)
-            try:
-                vals = list(map(float, row))
-            except ValueError:
-                vals = None
-            # a sum of finite cells can still overflow: then every cell passes
-            if vals is None or not math.isfinite(sum(vals)):
-                err = _first_bad_cell(path, line, row, label_idx)
-                if err is not None:
-                    raise err
-            feats.extend(vals)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = filter(None, csv.reader(fh))
+            first = next(rows, None)
+            if first is None:
+                raise DataError(f"{path}: empty file")
+            label_idx = _label_index(path, first, label_column)
+            ncols, body, line = len(first), rows, 2
+            # by index, the first row is data when its features all parse as
+            # floats (a non-finite one is then rejected as a data cell)
+            if not isinstance(label_column, str) and all(
+                    _parses(cell) for col, cell in enumerate(first)
+                    if col != label_idx):
+                body, line = itertools.chain([first], rows), 1
+            for line, row in enumerate(body, line):
+                if len(row) != ncols:
+                    raise DataError(f"{path}: row {line}: has {len(row)} columns, "
+                                    f"expected {ncols}")
+                labels.append(row.pop(label_idx).strip() == token)
+                try:
+                    vals = list(map(float, row))
+                except ValueError:
+                    vals = None
+                # a sum of finite cells can still overflow: then every cell passes
+                if vals is None or not math.isfinite(sum(vals)):
+                    err = _first_bad_cell(path, line, row, label_idx)
+                    if err is not None:
+                        raise err
+                feats.extend(vals)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     n = len(labels)
     if n == 0:
         raise DataError(f"{path}: no data rows")

@@ -66,10 +66,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        """A leaf view sharing this tensor's buffer, cut off from the graph."""
-        return Tensor(self.data, requires_grad=False)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -113,7 +109,7 @@ class Graph:
 
 def make_node(data, op: str, parents: Sequence[Tensor], vjp: Callable) -> Tensor:
     """A node holding ``data`` that is recorded only when a parent is
-    trainable, so a computation over constants (``Tensor.detach`` views)
+    trainable, so a computation over constants (``gc.constant`` views)
     builds no graph. ``vjp(g)`` returns one gradient (or None) per entry of
     ``parents``; a parent may be listed more than once, and ``backward``
     then adds its gradients in list order."""

@@ -40,6 +40,9 @@ METHODS = ("vae", "mml", "dp", "hybrid")
 LOG_EXP_LIMIT = math.log(np.finfo(np.float64).max) - 10.0
 CUBO_LOG_DOMAIN_MIN = -5.0
 
+# the SsadModel fields a saved model's manifest records, by the same names
+_MANIFEST_FIELDS = ("method", "gamma", "alpha", "beta_kl", "beta_cubo", "seeds")
+
 
 @dataclass
 class FlatParams:
@@ -107,16 +110,16 @@ class SsadModel:
         members = [(nb.init_encoder(spec, in_dim, seed),
                     nb.init_decoder(spec, in_dim, seed, family=family))
                    for seed in seeds]
-        return _stacked(members, method, alpha, list(seeds), gamma=gamma,
-                        beta_kl=beta_kl, beta_cubo=beta_cubo)
+        return _stacked(members, method=method, alpha=alpha, seeds=list(seeds),
+                        gamma=gamma, beta_kl=beta_kl, beta_cubo=beta_cubo)
 
 
-def _stacked(members: list, method: str, alpha: float, seeds: list,
-             **hyper) -> SsadModel:
+def _stacked(members: list, **fields) -> SsadModel:
     """The model holding K unstacked (encoder, decoder) pairs along a new
-    leading axis; member 0's tensors become its parameters."""
+    leading axis, with the _MANIFEST_FIELDS given by keyword; member 0's
+    tensors become its parameters."""
     if not members:
-        raise ValueError(f"member seeds must be non-empty, got {seeds}")
+        raise ValueError(f"member seeds must be non-empty, got {fields['seeds']}")
     enc, dec = members[0]
     data = np.stack([np.concatenate([t.data.ravel() for t in e.tensors() + d.tensors()])
                      for e, d in members])
@@ -128,7 +131,7 @@ def _stacked(members: list, method: str, alpha: float, seeds: list,
         t.data = data[:, off:off + size].reshape(shape)
         t.grad_view = grad[:, off:off + size].reshape(shape)
         off += size
-    return SsadModel(enc, dec, method, alpha, seeds, flat, **hyper)
+    return SsadModel(enc, dec, flat=flat, **fields)
 
 
 @dataclass
@@ -289,17 +292,9 @@ def save_ensemble(dirpath, model: SsadModel, extra: Optional[dict] = None) -> No
     manifest_path = os.path.join(dirpath, "manifest.json")
     if os.path.exists(manifest_path):
         os.remove(manifest_path)
-    manifest = {
-        "method": model.method,
-        "gamma": model.gamma,
-        "alpha": model.alpha,
-        "beta_kl": model.beta_kl,
-        "beta_cubo": model.beta_cubo,
-        "seeds": model.seeds,
-        "spec": model.encoder.spec.to_dict(),
-        "in_dim": model.encoder.in_dim,
-        "family": model.decoder.family,
-    }
+    manifest = {name: getattr(model, name) for name in _MANIFEST_FIELDS}
+    manifest.update(spec=model.encoder.spec.to_dict(), in_dim=model.encoder.in_dim,
+                    family=model.decoder.family)
     if extra:
         manifest.update(extra)
     for k in range(len(model.seeds)):
@@ -330,10 +325,7 @@ def load_ensemble(dirpath) -> tuple:
             path = os.path.join(dirpath, f"member_{i:02d}.bin")
             members.append(nb.load_params(path, spec, in_dim, family))
         path = manifest_path
-        model = _stacked(members, manifest["method"], manifest["alpha"],
-                         manifest["seeds"], gamma=manifest["gamma"],
-                         beta_kl=manifest["beta_kl"],
-                         beta_cubo=manifest["beta_cubo"])
+        model = _stacked(members, **{name: manifest[name] for name in _MANIFEST_FIELDS})
         return model, manifest
     except (OSError, ValueError, KeyError, TypeError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)

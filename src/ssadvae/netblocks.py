@@ -157,7 +157,8 @@ class DecoderParams(_Layers):
     def detached(self) -> "DecoderParams":
         """Same buffers, no gradient flow: the frozen-decoder view."""
         return replace(self, layers=[
-            (w.detach(), None if b is None else b.detach()) for w, b in self.layers])
+            (gc.constant(w.data), None if b is None else gc.constant(b.data))
+            for w, b in self.layers])
 
 
 @dataclass

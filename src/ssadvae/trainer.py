@@ -43,20 +43,13 @@ class NumericalAbort(RuntimeError):
         self.epoch = epoch
         self.batch = batch
         self.seed = seed
-        super().__init__(self._message())
-
-    def _message(self) -> str:
-        where = f"epoch {self.epoch}" if self.epoch is not None else "unknown epoch"
-        if self.batch is not None:
-            where += f", batch {self.batch}"
-        if self.seed is not None:
-            where = f"member seed {self.seed}, {where}"
-        return f"non-finite {self.term} at {where}" + (f": {self.detail}" if self.detail else "")
-
-    def with_context(self, epoch, batch=None, seed=None) -> "NumericalAbort":
-        self.epoch, self.batch, self.seed = epoch, batch, seed
-        self.args = (self._message(),)
-        return self
+        where = f"epoch {epoch}" if epoch is not None else "unknown epoch"
+        if batch is not None:
+            where += f", batch {batch}"
+        if seed is not None:
+            where = f"member seed {seed}, {where}"
+        super().__init__(f"non-finite {term} at {where}"
+                         + (f": {detail}" if detail else ""))
 
 
 @dataclass
@@ -79,7 +72,6 @@ class TrainConfig:
     ensemble_size: int = 5
     s_elbo: int = 1
     s_cubo: int = 8
-    s_score: int = 64
     master_seed: int = 0
     widths: tuple = (32, 16, 8)
     activation: str = "leaky-relu"
@@ -102,7 +94,7 @@ class TrainConfig:
         if self.anneal_epochs > self.epochs:
             raise ValueError("anneal_epochs must be <= epochs")
         for name in ("batch_size", "nd_update_interval", "ensemble_size",
-                     "s_elbo", "s_cubo", "s_score"):
+                     "s_elbo", "s_cubo"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         for name in ("lr", "clip_norm"):
@@ -274,7 +266,8 @@ def _update(adam: AdamState, params: np.ndarray, grads: np.ndarray, lr: float,
     try:
         adam_step(adam, params, grads, lr)
     except NumericalAbort as e:
-        raise e.with_context(epoch, batch, seeds[_first_nonfinite(grads)])
+        raise NumericalAbort(e.term, e.detail, epoch, batch,
+                             seeds[_first_nonfinite(grads)]) from None
 
 
 def train(config: TrainConfig, dataset: SsadDataset, method: str):

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import tempfile
 import warnings
@@ -905,3 +906,105 @@ def test_malformed_value_of_every_key_is_a_usage_error(key, case):
         assert key in err.getvalue() and "Traceback" not in err.getvalue()
         assert not any(issubclass(w.category, RuntimeWarning) for w in caught)
         assert not os.path.exists(out)
+
+
+# ---------------------------------------------------------------------------
+# flags and paths that cannot be used
+
+def test_flag_text_is_converted_like_a_config_value(tmp_path):
+    args = cli.build_parser().parse_args(
+        ["train", "--synth", "4,60,3.0", "--epochs", " 7", "--lr", "2e-3",
+         "--ensemble", "2", "--gamma-l", "0.05", "--method", "mml"])
+    cfg = cli.effective_config(args)
+    assert cfg["epochs"] == 7 and isinstance(cfg["epochs"], int)
+    assert cfg["ensemble_size"] == 2 and isinstance(cfg["ensemble_size"], int)
+    assert cfg["lr"] == 0.002 and cfg["gamma_l"] == 0.05
+    assert isinstance(cfg["gamma_l"], float) and cfg["method"] == "mml"
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--epochs", "x", "epochs: invalid value 'x'"),
+    ("--epochs", "3.5", "epochs: invalid value '3.5'"),
+    ("--ensemble", "two", "ensemble_size: invalid value 'two'"),
+    ("--method", "nope", "method: expected one of vae, mml, dp, hybrid, got 'nope'")])
+def test_bad_flag_value_is_a_usage_error_naming_the_key(tmp_path, flag, value,
+                                                        message):
+    out = tmp_path / "runs"
+    rc, err, _ = _quiet_main(["train", "--synth", "4,60,3.0", flag, value,
+                              "--out", str(out)])
+    assert rc == cli.EXIT_USAGE
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "benchmark", "score"])
+def test_out_under_a_regular_file_is_a_data_error(model_dir, tmp_path, command):
+    # train and score fail after their work, benchmark before it
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    extra = ["--model-dir", str(model_dir)] if command == "score" else []
+    rc, err, _ = _quiet_main([command, "--synth", "4,200,3.0", "--gamma-l", "0.05",
+                              *extra, "--config", write_fast_cfg(tmp_path),
+                              *fast_args(out=blocker / "x")])
+    assert rc == cli.EXIT_DATA
+    assert err.startswith("data error: ") and str(blocker / "x") in err
+    assert "Traceback" not in err
+
+
+def test_directory_as_config_is_a_usage_error(tmp_path):
+    rc, err, _ = _quiet_main(["train", "--synth", "4,60,3.0", "--config",
+                              str(tmp_path), "--out", str(tmp_path / "runs")])
+    assert rc == cli.EXIT_USAGE
+    assert err.startswith(f"error: config file {str(tmp_path)!r} cannot be read")
+    assert not (tmp_path / "runs").exists()
+
+
+def test_directory_as_dataset_is_a_data_error(tmp_path):
+    rc, err, _ = _quiet_main(["train", "--dataset", str(tmp_path),
+                              *fast_args(out=tmp_path / "runs")])
+    assert rc == cli.EXIT_DATA
+    assert err.startswith("data error: ") and str(tmp_path) in err
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("name", ["c.cfg", "c.json"])
+def test_non_utf8_config_is_a_usage_error_naming_it(tmp_path, name):
+    p = tmp_path / name
+    p.write_bytes(b"epochs = 6\nmethod = \xff\xfe\n")
+    rc, err, _ = _quiet_main(["train", "--synth", "4,60,3.0", "--config", str(p),
+                              "--out", str(tmp_path / "runs")])
+    assert rc == cli.EXIT_USAGE
+    assert err.startswith(f"error: config file {str(p)!r} cannot be read: "
+                          "'utf-8' codec can't decode byte 0xff in position 20")
+
+
+def test_non_utf8_csv_is_a_data_error_naming_it(model_dir, tmp_path):
+    table = tmp_path / "t.csv"
+    table.write_bytes(b"a,b,c,d,label\n1,2,3,4,0\n1,2,\xff\xfe,4,1\n")
+    rc, err, _ = _quiet_main(["score", "--model-dir", str(model_dir), "--dataset",
+                              str(table), "--out", str(tmp_path / "scored")])
+    assert rc == cli.EXIT_DATA
+    assert err == (f"data error: {table}: line 3, byte 28: not UTF-8 "
+                   "(invalid start byte)\n")
+    assert not (tmp_path / "scored").exists()
+
+
+def test_train_writes_its_histories_before_its_manifest(tmp_path, monkeypatch):
+    from ssadvae import models as md
+    from ssadvae import trainer as tr
+
+    def full_disk(self, path):
+        raise OSError(28, "No space left on device", path)
+
+    monkeypatch.setattr(tr.TrainHistory, "save_csv", full_disk)
+    out = tmp_path / "runs"
+    rc, err, _ = _quiet_main(["train", "--synth", "4,200,3.0", "--gamma-l", "0.05",
+                              "--config", write_fast_cfg(tmp_path),
+                              "--epochs", "6", "--ensemble", "2", *FAST_CFG,
+                              "--out", str(out)])
+    assert rc == cli.EXIT_DATA
+    assert err.startswith("data error: [Errno 28] No space left on device: ")
+    (run_dir,) = out.iterdir()
+    with pytest.raises(cli.dk.DataError,
+                       match=re.escape(str(run_dir / "manifest.json"))):
+        md.load_ensemble(run_dir)

@@ -58,6 +58,17 @@ def test_load_csv_ragged_row_diagnosed(tmp_path):
         dk.load_csv(p, "label", "1")
 
 
+@pytest.mark.parametrize("n_rows", [1, 2000])  # the bad byte before and past 8 KiB
+def test_load_csv_non_utf8_names_the_file_line_and_byte(tmp_path, n_rows):
+    head = ("a,b,label\n" + "1.5,2.5,0\n" * n_rows).encode()
+    p = tmp_path / "latin.csv"
+    p.write_bytes(head + b"1,\xff\xfe,0\n")
+    offset = len(head) + 2
+    with pytest.raises(dk.DataError, match=re.escape(
+            f"{p}: line {n_rows + 2}, byte {offset}: not UTF-8")):
+        dk.load_csv(p, "label", "1")
+
+
 def test_load_csv_index_column_no_header(tmp_path):
     p = write_csv(tmp_path, "1,2,0\n3,4,1\n")
     ds = dk.load_csv(p, 2, "1")

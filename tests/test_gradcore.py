@@ -382,16 +382,6 @@ def test_frozen_leaves_get_no_grad_buffer():
     np.testing.assert_array_equal(w.grad, [5.0])
 
 
-def test_detach_shares_buffer_but_blocks_grad():
-    w = gc.parameter([1.0, 2.0])
-    d = w.detach()
-    assert d.data is w.data
-    out = gc.reduce_sum(gc.square(d))
-    assert not out.requires_grad
-    gc.backward(gc.reduce_sum(gc.mul(gc.square(d), gc.constant([1.0, 1.0]))))
-    assert w.grad is None
-
-
 def test_graph_topological_order():
     x = gc.parameter([1.0, 2.0])
     a = gc.exp(x)

@@ -41,7 +41,7 @@ def test_config_invariants_enforced():
     for key in ("lr", "beta_kl", "alpha", "clip_norm"):
         with pytest.raises(ValueError, match=key):
             tiny_config(**{key: float("nan")})
-    for key in ("s_elbo", "s_cubo", "s_score"):
+    for key in ("s_elbo", "s_cubo"):
         with pytest.raises(ValueError, match=f"^{key} must be >= 1, got 0"):
             tiny_config(**{key: 0})
     with pytest.raises(ValueError, match="^clip_norm must be > 0, got 0.0"):
