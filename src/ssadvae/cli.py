@@ -23,6 +23,7 @@ import numpy as np
 
 from . import datakit as dk
 from . import models as md
+from . import netblocks as nb
 from . import trainer as tr
 
 EXIT_OK = 0
@@ -203,9 +204,12 @@ def effective_config(args: argparse.Namespace) -> dict:
         raise UsageError("at least one seed is required")
     if len(set(cfg["seeds"])) != len(cfg["seeds"]):
         raise UsageError(f"seeds must be distinct, got {cfg['seeds']}")
-    if cfg["method"] not in md.METHODS:
-        raise UsageError(f"method: expected one of {', '.join(md.METHODS)}, "
-                         f"got {cfg['method']!r}")
+    keyed = {}
+    for seed in cfg["seeds"]:
+        other = keyed.setdefault(seed % nb.SEED_MODULUS, seed)
+        if other != seed:
+            raise UsageError(f"seeds {other} and {seed} are equal modulo 2**64, "
+                             "so they would draw the same random numbers")
     if cfg["s_score"] < 1:
         raise UsageError(f"s_score must be >= 1, got {cfg['s_score']!r}")
     return cfg
@@ -307,6 +311,11 @@ def run_train(args) -> int:
     # the run manifest) goes in last, so a write cut short loads as nothing
     run_dir = os.path.join(_out_root(args), f"train_{digest}")
     os.makedirs(run_dir, exist_ok=True)
+    # on a rerun of this digest the old manifest goes before any history
+    # changes, so a write that fails leaves nothing that loads
+    manifest = os.path.join(run_dir, "manifest.json")
+    if os.path.exists(manifest):
+        os.remove(manifest)
     for h in hists:
         h.save_csv(os.path.join(run_dir, f"history_seed{h.seed}.csv"))
         h.save_json(os.path.join(run_dir, f"history_seed{h.seed}.json"))
@@ -350,6 +359,7 @@ def _manifest_standardization(model_dir, manifest: dict,
 def run_score(args) -> int:
     cfg = effective_config(args)
     digest = config_digest(cfg)
+    train_config_from(cfg, cfg["seeds"][0])  # what train rejects, score does too
     model, manifest = md.load_ensemble(args.model_dir)
     in_dim = model.encoder.in_dim
     stats = _manifest_standardization(args.model_dir, manifest, in_dim)

@@ -403,9 +403,9 @@ def backward(out: Tensor) -> None:
     never persists between calls, so two runs accumulate exactly twice the
     one-run gradient. A node's pending gradient is held on the node itself
     while the pass runs, and every node's is cleared when it ends, a raising
-    vjp included. A leaf's first gradient is written into its ``grad_view``
-    when it has one (``.grad`` is then that view), and later ones add into
-    it in place: the same bytes as a fresh array.
+    vjp included. A leaf's gradient, ``g + 0.0`` while it has none and
+    ``g + grad`` after, is written into its ``grad_view`` when it has one
+    (``.grad`` is then that view): the same bytes as a fresh array.
     """
     if out.data.ndim != 0:
         raise ValueError(f"backward requires a scalar output, got shape {out.data.shape}")
@@ -420,15 +420,9 @@ def backward(out: Tensor) -> None:
                 continue
             node._pending = None
             if node._vjp is None:
-                if not node.requires_grad:
-                    continue
-                if node.grad is None:
-                    view = node.grad_view
-                    node.grad = g + 0.0 if view is None else np.add(g, 0.0, out=view)
-                elif node.grad is node.grad_view:
-                    node.grad += g
-                else:
-                    node.grad = node.grad + g
+                if node.requires_grad:
+                    node.grad = np.add(g, 0.0 if node.grad is None else node.grad,
+                                       out=node.grad_view)
                 continue
             for parent, pg in zip(node.parents, node._vjp(g)):
                 if pg is None or not parent.requires_grad:

@@ -83,9 +83,9 @@ class SsadModel:
     alpha: float
     seeds: list
     flat: FlatParams = field(repr=False, compare=False)
-    gamma: float = 1.0
-    beta_kl: float = 0.05
-    beta_cubo: float = 0.05
+    gamma: float
+    beta_kl: float
+    beta_cubo: float
 
     def __post_init__(self):
         check_method(self.method, self.alpha, self.gamma)
@@ -157,18 +157,15 @@ def cubo_objective(rep: vb.CuboReport, k: int):
     return gc.reduce_mean(gc.exp(gc.take(rep.per_sample_log, k)), axis=-1), False
 
 
-def normal_term(model: SsadModel, x, beta_kl: Optional[float] = None,
-                n_samples: int = 1, rng=None, noise=None):
+def normal_term(model: SsadModel, x, beta_kl: float, n_samples: int, rng):
     """Negative ELBO of a normal batch under the zero-mean prior."""
-    beta = model.beta_kl if beta_kl is None else beta_kl
-    rep = vb.elbo(model.encoder, model.decoder, x, 0.0, beta,
-                  n_samples=n_samples, rng=rng, noise=noise)
+    rep = vb.elbo(model.encoder, model.decoder, x, 0.0, beta_kl,
+                  n_samples=n_samples, rng=rng)
     return gc.neg(rep.elbo), rep
 
 
-def outlier_update_term(model: SsadModel, outlier_x,
-                        beta_kl: Optional[float] = None, s_elbo: int = 1,
-                        s_cubo: int = 8, rng=None) -> LossReport:
+def outlier_update_term(model: SsadModel, outlier_x, beta_kl: float,
+                        s_elbo: int, s_cubo: int, rng) -> LossReport:
     """The outlier-only objective used on novelty-detection update steps:
     ``outlier_x`` is (K, batch, d) and ``rng`` holds one generator per
     member.
@@ -183,9 +180,8 @@ def outlier_update_term(model: SsadModel, outlier_x,
         raise ValueError(f"method {model.method!r} has no outlier update")
     loss = log_domain = None
     if model.method in ("dp", "hybrid"):  # hybrid draws this noise first
-        beta = model.beta_kl if beta_kl is None else beta_kl
         rep_o = vb.elbo(model.encoder, model.decoder.detached(), outlier_x,
-                        model.alpha, beta, n_samples=s_elbo, rng=rng)
+                        model.alpha, beta_kl, n_samples=s_elbo, rng=rng)
         loss = gc.neg(rep_o.elbo)
     if model.method == "mml" or (model.method == "hybrid" and model.gamma > 0.0):
         cubo = vb.cubo_loss(model.encoder, model.decoder, outlier_x,
@@ -201,13 +197,13 @@ def outlier_update_term(model: SsadModel, outlier_x,
 # scoring
 
 def score(model: SsadModel, x, k: int, n_samples: int = 64,
-          seed: Optional[int] = None, batch_size: int = 1024) -> np.ndarray:
+          batch_size: int = 1024) -> np.ndarray:
     """Member k's per-sample anomaly score: the ELBO under the zero-mean
     prior at beta_kl = 1 (a genuine likelihood bound). Higher means more
     normal.
 
-    Deterministic for a given seed; defaults to the member's own seed so
-    ensemble scoring does not depend on member order.
+    Deterministic: the noise comes from the member's own seed, so ensemble
+    scoring does not depend on member order.
 
     Memory stays proportional to n, not S * n: rows are encoded once, in
     batches of ``batch_size``; then sample s takes its (n, d_z) noise block,
@@ -231,7 +227,7 @@ def score(model: SsadModel, x, k: int, n_samples: int = 64,
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected a (n, d) matrix, got shape {x.shape}")
-    rng = nb.philox_rng(model.seeds[k] if seed is None else seed, nb.STREAM_SCORE)
+    rng = nb.philox_rng(model.seeds[k], nb.STREAM_SCORE)
     n, d_z = x.shape[0], model.encoder.latent_dim
     if n == 0:
         return np.empty(0)

@@ -34,6 +34,10 @@ _MAGIC = b"SSADVAE1"
 # gain shrinks, then turns into a loss, while each copy costs rows x d x 8 B.
 SPREAD_BIAS_MAX_WIDTH = 64
 
+# Philox is keyed by a seed modulo this, so seeds equal modulo it share
+# every stream
+SEED_MODULUS = 2 ** 64
+
 # init/noise streams hanging off one member seed
 STREAM_ENCODER = 1
 STREAM_DECODER = 2
@@ -44,7 +48,7 @@ STREAM_SCORE = 5
 
 def philox_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Deterministic counter-based generator for (seed, stream)."""
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream)],
+    key = np.array([np.uint64(seed % SEED_MODULUS), np.uint64(stream)],
                    dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -60,15 +64,16 @@ class MlpSpec:
 
     def __post_init__(self):
         if len(self.widths) < 2:
-            raise ValueError("need at least one hidden layer plus the latent width")
+            raise ValueError("widths: need at least one hidden layer plus the "
+                             f"latent width, got {self.widths}")
         if any(int(w) < 1 for w in self.widths):
-            raise ValueError(f"all widths must be >= 1, got {self.widths}")
+            raise ValueError(f"widths: all widths must be >= 1, got {self.widths}")
         if self.activation not in ("leaky-relu", "relu", "sigmoid"):
-            raise ValueError(f"unsupported activation {self.activation!r}")
+            raise ValueError(f"activation: unsupported activation {self.activation!r}")
         if not 0.0 < self.leak <= 1.0:
             # leaky_relu is max(x, leak*x), which needs 0 < leak <= 1;
             # activation = relu is the leak-0 case
-            raise ValueError(f"leak must be in (0, 1], got {self.leak!r}")
+            raise ValueError(f"leak: leaky-relu's leak must be in (0, 1], got {self.leak!r}")
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
 
     @property

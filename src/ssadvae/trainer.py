@@ -113,6 +113,12 @@ class TrainConfig:
                           leak=self.leak, use_bias=self.use_bias)
 
 
+# Adam's moment decay rates and denominator epsilon: Kingma & Ba's defaults
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moments over one flat parameter buffer, one step counter."""
@@ -120,9 +126,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def like(cls, params: np.ndarray) -> "AdamState":
@@ -147,13 +150,13 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray,
         bad = np.argwhere(~np.isfinite(grads))[0]
         raise NumericalAbort("gradient", f"entry {tuple(bad.tolist())}")
     state.t += 1
-    c1 = 1.0 - state.beta1 ** state.t
-    c2 = 1.0 - state.beta2 ** state.t
-    m *= state.beta1
-    m += (1.0 - state.beta1) * grads
-    v *= state.beta2
-    v += (1.0 - state.beta2) * (grads * grads)
-    params -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * grads
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * (grads * grads)
+    params -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def kl_anneal_coeff(epoch: int, anneal_epochs: int, beta_final: float) -> float:
@@ -165,19 +168,19 @@ def kl_anneal_coeff(epoch: int, anneal_epochs: int, beta_final: float) -> float:
     return beta_final * min(1.0, epoch / anneal_epochs)
 
 
-def clip_gradients(grads, max_norm: float):
-    """Global-norm clipping: scale everything by max_norm/||g|| if needed."""
+def clip_gradients(grads: list, max_norm: float) -> list:
+    """Global-norm clipping: scale every array of ``grads`` in place by
+    max_norm/||g|| if needed; returns ``grads``."""
     if max_norm <= 0:
         raise ValueError("max_norm must be > 0")
     total = 0.0
     for g in grads:
-        if g is not None:
-            total += float((g * g).sum())
+        total += float((g * g).sum())
     norm = np.sqrt(total)
-    if norm <= max_norm:
-        return list(grads)
-    scale = max_norm / norm
-    return [None if g is None else g * scale for g in grads]
+    if norm > max_norm:
+        for g in grads:
+            g *= max_norm / norm
+    return grads
 
 
 def outlier_path_lr(base_lr: float, epoch: int, decay_every: int = 50,
@@ -253,12 +256,9 @@ def _check_grads(tensors) -> None:
 
 def _clip_members(tensors, max_norm: float) -> None:
     """``clip_gradients`` on each member's slices of the stacked tensors'
-    gradients, written back into those gradients."""
+    gradients, in place."""
     for k in range(len(tensors[0].grad)):
-        views = [t.grad[k] for t in tensors]
-        for view, clipped in zip(views, clip_gradients(views, max_norm)):
-            if clipped is not view:
-                view[...] = clipped
+        clip_gradients([t.grad[k] for t in tensors], max_norm)
 
 
 def _update(adam: AdamState, params: np.ndarray, grads: np.ndarray, lr: float,
@@ -277,7 +277,6 @@ def train(config: TrainConfig, dataset: SsadDataset, method: str):
     master_seed + i for init, shuffling and reparameterization noise; the
     members train stacked, and a history's wall_time is the shared epoch's.
     """
-    md.check_method(method, config.alpha, config.gamma)
     normal_x = dataset.normal_stream()
     outlier_x = dataset.labeled_outliers()
     if len(normal_x) == 0:

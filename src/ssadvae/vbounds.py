@@ -141,19 +141,10 @@ def nll_array(pred: np.ndarray, x: np.ndarray, family: str) -> np.ndarray:
     return np.add.reduce(gc.softplus_of(pred) - pred * x, axis=-1)
 
 
-def _draw_noise(n_samples: int, post: nb.GaussianPosterior, rng, noise) -> np.ndarray:
+def _draw_noise(n_samples: int, post: nb.GaussianPosterior, rng) -> np.ndarray:
     """Noise of shape (S, K, batch, d_z) for K stacked members: ``rng``
     holds one generator per member, and member k draws its (S, batch, d_z)
-    block from its own stream. Pinned ``noise`` of that shape (or of
-    (S, *posterior shape) for an unstacked posterior) is used as given."""
-    shape = (n_samples,) + post.mu.shape
-    if noise is not None:
-        noise = np.asarray(noise, dtype=np.float64)
-        if noise.shape != shape:
-            raise ValueError(f"noise shape {noise.shape} != {shape}")
-        return noise
-    if rng is None:
-        raise ValueError("either rng or explicit noise is required")
+    block from its own stream."""
     if post.mu.data.ndim != 3 or len(rng) != post.mu.shape[0]:
         raise ValueError("rng must hold one generator per stacked member, "
                          f"for posterior shape {post.mu.shape}")
@@ -206,15 +197,12 @@ def elbo_from_posterior(post: nb.GaussianPosterior,
 
 
 def elbo(enc: nb.EncoderParams, dec: nb.DecoderParams, x, alpha: float,
-         beta_kl: float, n_samples: int = 1, rng=None,
-         noise=None) -> BoundReport:
+         beta_kl: float, n_samples: int, rng) -> BoundReport:
     """Monte-Carlo ELBO of a batch under the given encoder/decoder and the
     N(alpha * 1, I) prior; ``rng`` holds one generator per stacked member."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     xt = x if isinstance(x, Tensor) else gc.constant(x)
     post = nb.encode(enc, xt)
-    eps = _draw_noise(n_samples, post, rng, noise)
+    eps = _draw_noise(n_samples, post, rng)
     recon_fn = lambda z: reconstruction_loss(nb.decode(dec, z), xt, dec.family)
     return elbo_from_posterior(post, recon_fn, alpha, beta_kl, eps)
 
@@ -232,7 +220,9 @@ def cubo_from_posterior(post: nb.GaussianPosterior,
     estimated with the log-sum-exp trick.
     """
     mu, logvar = post.mu, post.logvar
-    n_samples = noise.shape[0]
+    n_samples = len(noise)
+    if n_samples == 0:
+        raise ValueError("n_samples must be >= 1")
 
     prec = gc.exp(gc.neg(logvar))  # diagonal of S_q^-1
     logdet = gc.reduce_sum(logvar, axis=-1)
@@ -256,15 +246,12 @@ def cubo_from_posterior(post: nb.GaussianPosterior,
 
 
 def cubo_loss(enc: nb.EncoderParams, dec: nb.DecoderParams, x,
-              beta_cubo: float, n_samples: int = 8, rng=None,
-              noise=None) -> CuboReport:
+              beta_cubo: float, n_samples: int, rng) -> CuboReport:
     """CUBO loss of a batch; the decoder is a frozen constant inside this op,
     so gradients reach encoder parameters only."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     xt = x if isinstance(x, Tensor) else gc.constant(x)
     post = nb.encode(enc, xt)
-    eps = _draw_noise(n_samples, post, rng, noise)
+    eps = _draw_noise(n_samples, post, rng)
     frozen = dec.detached()
     recon_fn = lambda z: reconstruction_loss(nb.decode(frozen, z), xt, frozen.family)
     return cubo_from_posterior(post, recon_fn, beta_cubo, eps)

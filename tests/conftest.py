@@ -1,6 +1,11 @@
 import threading
 
+import numpy as np
 import pytest
+
+from ssadvae import gradcore as gc
+from ssadvae import netblocks as nb
+from ssadvae import vbounds as vb
 
 ACCEPTANCE_LINES = []
 
@@ -14,6 +19,30 @@ def no_thread_left_running():
     left = [t.name for t in threading.enumerate() if t not in before]
     if left:
         pytest.fail(f"threads left running: {', '.join(left)}")
+
+
+class PinnedNoise:
+    """A stand-in for one member's noise generator: each
+    ``standard_normal(out=)`` fills ``out`` with the same fixed numbers, so
+    a loss evaluated twice sees the same noise."""
+
+    def __init__(self, noise):
+        self.noise = np.asarray(noise, dtype=np.float64)
+
+    def standard_normal(self, out):
+        assert out.shape == self.noise.shape, (out.shape, self.noise.shape)
+        out[...] = self.noise
+        return out
+
+
+def encoded(enc, dec, x):
+    """The posterior and the reconstruction-loss closure that ``vb.elbo``
+    and ``vb.cubo_loss`` build from a network on the rows ``x`` before they
+    draw noise: ``vb.elbo_from_posterior`` and ``vb.cubo_from_posterior``
+    take them with pinned noise."""
+    xt = gc.constant(x)
+    return (nb.encode(enc, xt),
+            lambda z: vb.reconstruction_loss(nb.decode(dec, z), xt, dec.family))
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -146,14 +146,14 @@ def test_criterion_1_gradient_correctness():
     noise_c = g.standard_normal((4, 2, 2))
 
     def normal_loss(model):
-        return gc.reduce_sum(md.normal_term(model, xn[None],
-                                            noise=noise_n[:, None])[0])
+        return gc.reduce_sum(md.normal_term(model, xn[None], model.beta_kl, 1,
+                                            [conftest.PinnedNoise(noise_n)])[0])
 
     def full_loss(model, outlier_seed):
         # what training optimizes, on the K=1 stack that an ensemble of one
         # trains as; a fresh generator pins the outlier noise
-        outlier = md.outlier_update_term(model, xo[None], s_cubo=4,
-                                         rng=[rng(outlier_seed)])
+        outlier = md.outlier_update_term(model, xo[None], model.beta_kl, 1, 4,
+                                         [rng(outlier_seed)])
         return gc.add(normal_loss(model), gc.reduce_sum(outlier.loss))
 
     mml = md.SsadModel.create(spec, 2, "mml", [5], gamma=1.0, beta_kl=0.05,
@@ -171,8 +171,8 @@ def test_criterion_1_gradient_correctness():
              lambda rep: gc.take(rep.log_value, 0))
     worst_cubo = max(_max_fd_error(
         _slots(mml.encoder),
-        lambda: form(vb.cubo_loss(mml.encoder, mml.decoder, xo[None], 0.05,
-                                  n_samples=4, noise=noise_c[:, None])))
+        lambda: form(vb.cubo_loss(mml.encoder, mml.decoder, xo[None], 0.05, 4,
+                                  [conftest.PinnedNoise(noise_c)])))
         for form in forms)
 
     dt = time.perf_counter() - t0

@@ -1008,3 +1008,71 @@ def test_train_writes_its_histories_before_its_manifest(tmp_path, monkeypatch):
     with pytest.raises(cli.dk.DataError,
                        match=re.escape(str(run_dir / "manifest.json"))):
         md.load_ensemble(run_dir)
+
+
+@pytest.mark.parametrize("command", ["train", "benchmark", "score"])
+@pytest.mark.parametrize("flags, message", [
+    (["--lr", "-1"], "lr must be > 0, got -1.0"),
+    (["--epochs", "0"], "warmup_epochs must be < epochs"),
+    (["--widths", "4"], "widths: need at least one hidden layer"),
+    (["--method", "dp", "--alpha", "0"], "alpha: method 'dp' requires a nonzero")])
+def test_every_command_rejects_what_training_rejects(model_dir, tmp_path, command,
+                                                     flags, message):
+    # score never trains, but a value train refuses must not reach its digest
+    out = tmp_path / "runs"
+    extra = ["--model-dir", str(model_dir)] if command == "score" else []
+    rc, err, _ = _quiet_main([command, "--synth", "4,200,3.0", *extra, *flags,
+                              "--out", str(out)])
+    assert rc == cli.EXIT_USAGE
+    assert err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("widths, message", [
+    ("4", "widths: need at least one hidden layer plus the latent width, got (4,)"),
+    ("0", "widths: need at least one hidden layer plus the latent width, got (0,)"),
+    ("4,0", "widths: all widths must be >= 1, got (4, 0)")])
+def test_bad_widths_name_their_key(tmp_path, widths, message):
+    out = tmp_path / "runs"
+    rc, err, _ = _quiet_main(["train", "--synth", "4,200,3.0", "--widths", widths,
+                              "--out", str(out)])
+    assert rc == cli.EXIT_USAGE
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds", ["0,18446744073709551616", "-1,18446744073709551615"])
+def test_seeds_equal_modulo_2_64_are_a_usage_error(tmp_path, seeds):
+    # Philox keys a seed modulo 2**64: two such seeds would draw one stream
+    out = tmp_path / "runs"
+    rc, err, _ = _quiet_main(["benchmark", "--synth", "4,200,0.7", f"--seeds={seeds}",
+                              "--config", write_fast_cfg(tmp_path), *FAST_CFG,
+                              "--out", str(out)])
+    assert rc == cli.EXIT_USAGE
+    first, second = seeds.split(",")
+    assert err.startswith(f"error: seeds {first} and {second} are equal modulo 2**64")
+    assert not out.exists()
+
+
+def test_failed_history_rewrite_leaves_nothing_that_loads(tmp_path, monkeypatch):
+    # a rerun of one digest: the old manifest and members must not load next
+    # to histories that are partly new
+    from ssadvae import models as md
+    from ssadvae import trainer as tr
+
+    argv = ["train", "--synth", "4,200,3.0", "--gamma-l", "0.05",
+            "--config", write_fast_cfg(tmp_path), *fast_args(out=tmp_path / "runs")]
+    assert _quiet_main(argv)[0] == cli.EXIT_OK
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    md.load_ensemble(run_dir)
+
+    def full_disk(self, path):
+        raise OSError(28, "No space left on device", path)
+
+    monkeypatch.setattr(tr.TrainHistory, "save_csv", full_disk)
+    rc, err, _ = _quiet_main(argv)
+    assert rc == cli.EXIT_DATA
+    assert err.startswith("data error: [Errno 28] No space left on device: ")
+    with pytest.raises(cli.dk.DataError,
+                       match=re.escape(str(run_dir / "manifest.json"))):
+        md.load_ensemble(run_dir)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import threading
@@ -13,6 +14,7 @@ from ssadvae import models as md
 from ssadvae import netblocks as nb
 from ssadvae import trainer as tr
 from ssadvae import vbounds as vb
+from conftest import PinnedNoise, encoded
 
 SPEC = nb.MlpSpec(widths=(6, 2))
 
@@ -46,16 +48,18 @@ def test_model_validation():
         toy_model(method="mml", gamma=-1.0)
 
 
-def outlier_term(stacked, xo, seed, **kwargs):
+def outlier_term(stacked, xo, seed):
     """The outlier term of a K=1 stack on (m, d) outliers, its noise drawn
     from rng(seed)."""
-    return md.outlier_update_term(stacked, xo[None], rng=[rng(seed)], **kwargs)
+    return md.outlier_update_term(stacked, xo[None], stacked.beta_kl, 1, 8,
+                                  [rng(seed)])
 
 
 def full_loss(stacked, xn, xo, noise_normal, outlier_seed):
     """What training optimizes for a K=1 stack: the normal term plus the
     outlier term."""
-    loss, _ = md.normal_term(stacked, xn[None], noise=noise_normal[:, None])
+    loss, _ = md.normal_term(stacked, xn[None], stacked.beta_kl, 1,
+                             [PinnedNoise(noise_normal)])
     rep = outlier_term(stacked, xo, outlier_seed)
     return gc.add(loss, rep.loss), rep
 
@@ -73,7 +77,8 @@ def test_mml_gamma_zero_is_exact_negative_elbo():
     xn, xo = batches()
     noise = rng(2).standard_normal((1, 4, 2))
     loss, rep = full_loss(model, xn, xo, noise, 3)
-    direct = vb.elbo(*solo(model), xn, 0.0, model.beta_kl, noise=noise)
+    direct = vb.elbo_from_posterior(*encoded(*solo(model), xn), 0.0, model.beta_kl,
+                                    noise)
     assert rep.loss.data[0] == 0.0
     assert loss.data[0] == -direct.elbo.item()
 
@@ -101,13 +106,14 @@ def test_mml_terms_compose_from_vbounds_oracles():
     model = toy_model(gamma=0.7, in_dim=1)
     xn = rng(3).standard_normal((4, 1))
     noise_n = rng(5).standard_normal((1, 4, 2))
-    elbo_ref = vb.elbo(*solo(model), xn, 0.0, 0.05, noise=noise_n).elbo.item()
+    elbo_ref = vb.elbo_from_posterior(*encoded(*solo(model), xn), 0.0, 0.05,
+                                      noise_n).elbo.item()
     domains = []
     for shift in (0.0, 4.0):
         xo = rng(4).standard_normal((2, 1)) + shift
         loss, rep = full_loss(model, xn, xo, noise_n, 6)
-        cubo_ref, log_domain = cubo_oracle(vb.cubo_loss(
-            *solo(model), xo, 0.05, noise=rng(6).standard_normal((8, 2, 2))))
+        cubo_ref, log_domain = cubo_oracle(vb.cubo_from_posterior(
+            *encoded(*solo(model), xo), 0.05, rng(6).standard_normal((8, 2, 2))))
         assert rep.cubo_log_domain == [log_domain]
         assert loss.data[0] == pytest.approx(0.7 * cubo_ref - elbo_ref, rel=1e-12)
         domains.append(log_domain)
@@ -121,9 +127,9 @@ def test_dp_terms_compose_from_elbo_oracles():
     noise_n = rng(9).standard_normal((1, 4, 2))
     loss, rep = full_loss(model, xn, xo, noise_n, 10)
 
-    e_n = vb.elbo(*solo(model), xn, 0.0, 0.05, noise=noise_n)
-    e_o = vb.elbo(*solo(model), xo, 10.0, 0.05,
-                  noise=rng(10).standard_normal((1, 2, 2)))
+    e_n = vb.elbo_from_posterior(*encoded(*solo(model), xn), 0.0, 0.05, noise_n)
+    e_o = vb.elbo_from_posterior(*encoded(*solo(model), xo), 10.0, 0.05,
+                                 rng(10).standard_normal((1, 2, 2)))
     assert rep.cubo_log_domain is None
     assert loss.data[0] == pytest.approx(
         -(e_n.elbo.item() + e_o.elbo.item()), rel=1e-12)
@@ -135,8 +141,8 @@ def test_dp_alpha_zero_override_collapses_priors():
     model.alpha = 0.0
     _, xo = batches()
     rep = outlier_term(model, xo, 11)
-    same_prior = vb.elbo(*solo(model), xo, 0.0, 0.05,
-                         noise=rng(11).standard_normal((1, 2, 2)))
+    same_prior = vb.elbo_from_posterior(*encoded(*solo(model), xo), 0.0, 0.05,
+                                        rng(11).standard_normal((1, 2, 2)))
     assert rep.loss.data[0] == pytest.approx(-same_prior.elbo.item(), rel=1e-12)
 
 
@@ -146,8 +152,8 @@ def test_dp_empty_outlier_batch_plain_negative_elbo():
     model = toy_model(method="dp", alpha=5.0)
     xn, _ = batches()
     noise = rng(2).standard_normal((1, 4, 2))
-    loss, _ = md.normal_term(model, xn[None], noise=noise[:, None])
-    direct = vb.elbo(*solo(model), xn, 0.0, 0.05, noise=noise)
+    loss, _ = md.normal_term(model, xn[None], 0.05, 1, [PinnedNoise(noise)])
+    direct = vb.elbo_from_posterior(*encoded(*solo(model), xn), 0.0, 0.05, noise)
     assert loss.data[0] == -direct.elbo.item()
 
 
@@ -158,9 +164,10 @@ def test_hybrid_is_dp_plus_weighted_cubo():
     g = rng(14)  # the outlier ELBO draws its noise first, then the CUBO
     no = g.standard_normal((1, 2, 2))
     nc = g.standard_normal((8, 2, 2))
-    dp_ref = vb.elbo(*solo(model), xo, 5.0, 0.05, noise=no).elbo.item()
-    cubo_ref, log_domain = cubo_oracle(vb.cubo_loss(*solo(model), xo, 0.05,
-                                                    noise=nc))
+    dp_ref = vb.elbo_from_posterior(*encoded(*solo(model), xo), 5.0, 0.05,
+                                    no).elbo.item()
+    cubo_ref, log_domain = cubo_oracle(vb.cubo_from_posterior(
+        *encoded(*solo(model), xo), 0.05, nc))
     assert rep.cubo_log_domain == [log_domain]
     assert rep.loss.data[0] == pytest.approx(-dp_ref + 0.5 * cubo_ref, rel=1e-12)
 
@@ -203,7 +210,8 @@ def test_full_loss_decoder_gradient_comes_only_from_normal_term():
     assert all(g is not None for g in with_outliers)
     # same seed -> same decoder; the outlier term must not have added anything
     ref_model = toy_model(method="mml", gamma=2.0)
-    ref, _ = md.normal_term(ref_model, xn[None], noise=nn[:, None])
+    ref, _ = md.normal_term(ref_model, xn[None], ref_model.beta_kl, 1,
+                            [PinnedNoise(nn)])
     gc.backward(gc.reduce_sum(ref))
     for g_full, t in zip(with_outliers, ref_model.decoder.tensors()):
         np.testing.assert_array_equal(g_full, t.grad)
@@ -224,8 +232,7 @@ def test_bernoulli_family_trains_end_to_end():
     x = (g.uniform(size=(40, 5)) < 0.3).astype(float)  # binary data in [0,1]
     model = md.SsadModel.create(nb.MlpSpec(widths=(6, 2)), 5, "mml", [9],
                                 gamma=1.0, family="bernoulli")
-    loss, rep = md.normal_term(model, x[None],
-                               noise=rng(32).standard_normal((1, 1, 40, 2)))
+    loss, rep = md.normal_term(model, x[None], model.beta_kl, 1, [rng(32)])
     model.zero_grads()
     gc.backward(gc.reduce_sum(loss))
     assert np.isfinite(loss.data).all()
@@ -279,7 +286,7 @@ def test_score_deterministic_and_seeded():
     a = md.score(model, x, 0, n_samples=4)
     b = md.score(model, x, 0, n_samples=4)
     np.testing.assert_array_equal(a, b)
-    c = md.score(model, x, 0, n_samples=4, seed=123)
+    c = md.score(dataclasses.replace(model, seeds=[123]), x, 0, n_samples=4)
     assert not np.array_equal(a, c)
 
 
@@ -296,11 +303,10 @@ def _reference_score(model, x, n_samples, batch_size):
     noise = nb.philox_rng(model.seeds[0], nb.STREAM_SCORE).standard_normal(
         (n_samples, x.shape[0], model.encoder.latent_dim))
     out = np.empty(x.shape[0])
-    enc, dec = solo(model)
     for lo in range(0, x.shape[0], batch_size):
         hi = lo + batch_size
-        rep = vb.elbo(enc, dec, x[lo:hi], 0.0, 1.0,
-                      n_samples=n_samples, noise=noise[:, lo:hi])
+        rep = vb.elbo_from_posterior(*encoded(*solo(model), x[lo:hi]), 0.0, 1.0,
+                                     noise[:, lo:hi])
         out[lo:hi] = rep.per_sample.data
     return out
 
@@ -371,8 +377,9 @@ def test_score_joins_its_noise_helper(monkeypatch, n_samples):
 def test_score_variance_shrinks_with_samples():
     model = toy_model()
     x = rng(23).standard_normal((5, 2))
-    small = np.var([md.score(model, x, 0, n_samples=1, seed=s) for s in range(20)], axis=0)
-    big = np.var([md.score(model, x, 0, n_samples=16, seed=s) for s in range(20)], axis=0)
+    reseeded = [dataclasses.replace(model, seeds=[s]) for s in range(20)]
+    small = np.var([md.score(m, x, 0, n_samples=1) for m in reseeded], axis=0)
+    big = np.var([md.score(m, x, 0, n_samples=16) for m in reseeded], axis=0)
     assert big.mean() < small.mean() / 4.0  # expect ~1/16, allow slack
 
 
@@ -435,11 +442,13 @@ def test_ensemble_validation():
         toy_model(seeds=())
     model = toy_model(seeds=(1, 2))
     with pytest.raises(ValueError, match="non-empty"):
-        md.SsadModel(model.encoder, model.decoder, "mml", 0.0, [], model.flat)
+        md.SsadModel(model.encoder, model.decoder, "mml", 0.0, [], model.flat,
+                     1.0, 0.05, 0.05)
     # a bool is an int to Python, but True would score with seed 1
     for seeds in ([0.5, 1.5], ["a", "b"], [True, False]):
         with pytest.raises(ValueError, match="seeds must be integers"):
-            md.SsadModel(model.encoder, model.decoder, "mml", 0.0, seeds, model.flat)
+            md.SsadModel(model.encoder, model.decoder, "mml", 0.0, seeds, model.flat,
+                         1.0, 0.05, 0.05)
 
 
 def test_ensemble_save_load_roundtrip(tmp_path):
@@ -558,7 +567,7 @@ def test_stacked_outlier_term_keeps_an_overflow_to_its_member():
     def alone(seed, x, bias):
         m = members(seed)
         m.decoder.layers[-1][1].data[...] = bias
-        rep = md.outlier_update_term(m, x[None], s_cubo=4, rng=[rng(seed, 40)])
+        rep = md.outlier_update_term(m, x[None], m.beta_kl, 1, 4, [rng(seed, 40)])
         gc.backward(gc.reduce_sum(rep.loss))
         cubo = vb.cubo_loss(m.encoder, m.decoder, x[None], m.beta_cubo,
                             n_samples=4, rng=[rng(seed, 40)])
@@ -573,8 +582,8 @@ def test_stacked_outlier_term_keeps_an_overflow_to_its_member():
 
     stacked = members(1, 2)
     stacked.decoder.layers[-1][1].data[0] = 20.0
-    rep = md.outlier_update_term(stacked, np.stack([x_over, x_exp]), s_cubo=4,
-                                 rng=[rng(1, 40), rng(2, 40)])
+    rep = md.outlier_update_term(stacked, np.stack([x_over, x_exp]),
+                                 stacked.beta_kl, 1, 4, [rng(1, 40), rng(2, 40)])
     assert rep.cubo_log_domain == [True, False]
     gc.backward(gc.reduce_sum(rep.loss))
     for k, solo_model in enumerate((over, exp)):

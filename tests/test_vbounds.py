@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from fdcheck import finite_diff_check
 from ssadvae import gradcore as gc
+from ssadvae import models as md
 from ssadvae import netblocks as nb
 from ssadvae import vbounds as vb
+from conftest import encoded
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -190,8 +192,8 @@ def test_elbo_beta_zero_equals_negative_recon():
     enc = nb.init_encoder(nb.MlpSpec(widths=(8, 3)), 4, seed=1)
     dec = nb.init_decoder(nb.MlpSpec(widths=(8, 3)), 4, seed=1)
     x = rng(5).standard_normal((6, 4))
-    rep = vb.elbo(enc, dec, x, 0.0, beta_kl=0.0, n_samples=2,
-                  noise=rng(6).standard_normal((2, 6, 3)))
+    rep = vb.elbo_from_posterior(*encoded(enc, dec, x), 0.0, 0.0,
+                                 rng(6).standard_normal((2, 6, 3)))
     assert rep.elbo.item() == -rep.recon.item()
 
 
@@ -199,8 +201,8 @@ def test_bound_report_identity():
     enc = nb.init_encoder(nb.MlpSpec(widths=(8, 3)), 4, seed=1)
     dec = nb.init_decoder(nb.MlpSpec(widths=(8, 3)), 4, seed=1)
     x = rng(7).standard_normal((6, 4))
-    rep = vb.elbo(enc, dec, x, 0.0, beta_kl=0.05, n_samples=1,
-                  noise=rng(8).standard_normal((1, 6, 3)))
+    rep = vb.elbo_from_posterior(*encoded(enc, dec, x), 0.0, 0.05,
+                                 rng(8).standard_normal((1, 6, 3)))
     assert rep.elbo.item() == -rep.recon.item() - 0.05 * rep.kl.item()
 
 
@@ -274,20 +276,18 @@ def test_cubo_positive_and_overflow_flagged():
 
 
 def test_cubo_decoder_gets_no_gradient():
-    spec = nb.MlpSpec(widths=(8, 3))
-    enc = nb.init_encoder(spec, 4, seed=2)
-    dec = nb.init_decoder(spec, 4, seed=2)
-    x = rng(12).standard_normal((5, 4))
-    rep = vb.cubo_loss(enc, dec, x, 0.05, n_samples=4,
-                       noise=rng(13).standard_normal((4, 5, 3)))
-    gc.backward(exp_value(rep))
+    # a K=1 stack: cubo_loss draws one member's noise from its generator
+    model = md.SsadModel.create(nb.MlpSpec(widths=(8, 3)), 4, "mml", [2])
+    enc, dec = model.encoder, model.decoder
+    x = rng(12).standard_normal((1, 5, 4))
+    rep = vb.cubo_loss(enc, dec, x, 0.05, 4, [rng(13)])
+    gc.backward(gc.reduce_sum(exp_value(rep)))
     assert all(t.grad is None for t in dec.tensors())
     assert any(t.grad is not None for t in enc.tensors())
     for t in enc.tensors():
         t.zero_grad()
-    rep2 = vb.cubo_loss(enc, dec, x, 0.05, n_samples=4,
-                        noise=rng(13).standard_normal((4, 5, 3)))
-    gc.backward(rep2.log_value)
+    rep2 = vb.cubo_loss(enc, dec, x, 0.05, 4, [rng(13)])
+    gc.backward(gc.reduce_sum(rep2.log_value))
     assert all(t.grad is None for t in dec.tensors())
     assert any(t.grad is not None for t in enc.tensors())
 
