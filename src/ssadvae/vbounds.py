@@ -145,6 +145,8 @@ def _draw_noise(n_samples: int, post: nb.GaussianPosterior, rng) -> np.ndarray:
     """Noise of shape (S, K, batch, d_z) for K stacked members: ``rng``
     holds one generator per member, and member k draws its (S, batch, d_z)
     block from its own stream."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     if post.mu.data.ndim != 3 or len(rng) != post.mu.shape[0]:
         raise ValueError("rng must hold one generator per stacked member, "
                          f"for posterior shape {post.mu.shape}")

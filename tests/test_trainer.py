@@ -563,3 +563,60 @@ def test_nonfinite_flat_gradient_names_its_member_seed():
                        match=r"gradient at member seed 11, epoch 6: entry \(1, 3\)"):
         tr._update(state, flat[:, :4], grads[:, :4], 1e-3, [10, 11, 12], epoch=6)
     assert state.t == 0 and not flat.any()
+
+
+@pytest.mark.parametrize("a, b", [(1, 1), (3, 5), (1024, 7), (8191, 8193)])
+def test_philox_normal_draws_concatenate(a, b):
+    # the training noise stream and scoring's noise blocks rest on this:
+    # draws of a numbers, then b, give the numbers of one draw of a + b
+    one = nb.philox_rng(3, nb.STREAM_NOISE).standard_normal(a + b)
+    rng = nb.philox_rng(3, nb.STREAM_NOISE)
+    two = np.concatenate([rng.standard_normal(a), rng.standard_normal(b)])
+    assert one.tobytes() == two.tobytes()
+
+
+# one member's noise requests: two hybrid epochs at d_z = 8 (s_elbo * B * d_z
+# per normal batch, a short last batch, then the outlier step's ELBO and CUBO
+# blocks), then blocks that straddle a chunk boundary or outgrow a chunk
+NOISE_REQUESTS = (([(1, 128, 8)] * 15 + [(1, 80, 8), (1, 60, 8), (8, 60, 8)]) * 2
+                  + [(8191,), (2,), (tr.NOISE_CHUNK,), (3, 4000), (5,)])
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("lockstep", [True, False])
+def test_noise_stream_gives_the_numbers_of_direct_draws(k, lockstep):
+    from concurrent.futures import ThreadPoolExecutor
+
+    seeds = [21 + m for m in range(k)]
+    want = []
+    for seed in seeds:
+        rng = nb.philox_rng(seed, nb.STREAM_NOISE)
+        want.append([rng.standard_normal(out=np.empty(shape))
+                     for shape in NOISE_REQUESTS])
+    steps = range(len(NOISE_REQUESTS))
+    # out of lockstep, the last member reads everything before the others
+    order = ([(i, m) for i in steps for m in range(k)] if lockstep
+             else [(i, m) for m in reversed(range(k)) for i in steps])
+    got = [[None] * len(NOISE_REQUESTS) for _ in seeds]
+    with ThreadPoolExecutor(1) as helper:
+        stream = tr._NoiseStream([nb.philox_rng(seed, nb.STREAM_NOISE)
+                                  for seed in seeds], helper)
+        for i, m in order:
+            got[m][i] = stream.readers[m].standard_normal(
+                out=np.empty(NOISE_REQUESTS[i]))
+    assert stream._bufs.nbytes == 2 * k * tr.NOISE_CHUNK * 8
+    for m in range(k):
+        for a, b in zip(got[m], want[m]):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_failed_train_joins_its_noise_helper():
+    import threading
+
+    train = tiny_train_set()
+    before = threading.enumerate()
+    with pytest.raises(tr.NumericalAbort,
+                       match=r"^non-finite normal-term loss at member seed 5, "
+                             r"epoch 0, batch 1:"):
+        tr.train(tiny_config(ensemble_size=3, master_seed=5, lr=1e100), train, "dp")
+    assert threading.enumerate() == before

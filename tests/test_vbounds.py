@@ -292,6 +292,18 @@ def test_cubo_decoder_gets_no_gradient():
     assert any(t.grad is not None for t in enc.tensors())
 
 
+@pytest.mark.parametrize("n_samples", [0, -1])
+@pytest.mark.parametrize("bound", ["elbo", "cubo"])
+def test_sampled_bounds_reject_fewer_than_one_sample(bound, n_samples):
+    model = md.SsadModel.create(nb.MlpSpec(widths=(8, 3)), 4, "mml", [2])
+    x = rng(12).standard_normal((1, 5, 4))
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        if bound == "elbo":
+            vb.elbo(model.encoder, model.decoder, x, 0.0, 1.0, n_samples, [rng(13)])
+        else:
+            vb.cubo_loss(model.encoder, model.decoder, x, 0.05, n_samples, [rng(13)])
+
+
 def antithetic_noise(n_pairs, batch, dim, seed):
     half = nb.philox_rng(seed, 17).standard_normal((n_pairs, batch, dim))
     return np.concatenate([half, -half], axis=0)
