@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import os
 from array import array
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -362,8 +363,11 @@ class EvalReport:
     labels: np.ndarray
 
     def write_scores_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        # by rename, so a write cut short leaves the file that was there
+        tmp = os.fspath(path) + ".tmp"
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["row", "score", "label"])
             for i, (s, l) in enumerate(zip(self.scores, self.labels)):
                 writer.writerow([i, repr(float(s)), int(l)])
+        os.replace(tmp, path)

@@ -208,14 +208,11 @@ def score(model: SsadModel, x, k: int, n_samples: int = 64,
     Memory stays proportional to n, not S * n: rows are encoded once, in
     batches of ``batch_size``; then sample s takes its (n, d_z) noise block,
     which holds the numbers one (S, n, d_z) draw puts at [s], and each batch
-    is decoded with its rows of that block. The noise lives in two (n, d_z)
-    buffers, 16 * n * d_z bytes each (2.56 MB together at n = 20 000,
-    d_z = 8): one helper thread fills the idle one with sample s + 1's block
-    while this thread decodes sample s, and the first block is drawn while
-    the rows are encoded. numpy releases the GIL while it draws, and the
-    one generator is still drawn in sample order, one call at a time, so
-    the numbers are those of a serial draw. The helper is joined before
-    this function returns or raises.
+    is decoded with its rows of that block. The blocks are drawn ahead on
+    one helper thread (``nb.NormalsAhead``, 16 * n * d_z bytes: 2.56 MB at
+    n = 20 000, d_z = 8), the first while the rows are encoded and sample
+    s + 1's while sample s is decoded. The helper is joined before this
+    function returns or raises.
 
     The decoder passes run on plain arrays (``nb.decode_array``) with the
     operations of the graph path, ``vb.elbo`` per batch, in its order, so a
@@ -225,32 +222,29 @@ def score(model: SsadModel, x, k: int, n_samples: int = 64,
     from concurrent.futures import ThreadPoolExecutor
 
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"expected a (n, d) matrix, got shape {x.shape}")
-    rng = nb.philox_rng(model.seeds[k], nb.STREAM_SCORE)
-    n, d_z = x.shape[0], model.encoder.latent_dim
-    if n == 0:
-        return np.empty(0)
+    in_dim, d_z = model.encoder.in_dim, model.encoder.latent_dim
+    if x.ndim != 2 or x.shape[1] != in_dim:
+        raise ValueError(f"expected a (n, {in_dim}) matrix, got shape {x.shape}")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
+    n = x.shape[0]
+    if n == 0:
+        return np.empty(0)
     # constant views of member k: no node is recorded
     enc, dec = model.encoder.member(k), model.decoder.member(k)
     starts = range(0, n, batch_size)
     batches = [x[lo:lo + batch_size] for lo in starts]
-    noise = (np.empty((n, d_z)), np.empty((n, d_z)))
     recon = [None] * len(batches)
     # leaving the block joins the helper, also when a pass raises; a far-out
     # row overflows to a score of -inf, which needs no numpy warning
     with ThreadPoolExecutor(1) as helper, np.errstate(over="ignore"):
-        drawn = helper.submit(rng.standard_normal, out=noise[0])
+        ahead = nb.NormalsAhead(nb.philox_rng(model.seeds[k], nb.STREAM_SCORE),
+                                n * d_z, helper, blocks=n_samples)
         posts = [nb.encode(enc, xb) for xb in batches]
         kls = [vb.kl_to_gaussian_prior(post).data for post in posts]
         layers = nb.decoder_arrays(dec, len(batches[0]))
-        for s in range(n_samples):
-            eps = drawn.result()
-            if s + 1 < n_samples:
-                # the other buffer: sample s - 1, its last reader, is done
-                drawn = helper.submit(rng.standard_normal, out=noise[(s + 1) % 2])
+        for _ in range(n_samples):
+            eps = ahead.take().reshape(n, d_z)
             for i, (lo, post, xb) in enumerate(zip(starts, posts, batches)):
                 z = nb.reparameterize_array(post, eps[lo:lo + len(xb)])
                 term = vb.nll_array(nb.decode_array(dec.spec, layers, z), xb,

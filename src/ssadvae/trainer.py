@@ -15,9 +15,9 @@ stacked parameters and their gradients are views into two (K, P) buffers
 (``models.FlatParams``), so the Adam update is one elementwise pass: over
 all columns on a normal step, over the encoder's on an outlier step.
 
-The reparameterization noise is drawn ahead: one helper thread fills each
+The reparameterization noise is drawn ahead: one helper thread draws each
 member's next chunk of NOISE_CHUNK normals while the steps run, and each
-step copies its block out of a chunk already drawn (``_NoiseStream``). The
+step copies its block out of a chunk already drawn (``_NoiseReader``). The
 blocks hold the numbers of the steps' own draws, so the trained bytes do
 not depend on the chunking.
 """
@@ -276,73 +276,19 @@ def _update(adam: AdamState, params: np.ndarray, grads: np.ndarray, lr: float,
                              seeds[_first_nonfinite(grads)]) from None
 
 
-# Numbers per member in one chunk of the read-ahead noise stream; the
-# stream holds two chunks per member, 2 * K * NOISE_CHUNK * 8 bytes in all.
+# Numbers in one chunk of a member's read-ahead noise stream; each member
+# holds two chunks, 2 * K * NOISE_CHUNK * 8 bytes in all.
 NOISE_CHUNK = 8192
 
 
-def _fill(jobs) -> None:
-    # runs on the helper thread, so it calls only Generator.standard_normal,
-    # which releases the GIL: bench/tracing.py keeps one span stack, and a
-    # traced function called from this thread would corrupt it
-    for rng, out in jobs:
-        rng.standard_normal(out=out)
-
-
-class _NoiseStream:
-    """The K members' noise streams, drawn ahead on a helper thread.
-
-    Member k's numbers are drawn in chunks of NOISE_CHUNK into two
-    buffers, chunk c into buffer c % 2, and ``readers[k]`` copies them out.
-    Philox ``standard_normal`` draws concatenate (a draw of a numbers, then
-    one of b, gives the numbers of one draw of a + b), so the readers hand
-    out the bytes that direct draws of the same sizes would. A buffer is
-    refilled only once its member has read past it; one helper task
-    refills every member that has, and a member that has read ahead of the
-    others asks for its own refill when it needs it.
-    """
-
-    def __init__(self, rngs: list, helper):
-        self._rngs, self._helper = rngs, helper
-        self._bufs = np.empty((2, len(rngs), NOISE_CHUNK))
-        self._taken = [0] * len(rngs)  # chunks each member has started reading
-        self._free = []  # members whose next chunk is not yet asked for
-        self._futures = [[None, None] for _ in rngs]  # per member, per buffer
-        for b in (0, 1):
-            done = helper.submit(_fill, list(zip(rngs, self._bufs[b])))
-            for pair in self._futures:
-                pair[b] = done
-        self.readers = [_NoiseReader(self, k) for k in range(len(rngs))]
-
-    def _ask(self) -> None:
-        jobs = [(self._rngs[k], self._bufs[self._taken[k] % 2, k])
-                for k in self._free]
-        done = self._helper.submit(_fill, jobs)
-        for k in self._free:
-            self._futures[k][self._taken[k] % 2] = done
-        self._free = []
-
-    def take(self, k: int) -> np.ndarray:
-        """Member k's next chunk; the one it read before becomes free."""
-        c = self._taken[k]
-        if k in self._free:
-            self._ask()
-        self._futures[k][c % 2].result()
-        self._taken[k] = c + 1
-        if c > 0:
-            self._free.append(k)
-            if len(self._free) == len(self._rngs):
-                self._ask()
-        return self._bufs[c % 2, k]
-
-
 class _NoiseReader:
-    """One member's noise generator within a ``_NoiseStream``:
-    ``standard_normal(out=)`` fills ``out`` with the member's next
-    ``out.size`` numbers."""
+    """One member's noise generator, drawn ahead in chunks of NOISE_CHUNK
+    (``nb.NormalsAhead``): ``standard_normal(out=)`` fills ``out`` with the
+    member's next ``out.size`` numbers, the numbers a direct draw of the
+    same size would give."""
 
-    def __init__(self, stream: _NoiseStream, k: int):
-        self._stream, self._k = stream, k
+    def __init__(self, rng: np.random.Generator, helper):
+        self._ahead = nb.NormalsAhead(rng, NOISE_CHUNK, helper)
         self._chunk, self._pos = None, NOISE_CHUNK
 
     def standard_normal(self, out: np.ndarray) -> np.ndarray:
@@ -353,7 +299,7 @@ class _NoiseReader:
         done = 0
         while done < flat.size:
             if self._pos == NOISE_CHUNK:
-                self._chunk, self._pos = self._stream.take(self._k), 0
+                self._chunk, self._pos = self._ahead.take(), 0
             n = min(flat.size - done, NOISE_CHUNK - self._pos)
             flat[done:done + n] = self._chunk[self._pos:self._pos + n]
             done += n
@@ -367,7 +313,7 @@ def train(config: TrainConfig, dataset: SsadDataset, method: str):
     Returns (SsadModel, list of TrainHistory). Member i uses seed
     master_seed + i for init, shuffling and reparameterization noise; the
     members train stacked, and a history's wall_time is the shared epoch's.
-    The noise is drawn ahead on one helper thread (``_NoiseStream``), which
+    The noise is drawn ahead on one helper thread (``_NoiseReader``), which
     is joined before this function returns or raises.
     """
     # imported here: at module level it would slow every CLI start
@@ -397,8 +343,8 @@ def train(config: TrainConfig, dataset: SsadDataset, method: str):
     # only repeat that, with a source line and no context. Leaving the block
     # joins the noise helper, also when a step raises.
     with ThreadPoolExecutor(1) as helper, np.errstate(all="ignore"):
-        noise_rngs = _NoiseStream([philox_rng(seed, nb.STREAM_NOISE)
-                                   for seed in seeds], helper).readers
+        noise_rngs = [_NoiseReader(philox_rng(seed, nb.STREAM_NOISE), helper)
+                      for seed in seeds]
         for epoch in range(config.epochs):
             t0 = time.perf_counter()
             beta = kl_anneal_coeff(epoch, config.anneal_epochs, config.beta_kl)

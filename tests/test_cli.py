@@ -1076,3 +1076,47 @@ def test_failed_history_rewrite_leaves_nothing_that_loads(tmp_path, monkeypatch)
     with pytest.raises(cli.dk.DataError,
                        match=re.escape(str(run_dir / "manifest.json"))):
         md.load_ensemble(run_dir)
+
+
+def test_failed_score_rewrite_keeps_the_earlier_files(model_dir, tmp_path,
+                                                      monkeypatch):
+    # a rerun of one score digest that dies partway through its CSV, or
+    # through its manifest, leaves the earlier CSV and manifest as they were
+    import hashlib
+
+    argv = ["score", "--model-dir", str(model_dir), "--synth", "4,40,3.0",
+            "--out", str(tmp_path / "scored")]
+    assert cli.main(argv) == cli.EXIT_OK
+    (run_dir,) = (tmp_path / "scored").iterdir()
+    files = sorted(run_dir.iterdir())
+    assert [f.name for f in files] == ["manifest.json",
+                                       f"scores_{run_dir.name[6:]}.csv"]
+
+    def sha256s():
+        return [hashlib.sha256(f.read_bytes()).hexdigest() for f in files]
+
+    before = sha256s()
+    csv_writer = cli.dk.csv.writer
+
+    class CutShortWriter:
+        def __init__(self, fh):
+            self._writer, self._rows = csv_writer(fh), 0
+
+        def writerow(self, row):
+            self._rows += 1
+            if self._rows == 10:
+                raise OSError(28, "No space left on device")
+            self._writer.writerow(row)
+
+    def cut_short_dump(payload, fh, **kwargs):
+        fh.write(json.dumps(payload, **kwargs)[:20])
+        raise OSError(28, "No space left on device")
+
+    for owner, name, cut_short in ((cli.dk.csv, "writer", CutShortWriter),
+                                   (cli.json, "dump", cut_short_dump)):
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, cut_short)
+            rc, err, _ = _quiet_main(argv)
+        assert rc == cli.EXIT_DATA
+        assert err == "data error: [Errno 28] No space left on device\n"
+        assert sha256s() == before

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import threading
 import tracemalloc
 import warnings
@@ -331,6 +332,27 @@ def test_score_equals_one_noise_draw_byte_for_byte(n, n_samples, family):
 
 def test_score_of_no_rows_is_empty():
     assert md.score(toy_model(), np.empty((0, 2)), 0, n_samples=4).shape == (0,)
+
+
+@pytest.mark.parametrize("n", [0, 3])
+@pytest.mark.parametrize("n_samples", [0, -1])
+def test_score_rejects_fewer_than_one_sample_with_or_without_rows(n, n_samples):
+    model, x = toy_model(seeds=(0, 1)), np.zeros((n, 2))
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        md.score(model, x, 0, n_samples=n_samples)
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        md.ensemble_score(model, x, n_samples=n_samples)
+
+
+@pytest.mark.parametrize("n", [0, 3])
+@pytest.mark.parametrize("width", [1, 5])
+def test_score_rejects_a_matrix_of_another_width_with_or_without_rows(n, width):
+    model = toy_model(seeds=(0, 1))
+    want = re.escape(f"expected a (n, 2) matrix, got shape ({n}, {width})")
+    with pytest.raises(ValueError, match=want):
+        md.score(model, np.zeros((n, width)), 1)
+    with pytest.raises(ValueError, match=want):
+        md.ensemble_score(model, np.zeros((n, width)))
 
 
 def test_score_memory_does_not_grow_with_samples():

@@ -599,12 +599,11 @@ def test_noise_stream_gives_the_numbers_of_direct_draws(k, lockstep):
              else [(i, m) for m in reversed(range(k)) for i in steps])
     got = [[None] * len(NOISE_REQUESTS) for _ in seeds]
     with ThreadPoolExecutor(1) as helper:
-        stream = tr._NoiseStream([nb.philox_rng(seed, nb.STREAM_NOISE)
-                                  for seed in seeds], helper)
+        readers = [tr._NoiseReader(nb.philox_rng(seed, nb.STREAM_NOISE), helper)
+                   for seed in seeds]
         for i, m in order:
-            got[m][i] = stream.readers[m].standard_normal(
-                out=np.empty(NOISE_REQUESTS[i]))
-    assert stream._bufs.nbytes == 2 * k * tr.NOISE_CHUNK * 8
+            got[m][i] = readers[m].standard_normal(out=np.empty(NOISE_REQUESTS[i]))
+    assert sum(r._ahead._bufs.nbytes for r in readers) == 2 * k * tr.NOISE_CHUNK * 8
     for m in range(k):
         for a, b in zip(got[m], want[m]):
             assert a.tobytes() == b.tobytes()
