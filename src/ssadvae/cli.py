@@ -285,11 +285,9 @@ def prepare_seed(cfg: dict, seed: int, base: Optional[dk.SsadDataset] = None):
 
 
 def _write_json(path, payload) -> None:
-    # by rename, so a write cut short leaves the file that was there
-    with open(path + ".tmp", "w", encoding="utf-8") as fh:
+    with dk.atomic_write(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    os.replace(path + ".tmp", path)
 
 
 def _write_manifest(run_dir, command, cfg, digest) -> None:

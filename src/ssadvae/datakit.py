@@ -10,6 +10,7 @@ dataset with a dropped role so row accounting is exact.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import math
@@ -355,6 +356,22 @@ def auroc(scores, labels) -> float:
     return float(u / (n_normal * n_anomaly))
 
 
+@contextlib.contextmanager
+def atomic_write(path, newline=None):
+    """A UTF-8 text file written as ``<path>.tmp`` and renamed over ``path``
+    when the block ends, so a write cut short leaves the file that was
+    there. If the block raises, the temporary file is removed."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 @dataclass
 class EvalReport:
     """One evaluation's per-row scores and labels."""
@@ -363,11 +380,8 @@ class EvalReport:
     labels: np.ndarray
 
     def write_scores_csv(self, path) -> None:
-        # by rename, so a write cut short leaves the file that was there
-        tmp = os.fspath(path) + ".tmp"
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+        with atomic_write(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["row", "score", "label"])
             for i, (s, l) in enumerate(zip(self.scores, self.labels)):
                 writer.writerow([i, repr(float(s)), int(l)])
-        os.replace(tmp, path)

@@ -25,7 +25,7 @@ import numpy as np
 from . import gradcore as gc
 from . import netblocks as nb
 from . import vbounds as vb
-from .datakit import DataError
+from .datakit import DataError, atomic_write
 from .gradcore import Tensor
 
 METHODS = ("vae", "mml", "dp", "hybrid")
@@ -290,10 +290,9 @@ def save_ensemble(dirpath, model: SsadModel, extra: Optional[dict] = None) -> No
     for k in range(len(model.seeds)):
         nb.save_params(os.path.join(dirpath, f"member_{k:02d}.bin"),
                        model.encoder.member(k), model.decoder.member(k))
-    with open(manifest_path + ".tmp", "w", encoding="utf-8") as fh:
+    with atomic_write(manifest_path) as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    os.replace(manifest_path + ".tmp", manifest_path)
 
 
 def load_ensemble(dirpath) -> tuple:

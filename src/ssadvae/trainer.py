@@ -20,11 +20,23 @@ member's next chunk of NOISE_CHUNK normals while the steps run, and each
 step copies its block out of a chunk already drawn (``_NoiseReader``). The
 blocks hold the numbers of the steps' own draws, so the trained bytes do
 not depend on the chunking.
+
+No member's computation reads another's, so the members also train in
+parallel processes: ``train`` splits the K seeds into G = min(K, usable
+CPUs) contiguous groups, trains group 0 itself and each other group in a
+forked child, and assembles the stack in seed order. A member's bytes are
+the same in any group (``_train_members`` is one loop for every G), so
+they do not depend on G.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
+import pickle
+import signal
+import threading
 import time
 from dataclasses import dataclass, field, fields, asdict
 from typing import Optional
@@ -56,6 +68,11 @@ class NumericalAbort(RuntimeError):
             where = f"member seed {seed}, {where}"
         super().__init__(f"non-finite {term} at {where}"
                          + (f": {detail}" if detail else ""))
+
+    def __reduce__(self):
+        # by the five fields: the default would rebuild from the message
+        return (type(self), (self.term, self.detail, self.epoch, self.batch,
+                             self.seed))
 
 
 @dataclass
@@ -174,15 +191,19 @@ def kl_anneal_coeff(epoch: int, anneal_epochs: int, beta_final: float) -> float:
     return beta_final * min(1.0, epoch / anneal_epochs)
 
 
+def _global_norm(grads: list) -> float:
+    total = 0.0
+    for g in grads:
+        total += float((g * g).sum())
+    return np.sqrt(total)
+
+
 def clip_gradients(grads: list, max_norm: float) -> list:
     """Global-norm clipping: scale every array of ``grads`` in place by
     max_norm/||g|| if needed; returns ``grads``."""
     if max_norm <= 0:
         raise ValueError("max_norm must be > 0")
-    total = 0.0
-    for g in grads:
-        total += float((g * g).sum())
-    norm = np.sqrt(total)
+    norm = _global_norm(grads)
     if norm > max_norm:
         for g in grads:
             g *= max_norm / norm
@@ -209,6 +230,7 @@ class EpochStats:
     anneal_coeff: float
     wall_time: float
     cubo_log_domain: Optional[bool]  # None: no CUBO step this epoch
+    clipped: Optional[bool]  # None: no outlier step this epoch
 
 
 @dataclass
@@ -260,20 +282,28 @@ def _check_grads(tensors) -> None:
         raise AssertionError("a trained parameter received no gradient")
 
 
-def _clip_members(tensors, max_norm: float) -> None:
+def _clip_members(tensors, max_norm: float) -> list:
     """``clip_gradients`` on each member's slices of the stacked tensors'
-    gradients, in place."""
+    gradients, in place; whether it scaled them, one bool per member."""
+    clipped = []
     for k in range(len(tensors[0].grad)):
-        clip_gradients([t.grad[k] for t in tensors], max_norm)
+        grads = [t.grad[k] for t in tensors]
+        clipped.append(bool(_global_norm(grads) > max_norm))
+        clip_gradients(grads, max_norm)
+    return clipped
 
 
 def _update(adam: AdamState, params: np.ndarray, grads: np.ndarray, lr: float,
-            seeds: list, epoch: int, batch=None) -> None:
+            seeds: list, epoch: int, batch=None, first: int = 0) -> None:
+    """``adam_step`` with an abort naming the member's seed, and its entry
+    as the ensemble's row ``first + k`` for the buffers' row k."""
     try:
         adam_step(adam, params, grads, lr)
-    except NumericalAbort as e:
-        raise NumericalAbort(e.term, e.detail, epoch, batch,
-                             seeds[_first_nonfinite(grads)]) from None
+    except NumericalAbort:
+        k = _first_nonfinite(grads)
+        bad = np.argwhere(~np.isfinite(grads[k]))[0].tolist()
+        raise NumericalAbort("gradient", f"entry {(first + k, *bad)}", epoch,
+                             batch, seeds[k]) from None
 
 
 # Numbers in one chunk of a member's read-ahead noise stream; each member
@@ -307,15 +337,144 @@ class _NoiseReader:
         return out
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork or say."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _member_groups(seeds: list, n_groups: int) -> list:
+    """``seeds`` cut into n_groups contiguous groups whose sizes differ by
+    at most one, larger first: five seeds in two groups are 3 and 2."""
+    size, extra = divmod(len(seeds), n_groups)
+    ends = [g * size + min(g, extra) for g in range(n_groups + 1)]
+    return [seeds[lo:hi] for lo, hi in zip(ends, ends[1:])]
+
+
+def _fork_group(config: TrainConfig, dataset: SsadDataset, method: str,
+                seeds: list) -> tuple:
+    """A forked child that trains ``seeds`` and pickles back its
+    ``(flat.data, histories)``, or the exception it raised, through a pipe.
+    Returns (pid, read end). The child writes nothing else and never
+    returns from here."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            try:
+                model, histories = _train_members(config, dataset, method, seeds)
+                outcome = (model.flat.data, histories)
+            except Exception as e:
+                outcome = e
+            with open(w, "wb") as fh:
+                pickle.dump(outcome, fh)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, r
+
+
+def _outcome(data: bytes, status: int, seeds: list):
+    """A forked group's unpickled outcome, from what it wrote and its wait
+    status; a RuntimeError naming its seeds if it left none."""
+    try:
+        return pickle.loads(data)
+    except Exception:
+        code = os.waitstatus_to_exitcode(status)
+        how = f"status {code}" if code >= 0 else f"signal {-code}"
+        return RuntimeError(f"training of member seeds {seeds} ended without "
+                            f"a result (exit {how})")
+
+
+def _first_error(errors: list, seeds: list) -> BaseException:
+    """The error the in-process loop would raise, from each group's first:
+    an error that is not a NumericalAbort, the earliest group's; else the
+    abort at the smallest (epoch, normal steps before the outlier step,
+    batch, loss check before gradient check, member)."""
+    others = [e for e in errors if not isinstance(e, NumericalAbort)]
+    if others:
+        return others[0]
+    return min(errors, key=lambda e: (e.epoch, e.batch is None, e.batch or 0,
+                                      e.term == "gradient", seeds.index(e.seed)))
+
+
+def _create(config: TrainConfig, dataset: SsadDataset, method: str,
+            seeds: list) -> md.SsadModel:
+    return md.SsadModel.create(
+        config.spec, dataset.dim, method, seeds, alpha=config.alpha,
+        gamma=config.gamma, beta_kl=config.beta_kl,
+        beta_cubo=config.beta_cubo, family=config.family)
+
+
 def train(config: TrainConfig, dataset: SsadDataset, method: str):
     """Train an ensemble of K members on the dataset's training streams.
 
     Returns (SsadModel, list of TrainHistory). Member i uses seed
-    master_seed + i for init, shuffling and reparameterization noise; the
-    members train stacked, and a history's wall_time is the shared epoch's.
-    The noise is drawn ahead on one helper thread (``_NoiseReader``), which
-    is joined before this function returns or raises.
+    master_seed + i for init, shuffling and reparameterization noise.
+
+    The seeds are cut into G = min(K, usable CPUs) contiguous groups
+    (``_member_groups``). This process trains group 0, one forked child per
+    other group trains that group, and the members' parameter rows and
+    histories are put together in seed order. Training stays in this
+    process (G = 1) for K = 1, on one usable CPU, where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing, and while another thread runs,
+    since a fork copies only the calling thread and a lock another thread
+    holds would stay held in the child. Each group trains stacked, and a
+    history's wall_time is its group's epoch.
+
+    An error is the one the in-process loop would raise (``_first_error``),
+    raised once every child has exited; a child that exits without a
+    result is a RuntimeError naming its seeds and exit status. If this
+    process raises or is interrupted, every child is killed and reaped.
+    Each process draws its noise ahead on its own helper thread
+    (``_NoiseReader``), started after the forks and joined before its
+    training returns or raises.
     """
+    seeds = [config.master_seed + i for i in range(config.ensemble_size)]
+    n_groups = min(len(seeds), _usable_cpus())
+    if n_groups == 1 or threading.active_count() > 1:
+        return _train_members(config, dataset, method, seeds)
+
+    groups = _member_groups(seeds, n_groups)
+    children = []  # (pid, read end) of groups 1.., the pid None once reaped
+    try:
+        for group in groups[1:]:
+            children.append(_fork_group(config, dataset, method, group))
+        try:
+            model, histories = _train_members(config, dataset, method, groups[0])
+            outcomes = [(model.flat.data, histories)]
+        except Exception as e:
+            outcomes = [e]
+        for i, ((pid, fd), group) in enumerate(zip(children, groups[1:])):
+            with open(fd, "rb", closefd=False) as fh:
+                data = fh.read()
+            status = os.waitpid(pid, 0)[1]
+            children[i] = (None, fd)
+            outcomes.append(_outcome(data, status, group))
+    finally:
+        for pid, fd in children:
+            if pid is not None:  # left by an error or an interrupt
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                with contextlib.suppress(ChildProcessError):
+                    os.waitpid(pid, 0)
+            os.close(fd)
+    errors = [o for o in outcomes if isinstance(o, BaseException)]
+    if errors:
+        raise _first_error(errors, seeds)
+    model = _create(config, dataset, method, seeds)
+    model.flat.data[...] = np.concatenate([rows for rows, _ in outcomes])
+    return model, [h for _, hists in outcomes for h in hists]
+
+
+def _train_members(config: TrainConfig, dataset: SsadDataset, method: str,
+                   seeds: list):
+    """Train the members of ``seeds`` as one stack in this process:
+    ``train``'s loop for one group. Returns (SsadModel, histories)."""
     # imported here: at module level it would slow every CLI start
     from concurrent.futures import ThreadPoolExecutor
 
@@ -324,11 +483,9 @@ def train(config: TrainConfig, dataset: SsadDataset, method: str):
     if len(normal_x) == 0:
         raise ValueError("training set has no normal rows")
 
-    seeds = [config.master_seed + i for i in range(config.ensemble_size)]
-    model = md.SsadModel.create(
-        config.spec, dataset.dim, method, seeds, alpha=config.alpha,
-        gamma=config.gamma, beta_kl=config.beta_kl,
-        beta_cubo=config.beta_cubo, family=config.family)
+    model = _create(config, dataset, method, seeds)
+    # the ensemble row of seeds[0], which a gradient abort's entry counts from
+    first = seeds[0] - config.master_seed
     shuffle_rngs = [philox_rng(seed, nb.STREAM_SHUFFLE) for seed in seeds]
     params, enc_params = model.parameters(), model.encoder.tensors()
     flat, p_enc = model.flat, model.flat.n_encoder
@@ -358,13 +515,14 @@ def train(config: TrainConfig, dataset: SsadDataset, method: str):
                 model.zero_grads()
                 gc.backward(gc.reduce_sum(loss))
                 _check_grads(params)
-                _update(adam, flat.data, flat.grad, config.lr, seeds, epoch, bi)
+                _update(adam, flat.data, flat.grad, config.lr, seeds, epoch, bi,
+                        first)
                 for j, term in enumerate((rep.elbo, rep.kl, rep.recon)):
                     sums[:, j] += xb.shape[1] * term.data
                 # drop this step's graph before the next forward builds its own
                 del loss, rep
 
-            outlier_vals = outlier_lr = log_domains = None
+            outlier_vals = outlier_lr = log_domains = clipped = None
             due = (do_outlier and epoch >= config.warmup_epochs
                    and (epoch - config.warmup_epochs) % config.nd_update_interval == 0)
             if due:
@@ -386,9 +544,9 @@ def train(config: TrainConfig, dataset: SsadDataset, method: str):
                                              config.lr_decay_every,
                                              config.lr_decay_factor)
                 _check_grads(enc_params)
-                _clip_members(enc_params, config.clip_norm)
+                clipped = _clip_members(enc_params, config.clip_norm)
                 _update(adam, flat.data[:, :p_enc], flat.grad[:, :p_enc],
-                        outlier_lr, seeds, epoch)
+                        outlier_lr, seeds, epoch, first=first)
 
             wall_time = time.perf_counter() - t0
             for k, history in enumerate(histories):
@@ -398,6 +556,7 @@ def train(config: TrainConfig, dataset: SsadDataset, method: str):
                     outlier_term=None if outlier_vals is None else outlier_vals[k],
                     lr=config.lr, outlier_lr=outlier_lr, anneal_coeff=beta,
                     wall_time=wall_time,
-                    cubo_log_domain=None if log_domains is None else log_domains[k]))
+                    cubo_log_domain=None if log_domains is None else log_domains[k],
+                    clipped=None if clipped is None else clipped[k]))
 
     return model, histories

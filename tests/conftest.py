@@ -1,3 +1,4 @@
+import os
 import threading
 
 import numpy as np
@@ -11,14 +12,28 @@ ACCEPTANCE_LINES = []
 
 
 @pytest.fixture(autouse=True)
-def no_thread_left_running():
-    """Fail a test that ends with a live thread it did not start with:
-    scoring's noise helper, for one, must be joined before score returns."""
+def no_thread_or_process_left_running():
+    """Fail a test that ends with a live thread it did not start with, or
+    with a child process: scoring's noise helper, for one, must be joined
+    before score returns, and every process train forks must be reaped
+    before it returns. A child found here is reaped, or reported running."""
     before = set(threading.enumerate())
     yield
     left = [t.name for t in threading.enumerate() if t not in before]
     if left:
         pytest.fail(f"threads left running: {', '.join(left)}")
+    children = []
+    while True:
+        try:
+            pid, status = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            break
+        if pid == 0:
+            children.append("one or more still running")
+            break
+        children.append(f"pid {pid}, exit {os.waitstatus_to_exitcode(status)}")
+    if children:
+        pytest.fail(f"child processes left: {'; '.join(children)}")
 
 
 class PinnedNoise:

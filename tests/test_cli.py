@@ -1120,3 +1120,41 @@ def test_failed_score_rewrite_keeps_the_earlier_files(model_dir, tmp_path,
         assert rc == cli.EXIT_DATA
         assert err == "data error: [Errno 28] No space left on device\n"
         assert sha256s() == before
+
+
+def test_failed_json_write_keeps_the_earlier_file_and_no_temporary(tmp_path):
+    import hashlib
+
+    path = tmp_path / "report.json"
+    cli._write_json(str(path), {"auroc": 0.9})
+    before = hashlib.sha256(path.read_bytes()).hexdigest()
+    # json.dump has written "auroc" when it reaches the value it cannot write
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._write_json(str(path), {"auroc": 0.5, "b": object()})
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+
+@pytest.mark.parametrize("command", ["train", "benchmark"])
+def test_forked_training_aborts_as_the_in_process_one(tmp_path, monkeypatch, command):
+    # K=5 on two groups of members (0-2 here, 3-4 in a forked process)
+    # against K=5 in this process: the same exit code and the same stderr
+    from ssadvae import trainer as tr
+
+    results, forked = [], []
+    fork_group = tr._fork_group
+    monkeypatch.setattr(tr, "_fork_group",
+                        lambda *args: forked.append(args[3]) or fork_group(*args))
+    for cpus in (1, 2):
+        monkeypatch.setattr(tr, "_usable_cpus", lambda: cpus)
+        out = tmp_path / f"runs{cpus}"
+        results.append(_quiet_main([
+            command, "--synth", "4,200,3.0", "--method", "dp",
+            "--config", write_fast_cfg(tmp_path), "--lr", "1e300",
+            *FAST[:2], "--ensemble", "5", "--seeds", "0", *FAST_CFG,
+            "--out", str(out)])[:2])
+    assert forked == [[3, 4]]
+    assert results[0] == results[1]
+    assert results[0][0] == cli.EXIT_NUMERIC
+    assert results[0][1].startswith("numerical abort: non-finite normal-term "
+                                    "loss at member seed 0, epoch 1, batch 0")

@@ -465,3 +465,24 @@ def test_eval_report_roundtrip(tmp_path):
     rows = [line.split(",") for line in lines[1:]]
     assert dk.auroc([float(r[1]) for r in rows], [int(r[2]) for r in rows]) \
         == dk.auroc(scores, labels)
+
+
+def _sha256(path):
+    import hashlib
+
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_failed_scores_write_keeps_the_earlier_file_and_no_temporary(tmp_path):
+    class Unwritable:
+        def __float__(self):
+            raise ValueError("score cannot be written")
+
+    path = tmp_path / "scores.csv"
+    dk.EvalReport(np.array([0.5, -1.0]), np.array([0, 1])).write_scores_csv(path)
+    before = _sha256(path)
+    scores = np.array([0.25, Unwritable()], dtype=object)
+    with pytest.raises(ValueError, match="score cannot be written"):
+        dk.EvalReport(scores, np.array([0, 1])).write_scores_csv(path)
+    assert _sha256(path) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.csv"]

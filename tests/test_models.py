@@ -636,3 +636,22 @@ def test_stacked_parameters_are_views_into_the_flat_buffers():
     slot = stacked.parameters()[0]
     slot.data[1] += 1.0  # an update through the view lands in the buffer
     assert flat.data[1, :slot.data[1].size].tobytes() == slot.data[1].tobytes()
+
+
+def test_failed_manifest_write_leaves_no_temporary_file(tmp_path):
+    import hashlib
+
+    def digests():
+        return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in sorted(tmp_path.iterdir())}
+
+    model = toy_model(seeds=(3, 4))
+    md.save_ensemble(tmp_path, model, extra={"epochs": 7})
+    before = digests()
+    # json.dump has written the keys before "epochs" when it raises
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        md.save_ensemble(tmp_path, model, extra={"epochs": object()})
+    # the old manifest goes before the first member write, so nothing loads,
+    # and the member files are written again with the same bytes
+    del before["manifest.json"]
+    assert digests() == before

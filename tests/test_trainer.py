@@ -363,20 +363,24 @@ def test_history_export(tmp_path):
     h.save_json(json_path)
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == ("epoch,elbo,kl,recon,outlier_term,lr,outlier_lr,"
-                        "anneal_coeff,wall_time,cubo_log_domain")
+                        "anneal_coeff,wall_time,cubo_log_domain,clipped")
     assert len(lines) == 6
     # warm-up rows have an empty outlier term
     assert lines[1].split(",")[4] == ""
     assert lines[5].split(",")[4] != ""
     # dp has no CUBO term, so its domain column stays blank on every epoch
-    assert [line.split(",")[-1] for line in lines[1:]] == [""] * 5
+    assert [line.split(",")[-2] for line in lines[1:]] == [""] * 5
+    # the clipping decision is logged on the outlier-update epoch only
+    clipped = [line.split(",")[-1] for line in lines[1:]]
+    assert clipped[:4] == [""] * 4 and clipped[4] in ("True", "False")
+    assert h.records[4].clipped is (clipped[4] == "True")
     data = json.loads(json_path.read_text())
     assert data["seed"] == 0 and len(data["epochs"]) == 5
 
     # mml logs the CUBO domain it optimized, on its update epochs only
     _, hists = tr.train(cfg, train, "mml")
     hists[0].save_csv(csv_path)
-    last = [line.split(",")[-1]
+    last = [line.split(",")[-2]
             for line in csv_path.read_text().strip().splitlines()[1:]]
     assert last[:4] == [""] * 4 and last[4] in ("True", "False")
     assert hists[0].records[4].cubo_log_domain is (last[4] == "True")
@@ -414,6 +418,8 @@ def test_stacked_members_equal_solo_runs_bit_for_bit(monkeypatch, method, d):
     from ssadvae import models as md
 
     train = tiny_train_set(d=d, gamma_l=0.3)
+    # in process: the recorders below do not see a forked group's calls
+    monkeypatch.setattr(tr, "_usable_cpus", lambda: 1)
     fired, domains = [], []
     _record(monkeypatch, tr, "clip_gradients",
             lambda args, out: fired.append(
@@ -543,6 +549,8 @@ def test_graph_nodes_per_k5_step(monkeypatch):
 
     monkeypatch.setattr(gc, "make_node", counted_make_node)
     monkeypatch.setattr(gc, "backward", counted_backward)
+    # in process, so that the counts are of K=5 steps
+    monkeypatch.setattr(tr, "_usable_cpus", lambda: 1)
     cfg = tiny_config(epochs=2, warmup_epochs=1, anneal_epochs=1, batch_size=64,
                       ensemble_size=5, widths=(32, 16, 8), s_cubo=8)
     tr.train(cfg, tiny_train_set(d=8, gamma_l=0.3), "mml")
@@ -563,6 +571,16 @@ def test_nonfinite_flat_gradient_names_its_member_seed():
                        match=r"gradient at member seed 11, epoch 6: entry \(1, 3\)"):
         tr._update(state, flat[:, :4], grads[:, :4], 1e-3, [10, 11, 12], epoch=6)
     assert state.t == 0 and not flat.any()
+
+
+def test_gradient_abort_entry_counts_from_the_groups_first_row():
+    # a forked group's rows 0, 1 are the ensemble's rows 3, 4
+    grads = np.ones((2, 5))
+    grads[1, 3] = np.nan
+    state = tr.AdamState.like(np.zeros((2, 5)))
+    with pytest.raises(tr.NumericalAbort,
+                       match=r"gradient at member seed 14, epoch 6: entry \(4, 3\)$"):
+        tr._update(state, np.zeros((2, 5)), grads, 1e-3, [13, 14], epoch=6, first=3)
 
 
 @pytest.mark.parametrize("a, b", [(1, 1), (3, 5), (1024, 7), (8191, 8193)])
@@ -619,3 +637,202 @@ def test_failed_train_joins_its_noise_helper():
                              r"epoch 0, batch 1:"):
         tr.train(tiny_config(ensemble_size=3, master_seed=5, lr=1e100), train, "dp")
     assert threading.enumerate() == before
+
+
+def test_numerical_abort_survives_pickle():
+    import pickle
+
+    e = tr.NumericalAbort("normal-term loss", "value nan", 3, 1, 7)
+    back = pickle.loads(pickle.dumps(e))
+    assert type(back) is tr.NumericalAbort and str(back) == str(e)
+    assert ((back.term, back.detail, back.epoch, back.batch, back.seed)
+            == ("normal-term loss", "value nan", 3, 1, 7))
+    bare = pickle.loads(pickle.dumps(tr.NumericalAbort("gradient")))
+    assert str(bare) == "non-finite gradient at unknown epoch"
+
+
+# ---------------------------------------------------------------------------
+# member groups in forked processes
+
+def _forking(monkeypatch, cpus):
+    """``train`` sees ``cpus`` usable CPUs; returns the list that the seeds
+    of each forked group are appended to."""
+    forked = []
+    fork_group = tr._fork_group
+
+    def recorded(config, dataset, method, seeds):
+        forked.append(seeds)
+        return fork_group(config, dataset, method, seeds)
+
+    monkeypatch.setattr(tr, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(tr, "_fork_group", recorded)
+    return forked
+
+
+def test_member_groups_are_contiguous_and_larger_first():
+    assert tr._member_groups([0, 1, 2, 3, 4], 2) == [[0, 1, 2], [3, 4]]
+    assert tr._member_groups([0, 1, 2, 3, 4], 3) == [[0, 1], [2, 3], [4]]
+    assert tr._member_groups([5, 6, 7], 3) == [[5], [6], [7]]
+    assert tr._member_groups([5, 6], 1) == [[5, 6]]
+
+
+@pytest.mark.parametrize("method", ["vae", "mml", "dp", "hybrid"])
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("k, cpus", [(2, 2), (3, 2), (3, 3), (5, 2), (5, 3)])
+def test_forked_groups_equal_the_in_process_run_bit_for_bit(monkeypatch, method,
+                                                            d, k, cpus):
+    # the same parameter bytes and the same histories but wall_time, with
+    # clipping firing on some member updates as in the stacked-versus-solo test
+    train = tiny_train_set(d=d, gamma_l=0.3)
+    clip = {"vae": 5.0, "mml": 0.003 if d == 1 else 0.3, "dp": 0.45,
+            "hybrid": 0.5}[method]
+    cfg = tiny_config(ensemble_size=k, epochs=7, warmup_epochs=3, clip_norm=clip,
+                      master_seed=4)
+    monkeypatch.setattr(tr, "_usable_cpus", lambda: 1)
+    want, want_hists = tr.train(cfg, train, method)
+    forked = _forking(monkeypatch, cpus)
+    got, got_hists = tr.train(cfg, train, method)
+    assert forked == tr._member_groups(want.seeds, min(k, cpus))[1:]
+    assert got.seeds == want.seeds == [h.seed for h in got_hists]
+    assert got.flat.data.tobytes() == want.flat.data.tobytes()
+    for a, b in zip(got.parameters(), want.parameters()):
+        assert a.data.tobytes() == b.data.tobytes()
+    rows = [[[{**r, "wall_time": 0} for r in h.to_rows()] for h in hists]
+            for hists in (got_hists, want_hists)]
+    assert rows[0] == rows[1]
+    if method != "vae":
+        clipped = {r.clipped for h in got_hists for r in h.records[3:]}
+        assert clipped == {True, False}
+
+
+def _with_huge_row(train, role, i):
+    features = train.features.copy()
+    features[np.flatnonzero(train.roles == role)[i]] *= 1e154
+    return dk.SsadDataset(features, train.labels, train.roles)
+
+
+# Found by a search over master seeds: (method, role and index of the one
+# huge row, master seed, batch size, the in-process abort of K=5, and the
+# first aborts of group 0 = members 0-2 and group 1 = members 3-4, each
+# trained alone).
+ABORTS = [
+    # member 3 (group 1) fails first; group 0 fails a batch later
+    ("vae", dk.ROLE_TRAIN_NORMAL, 5, 7, 32,
+     "normal-term loss at member seed 10, epoch 0, batch 0",
+     ["normal-term loss at member seed 7, epoch 0, batch 1",
+      "normal-term loss at member seed 10, epoch 0, batch 0"]),
+    # members 2 (group 0) and 4 (group 1) both fail at the same step
+    ("vae", dk.ROLE_TRAIN_NORMAL, 5, 8, 32,
+     "normal-term loss at member seed 10, epoch 0, batch 0",
+     ["normal-term loss at member seed 10, epoch 0, batch 0",
+      "normal-term loss at member seed 12, epoch 0, batch 0"]),
+    # member 3 fails at epoch 2's outlier step; group 0 at epoch 3's
+    ("mml", dk.ROLE_TRAIN_OUTLIER, 2, 3, 8,
+     "outlier-term loss at member seed 6, epoch 2",
+     ["outlier-term loss at member seed 4, epoch 3",
+      "outlier-term loss at member seed 6, epoch 2"]),
+    # members 0 (group 0) and 4 (group 1) both fail at epoch 2's outlier step
+    ("dp", dk.ROLE_TRAIN_OUTLIER, 2, 2, 8,
+     "outlier-term loss at member seed 2, epoch 2",
+     ["outlier-term loss at member seed 2, epoch 2",
+      "outlier-term loss at member seed 6, epoch 2"]),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("method, role, row, master_seed, batch_size, first, "
+                         "group_firsts", ABORTS)
+def test_forked_abort_is_the_in_process_one(monkeypatch, method, role, row,
+                                            master_seed, batch_size, first,
+                                            group_firsts):
+    train = _with_huge_row(tiny_train_set(d=3, gamma_l=0.3), role, row)
+    cfg = dict(epochs=6, warmup_epochs=2, batch_size=batch_size)
+    monkeypatch.setattr(tr, "_usable_cpus", lambda: 1)
+    for (k, m), want in zip([(3, master_seed), (2, master_seed + 3)], group_firsts):
+        with pytest.raises(tr.NumericalAbort) as alone:
+            tr.train(tiny_config(ensemble_size=k, master_seed=m, **cfg), train, method)
+        assert str(alone.value).startswith(f"non-finite {want}: ")
+    cfg = tiny_config(ensemble_size=5, master_seed=master_seed, **cfg)
+    with pytest.raises(tr.NumericalAbort) as in_process:
+        tr.train(cfg, train, method)
+    assert str(in_process.value).startswith(f"non-finite {first}: ")
+    forked = _forking(monkeypatch, 2)
+    with pytest.raises(tr.NumericalAbort) as got:
+        tr.train(cfg, train, method)
+    assert forked == [[master_seed + 3, master_seed + 4]]
+    assert str(got.value) == str(in_process.value)
+
+
+def test_first_error_follows_the_in_process_order():
+    A = tr.NumericalAbort
+    seeds = [10, 11, 12, 13]
+    cases = [
+        # the earlier epoch, then normal steps before the outlier step
+        ([A("outlier-term loss", "", 2, None, 10), A("gradient", "", 1, 3, 13)], 1),
+        ([A("outlier-term loss", "", 2, None, 10), A("gradient", "", 2, 3, 13)], 1),
+        # the earlier batch, then the loss check before the gradient check
+        ([A("normal-term loss", "", 2, 4, 10), A("gradient", "", 2, 3, 13)], 1),
+        ([A("gradient", "", 2, 3, 10), A("normal-term loss", "", 2, 3, 13)], 1),
+        ([A("gradient", "", 2, None, 10), A("outlier-term loss", "", 2, None, 13)], 1),
+        # at the same check, the smaller member
+        ([A("gradient", "", 2, 3, 12), A("gradient", "", 2, 3, 11)], 1),
+        ([A("gradient", "", 2, 3, 11), A("gradient", "", 2, 3, 12)], 0),
+    ]
+    for errors, want in cases:
+        assert tr._first_error(errors, seeds) is errors[want]
+    # an error that is not an abort comes first, the earliest group's
+    lost, other = RuntimeError("lost"), ValueError("other")
+    assert tr._first_error([A("gradient", "", 0, 0, 10), lost, other], seeds) is lost
+
+
+def test_lost_group_raises_naming_its_seeds_and_leaves_no_process(monkeypatch):
+    import os
+
+    train_members = tr._train_members
+
+    def exit_in_last_group(config, dataset, method, seeds):
+        if seeds[0] == 7:  # in the forked child, which inherits this patch
+            os._exit(9)
+        return train_members(config, dataset, method, seeds)
+
+    monkeypatch.setattr(tr, "_train_members", exit_in_last_group)
+    forked = _forking(monkeypatch, 3)
+    with pytest.raises(RuntimeError, match=r"^training of member seeds \[7\] "
+                                           r"ended without a result \(exit status 9\)$"):
+        tr.train(tiny_config(ensemble_size=5, master_seed=3), tiny_train_set(), "dp")
+    assert forked == [[5, 6], [7]]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_interrupted_train_kills_and_reaps_its_children(monkeypatch):
+    import os
+
+    train_members = tr._train_members
+
+    def interrupted_in_group_0(config, dataset, method, seeds):
+        if seeds[0] == 0:
+            raise KeyboardInterrupt
+        return train_members(config, dataset, method, seeds)
+
+    monkeypatch.setattr(tr, "_train_members", interrupted_in_group_0)
+    _forking(monkeypatch, 2)
+    with pytest.raises(KeyboardInterrupt):
+        tr.train(tiny_config(ensemble_size=2, epochs=200), tiny_train_set(), "vae")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_train_does_not_fork_while_another_thread_runs(monkeypatch):
+    import threading
+
+    forked = _forking(monkeypatch, 2)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        model, _ = tr.train(tiny_config(ensemble_size=3), tiny_train_set(), "dp")
+    finally:
+        stop.set()
+        other.join()
+    assert forked == [] and model.seeds == [0, 1, 2]
