@@ -262,11 +262,9 @@ def score(model: SsadModel, x, k: int, n_samples: int = 64,
 def ensemble_score(model: SsadModel, x, n_samples: int = 64,
                    batch_size: int = 1024) -> np.ndarray:
     """Arithmetic mean of member scores; member order is irrelevant."""
-    total = np.zeros(np.asarray(x).shape[0])
-    for k in range(len(model.seeds)):
-        total = total + score(model, x, k, n_samples=n_samples,
-                              batch_size=batch_size)
-    return total / len(model.seeds)
+    # score checks x's shape first, so a non-matrix x raises its ValueError
+    return sum(score(model, x, k, n_samples=n_samples, batch_size=batch_size)
+               for k in range(len(model.seeds))) / len(model.seeds)
 
 
 # ---------------------------------------------------------------------------

@@ -15,18 +15,14 @@ stacked parameters and their gradients are views into two (K, P) buffers
 (``models.FlatParams``), so the Adam update is one elementwise pass: over
 all columns on a normal step, over the encoder's on an outlier step.
 
-The reparameterization noise is drawn ahead: one helper thread draws each
-member's next chunk of NOISE_CHUNK normals while the steps run, and each
-step copies its block out of a chunk already drawn (``_NoiseReader``). The
-blocks hold the numbers of the steps' own draws, so the trained bytes do
-not depend on the chunking.
-
 No member's computation reads another's, so the members also train in
 parallel processes: ``train`` splits the K seeds into G = min(K, usable
 CPUs) contiguous groups, trains group 0 itself and each other group in a
 forked child, and assembles the stack in seed order. A member's bytes are
 the same in any group (``_train_members`` is one loop for every G), so
-they do not depend on G.
+they do not depend on G. Each step draws its members' noise straight from
+their Philox streams: the groups already fill the CPUs, so no thread draws
+it ahead.
 """
 from __future__ import annotations
 
@@ -306,37 +302,6 @@ def _update(adam: AdamState, params: np.ndarray, grads: np.ndarray, lr: float,
                              batch, seeds[k]) from None
 
 
-# Numbers in one chunk of a member's read-ahead noise stream; each member
-# holds two chunks, 2 * K * NOISE_CHUNK * 8 bytes in all.
-NOISE_CHUNK = 8192
-
-
-class _NoiseReader:
-    """One member's noise generator, drawn ahead in chunks of NOISE_CHUNK
-    (``nb.NormalsAhead``): ``standard_normal(out=)`` fills ``out`` with the
-    member's next ``out.size`` numbers, the numbers a direct draw of the
-    same size would give."""
-
-    def __init__(self, rng: np.random.Generator, helper):
-        self._ahead = nb.NormalsAhead(rng, NOISE_CHUNK, helper)
-        self._chunk, self._pos = None, NOISE_CHUNK
-
-    def standard_normal(self, out: np.ndarray) -> np.ndarray:
-        if not out.flags.c_contiguous:
-            # as Generator's own check: a reshape would copy, losing the writes
-            raise ValueError("out must be C-contiguous")
-        flat = out.reshape(-1)
-        done = 0
-        while done < flat.size:
-            if self._pos == NOISE_CHUNK:
-                self._chunk, self._pos = self._ahead.take(), 0
-            n = min(flat.size - done, NOISE_CHUNK - self._pos)
-            flat[done:done + n] = self._chunk[self._pos:self._pos + n]
-            done += n
-            self._pos += n
-        return out
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on; 1 where it cannot fork or say."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
@@ -430,9 +395,6 @@ def train(config: TrainConfig, dataset: SsadDataset, method: str):
     raised once every child has exited; a child that exits without a
     result is a RuntimeError naming its seeds and exit status. If this
     process raises or is interrupted, every child is killed and reaped.
-    Each process draws its noise ahead on its own helper thread
-    (``_NoiseReader``), started after the forks and joined before its
-    training returns or raises.
     """
     seeds = [config.master_seed + i for i in range(config.ensemble_size)]
     n_groups = min(len(seeds), _usable_cpus())
@@ -475,9 +437,6 @@ def _train_members(config: TrainConfig, dataset: SsadDataset, method: str,
                    seeds: list):
     """Train the members of ``seeds`` as one stack in this process:
     ``train``'s loop for one group. Returns (SsadModel, histories)."""
-    # imported here: at module level it would slow every CLI start
-    from concurrent.futures import ThreadPoolExecutor
-
     normal_x = dataset.normal_stream()
     outlier_x = dataset.labeled_outliers()
     if len(normal_x) == 0:
@@ -487,6 +446,7 @@ def _train_members(config: TrainConfig, dataset: SsadDataset, method: str,
     # the ensemble row of seeds[0], which a gradient abort's entry counts from
     first = seeds[0] - config.master_seed
     shuffle_rngs = [philox_rng(seed, nb.STREAM_SHUFFLE) for seed in seeds]
+    noise_rngs = [philox_rng(seed, nb.STREAM_NOISE) for seed in seeds]
     params, enc_params = model.parameters(), model.encoder.tensors()
     flat, p_enc = model.flat, model.flat.n_encoder
     adam = AdamState.like(flat.data)
@@ -497,11 +457,8 @@ def _train_members(config: TrainConfig, dataset: SsadDataset, method: str,
     # A diverging run overflows inside numpy before a loss goes non-finite.
     # The loss and gradient checks below abort it (exit 3 from the CLI),
     # naming the member, epoch and batch, so numpy's own warnings would
-    # only repeat that, with a source line and no context. Leaving the block
-    # joins the noise helper, also when a step raises.
-    with ThreadPoolExecutor(1) as helper, np.errstate(all="ignore"):
-        noise_rngs = [_NoiseReader(philox_rng(seed, nb.STREAM_NOISE), helper)
-                      for seed in seeds]
+    # only repeat that, with a source line and no context.
+    with np.errstate(all="ignore"):
         for epoch in range(config.epochs):
             t0 = time.perf_counter()
             beta = kl_anneal_coeff(epoch, config.anneal_epochs, config.beta_kl)

@@ -355,6 +355,17 @@ def test_score_rejects_a_matrix_of_another_width_with_or_without_rows(n, width):
         md.ensemble_score(model, np.zeros((n, width)))
 
 
+@pytest.mark.parametrize("x", [5.0, np.zeros(2), np.zeros((1, 3, 2))],
+                         ids=["0-d", "1-d", "3-d"])
+def test_score_rejects_what_is_not_a_matrix(x):
+    model = toy_model(seeds=(0, 1))
+    want = re.escape(f"expected a (n, 2) matrix, got shape {np.shape(x)}")
+    with pytest.raises(ValueError, match=want):
+        md.score(model, x, 1)
+    with pytest.raises(ValueError, match=want):
+        md.ensemble_score(model, x)
+
+
 def test_score_memory_does_not_grow_with_samples():
     # one (S, n, d_z) draw alone would be 20000 * 64 * 8 * 8 B = 82 MB
     model = md.SsadModel.create(nb.MlpSpec(widths=(32, 16, 8)), 21, "mml", [9])

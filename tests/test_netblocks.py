@@ -301,7 +301,8 @@ def test_serialization_round_trip_property(arrays):
 def test_normals_ahead_blocks_are_one_serial_draw(size):
     want = nb.philox_rng(5, nb.STREAM_SCORE).standard_normal(3 * size)
     with ThreadPoolExecutor(1) as helper:
-        ahead = nb.NormalsAhead(nb.philox_rng(5, nb.STREAM_SCORE), size, helper)
+        ahead = nb.NormalsAhead(nb.philox_rng(5, nb.STREAM_SCORE), size, helper,
+                                blocks=3)
         got = [ahead.take().copy() for _ in range(3)]
     assert np.concatenate(got).tobytes() == want.tobytes()
 
@@ -326,7 +327,7 @@ def test_normals_ahead_consumer_that_raises_leaves_no_thread():
     with pytest.raises(RuntimeError) as caught:
         with ThreadPoolExecutor(1) as helper:
             ahead = nb.NormalsAhead(nb.philox_rng(7, nb.STREAM_NOISE), 160_000,
-                                    helper)
+                                    helper, blocks=3)
             ahead.take()  # the next block's draw is now in flight
             raise boom
     assert caught.value is boom

@@ -585,49 +585,34 @@ def test_gradient_abort_entry_counts_from_the_groups_first_row():
 
 @pytest.mark.parametrize("a, b", [(1, 1), (3, 5), (1024, 7), (8191, 8193)])
 def test_philox_normal_draws_concatenate(a, b):
-    # the training noise stream and scoring's noise blocks rest on this:
-    # draws of a numbers, then b, give the numbers of one draw of a + b
+    # scoring's noise blocks rest on this: draws of a numbers, then b,
+    # give the numbers of one draw of a + b
     one = nb.philox_rng(3, nb.STREAM_NOISE).standard_normal(a + b)
     rng = nb.philox_rng(3, nb.STREAM_NOISE)
     two = np.concatenate([rng.standard_normal(a), rng.standard_normal(b)])
     assert one.tobytes() == two.tobytes()
 
 
-# one member's noise requests: two hybrid epochs at d_z = 8 (s_elbo * B * d_z
-# per normal batch, a short last batch, then the outlier step's ELBO and CUBO
-# blocks), then blocks that straddle a chunk boundary or outgrow a chunk
-NOISE_REQUESTS = (([(1, 128, 8)] * 15 + [(1, 80, 8), (1, 60, 8), (8, 60, 8)]) * 2
-                  + [(8191,), (2,), (tr.NOISE_CHUNK,), (3, 4000), (5,)])
-
-
 @pytest.mark.parametrize("k", [1, 3])
-@pytest.mark.parametrize("lockstep", [True, False])
-def test_noise_stream_gives_the_numbers_of_direct_draws(k, lockstep):
-    from concurrent.futures import ThreadPoolExecutor
+def test_training_starts_no_thread(monkeypatch, k):
+    # the forked groups fill the CPUs; in process, each step draws its
+    # noise straight from the members' generators
+    import threading
 
-    seeds = [21 + m for m in range(k)]
-    want = []
-    for seed in seeds:
-        rng = nb.philox_rng(seed, nb.STREAM_NOISE)
-        want.append([rng.standard_normal(out=np.empty(shape))
-                     for shape in NOISE_REQUESTS])
-    steps = range(len(NOISE_REQUESTS))
-    # out of lockstep, the last member reads everything before the others
-    order = ([(i, m) for i in steps for m in range(k)] if lockstep
-             else [(i, m) for m in reversed(range(k)) for i in steps])
-    got = [[None] * len(NOISE_REQUESTS) for _ in seeds]
-    with ThreadPoolExecutor(1) as helper:
-        readers = [tr._NoiseReader(nb.philox_rng(seed, nb.STREAM_NOISE), helper)
-                   for seed in seeds]
-        for i, m in order:
-            got[m][i] = readers[m].standard_normal(out=np.empty(NOISE_REQUESTS[i]))
-    assert sum(r._ahead._bufs.nbytes for r in readers) == 2 * k * tr.NOISE_CHUNK * 8
-    for m in range(k):
-        for a, b in zip(got[m], want[m]):
-            assert a.tobytes() == b.tobytes()
+    started = []
+    start = threading.Thread.start
+
+    def recorded(thread):
+        started.append(thread.name)
+        return start(thread)
+
+    monkeypatch.setattr(tr, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(threading.Thread, "start", recorded)
+    tr.train(tiny_config(ensemble_size=k), tiny_train_set(), "hybrid")
+    assert started == []
 
 
-def test_failed_train_joins_its_noise_helper():
+def test_failed_train_names_the_first_abort_and_leaves_no_thread():
     import threading
 
     train = tiny_train_set()
