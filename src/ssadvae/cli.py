@@ -373,10 +373,10 @@ def run_score(args) -> int:
     scores = md.ensemble_score(model, features, n_samples=cfg["s_score"])
 
     run_dir = os.path.join(_out_root(args), f"score_{digest}")
-    os.makedirs(run_dir, exist_ok=True)
-    dk.EvalReport(scores, base.labels).write_scores_csv(
-        os.path.join(run_dir, f"scores_{digest}.csv"))
-    _write_manifest(run_dir, "score", cfg, digest)
+    with dk.atomic_dir(run_dir) as tmp:
+        dk.EvalReport(scores, base.labels).write_scores_csv(
+            os.path.join(tmp, f"scores_{digest}.csv"))
+        _write_manifest(tmp, "score", cfg, digest)
     print(run_dir)
     return EXIT_OK
 

@@ -15,6 +15,7 @@ import csv
 import itertools
 import math
 import os
+import shutil
 from array import array
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -370,6 +371,29 @@ def atomic_write(path, newline=None):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+@contextlib.contextmanager
+def atomic_dir(path):
+    """A directory built as ``<path>.<pid>.tmp`` and renamed to ``path``
+    when the block ends, so a build cut short leaves no ``path`` holding
+    part of it. A directory already at ``path`` is replaced as a whole. If
+    the block raises, the temporary directory is removed and ``path`` is
+    left as it was."""
+    path = os.fspath(path)
+    tmp, old = (f"{path}.{os.getpid()}.{tag}" for tag in ("tmp", "old"))
+    for stale in (tmp, old):  # left by a killed process with this pid
+        shutil.rmtree(stale, ignore_errors=True)
+    os.makedirs(tmp)
+    try:
+        yield tmp
+        if os.path.isdir(path):
+            os.replace(path, old)
+        os.replace(tmp, path)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    shutil.rmtree(old, ignore_errors=True)
 
 
 @dataclass

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -26,6 +27,7 @@ from . import gradcore as gc
 from . import netblocks as nb
 from . import vbounds as vb
 from .datakit import DataError, atomic_write
+from .fanout import _member_groups, _usable_cpus, fan_out
 from .gradcore import Tensor
 
 METHODS = ("vae", "mml", "dp", "hybrid")
@@ -196,6 +198,18 @@ def outlier_update_term(model: SsadModel, outlier_x, beta_kl: float,
 # ---------------------------------------------------------------------------
 # scoring
 
+def _checked_rows(model: SsadModel, x, n_samples: int) -> np.ndarray:
+    """``x`` as a float64 (n, in_dim) matrix; a ValueError for another
+    shape or for n_samples < 1."""
+    x = np.asarray(x, dtype=np.float64)
+    in_dim = model.encoder.in_dim
+    if x.ndim != 2 or x.shape[1] != in_dim:
+        raise ValueError(f"expected a (n, {in_dim}) matrix, got shape {x.shape}")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    return x
+
+
 def score(model: SsadModel, x, k: int, n_samples: int = 64,
           batch_size: int = 1024) -> np.ndarray:
     """Member k's per-sample anomaly score: the ELBO under the zero-mean
@@ -221,13 +235,8 @@ def score(model: SsadModel, x, k: int, n_samples: int = 64,
     # imported here: at module level it would slow every CLI start
     from concurrent.futures import ThreadPoolExecutor
 
-    x = np.asarray(x, dtype=np.float64)
-    in_dim, d_z = model.encoder.in_dim, model.encoder.latent_dim
-    if x.ndim != 2 or x.shape[1] != in_dim:
-        raise ValueError(f"expected a (n, {in_dim}) matrix, got shape {x.shape}")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    n = x.shape[0]
+    x = _checked_rows(model, x, n_samples)
+    n, d_z = x.shape[0], model.encoder.latent_dim
     if n == 0:
         return np.empty(0)
     # constant views of member k: no node is recorded
@@ -261,10 +270,33 @@ def score(model: SsadModel, x, k: int, n_samples: int = 64,
 
 def ensemble_score(model: SsadModel, x, n_samples: int = 64,
                    batch_size: int = 1024) -> np.ndarray:
-    """Arithmetic mean of member scores; member order is irrelevant."""
-    # score checks x's shape first, so a non-matrix x raises its ValueError
-    return sum(score(model, x, k, n_samples=n_samples, batch_size=batch_size)
-               for k in range(len(model.seeds))) / len(model.seeds)
+    """The mean of the member scores. Each member's score depends only on
+    its seed, and the mean adds the scores in member order.
+
+    The members are cut into G = min(K, usable CPUs) contiguous groups,
+    which ``fanout.fan_out`` scores in parallel, group 0 in this process;
+    each group's ``score`` has its own noise helper thread. As ``train``
+    does, scoring stays in this process for K = 1, on one usable CPU,
+    where ``os.fork`` or ``os.sched_getaffinity`` is missing and while
+    another thread runs; so it does for no rows. The input checks run here
+    before any fork, and of the members' errors the first in member order
+    is raised.
+    """
+    x = _checked_rows(model, x, n_samples)
+    members = list(range(len(model.seeds)))
+    n_groups = min(len(members), _usable_cpus())
+    if len(x) == 0 or threading.active_count() > 1:
+        n_groups = 1
+
+    def scores(group):
+        return [score(model, x, k, n_samples, batch_size) for k in group]
+
+    outcomes = fan_out(scores, _member_groups(members, n_groups),
+                       "scoring of members")
+    for outcome in outcomes:
+        if isinstance(outcome, BaseException):
+            raise outcome
+    return sum(s for group in outcomes for s in group) / len(members)
 
 
 # ---------------------------------------------------------------------------

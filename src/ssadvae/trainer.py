@@ -15,23 +15,22 @@ stacked parameters and their gradients are views into two (K, P) buffers
 (``models.FlatParams``), so the Adam update is one elementwise pass: over
 all columns on a normal step, over the encoder's on an outlier step.
 
-No member's computation reads another's, so the members also train in
-parallel processes: ``train`` splits the K seeds into G = min(K, usable
-CPUs) contiguous groups, trains group 0 itself and each other group in a
-forked child, and assembles the stack in seed order. A member's bytes are
-the same in any group (``_train_members`` is one loop for every G), so
-they do not depend on G. Each step draws its members' noise straight from
-their Philox streams: the groups already fill the CPUs, so no thread draws
-it ahead.
+No member's computation reads another's, so ``train`` also cuts the K
+seeds into G = min(K, usable CPUs) contiguous groups, trains them in
+parallel through ``fanout.fan_out`` and assembles the stack in seed order.
+A member's bytes are the same in any group (``_train_members`` is one loop
+for every G), so they do not depend on G, nor, with OpenBLAS held to one
+thread (``_one_blas_thread``), on the BLAS thread count. Each step draws
+its members' noise straight from their Philox streams: the groups already
+fill the CPUs, so no thread draws it ahead.
 """
 from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
+import functools
 import json
-import os
-import pickle
-import signal
 import threading
 import time
 from dataclasses import dataclass, field, fields, asdict
@@ -43,6 +42,7 @@ from . import gradcore as gc
 from . import models as md
 from . import netblocks as nb
 from .datakit import SsadDataset
+from .fanout import _member_groups, _usable_cpus, fan_out
 from .netblocks import philox_rng
 
 
@@ -302,57 +302,46 @@ def _update(adam: AdamState, params: np.ndarray, grads: np.ndarray, lr: float,
                              batch, seeds[k]) from None
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; 1 where it cannot fork or say."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _member_groups(seeds: list, n_groups: int) -> list:
-    """``seeds`` cut into n_groups contiguous groups whose sizes differ by
-    at most one, larger first: five seeds in two groups are 3 and 2."""
-    size, extra = divmod(len(seeds), n_groups)
-    ends = [g * size + min(g, extra) for g in range(n_groups + 1)]
-    return [seeds[lo:hi] for lo, hi in zip(ends, ends[1:])]
-
-
-def _fork_group(config: TrainConfig, dataset: SsadDataset, method: str,
-                seeds: list) -> tuple:
-    """A forked child that trains ``seeds`` and pickles back its
-    ``(flat.data, histories)``, or the exception it raised, through a pipe.
-    Returns (pid, read end). The child writes nothing else and never
-    returns from here."""
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(r)
-            try:
-                model, histories = _train_members(config, dataset, method, seeds)
-                outcome = (model.flat.data, histories)
-            except Exception as e:
-                outcome = e
-            with open(w, "wb") as fh:
-                pickle.dump(outcome, fh)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    return pid, r
-
-
-def _outcome(data: bytes, status: int, seeds: list):
-    """A forked group's unpickled outcome, from what it wrote and its wait
-    status; a RuntimeError naming its seeds if it left none."""
+@functools.cache
+def _openblas_threads() -> tuple:
+    """The thread-count getter and setter of the OpenBLAS that numpy's
+    wheels bundle as ``scipy_openblas64_``, found through numpy's extension
+    module, which links it; two no-ops where numpy exports no such pair."""
     try:
-        return pickle.loads(data)
-    except Exception:
-        code = os.waitstatus_to_exitcode(status)
-        how = f"status {code}" if code >= 0 else f"signal {-code}"
-        return RuntimeError(f"training of member seeds {seeds} ended without "
-                            f"a result (exit {how})")
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        get, put = (lib.scipy_openblas_get_num_threads64_,
+                    lib.scipy_openblas_set_num_threads64_)
+    except (ImportError, OSError, AttributeError):
+        return (lambda: None), (lambda n: None)
+    get.argtypes, get.restype = (), ctypes.c_int
+    put.argtypes, put.restype = (ctypes.c_int,), None
+    return get, put
+
+
+_blas_lock = threading.Lock()
+_blas_hold = [0, None]  # trainings running, and the count before the first
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """OpenBLAS on one thread while any ``train`` of this process runs, on
+    any thread, and the count from before the first restored after the
+    last. A product split over two threads can add its terms in another
+    order, and at the arrhythmia shape that changed the trained bytes."""
+    get, put = _openblas_threads()
+    with _blas_lock:
+        if _blas_hold[0] == 0:
+            _blas_hold[1] = get()
+            put(1)
+        _blas_hold[0] += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_hold[0] -= 1
+            if _blas_hold[0] == 0:
+                put(_blas_hold[1])
 
 
 def _first_error(errors: list, seeds: list) -> BaseException:
@@ -382,49 +371,31 @@ def train(config: TrainConfig, dataset: SsadDataset, method: str):
     master_seed + i for init, shuffling and reparameterization noise.
 
     The seeds are cut into G = min(K, usable CPUs) contiguous groups
-    (``_member_groups``). This process trains group 0, one forked child per
-    other group trains that group, and the members' parameter rows and
-    histories are put together in seed order. Training stays in this
-    process (G = 1) for K = 1, on one usable CPU, where ``os.fork`` or
+    (``_member_groups``), which ``fanout.fan_out`` trains in parallel,
+    group 0 in this process, and the members' parameter rows and histories
+    are put together in seed order. Training stays in this process (G = 1)
+    for K = 1, on one usable CPU, where ``os.fork`` or
     ``os.sched_getaffinity`` is missing, and while another thread runs,
     since a fork copies only the calling thread and a lock another thread
     holds would stay held in the child. Each group trains stacked, and a
-    history's wall_time is its group's epoch.
+    history's wall_time is its group's epoch. OpenBLAS runs on one thread
+    throughout, forked groups included.
 
     An error is the one the in-process loop would raise (``_first_error``),
-    raised once every child has exited; a child that exits without a
-    result is a RuntimeError naming its seeds and exit status. If this
-    process raises or is interrupted, every child is killed and reaped.
+    raised once every group has ended.
     """
     seeds = [config.master_seed + i for i in range(config.ensemble_size)]
     n_groups = min(len(seeds), _usable_cpus())
-    if n_groups == 1 or threading.active_count() > 1:
-        return _train_members(config, dataset, method, seeds)
 
-    groups = _member_groups(seeds, n_groups)
-    children = []  # (pid, read end) of groups 1.., the pid None once reaped
-    try:
-        for group in groups[1:]:
-            children.append(_fork_group(config, dataset, method, group))
-        try:
-            model, histories = _train_members(config, dataset, method, groups[0])
-            outcomes = [(model.flat.data, histories)]
-        except Exception as e:
-            outcomes = [e]
-        for i, ((pid, fd), group) in enumerate(zip(children, groups[1:])):
-            with open(fd, "rb", closefd=False) as fh:
-                data = fh.read()
-            status = os.waitpid(pid, 0)[1]
-            children[i] = (None, fd)
-            outcomes.append(_outcome(data, status, group))
-    finally:
-        for pid, fd in children:
-            if pid is not None:  # left by an error or an interrupt
-                with contextlib.suppress(ProcessLookupError):
-                    os.kill(pid, signal.SIGKILL)
-                with contextlib.suppress(ChildProcessError):
-                    os.waitpid(pid, 0)
-            os.close(fd)
+    def trained_rows(group):
+        model, histories = _train_members(config, dataset, method, group)
+        return model.flat.data, histories
+
+    with _one_blas_thread():
+        if n_groups == 1 or threading.active_count() > 1:
+            return _train_members(config, dataset, method, seeds)
+        outcomes = fan_out(trained_rows, _member_groups(seeds, n_groups),
+                           "training of member seeds")
     errors = [o for o in outcomes if isinstance(o, BaseException)]
     if errors:
         raise _first_error(errors, seeds)

@@ -15,8 +15,10 @@ ACCEPTANCE_LINES = []
 def no_thread_or_process_left_running():
     """Fail a test that ends with a live thread it did not start with, or
     with a child process: scoring's noise helper, for one, must be joined
-    before score returns, and every process train forks must be reaped
-    before it returns. A child found here is reaped, or reported running."""
+    before score returns, and every process that train or ensemble_score
+    forks for its member groups must be reaped before it returns, also
+    when a member raises. A child found here is reaped, or reported
+    running."""
     before = set(threading.enumerate())
     yield
     left = [t.name for t in threading.enumerate() if t not in before]

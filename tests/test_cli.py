@@ -1122,6 +1122,34 @@ def test_failed_score_rewrite_keeps_the_earlier_files(model_dir, tmp_path,
         assert sha256s() == before
 
 
+def test_score_run_directory_appears_whole_or_not_at_all(model_dir, tmp_path,
+                                                         monkeypatch):
+    # a first run whose manifest writer raises leaves no score directory,
+    # so none holds a CSV without a manifest; a rerun replaces the old
+    # directory as a whole, with the same bytes
+    out = tmp_path / "scored"
+    argv = ["score", "--model-dir", str(model_dir), "--synth", "4,40,3.0",
+            "--out", str(out)]
+
+    def failing_manifest(*args):
+        raise OSError(28, "No space left on device")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_write_manifest", failing_manifest)
+        rc, err, _ = _quiet_main(argv)
+    assert rc == cli.EXIT_DATA
+    assert err == "data error: [Errno 28] No space left on device\n"
+    assert list(out.iterdir()) == []
+    assert cli.main(argv) == cli.EXIT_OK
+    (run_dir,) = out.iterdir()
+    first = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    assert sorted(first) == ["manifest.json", f"scores_{run_dir.name[6:]}.csv"]
+    (run_dir / "stray.txt").write_text("left by hand\n")
+    assert cli.main(argv) == cli.EXIT_OK
+    assert list(out.iterdir()) == [run_dir]
+    assert {p.name: p.read_bytes() for p in run_dir.iterdir()} == first
+
+
 def test_failed_json_write_keeps_the_earlier_file_and_no_temporary(tmp_path):
     import hashlib
 
@@ -1139,12 +1167,13 @@ def test_failed_json_write_keeps_the_earlier_file_and_no_temporary(tmp_path):
 def test_forked_training_aborts_as_the_in_process_one(tmp_path, monkeypatch, command):
     # K=5 on two groups of members (0-2 here, 3-4 in a forked process)
     # against K=5 in this process: the same exit code and the same stderr
+    from ssadvae import fanout as fo
     from ssadvae import trainer as tr
 
     results, forked = [], []
-    fork_group = tr._fork_group
-    monkeypatch.setattr(tr, "_fork_group",
-                        lambda *args: forked.append(args[3]) or fork_group(*args))
+    fork = fo._fork
+    monkeypatch.setattr(fo, "_fork",
+                        lambda fn, job: forked.append(job) or fork(fn, job))
     for cpus in (1, 2):
         monkeypatch.setattr(tr, "_usable_cpus", lambda: cpus)
         out = tmp_path / f"runs{cpus}"

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ssadvae import datakit as dk
+from ssadvae import fanout as fo
 from ssadvae import gradcore as gc
 from ssadvae import models as md
 from ssadvae import netblocks as nb
@@ -466,6 +467,84 @@ def test_ensemble_single_member_equals_model_score():
     x = rng(26).standard_normal((5, 2))
     np.testing.assert_array_equal(md.ensemble_score(m, x, 4),
                                   md.score(m, x, 0, 4))
+
+
+def _forking(monkeypatch, cpus):
+    """``ensemble_score`` sees ``cpus`` usable CPUs; returns the list that
+    the member indices of each forked group are appended to."""
+    forked, fork = [], fo._fork
+
+    def recorded(fn, members):
+        forked.append(members)
+        return fork(fn, members)
+
+    monkeypatch.setattr(md, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(fo, "_fork", recorded)
+    return forked
+
+
+@pytest.mark.parametrize("method", md.METHODS)
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_forked_member_groups_score_the_in_process_bytes(monkeypatch, method,
+                                                         k, cpus):
+    model = toy_model(method=method, seeds=tuple(range(10, 10 + k)))
+    x = rng(33).standard_normal((37, 2))
+    forked = _forking(monkeypatch, 1)
+    want = md.ensemble_score(model, x, n_samples=3, batch_size=16)
+    assert forked == []
+    monkeypatch.setattr(md, "_usable_cpus", lambda: cpus)
+    got = md.ensemble_score(model, x, n_samples=3, batch_size=16)
+    assert forked == fo._member_groups(list(range(k)), min(k, cpus))[1:]
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_forked_score_raises_the_in_process_error(monkeypatch, cpus):
+    # members 3 and 4 fail in their decoder pass: member 3's error is
+    # raised, whether it ran in this process, alone in a child or before
+    # member 4 in one
+    model = toy_model(seeds=(0, 1, 2, 3, 4))
+    decode_array = nb.decode_array
+
+    def failing_decode_array(spec, layers, z):
+        for k in (3, 4):
+            if np.shares_memory(layers[0][0], model.decoder.layers[0][0].data[k]):
+                raise RuntimeError(f"decoder pass of member {k}")
+        return decode_array(spec, layers, z)
+
+    monkeypatch.setattr(nb, "decode_array", failing_decode_array)
+    forked = _forking(monkeypatch, cpus)
+    with pytest.raises(RuntimeError, match=r"^decoder pass of member 3$"):
+        md.ensemble_score(model, rng(34).standard_normal((6, 2)), n_samples=2)
+    assert forked == fo._member_groups([0, 1, 2, 3, 4], cpus)[1:]
+
+
+def test_score_checks_and_empty_input_fork_nothing(monkeypatch):
+    model = toy_model(seeds=(0, 1, 2))
+    forked = _forking(monkeypatch, 3)
+    with pytest.raises(ValueError, match=re.escape("got shape ()")):
+        md.ensemble_score(model, 5.0)
+    with pytest.raises(ValueError, match="n_samples must be >= 1"):
+        md.ensemble_score(model, np.zeros((4, 2)), n_samples=0)
+    assert md.ensemble_score(model, np.empty((0, 2))).shape == (0,)
+    assert forked == []
+
+
+def test_score_does_not_fork_while_another_thread_runs(monkeypatch):
+    model = toy_model(seeds=(0, 1, 2))
+    x = rng(35).standard_normal((9, 2))
+    want = md.ensemble_score(model, x, n_samples=3)
+    forked = _forking(monkeypatch, 3)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        got = md.ensemble_score(model, x, n_samples=3)
+    finally:
+        stop.set()
+        other.join()
+    assert forked == [] and got.tobytes() == want.tobytes()
 
 
 def test_ensemble_validation():

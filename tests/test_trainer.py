@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ssadvae import datakit as dk
+from ssadvae import fanout as fo
 from ssadvae import gradcore as gc
 from ssadvae import models as md
 from ssadvae import netblocks as nb
@@ -624,6 +625,102 @@ def test_failed_train_names_the_first_abort_and_leaves_no_thread():
     assert threading.enumerate() == before
 
 
+BLAS_THREADS_RUN = """
+import hashlib
+from ssadvae import datakit as dk, trainer as tr
+ds = dk.synth_gaussian_ad(274, 300, 75, 3.0, seed=0)
+train, _ = dk.split_stratified(ds, 0.6, seed=0)
+train, _, _ = dk.standardize(train)
+train = dk.subsample_labeled_outliers(train, 0.05, seed=0)
+cfg = tr.TrainConfig(epochs=2, warmup_epochs=1, anneal_epochs=1, ensemble_size=1,
+                     widths=(128, 64, 32))
+model, _ = tr.train(cfg, train, "mml")
+print(hashlib.sha256(model.flat.data.tobytes()).hexdigest())
+"""
+
+
+def test_trained_bytes_do_not_depend_on_the_blas_thread_count():
+    # the arrhythmia shape (d=274, widths 128,64,32), where a second
+    # OpenBLAS thread changed the trained bytes until train held BLAS to
+    # one thread; on a one-CPU machine both runs use one thread anyway
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        run = subprocess.run([sys.executable, "-c", BLAS_THREADS_RUN], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout)
+    assert digests[0] == digests[1]
+
+
+def test_train_restores_the_blas_thread_count(monkeypatch):
+    # one BLAS thread while members train, and the old count restored
+    # after a train that returns and after one that raises
+    get, set_threads = tr._openblas_threads()
+    seen, train_members = [], tr._train_members
+
+    def recorded(*args):
+        seen.append(get())
+        return train_members(*args)
+
+    monkeypatch.setattr(tr, "_train_members", recorded)
+    old = get()
+    set_threads(2)
+    try:
+        tr.train(tiny_config(), tiny_train_set(), "dp")
+        assert get() == 2
+        with pytest.raises(tr.NumericalAbort):
+            tr.train(tiny_config(lr=1e100), tiny_train_set(), "dp")
+        assert get() == 2
+    finally:
+        set_threads(old)
+    assert seen == [1, 1]
+
+
+def test_overlapping_trainings_hold_one_blas_thread_until_the_last_ends(
+        monkeypatch):
+    # this thread's training starts first and ends first, while another
+    # thread's still runs: BLAS stays on one thread until that one ends
+    import threading
+
+    get, put = tr._openblas_threads()
+    inside, release = threading.Event(), threading.Event()
+    other = threading.Thread(target=tr.train,
+                             args=(tiny_config(master_seed=1), tiny_train_set(), "dp"))
+    train_members = tr._train_members
+
+    def overlapped(config, *args):
+        if config.master_seed == 0:
+            other.start()
+            assert inside.wait(60)
+        else:
+            inside.set()
+            assert release.wait(60)
+        return train_members(config, *args)
+
+    monkeypatch.setattr(tr, "_train_members", overlapped)
+    old = get()
+    put(2)
+    try:
+        tr.train(tiny_config(), tiny_train_set(), "dp")
+        during = get()
+        release.set()
+        other.join(60)
+        assert not other.is_alive()
+        assert (during, get()) == (1, 2)
+    finally:
+        release.set()
+        put(old)
+
+
 def test_numerical_abort_survives_pickle():
     import pickle
 
@@ -643,14 +740,14 @@ def _forking(monkeypatch, cpus):
     """``train`` sees ``cpus`` usable CPUs; returns the list that the seeds
     of each forked group are appended to."""
     forked = []
-    fork_group = tr._fork_group
+    fork = fo._fork
 
-    def recorded(config, dataset, method, seeds):
+    def recorded(fn, seeds):
         forked.append(seeds)
-        return fork_group(config, dataset, method, seeds)
+        return fork(fn, seeds)
 
     monkeypatch.setattr(tr, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(tr, "_fork_group", recorded)
+    monkeypatch.setattr(fo, "_fork", recorded)
     return forked
 
 
