@@ -393,43 +393,49 @@ def run_benchmark(args) -> int:
             if len(seeds) > 1 and not cfg.get("synth") else None)
     prepared = prepare_seed(cfg, seeds[0], base)
     train_config_from(cfg, master_seed=seeds[0])
-    os.makedirs(run_dir, exist_ok=True)
 
     per_seed = []
-    try:
-        for seed in seeds:
-            train, test, _ = prepared or prepare_seed(cfg, seed, base)
-            prepared = None
-            config = train_config_from(cfg, master_seed=seed)
-            model, _ = tr.train(config, train, cfg["method"])
-            scores = md.ensemble_score(model, test.features,
-                                       n_samples=cfg["s_score"])
-            auc = dk.auroc(scores, test.labels)
-            per_seed.append({"seed": seed, "auroc": auc})
-            if cfg.get("save_scores"):
-                dk.EvalReport(scores, test.labels).write_scores_csv(
-                    os.path.join(run_dir, f"scores_{digest}_seed{seed}.csv"))
-    except Exception as exc:
-        _write_json(os.path.join(run_dir, "FAILED.json"),
-                    {"error": str(exc), "completed_seeds": per_seed})
-        raise
-
-    aurocs = np.array([r["auroc"] for r in per_seed])
-    report = {
-        "command": "benchmark",
-        "digest": digest,
-        "method": cfg["method"],
-        "gamma_l": cfg["gamma_l"],
-        "gamma_p": cfg["gamma_p"],
-        "n_seeds": len(per_seed),
-        "single_seed": len(per_seed) == 1,
-        "auroc_mean": float(aurocs.mean()),
-        "auroc_stdev": float(aurocs.std(ddof=1)) if len(per_seed) > 1 else 0.0,
-        "per_seed": per_seed,
-        "config": cfg,
-    }
-    _write_json(os.path.join(run_dir, f"report_{digest}.json"), report)
-    _write_manifest(run_dir, "benchmark", cfg, digest)
+    with dk.atomic_dir(run_dir) as tmp:
+        try:
+            for seed in seeds:
+                train, test, _ = prepared or prepare_seed(cfg, seed, base)
+                prepared = None
+                config = train_config_from(cfg, master_seed=seed)
+                model, _ = tr.train(config, train, cfg["method"])
+                scores = md.ensemble_score(model, test.features,
+                                           n_samples=cfg["s_score"])
+                auc = dk.auroc(scores, test.labels)
+                if cfg.get("save_scores"):
+                    dk.EvalReport(scores, test.labels).write_scores_csv(
+                        os.path.join(tmp, f"scores_{digest}_seed{seed}.csv"))
+                per_seed.append({"seed": seed, "auroc": auc})
+        except Exception as exc:
+            # a failed run's directory is kept, with this marker, and the
+            # error raised once it is in place
+            _write_json(os.path.join(tmp, "FAILED.json"),
+                        {"error": str(exc), "completed_seeds": per_seed})
+            failure = exc
+        else:
+            failure = None
+            aurocs = np.array([r["auroc"] for r in per_seed])
+            report = {
+                "command": "benchmark",
+                "digest": digest,
+                "method": cfg["method"],
+                "gamma_l": cfg["gamma_l"],
+                "gamma_p": cfg["gamma_p"],
+                "n_seeds": len(per_seed),
+                "single_seed": len(per_seed) == 1,
+                "auroc_mean": float(aurocs.mean()),
+                "auroc_stdev": (float(aurocs.std(ddof=1)) if len(per_seed) > 1
+                                else 0.0),
+                "per_seed": per_seed,
+                "config": cfg,
+            }
+            _write_json(os.path.join(tmp, f"report_{digest}.json"), report)
+            _write_manifest(tmp, "benchmark", cfg, digest)
+    if failure is not None:
+        raise failure
     print(f"{run_dir} auroc {report['auroc_mean']:.4f} "
           f"+/- {report['auroc_stdev']:.4f} over {len(per_seed)} seed(s)")
     return EXIT_OK

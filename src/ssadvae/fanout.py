@@ -1,12 +1,9 @@
-"""Independent jobs in parallel forked processes.
+"""Independent work in parallel forked processes.
 
-``fan_out`` runs an ordered list of jobs: the first in the calling process,
-each other one in a forked child that pickles its result back through a
-pipe. ``trainer.train`` and ``models.ensemble_score`` use it for ensemble
-members, which never read one another: they cut the members into
-``min(K, _usable_cpus())`` contiguous groups with ``_member_groups`` and
-fan out over the groups. Each caller keeps its own rule for when to stay in
-process and for which of several errors to raise.
+``fan_out`` is the one place that decides how ordered, independent items,
+the members of an ensemble, are split across processes: ``trainer.train``
+and ``models.ensemble_score`` hand it their items and get back one outcome
+per group, and each keeps its own rule for which of several errors to raise.
 """
 from __future__ import annotations
 
@@ -14,6 +11,7 @@ import contextlib
 import os
 import pickle
 import signal
+import threading
 
 
 def _usable_cpus() -> int:
@@ -31,8 +29,8 @@ def _member_groups(items: list, n_groups: int) -> list:
     return [items[lo:hi] for lo, hi in zip(ends, ends[1:])]
 
 
-def _fork(fn, job) -> tuple:
-    """A forked child that pickles back ``fn(job)``, or the exception it
+def _fork(fn, group) -> tuple:
+    """A forked child that pickles back ``fn(group)``, or the exception it
     raised, through a pipe. Returns (pid, read end). The child writes
     nothing else and never returns from here."""
     r, w = os.pipe()
@@ -42,7 +40,7 @@ def _fork(fn, job) -> tuple:
         try:
             os.close(r)
             try:
-                outcome = fn(job)
+                outcome = fn(group)
             except Exception as e:
                 outcome = e
             with open(w, "wb") as fh:
@@ -65,29 +63,39 @@ def _outcome(data: bytes, status: int, what: str):
         return RuntimeError(f"{what} ended without a result (exit {how})")
 
 
-def fan_out(fn, jobs: list, what: str) -> list:
-    """``fn(job)`` for every job, or the Exception it raised, in job order.
+def fan_out(fn, items: list, what: str) -> list:
+    """``fn(group)`` for every group of ``items``, or the Exception it
+    raised, in group order.
 
-    Job 0 runs in this process after one forked child per other job has
-    started; a lone job forks nothing. A child that ends without a result
-    gives a RuntimeError "<what> <job> ended without a result" with its
-    exit status. Every child is reaped before this returns; if this
-    process raises or is interrupted, every child is killed and reaped.
+    The items are cut into G contiguous groups whose sizes differ by at most
+    one, larger first (``_member_groups``): G = min(len(items), usable
+    CPUs), or G = 1 while another thread runs, since a fork copies only the
+    calling thread and a lock another thread holds would stay held in the
+    child. G is 1 for one item, on one usable CPU and where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing. Group 0 runs in this process after
+    one forked child per other group has started; a lone group forks
+    nothing. A child pickles its outcome back through a pipe, and one that
+    ends without a result gives a RuntimeError "<what> <group> ended without
+    a result" with its exit status. Every child is reaped before this
+    returns; if this process raises or is interrupted, every child is
+    killed and reaped.
     """
-    children = []  # (pid, read end) of jobs 1.., the pid None once reaped
+    n_groups = 1 if threading.active_count() > 1 else _usable_cpus()
+    groups = _member_groups(items, min(len(items), n_groups))
+    children = []  # (pid, read end) of groups 1.., the pid None once reaped
     try:
-        for job in jobs[1:]:
-            children.append(_fork(fn, job))
+        for group in groups[1:]:
+            children.append(_fork(fn, group))
         try:
-            outcomes = [fn(jobs[0])]
+            outcomes = [fn(groups[0])]
         except Exception as e:
             outcomes = [e]
-        for i, ((pid, fd), job) in enumerate(zip(children, jobs[1:])):
+        for i, ((pid, fd), group) in enumerate(zip(children, groups[1:])):
             with open(fd, "rb", closefd=False) as fh:
                 data = fh.read()
             status = os.waitpid(pid, 0)[1]
             children[i] = (None, fd)
-            outcomes.append(_outcome(data, status, f"{what} {job}"))
+            outcomes.append(_outcome(data, status, f"{what} {group}"))
     finally:
         for pid, fd in children:
             if pid is not None:  # left by an error or an interrupt

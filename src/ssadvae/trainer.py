@@ -15,14 +15,14 @@ stacked parameters and their gradients are views into two (K, P) buffers
 (``models.FlatParams``), so the Adam update is one elementwise pass: over
 all columns on a normal step, over the encoder's on an outlier step.
 
-No member's computation reads another's, so ``train`` also cuts the K
-seeds into G = min(K, usable CPUs) contiguous groups, trains them in
-parallel through ``fanout.fan_out`` and assembles the stack in seed order.
-A member's bytes are the same in any group (``_train_members`` is one loop
-for every G), so they do not depend on G, nor, with OpenBLAS held to one
-thread (``_one_blas_thread``), on the BLAS thread count. Each step draws
-its members' noise straight from their Philox streams: the groups already
-fill the CPUs, so no thread draws it ahead.
+No member's computation reads another's, so ``train`` trains the members
+in groups through ``fanout.fan_out``, each group its rows of the one
+K-member model. A member's bytes are the same in any group
+(``_train_members`` is one loop for every group), so they do not depend on
+the grouping, nor, with OpenBLAS held to one thread (``_one_blas_thread``),
+on the BLAS thread count. Each step draws its members' noise straight from
+their Philox streams: the groups already fill the CPUs, so no thread draws
+it ahead.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ from . import gradcore as gc
 from . import models as md
 from . import netblocks as nb
 from .datakit import SsadDataset
-from .fanout import _member_groups, _usable_cpus, fan_out
+from .fanout import fan_out
 from .netblocks import philox_rng
 
 
@@ -356,28 +356,16 @@ def _first_error(errors: list, seeds: list) -> BaseException:
                                       e.term == "gradient", seeds.index(e.seed)))
 
 
-def _create(config: TrainConfig, dataset: SsadDataset, method: str,
-            seeds: list) -> md.SsadModel:
-    return md.SsadModel.create(
-        config.spec, dataset.dim, method, seeds, alpha=config.alpha,
-        gamma=config.gamma, beta_kl=config.beta_kl,
-        beta_cubo=config.beta_cubo, family=config.family)
-
-
 def train(config: TrainConfig, dataset: SsadDataset, method: str):
     """Train an ensemble of K members on the dataset's training streams.
 
     Returns (SsadModel, list of TrainHistory). Member i uses seed
     master_seed + i for init, shuffling and reparameterization noise.
 
-    The seeds are cut into G = min(K, usable CPUs) contiguous groups
-    (``_member_groups``), which ``fanout.fan_out`` trains in parallel,
-    group 0 in this process, and the members' parameter rows and histories
-    are put together in seed order. Training stays in this process (G = 1)
-    for K = 1, on one usable CPU, where ``os.fork`` or
-    ``os.sched_getaffinity`` is missing, and while another thread runs,
-    since a fork copies only the calling thread and a lock another thread
-    holds would stay held in the child. Each group trains stacked, and a
+    The streams are taken and the K-member model is created here, then
+    ``fanout.fan_out`` trains the members in groups: each group trains its
+    rows of the model in place (``SsadModel.rows``), and a forked group's
+    rows are copied back into place. Each group trains stacked, and a
     history's wall_time is its group's epoch. OpenBLAS runs on one thread
     throughout, forked groups included.
 
@@ -385,44 +373,45 @@ def train(config: TrainConfig, dataset: SsadDataset, method: str):
     raised once every group has ended.
     """
     seeds = [config.master_seed + i for i in range(config.ensemble_size)]
-    n_groups = min(len(seeds), _usable_cpus())
-
-    def trained_rows(group):
-        model, histories = _train_members(config, dataset, method, group)
-        return model.flat.data, histories
-
-    with _one_blas_thread():
-        if n_groups == 1 or threading.active_count() > 1:
-            return _train_members(config, dataset, method, seeds)
-        outcomes = fan_out(trained_rows, _member_groups(seeds, n_groups),
-                           "training of member seeds")
-    errors = [o for o in outcomes if isinstance(o, BaseException)]
-    if errors:
-        raise _first_error(errors, seeds)
-    model = _create(config, dataset, method, seeds)
-    model.flat.data[...] = np.concatenate([rows for rows, _ in outcomes])
-    return model, [h for _, hists in outcomes for h in hists]
-
-
-def _train_members(config: TrainConfig, dataset: SsadDataset, method: str,
-                   seeds: list):
-    """Train the members of ``seeds`` as one stack in this process:
-    ``train``'s loop for one group. Returns (SsadModel, histories)."""
     normal_x = dataset.normal_stream()
     outlier_x = dataset.labeled_outliers()
     if len(normal_x) == 0:
         raise ValueError("training set has no normal rows")
+    model = md.SsadModel.create(
+        config.spec, dataset.dim, method, seeds, alpha=config.alpha,
+        gamma=config.gamma, beta_kl=config.beta_kl,
+        beta_cubo=config.beta_cubo, family=config.family)
 
-    model = _create(config, dataset, method, seeds)
-    # the ensemble row of seeds[0], which a gradient abort's entry counts from
-    first = seeds[0] - config.master_seed
+    def trained_rows(group):
+        lo = seeds.index(group[0])
+        rows = model.rows(lo, lo + len(group))
+        histories = _train_members(config, normal_x, outlier_x, rows, lo)
+        return lo, rows.flat.data, histories
+
+    with _one_blas_thread():
+        outcomes = fan_out(trained_rows, seeds, "training of member seeds")
+    errors = [o for o in outcomes if isinstance(o, BaseException)]
+    if errors:
+        raise _first_error(errors, seeds)
+    for lo, rows, _ in outcomes:  # group 0's rows are already in place
+        model.flat.data[lo:lo + len(rows)] = rows
+    return model, [h for _, _, hists in outcomes for h in hists]
+
+
+def _train_members(config: TrainConfig, normal_x: np.ndarray,
+                   outlier_x: np.ndarray, model: md.SsadModel,
+                   first: int) -> list:
+    """Train ``model``'s members as one stack in this process, in place:
+    ``train``'s loop for one group, whose members are the ensemble's rows
+    from ``first`` on. Returns their histories."""
+    seeds = model.seeds
     shuffle_rngs = [philox_rng(seed, nb.STREAM_SHUFFLE) for seed in seeds]
     noise_rngs = [philox_rng(seed, nb.STREAM_NOISE) for seed in seeds]
     params, enc_params = model.parameters(), model.encoder.tensors()
     flat, p_enc = model.flat, model.flat.n_encoder
     adam = AdamState.like(flat.data)
     n, bs = len(normal_x), config.batch_size
-    do_outlier = _wants_outlier_updates(method, config, len(outlier_x))
+    do_outlier = _wants_outlier_updates(model.method, config, len(outlier_x))
     histories = [TrainHistory(seed=seed) for seed in seeds]
 
     # A diverging run overflows inside numpy before a loss goes non-finite.
@@ -487,4 +476,4 @@ def _train_members(config: TrainConfig, dataset: SsadDataset, method: str,
                     cubo_log_domain=None if log_domains is None else log_domains[k],
                     clipped=None if clipped is None else clipped[k]))
 
-    return model, histories
+    return histories

@@ -1168,14 +1168,13 @@ def test_forked_training_aborts_as_the_in_process_one(tmp_path, monkeypatch, com
     # K=5 on two groups of members (0-2 here, 3-4 in a forked process)
     # against K=5 in this process: the same exit code and the same stderr
     from ssadvae import fanout as fo
-    from ssadvae import trainer as tr
 
     results, forked = [], []
     fork = fo._fork
     monkeypatch.setattr(fo, "_fork",
                         lambda fn, job: forked.append(job) or fork(fn, job))
     for cpus in (1, 2):
-        monkeypatch.setattr(tr, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(fo, "_usable_cpus", lambda: cpus)
         out = tmp_path / f"runs{cpus}"
         results.append(_quiet_main([
             command, "--synth", "4,200,3.0", "--method", "dp",
@@ -1187,3 +1186,76 @@ def test_forked_training_aborts_as_the_in_process_one(tmp_path, monkeypatch, com
     assert results[0][0] == cli.EXIT_NUMERIC
     assert results[0][1].startswith("numerical abort: non-finite normal-term "
                                     "loss at member seed 0, epoch 1, batch 0")
+
+
+def test_forked_benchmark_writes_the_in_process_bytes(tmp_path, monkeypatch):
+    # --save-scores, K=5 over two seeds: with two usable CPUs each seed's
+    # training and scoring fork their last two members, and every file has
+    # the bytes of the run that forks nothing
+    import hashlib
+
+    from ssadvae import fanout as fo
+
+    forked, fork = [], fo._fork
+    monkeypatch.setattr(fo, "_fork",
+                        lambda fn, group: forked.append(group) or fork(fn, group))
+    files = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(fo, "_usable_cpus", lambda: cpus)
+        out = tmp_path / f"runs{cpus}"
+        assert cli.main([
+            "benchmark", "--synth", "4,200,3.0", "--method", "mml",
+            "--gamma-l", "0.05", "--config", write_fast_cfg(tmp_path),
+            "--epochs", "6", "--ensemble", "5", "--seeds", "0,1",
+            "--save-scores", *FAST_CFG, "--out", str(out)]) == cli.EXIT_OK
+        (run_dir,) = out.iterdir()
+        files.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                      for p in run_dir.iterdir()})
+    # training forks member seeds, scoring member indices
+    assert forked == [[3, 4], [3, 4], [4, 5], [3, 4]]
+    assert len(files[0]) == 4 and files[0] == files[1]
+
+
+def test_benchmark_directory_holds_only_what_its_run_completed(tmp_path,
+                                                               monkeypatch):
+    # the second seed's score CSV cannot be written: FAILED.json lists seed
+    # 0 alone. While seeds train there is no benchmark_<digest>, so a killed
+    # run leaves none, and a rerun replaces the failed directory as a whole
+    from ssadvae import datakit as dk
+    from ssadvae import trainer as tr
+
+    out = tmp_path / "runs"
+    argv = ["benchmark", "--synth", "4,200,3.0", "--method", "vae",
+            "--gamma-l", "0", "--config", write_fast_cfg(tmp_path),
+            "--epochs", "6", "--ensemble", "1", "--seeds", "0,1",
+            "--save-scores", *FAST_CFG, "--out", str(out)]
+    write, written = dk.EvalReport.write_scores_csv, []
+
+    def second_fails(report, path):
+        if written:
+            raise OSError(28, "No space left on device")
+        written.append(path)
+        write(report, path)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(dk.EvalReport, "write_scores_csv", second_fails)
+        rc, err, _ = _quiet_main(argv)
+    assert rc == cli.EXIT_DATA
+    assert err == "data error: [Errno 28] No space left on device\n"
+    (run_dir,) = out.iterdir()
+    digest = run_dir.name[len("benchmark_"):]
+    failed = json.loads((run_dir / "FAILED.json").read_text())
+    assert [r["seed"] for r in failed["completed_seeds"]] == [0]
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "FAILED.json", f"scores_{digest}_seed0.csv"]
+
+    seen, train = [], tr.train
+    monkeypatch.setattr(tr, "train", lambda *a: seen.append(
+        sorted(p.name for p in out.iterdir())) or train(*a))
+    assert cli.main(argv) == cli.EXIT_OK
+    tmp = f"{run_dir.name}.{os.getpid()}.tmp"
+    assert seen == [[run_dir.name, tmp]] * 2
+    assert list(out.iterdir()) == [run_dir]
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "manifest.json", f"report_{digest}.json", f"scores_{digest}_seed0.csv",
+        f"scores_{digest}_seed1.csv"]

@@ -27,3 +27,30 @@ def test_readme_library_use_runs_as_written(capsys):
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, str(README), "exec"), {})
     assert float(capsys.readouterr().out) > 0.9
+
+
+def test_only_fanout_decides_how_work_is_split():
+    # the fork, the CPU count, the live-thread rule and the grouping are
+    # named in fanout.py and nowhere else in the package
+    import ast
+
+    banned = {"os.fork", "os.sched_getaffinity", "threading.active_count",
+              "_usable_cpus", "_member_groups"}
+
+    def names(path):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                yield node.id
+            elif isinstance(node, ast.Attribute):
+                yield node.attr
+                if isinstance(node.value, ast.Name):
+                    yield f"{node.value.id}.{node.attr}"
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    yield alias.name
+                    yield f"{node.module}.{alias.name}"
+
+    src = README.parent / "src" / "ssadvae"
+    found = {p.name: sorted(banned & set(names(p))) for p in src.glob("*.py")}
+    assert found.pop("fanout.py") == sorted(banned)
+    assert {name: hit for name, hit in found.items() if hit} == {}

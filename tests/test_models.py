@@ -469,6 +469,28 @@ def test_ensemble_single_member_equals_model_score():
                                   md.score(m, x, 0, 4))
 
 
+def test_rows_train_their_rows_of_the_model_in_place():
+    # a backward pass through members 1-2 writes rows 1-2 of the model's
+    # gradient buffer and no other, and an update of their parameters is
+    # one of the model's
+    model = toy_model(seeds=(0, 1, 2, 3))
+    part = model.rows(1, 3)
+    assert part.seeds == [1, 2] and part.flat.n_encoder == model.flat.n_encoder
+    loss = None
+    for t in part.parameters():
+        term = gc.reduce_sum(gc.square(t))
+        loss = term if loss is None else gc.add(loss, term)
+    gc.backward(loss)
+    assert (model.flat.grad[1:3] == 2.0 * model.flat.data[1:3]).all()
+    assert not model.flat.grad[[0, 3]].any()
+    before = model.flat.data.copy()
+    part.flat.data[...] -= part.flat.grad
+    assert (model.flat.data[1:3] == -before[1:3]).all()
+    assert (model.flat.data[[0, 3]] == before[[0, 3]]).all()
+    for t, whole in zip(part.parameters(), model.parameters()):
+        assert t.data.tobytes() == whole.data[1:3].tobytes()
+
+
 def _forking(monkeypatch, cpus):
     """``ensemble_score`` sees ``cpus`` usable CPUs; returns the list that
     the member indices of each forked group are appended to."""
@@ -478,7 +500,7 @@ def _forking(monkeypatch, cpus):
         forked.append(members)
         return fork(fn, members)
 
-    monkeypatch.setattr(md, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(fo, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(fo, "_fork", recorded)
     return forked
 
@@ -493,7 +515,7 @@ def test_forked_member_groups_score_the_in_process_bytes(monkeypatch, method,
     forked = _forking(monkeypatch, 1)
     want = md.ensemble_score(model, x, n_samples=3, batch_size=16)
     assert forked == []
-    monkeypatch.setattr(md, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(fo, "_usable_cpus", lambda: cpus)
     got = md.ensemble_score(model, x, n_samples=3, batch_size=16)
     assert forked == fo._member_groups(list(range(k)), min(k, cpus))[1:]
     assert got.tobytes() == want.tobytes()

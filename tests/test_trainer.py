@@ -420,7 +420,7 @@ def test_stacked_members_equal_solo_runs_bit_for_bit(monkeypatch, method, d):
 
     train = tiny_train_set(d=d, gamma_l=0.3)
     # in process: the recorders below do not see a forked group's calls
-    monkeypatch.setattr(tr, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(fo, "_usable_cpus", lambda: 1)
     fired, domains = [], []
     _record(monkeypatch, tr, "clip_gradients",
             lambda args, out: fired.append(
@@ -551,7 +551,7 @@ def test_graph_nodes_per_k5_step(monkeypatch):
     monkeypatch.setattr(gc, "make_node", counted_make_node)
     monkeypatch.setattr(gc, "backward", counted_backward)
     # in process, so that the counts are of K=5 steps
-    monkeypatch.setattr(tr, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(fo, "_usable_cpus", lambda: 1)
     cfg = tiny_config(epochs=2, warmup_epochs=1, anneal_epochs=1, batch_size=64,
                       ensemble_size=5, widths=(32, 16, 8), s_cubo=8)
     tr.train(cfg, tiny_train_set(d=8, gamma_l=0.3), "mml")
@@ -607,7 +607,7 @@ def test_training_starts_no_thread(monkeypatch, k):
         started.append(thread.name)
         return start(thread)
 
-    monkeypatch.setattr(tr, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(fo, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(threading.Thread, "start", recorded)
     tr.train(tiny_config(ensemble_size=k), tiny_train_set(), "hybrid")
     assert started == []
@@ -746,16 +746,16 @@ def _forking(monkeypatch, cpus):
         forked.append(seeds)
         return fork(fn, seeds)
 
-    monkeypatch.setattr(tr, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(fo, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(fo, "_fork", recorded)
     return forked
 
 
 def test_member_groups_are_contiguous_and_larger_first():
-    assert tr._member_groups([0, 1, 2, 3, 4], 2) == [[0, 1, 2], [3, 4]]
-    assert tr._member_groups([0, 1, 2, 3, 4], 3) == [[0, 1], [2, 3], [4]]
-    assert tr._member_groups([5, 6, 7], 3) == [[5], [6], [7]]
-    assert tr._member_groups([5, 6], 1) == [[5, 6]]
+    assert fo._member_groups([0, 1, 2, 3, 4], 2) == [[0, 1, 2], [3, 4]]
+    assert fo._member_groups([0, 1, 2, 3, 4], 3) == [[0, 1], [2, 3], [4]]
+    assert fo._member_groups([5, 6, 7], 3) == [[5], [6], [7]]
+    assert fo._member_groups([5, 6], 1) == [[5, 6]]
 
 
 @pytest.mark.parametrize("method", ["vae", "mml", "dp", "hybrid"])
@@ -770,11 +770,11 @@ def test_forked_groups_equal_the_in_process_run_bit_for_bit(monkeypatch, method,
             "hybrid": 0.5}[method]
     cfg = tiny_config(ensemble_size=k, epochs=7, warmup_epochs=3, clip_norm=clip,
                       master_seed=4)
-    monkeypatch.setattr(tr, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(fo, "_usable_cpus", lambda: 1)
     want, want_hists = tr.train(cfg, train, method)
     forked = _forking(monkeypatch, cpus)
     got, got_hists = tr.train(cfg, train, method)
-    assert forked == tr._member_groups(want.seeds, min(k, cpus))[1:]
+    assert forked == fo._member_groups(want.seeds, min(k, cpus))[1:]
     assert got.seeds == want.seeds == [h.seed for h in got_hists]
     assert got.flat.data.tobytes() == want.flat.data.tobytes()
     for a, b in zip(got.parameters(), want.parameters()):
@@ -829,7 +829,7 @@ def test_forked_abort_is_the_in_process_one(monkeypatch, method, role, row,
                                             group_firsts):
     train = _with_huge_row(tiny_train_set(d=3, gamma_l=0.3), role, row)
     cfg = dict(epochs=6, warmup_epochs=2, batch_size=batch_size)
-    monkeypatch.setattr(tr, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(fo, "_usable_cpus", lambda: 1)
     for (k, m), want in zip([(3, master_seed), (2, master_seed + 3)], group_firsts):
         with pytest.raises(tr.NumericalAbort) as alone:
             tr.train(tiny_config(ensemble_size=k, master_seed=m, **cfg), train, method)
@@ -872,10 +872,10 @@ def test_lost_group_raises_naming_its_seeds_and_leaves_no_process(monkeypatch):
 
     train_members = tr._train_members
 
-    def exit_in_last_group(config, dataset, method, seeds):
-        if seeds[0] == 7:  # in the forked child, which inherits this patch
+    def exit_in_last_group(config, normal_x, outlier_x, model, first):
+        if model.seeds[0] == 7:  # in the forked child, which inherits this patch
             os._exit(9)
-        return train_members(config, dataset, method, seeds)
+        return train_members(config, normal_x, outlier_x, model, first)
 
     monkeypatch.setattr(tr, "_train_members", exit_in_last_group)
     forked = _forking(monkeypatch, 3)
@@ -892,10 +892,10 @@ def test_interrupted_train_kills_and_reaps_its_children(monkeypatch):
 
     train_members = tr._train_members
 
-    def interrupted_in_group_0(config, dataset, method, seeds):
-        if seeds[0] == 0:
+    def interrupted_in_group_0(config, normal_x, outlier_x, model, first):
+        if first == 0:
             raise KeyboardInterrupt
-        return train_members(config, dataset, method, seeds)
+        return train_members(config, normal_x, outlier_x, model, first)
 
     monkeypatch.setattr(tr, "_train_members", interrupted_in_group_0)
     _forking(monkeypatch, 2)
