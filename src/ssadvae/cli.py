@@ -39,9 +39,9 @@ _TRAIN_DEFAULTS = {f.name: f.default for f in dc_fields(tr.TrainConfig)
                    if f.name != "master_seed"}
 
 _DEFAULTS = {
-    "label_col": "label", "positive_token": "1", "method": "dp",
-    "gamma_l": 0.01, "gamma_p": 0.0, "seeds": [0], "train_fraction": 0.6,
-    "save_scores": False, "s_score": 64,
+    "label_col": "label", "positive_token": "1", "gamma_l": 0.01,
+    "gamma_p": 0.0, "seeds": [0], "train_fraction": 0.6, "save_scores": False,
+    "s_score": 64,
 }
 
 # every accepted config key and the type of its default; the keys without
@@ -229,7 +229,6 @@ def train_config_from(cfg: dict, master_seed: int) -> tr.TrainConfig:
     """The training config of one protocol seed; a value that training
     would reject, the method's alpha and gamma rules included, is a
     ValueError naming the key."""
-    md.check_method(cfg["method"], cfg["alpha"], cfg["gamma"])
     kw = {k: cfg[k] for k in _TRAIN_DEFAULTS if k in cfg}
     return tr.TrainConfig(master_seed=master_seed, **kw)
 
@@ -305,26 +304,18 @@ def run_train(args) -> int:
     train, test, stats = prepare_seed(cfg, seed)  # fails before any output
     config = train_config_from(cfg, master_seed=seed)
 
-    model, hists = tr.train(config, train, cfg["method"])
-    # the run directory is made after training, so a failed training leaves
-    # none; the histories go in before save_ensemble, whose manifest (also
-    # the run manifest) goes in last, so a write cut short loads as nothing
+    model, hists = tr.train(config, train)
     run_dir = os.path.join(_out_root(args), f"train_{digest}")
-    os.makedirs(run_dir, exist_ok=True)
-    # on a rerun of this digest the old manifest goes before any history
-    # changes, so a write that fails leaves nothing that loads
-    manifest = os.path.join(run_dir, "manifest.json")
-    if os.path.exists(manifest):
-        os.remove(manifest)
-    for h in hists:
-        h.save_csv(os.path.join(run_dir, f"history_seed{h.seed}.csv"))
-        h.save_json(os.path.join(run_dir, f"history_seed{h.seed}.json"))
-    md.save_ensemble(run_dir, model, extra={
-        "command": "train", "digest": digest, "config": cfg,
-        "epochs": config.epochs,
-        "standardize_mean": stats.mean.tolist(),
-        "standardize_scale": stats.scale.tolist(),
-    })
+    with dk.atomic_dir(run_dir) as tmp:
+        for h in hists:
+            h.save_csv(os.path.join(tmp, f"history_seed{h.seed}.csv"))
+            h.save_json(os.path.join(tmp, f"history_seed{h.seed}.json"))
+        md.save_ensemble(tmp, model, extra={
+            "command": "train", "digest": digest, "config": cfg,
+            "epochs": config.epochs,
+            "standardize_mean": stats.mean.tolist(),
+            "standardize_scale": stats.scale.tolist(),
+        })
     print(run_dir)
     return EXIT_OK
 
@@ -401,7 +392,7 @@ def run_benchmark(args) -> int:
                 train, test, _ = prepared or prepare_seed(cfg, seed, base)
                 prepared = None
                 config = train_config_from(cfg, master_seed=seed)
-                model, _ = tr.train(config, train, cfg["method"])
+                model, _ = tr.train(config, train)
                 scores = md.ensemble_score(model, test.features,
                                            n_samples=cfg["s_score"])
                 auc = dk.auroc(scores, test.labels)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import glob
 import itertools
 import math
 import os
@@ -373,17 +374,38 @@ def atomic_write(path, newline=None):
         raise
 
 
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:  # another user's process
+        pass
+    return True
+
+
+def _remove_stale_builds(path: str) -> None:
+    """Remove ``<path>.<pid>.tmp`` and ``<path>.<pid>.old`` whose pid is
+    this process's or no live process's."""
+    for tag in ("tmp", "old"):
+        for stale in glob.glob(f"{glob.escape(path)}.*.{tag}"):
+            pid = stale[len(path) + 1:-len(tag) - 1]
+            if pid.isdecimal() and (int(pid) == os.getpid() or not _alive(int(pid))):
+                shutil.rmtree(stale, ignore_errors=True)
+
+
 @contextlib.contextmanager
 def atomic_dir(path):
     """A directory built as ``<path>.<pid>.tmp`` and renamed to ``path``
     when the block ends, so a build cut short leaves no ``path`` holding
     part of it. A directory already at ``path`` is replaced as a whole. If
     the block raises, the temporary directory is removed and ``path`` is
-    left as it was."""
+    left as it was. On entry, the ``<path>.<pid>.tmp`` and ``.old``
+    directories of processes no longer alive, or of this pid, are removed:
+    a killed run leaves them."""
     path = os.fspath(path)
     tmp, old = (f"{path}.{os.getpid()}.{tag}" for tag in ("tmp", "old"))
-    for stale in (tmp, old):  # left by a killed process with this pid
-        shutil.rmtree(stale, ignore_errors=True)
+    _remove_stale_builds(path)
     os.makedirs(tmp)
     try:
         yield tmp

@@ -41,10 +41,6 @@ METHODS = ("vae", "mml", "dp", "hybrid")
 LOG_EXP_LIMIT = math.log(np.finfo(np.float64).max) - 10.0
 CUBO_LOG_DOMAIN_MIN = -5.0
 
-# the SsadModel fields a saved model's manifest records, by the same names
-_MANIFEST_FIELDS = ("method", "gamma", "alpha", "beta_kl", "beta_cubo", "seeds")
-
-
 @dataclass
 class FlatParams:
     """The (K, P) buffers that a model's parameters and their gradients are
@@ -56,40 +52,20 @@ class FlatParams:
     n_encoder: int
 
 
-def check_method(method: str, alpha: float, gamma: float) -> None:
-    """The method's rules on the outlier prior mean and the CUBO weight; a
-    breach is a ValueError naming the key."""
-    if method not in METHODS:
-        raise ValueError(f"method: expected one of {', '.join(METHODS)}, "
-                         f"got {method!r}")
-    if method in ("dp", "hybrid") and alpha == 0.0:
-        raise ValueError(f"alpha: method {method!r} requires a nonzero prior "
-                         f"alpha, got {alpha!r}")
-    if method in ("mml", "hybrid") and gamma < 0.0:
-        raise ValueError(f"gamma: method {method!r} requires gamma >= 0, "
-                         f"got {gamma!r}")
-
-
 @dataclass
 class SsadModel:
-    """K >= 1 members, member k trained from ``seeds[k]``. Weights are
-    (K, fan_in, fan_out) and biases (K, 1, fan_out), each a view into
-    ``flat.data`` that writes its gradient into the matching view of
-    ``flat.grad``."""
+    """K >= 1 members, member k trained from ``seeds[k]``: their weights and
+    seeds, and nothing of the objective they were trained with, which is
+    the ``TrainConfig``'s. Weights are (K, fan_in, fan_out) and biases
+    (K, 1, fan_out), each a view into ``flat.data`` that writes its
+    gradient into the matching view of ``flat.grad``."""
 
     encoder: nb.EncoderParams
     decoder: nb.DecoderParams
-    method: str
-    # the outlier prior mean is alpha * 1 (dp, hybrid); normals use mean 0
-    alpha: float
     seeds: list
     flat: FlatParams = field(repr=False, compare=False)
-    gamma: float
-    beta_kl: float
-    beta_cubo: float
 
     def __post_init__(self):
-        check_method(self.method, self.alpha, self.gamma)
         if not all(type(s) is int for s in self.seeds):
             raise ValueError(f"member seeds must be integers, got {self.seeds}")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
@@ -123,23 +99,21 @@ class SsadModel:
                        flat=flat)
 
     @classmethod
-    def create(cls, spec: nb.MlpSpec, in_dim: int, method: str, seeds: list,
-               alpha: float = 0.0, gamma: float = 1.0, beta_kl: float = 0.05,
-               beta_cubo: float = 0.05, family: str = "gaussian") -> "SsadModel":
+    def create(cls, spec: nb.MlpSpec, in_dim: int, seeds: list,
+               family: str) -> "SsadModel":
         """Freshly initialized members, member k from ``seeds[k]``."""
         members = [(nb.init_encoder(spec, in_dim, seed),
                     nb.init_decoder(spec, in_dim, seed, family=family))
                    for seed in seeds]
-        return _stacked(members, method=method, alpha=alpha, seeds=list(seeds),
-                        gamma=gamma, beta_kl=beta_kl, beta_cubo=beta_cubo)
+        return _stacked(members, list(seeds))
 
 
-def _stacked(members: list, **fields) -> SsadModel:
+def _stacked(members: list, seeds: list) -> SsadModel:
     """The model holding K unstacked (encoder, decoder) pairs along a new
-    leading axis, with the _MANIFEST_FIELDS given by keyword; member 0's
-    tensors become its parameters."""
+    leading axis, member k seeded by ``seeds[k]``; member 0's tensors
+    become its parameters."""
     if not members:
-        raise ValueError(f"member seeds must be non-empty, got {fields['seeds']}")
+        raise ValueError(f"member seeds must be non-empty, got {seeds}")
     enc, dec = members[0]
     data = np.stack([np.concatenate([t.data.ravel() for t in e.tensors() + d.tensors()])
                      for e, d in members])
@@ -151,7 +125,7 @@ def _stacked(members: list, **fields) -> SsadModel:
         t.data = data[:, off:off + size].reshape(shape)
         t.grad_view = grad[:, off:off + size].reshape(shape)
         off += size
-    return SsadModel(enc, dec, flat=flat, **fields)
+    return SsadModel(enc, dec, seeds, flat)
 
 
 @dataclass
@@ -184,11 +158,13 @@ def normal_term(model: SsadModel, x, beta_kl: float, n_samples: int, rng):
     return gc.neg(rep.elbo), rep
 
 
-def outlier_update_term(model: SsadModel, outlier_x, beta_kl: float,
-                        s_elbo: int, s_cubo: int, rng) -> LossReport:
+def outlier_update_term(model: SsadModel, outlier_x, config, beta_kl: float,
+                        rng) -> LossReport:
     """The outlier-only objective used on novelty-detection update steps:
     ``outlier_x`` is (K, batch, d) and ``rng`` holds one generator per
-    member.
+    member. ``config`` is the ``trainer.TrainConfig`` whose method,
+    ``alpha``, ``gamma``, ``beta_cubo``, ``s_elbo`` and ``s_cubo`` set the
+    objective; ``beta_kl`` is the epoch's annealed KL coefficient.
 
     mml: gamma * CUBO(outliers) under the zero-mean prior, each member in
     the domain ``cubo_objective`` picks; dp: the negative outlier ELBO under
@@ -196,19 +172,20 @@ def outlier_update_term(model: SsadModel, outlier_x, beta_kl: float,
     throughout, so a method's full loss is normal_term plus this term, and
     only the normal term trains the decoder.
     """
-    if model.method == "vae":
-        raise ValueError(f"method {model.method!r} has no outlier update")
+    method = config.method
+    if method == "vae":
+        raise ValueError(f"method {method!r} has no outlier update")
     loss = log_domain = None
-    if model.method in ("dp", "hybrid"):  # hybrid draws this noise first
+    if method in ("dp", "hybrid"):  # hybrid draws this noise first
         rep_o = vb.elbo(model.encoder, model.decoder.detached(), outlier_x,
-                        model.alpha, beta_kl, n_samples=s_elbo, rng=rng)
+                        config.alpha, beta_kl, n_samples=config.s_elbo, rng=rng)
         loss = gc.neg(rep_o.elbo)
-    if model.method == "mml" or (model.method == "hybrid" and model.gamma > 0.0):
+    if method == "mml" or (method == "hybrid" and config.gamma > 0.0):
         cubo = vb.cubo_loss(model.encoder, model.decoder, outlier_x,
-                            model.beta_cubo, n_samples=s_cubo, rng=rng)
+                            config.beta_cubo, n_samples=config.s_cubo, rng=rng)
         picks = [cubo_objective(cubo, k) for k in range(len(cubo.log_value.data))]
         target, log_domain = gc.stack([t for t, _ in picks]), [d for _, d in picks]
-        weighted = gc.mul(target, model.gamma)
+        weighted = gc.mul(target, config.gamma)
         loss = weighted if loss is None else gc.add(weighted, loss)
     return LossReport(loss=loss, cubo_log_domain=log_domain)
 
@@ -317,7 +294,11 @@ def ensemble_score(model: SsadModel, x, n_samples: int = 64,
 # persistence
 
 def save_ensemble(dirpath, model: SsadModel, extra: Optional[dict] = None) -> None:
-    """K member param files plus one manifest.json describing the run.
+    """K member param files plus one manifest.json, which records the
+    member seeds, the architecture (``spec``, ``in_dim``, ``family``) and
+    the caller's ``extra`` keys. The model holds no objective: a caller
+    that wants its training config on record passes it in ``extra``, as
+    the CLI's ``train`` does.
 
     An existing manifest is removed before the first member is written, and
     the new one is written to a temporary file and renamed into place last,
@@ -326,9 +307,8 @@ def save_ensemble(dirpath, model: SsadModel, extra: Optional[dict] = None) -> No
     manifest_path = os.path.join(dirpath, "manifest.json")
     if os.path.exists(manifest_path):
         os.remove(manifest_path)
-    manifest = {name: getattr(model, name) for name in _MANIFEST_FIELDS}
-    manifest.update(spec=model.encoder.spec.to_dict(), in_dim=model.encoder.in_dim,
-                    family=model.decoder.family)
+    manifest = {"seeds": model.seeds, "spec": model.encoder.spec.to_dict(),
+                "in_dim": model.encoder.in_dim, "family": model.decoder.family}
     if extra:
         manifest.update(extra)
     for k in range(len(model.seeds)):
@@ -341,8 +321,11 @@ def save_ensemble(dirpath, model: SsadModel, extra: Optional[dict] = None) -> No
 
 def load_ensemble(dirpath) -> tuple:
     """Returns (SsadModel, manifest dict); the manifest's spec, in_dim and
-    family describe every member file. A missing, corrupt or inconsistent
-    manifest or member file raises DataError naming that file."""
+    family describe every member file. The objective keys that manifests
+    once held beside these (method, alpha, gamma, beta_kl, beta_cubo) are
+    ignored, so such a directory loads and scores as before. A missing,
+    corrupt or inconsistent manifest or member file raises DataError naming
+    that file."""
     path = manifest_path = os.path.join(dirpath, "manifest.json")
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -358,7 +341,7 @@ def load_ensemble(dirpath) -> tuple:
             path = os.path.join(dirpath, f"member_{i:02d}.bin")
             members.append(nb.load_params(path, spec, in_dim, family))
         path = manifest_path
-        model = _stacked(members, **{name: manifest[name] for name in _MANIFEST_FIELDS})
+        model = _stacked(members, manifest["seeds"])
         return model, manifest
     except (OSError, ValueError, KeyError, TypeError) as exc:
         detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)

@@ -73,14 +73,18 @@ class NumericalAbort(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    """All training hyperparameters plus the architecture of the members."""
+    """All training hyperparameters plus the architecture of the members:
+    the objective (``method`` and its ``alpha``, ``gamma``, ``beta_kl``,
+    ``beta_cubo``) is set here and nowhere else."""
 
+    method: str = "dp"
     epochs: int = 150
     batch_size: int = 128
     lr: float = 1e-3
     beta_kl: float = 0.05
     beta_cubo: float = 0.05
     gamma: float = 1.0
+    # the outlier prior mean is alpha * 1 (dp, hybrid); normals use mean 0
     alpha: float = 5.0
     anneal_epochs: int = 20
     warmup_epochs: int = 50
@@ -99,6 +103,16 @@ class TrainConfig:
     family: str = "gaussian"
 
     def __post_init__(self):
+        # the method's rules first: a breach is a ValueError naming the key
+        if self.method not in md.METHODS:
+            raise ValueError(f"method: expected one of {', '.join(md.METHODS)}, "
+                             f"got {self.method!r}")
+        if self.method in ("dp", "hybrid") and self.alpha == 0.0:
+            raise ValueError(f"alpha: method {self.method!r} requires a nonzero "
+                             f"prior alpha, got {self.alpha!r}")
+        if self.method in ("mml", "hybrid") and self.gamma < 0.0:
+            raise ValueError(f"gamma: method {self.method!r} requires gamma >= 0, "
+                             f"got {self.gamma!r}")
         self.widths = tuple(int(w) for w in self.widths)
         self.spec  # MlpSpec rejects a bad width, activation or leak up front
         if self.family not in nb.FAMILIES:
@@ -206,8 +220,8 @@ def clip_gradients(grads: list, max_norm: float) -> list:
     return grads
 
 
-def outlier_path_lr(base_lr: float, epoch: int, decay_every: int = 50,
-                    decay_factor: float = 0.1) -> float:
+def outlier_path_lr(base_lr: float, epoch: int, decay_every: int,
+                    decay_factor: float) -> float:
     """Step decay for the CUBO/outlier path: multiplied every decay_every epochs."""
     if decay_every <= 0:
         return base_lr
@@ -251,10 +265,10 @@ class TrainHistory:
             fh.write("\n")
 
 
-def _wants_outlier_updates(method: str, config: TrainConfig, n_outliers: int) -> bool:
-    if method == "vae" or n_outliers == 0:
+def _wants_outlier_updates(config: TrainConfig, n_outliers: int) -> bool:
+    if config.method == "vae" or n_outliers == 0:
         return False
-    if method == "mml" and config.gamma == 0.0:
+    if config.method == "mml" and config.gamma == 0.0:
         return False
     return True
 
@@ -356,11 +370,14 @@ def _first_error(errors: list, seeds: list) -> BaseException:
                                       e.term == "gradient", seeds.index(e.seed)))
 
 
-def train(config: TrainConfig, dataset: SsadDataset, method: str):
-    """Train an ensemble of K members on the dataset's training streams.
+def train(config: TrainConfig, dataset: SsadDataset):
+    """Train an ensemble of K members on the dataset's training streams
+    with the objective ``config.method`` names.
 
     Returns (SsadModel, list of TrainHistory). Member i uses seed
-    master_seed + i for init, shuffling and reparameterization noise.
+    master_seed + i for init, shuffling and reparameterization noise. The
+    model holds only the members' weights and seeds: the objective stays
+    with ``config``.
 
     The streams are taken and the K-member model is created here, then
     ``fanout.fan_out`` trains the members in groups: each group trains its
@@ -377,10 +394,7 @@ def train(config: TrainConfig, dataset: SsadDataset, method: str):
     outlier_x = dataset.labeled_outliers()
     if len(normal_x) == 0:
         raise ValueError("training set has no normal rows")
-    model = md.SsadModel.create(
-        config.spec, dataset.dim, method, seeds, alpha=config.alpha,
-        gamma=config.gamma, beta_kl=config.beta_kl,
-        beta_cubo=config.beta_cubo, family=config.family)
+    model = md.SsadModel.create(config.spec, dataset.dim, seeds, config.family)
 
     def trained_rows(group):
         lo = seeds.index(group[0])
@@ -411,7 +425,7 @@ def _train_members(config: TrainConfig, normal_x: np.ndarray,
     flat, p_enc = model.flat, model.flat.n_encoder
     adam = AdamState.like(flat.data)
     n, bs = len(normal_x), config.batch_size
-    do_outlier = _wants_outlier_updates(model.method, config, len(outlier_x))
+    do_outlier = _wants_outlier_updates(config, len(outlier_x))
     histories = [TrainHistory(seed=seed) for seed in seeds]
 
     # A diverging run overflows inside numpy before a loss goes non-finite.
@@ -447,8 +461,7 @@ def _train_members(config: TrainConfig, normal_x: np.ndarray,
                 rows = [rng.permutation(m)[:bs] if m > bs else np.arange(m)
                         for rng in shuffle_rngs]
                 rep = md.outlier_update_term(model, outlier_x[np.stack(rows)],
-                                             beta_kl=beta, s_elbo=config.s_elbo,
-                                             s_cubo=config.s_cubo, rng=noise_rngs)
+                                             config, beta, noise_rngs)
                 _check_loss(rep.loss, "outlier-term loss", seeds, epoch)
                 outlier_vals, log_domains = rep.loss.data.tolist(), rep.cubo_log_domain
                 model.zero_grads()

@@ -146,23 +146,25 @@ def test_criterion_1_gradient_correctness():
     noise_c = g.standard_normal((4, 2, 2))
 
     def normal_loss(model):
-        return gc.reduce_sum(md.normal_term(model, xn[None], model.beta_kl, 1,
+        return gc.reduce_sum(md.normal_term(model, xn[None], 0.05, 1,
                                             [conftest.PinnedNoise(noise_n)])[0])
 
-    def full_loss(model, outlier_seed):
+    def full_loss(model, config, outlier_seed):
         # what training optimizes, on the K=1 stack that an ensemble of one
         # trains as; a fresh generator pins the outlier noise
-        outlier = md.outlier_update_term(model, xo[None], model.beta_kl, 1, 4,
+        outlier = md.outlier_update_term(model, xo[None], config, config.beta_kl,
                                          [rng(outlier_seed)])
         return gc.add(normal_loss(model), gc.reduce_sum(outlier.loss))
 
-    mml = md.SsadModel.create(spec, 2, "mml", [5], gamma=1.0, beta_kl=0.05,
-                              beta_cubo=0.05)
+    mml, mml_cfg = (md.SsadModel.create(spec, 2, [5], "gaussian"),
+                    tr.TrainConfig(method="mml", gamma=1.0, beta_kl=0.05,
+                                   beta_cubo=0.05, s_elbo=1, s_cubo=4))
     worst_mml = _max_fd_error_over_params(
-        mml, lambda: full_loss(mml, 2), lambda: normal_loss(mml))
-    dp = md.SsadModel.create(spec, 2, "dp", [6], alpha=5.0, beta_kl=0.05)
+        mml, lambda: full_loss(mml, mml_cfg, 2), lambda: normal_loss(mml))
+    dp, dp_cfg = (md.SsadModel.create(spec, 2, [6], "gaussian"),
+                  tr.TrainConfig(method="dp", alpha=5.0, beta_kl=0.05, s_elbo=1))
     worst_dp = _max_fd_error_over_params(
-        dp, lambda: full_loss(dp, 3), lambda: normal_loss(dp))
+        dp, lambda: full_loss(dp, dp_cfg, 3), lambda: normal_loss(dp))
     # both CUBO forms the outlier update may optimize, checked directly and
     # built as cubo_objective builds them: the exp form and the log-domain
     # form (O(1) gradients at toy scale)
@@ -295,10 +297,10 @@ def _synth_benchmark(method, seed):
     train, test, _ = dk.standardize(train, test)
     gamma_l = 0.0 if method == "vae" else 0.01
     train = dk.subsample_labeled_outliers(train, gamma_l, seed=seed)
-    cfg = tr.TrainConfig(epochs=150, ensemble_size=5, master_seed=seed,
-                         widths=(32, 16, 8), beta_kl=0.05, beta_cubo=0.05,
-                         alpha=5.0, gamma=1.0)
-    ens, _ = tr.train(cfg, train, method)
+    cfg = tr.TrainConfig(method=method, epochs=150, ensemble_size=5,
+                         master_seed=seed, widths=(32, 16, 8), beta_kl=0.05,
+                         beta_cubo=0.05, alpha=5.0, gamma=1.0)
+    ens, _ = tr.train(cfg, train)
     scores = md.ensemble_score(ens, test.features, n_samples=64)
     return dk.auroc(scores, test.labels)
 
@@ -338,10 +340,11 @@ def test_supplementary_ssad_margin_on_hard_synthetic():
         train, test, _ = dk.standardize(train, test)
         gamma_l = 0.0 if method == "vae" else 0.05
         train = dk.subsample_labeled_outliers(train, gamma_l, seed=seed)
-        cfg = tr.TrainConfig(epochs=100, ensemble_size=1, master_seed=seed,
-                             widths=(32, 16, 8), beta_kl=0.05, beta_cubo=0.05,
-                             alpha=5.0, gamma=1.0, warmup_epochs=40)
-        ens, _ = tr.train(cfg, train, method)
+        cfg = tr.TrainConfig(method=method, epochs=100, ensemble_size=1,
+                             master_seed=seed, widths=(32, 16, 8), beta_kl=0.05,
+                             beta_cubo=0.05, alpha=5.0, gamma=1.0,
+                             warmup_epochs=40)
+        ens, _ = tr.train(cfg, train)
         return dk.auroc(md.ensemble_score(ens, test.features, n_samples=32),
                         test.labels)
 
@@ -370,12 +373,13 @@ def _odds_benchmark(csv_name, method, config_name, seeds, ensemble_size=5):
         train, test, _ = dk.standardize(train, test)
         train = dk.subsample_labeled_outliers(train, 0.01, seed=seed)
         config = tr.TrainConfig(
-            epochs=150, ensemble_size=ensemble_size, master_seed=seed,
+            method=method, epochs=150, ensemble_size=ensemble_size,
+            master_seed=seed,
             widths=tuple(cfg["widths"]), lr=cfg["lr"], beta_kl=cfg["beta_kl"],
             beta_cubo=cfg.get("beta_cubo", 0.05), alpha=cfg.get("alpha", 5.0),
             gamma=cfg.get("gamma", 1.0),
             nd_update_interval=cfg["nd_update_interval"])
-        ens, _ = tr.train(config, train, method)
+        ens, _ = tr.train(config, train)
         scores = md.ensemble_score(ens, test.features, n_samples=64)
         aurocs.append(dk.auroc(scores, test.labels))
     return float(np.mean(aurocs)), aurocs
@@ -444,20 +448,20 @@ def test_criterion_8_freeze_and_trajectory_invariants(monkeypatch):
     monkeypatch.setattr(md, "outlier_update_term", spy_term)
     monkeypatch.setattr(tr, "clip_gradients", spy_clip)
     for method in ("mml", "dp"):
-        tr.train(cfg, train, method)
+        tr.train(dataclasses.replace(cfg, method=method), train)
     monkeypatch.setattr(md, "outlier_update_term", orig_term)
     monkeypatch.setattr(tr, "clip_gradients", orig_clip)
     freeze_checks = seen["checks"]
     assert freeze_checks == 2 * 8  # epochs 4..11, both methods
 
     # gamma=0 / empty-outlier runs are bit-identical to a plain VAE
-    vae, _ = tr.train(cfg, train, "vae")
-    mml0, _ = tr.train(dataclasses.replace(cfg, gamma=0.0), train, "mml")
+    vae, _ = tr.train(dataclasses.replace(cfg, method="vae"), train)
+    mml0, _ = tr.train(dataclasses.replace(cfg, method="mml", gamma=0.0), train)
     empty = dk.subsample_labeled_outliers(
         dk.SsadDataset(train.features, train.labels,
                        np.where(train.labels == 0, dk.ROLE_TRAIN_NORMAL,
                                 dk.ROLE_DROPPED)), 0.0, seed=8)
-    dp0, _ = tr.train(cfg, empty, "dp")
+    dp0, _ = tr.train(dataclasses.replace(cfg, method="dp"), empty)
     identical = (np.array_equal(vae.flat.data, mml0.flat.data)
                  and np.array_equal(vae.flat.data, dp0.flat.data))
     report(8, identical, f"{freeze_checks} outlier updates all decoder-gradient-free; "

@@ -996,7 +996,9 @@ def test_train_writes_its_histories_before_its_manifest(tmp_path, monkeypatch):
     def full_disk(self, path):
         raise OSError(28, "No space left on device", path)
 
+    saved = []
     monkeypatch.setattr(tr.TrainHistory, "save_csv", full_disk)
+    monkeypatch.setattr(md, "save_ensemble", lambda *args, **kw: saved.append(args))
     out = tmp_path / "runs"
     rc, err, _ = _quiet_main(["train", "--synth", "4,200,3.0", "--gamma-l", "0.05",
                               "--config", write_fast_cfg(tmp_path),
@@ -1004,10 +1006,8 @@ def test_train_writes_its_histories_before_its_manifest(tmp_path, monkeypatch):
                               "--out", str(out)])
     assert rc == cli.EXIT_DATA
     assert err.startswith("data error: [Errno 28] No space left on device: ")
-    (run_dir,) = out.iterdir()
-    with pytest.raises(cli.dk.DataError,
-                       match=re.escape(str(run_dir / "manifest.json"))):
-        md.load_ensemble(run_dir)
+    # the run directory is built whole beside its place, so none is left
+    assert saved == [] and list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["train", "benchmark", "score"])
@@ -1054,9 +1054,11 @@ def test_seeds_equal_modulo_2_64_are_a_usage_error(tmp_path, seeds):
     assert not out.exists()
 
 
-def test_failed_history_rewrite_leaves_nothing_that_loads(tmp_path, monkeypatch):
-    # a rerun of one digest: the old manifest and members must not load next
-    # to histories that are partly new
+def test_failed_train_rewrite_keeps_the_earlier_files(tmp_path, monkeypatch):
+    # a rerun of one train digest that dies partway through its histories,
+    # or through its manifest, leaves the earlier run as it was, and it loads
+    import hashlib
+
     from ssadvae import models as md
     from ssadvae import trainer as tr
 
@@ -1064,17 +1066,33 @@ def test_failed_history_rewrite_leaves_nothing_that_loads(tmp_path, monkeypatch)
             "--config", write_fast_cfg(tmp_path), *fast_args(out=tmp_path / "runs")]
     assert _quiet_main(argv)[0] == cli.EXIT_OK
     (run_dir,) = (tmp_path / "runs").iterdir()
-    md.load_ensemble(run_dir)
+    files = sorted(run_dir.iterdir())
+    assert [f.name for f in files] == ["history_seed0.csv", "history_seed0.json",
+                                       "manifest.json", "member_00.bin"]
+
+    def sha256s():
+        return [hashlib.sha256(f.read_bytes()).hexdigest() for f in files]
+
+    before = sha256s()
 
     def full_disk(self, path):
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("epoch,")
         raise OSError(28, "No space left on device", path)
 
-    monkeypatch.setattr(tr.TrainHistory, "save_csv", full_disk)
-    rc, err, _ = _quiet_main(argv)
-    assert rc == cli.EXIT_DATA
-    assert err.startswith("data error: [Errno 28] No space left on device: ")
-    with pytest.raises(cli.dk.DataError,
-                       match=re.escape(str(run_dir / "manifest.json"))):
+    def cut_short_dump(payload, fh, **kwargs):
+        fh.write(json.dumps(payload, **kwargs)[:20])
+        raise OSError(28, "No space left on device")
+
+    for owner, name, cut_short in ((tr.TrainHistory, "save_csv", full_disk),
+                                   (cli.json, "dump", cut_short_dump)):
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, cut_short)
+            rc, err, _ = _quiet_main(argv)
+        assert rc == cli.EXIT_DATA
+        assert err.startswith("data error: [Errno 28] No space left on device")
+        assert list((tmp_path / "runs").iterdir()) == [run_dir]
+        assert sha256s() == before
         md.load_ensemble(run_dir)
 
 

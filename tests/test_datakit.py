@@ -486,3 +486,28 @@ def test_failed_scores_write_keeps_the_earlier_file_and_no_temporary(tmp_path):
         dk.EvalReport(scores, np.array([0, 1])).write_scores_csv(path)
     assert _sha256(path) == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.csv"]
+
+
+def test_atomic_dir_removes_what_dead_processes_left(tmp_path):
+    # a killed run leaves <path>.<pid>.tmp (or .old); the next build of
+    # that path removes those of pids no longer alive and keeps the others'
+    import subprocess
+    import sys
+
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # reaped: no process has this pid now
+    path = tmp_path / "score_abc"
+    dead_tmp, dead_old = (tmp_path / f"score_abc.{child.pid}.{tag}"
+                          for tag in ("tmp", "old"))
+    live = tmp_path / f"score_abc.{os.getppid()}.tmp"
+    other = tmp_path / f"score_abcd.{child.pid}.tmp"  # another path's
+    for d in (dead_tmp, dead_old, live, other):
+        d.mkdir()
+        (d / "part.csv").write_text("row\n")
+    with dk.atomic_dir(path) as tmp:
+        assert not dead_tmp.exists() and not dead_old.exists()
+        with open(os.path.join(tmp, "done.csv"), "w") as fh:
+            fh.write("row\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["score_abc", live.name, other.name])
+    assert [p.name for p in path.iterdir()] == ["done.csv"]

@@ -54,3 +54,16 @@ def test_only_fanout_decides_how_work_is_split():
     found = {p.name: sorted(banned & set(names(p))) for p in src.glob("*.py")}
     assert found.pop("fanout.py") == sorted(banned)
     assert {name: hit for name, hit in found.items() if hit} == {}
+
+
+def test_a_model_is_weights_and_seeds_and_defaults_have_one_home():
+    # the objective is the training config's: the model type holds none of
+    # it, and the CLI repeats none of TrainConfig's defaults
+    import dataclasses
+
+    from ssadvae import cli, models, trainer
+
+    assert [f.name for f in dataclasses.fields(models.SsadModel)] == [
+        "encoder", "decoder", "seeds", "flat"]
+    train_keys = {f.name for f in dataclasses.fields(trainer.TrainConfig)}
+    assert set(cli._DEFAULTS) & train_keys == set()

@@ -25,9 +25,15 @@ def rng(seed, stream=9):
     return nb.philox_rng(seed, stream)
 
 
-def toy_model(method="mml", seeds=(0,), alpha=5.0, gamma=1.0, in_dim=2):
-    return md.SsadModel.create(SPEC, in_dim, method, seeds, alpha=alpha,
-                               gamma=gamma, beta_kl=0.05, beta_cubo=0.05)
+def toy_model(seeds=(0,), in_dim=2):
+    return md.SsadModel.create(SPEC, in_dim, seeds, "gaussian")
+
+
+def toy_config(method="mml", alpha=5.0, gamma=1.0):
+    """The objective of the terms below: both betas 0.05, one ELBO sample
+    and eight CUBO samples."""
+    return tr.TrainConfig(method=method, alpha=alpha, gamma=gamma, beta_kl=0.05,
+                          beta_cubo=0.05, s_elbo=1, s_cubo=8)
 
 
 def solo(model):
@@ -41,28 +47,19 @@ def batches(seed=1, n=4, m=2, d=2):
     return g.standard_normal((n, d)), g.standard_normal((m, d)) + 3.0
 
 
-def test_model_validation():
-    with pytest.raises(ValueError, match="method"):
-        toy_model(method="svdd")
-    with pytest.raises(ValueError, match="alpha"):
-        toy_model(method="dp", alpha=0.0)
-    with pytest.raises(ValueError, match="gamma"):
-        toy_model(method="mml", gamma=-1.0)
-
-
-def outlier_term(stacked, xo, seed):
+def outlier_term(stacked, config, xo, seed):
     """The outlier term of a K=1 stack on (m, d) outliers, its noise drawn
     from rng(seed)."""
-    return md.outlier_update_term(stacked, xo[None], stacked.beta_kl, 1, 8,
+    return md.outlier_update_term(stacked, xo[None], config, config.beta_kl,
                                   [rng(seed)])
 
 
-def full_loss(stacked, xn, xo, noise_normal, outlier_seed):
+def full_loss(stacked, config, xn, xo, noise_normal, outlier_seed):
     """What training optimizes for a K=1 stack: the normal term plus the
     outlier term."""
-    loss, _ = md.normal_term(stacked, xn[None], stacked.beta_kl, 1,
+    loss, _ = md.normal_term(stacked, xn[None], config.beta_kl, 1,
                              [PinnedNoise(noise_normal)])
-    rep = outlier_term(stacked, xo, outlier_seed)
+    rep = outlier_term(stacked, config, xo, outlier_seed)
     return gc.add(loss, rep.loss), rep
 
 
@@ -75,11 +72,11 @@ def cubo_oracle(cubo):
 
 
 def test_mml_gamma_zero_is_exact_negative_elbo():
-    model = toy_model(gamma=0.0)
+    model, config = toy_model(), toy_config(gamma=0.0)
     xn, xo = batches()
     noise = rng(2).standard_normal((1, 4, 2))
-    loss, rep = full_loss(model, xn, xo, noise, 3)
-    direct = vb.elbo_from_posterior(*encoded(*solo(model), xn), 0.0, model.beta_kl,
+    loss, rep = full_loss(model, config, xn, xo, noise, 3)
+    direct = vb.elbo_from_posterior(*encoded(*solo(model), xn), 0.0, config.beta_kl,
                                     noise)
     assert rep.loss.data[0] == 0.0
     assert loss.data[0] == -direct.elbo.item()
@@ -96,8 +93,8 @@ def test_mml_empty_outlier_batch_matches_gamma_zero():
     with_pool = dk.subsample_labeled_outliers(train, 0.2, seed=0)
     assert len(empty_pool.labeled_outliers()) == 0
     assert len(with_pool.labeled_outliers()) > 0
-    a, _ = tr.train(tr.TrainConfig(gamma=1.0, **cfg), empty_pool, "mml")
-    b, _ = tr.train(tr.TrainConfig(gamma=0.0, **cfg), with_pool, "mml")
+    a, _ = tr.train(tr.TrainConfig(method="mml", gamma=1.0, **cfg), empty_pool)
+    b, _ = tr.train(tr.TrainConfig(method="mml", gamma=0.0, **cfg), with_pool)
     np.testing.assert_array_equal(a.flat.data, b.flat.data)
 
 
@@ -105,7 +102,7 @@ def test_mml_terms_compose_from_vbounds_oracles():
     # 1-D model, pinned noise: loss == gamma * cubo - elbo where both pieces
     # are evaluated independently of the loss path, the CUBO in the domain
     # cubo_objective picked: exp for near outliers, log for far ones
-    model = toy_model(gamma=0.7, in_dim=1)
+    model, config = toy_model(in_dim=1), toy_config(gamma=0.7)
     xn = rng(3).standard_normal((4, 1))
     noise_n = rng(5).standard_normal((1, 4, 2))
     elbo_ref = vb.elbo_from_posterior(*encoded(*solo(model), xn), 0.0, 0.05,
@@ -113,7 +110,7 @@ def test_mml_terms_compose_from_vbounds_oracles():
     domains = []
     for shift in (0.0, 4.0):
         xo = rng(4).standard_normal((2, 1)) + shift
-        loss, rep = full_loss(model, xn, xo, noise_n, 6)
+        loss, rep = full_loss(model, config, xn, xo, noise_n, 6)
         cubo_ref, log_domain = cubo_oracle(vb.cubo_from_posterior(
             *encoded(*solo(model), xo), 0.05, rng(6).standard_normal((8, 2, 2))))
         assert rep.cubo_log_domain == [log_domain]
@@ -123,11 +120,11 @@ def test_mml_terms_compose_from_vbounds_oracles():
 
 
 def test_dp_terms_compose_from_elbo_oracles():
-    model = toy_model(method="dp", alpha=10.0, in_dim=1)
+    model, config = toy_model(in_dim=1), toy_config(method="dp", alpha=10.0)
     xn = rng(7).standard_normal((4, 1))
     xo = rng(8).standard_normal((2, 1)) + 4.0
     noise_n = rng(9).standard_normal((1, 4, 2))
-    loss, rep = full_loss(model, xn, xo, noise_n, 10)
+    loss, rep = full_loss(model, config, xn, xo, noise_n, 10)
 
     e_n = vb.elbo_from_posterior(*encoded(*solo(model), xn), 0.0, 0.05, noise_n)
     e_o = vb.elbo_from_posterior(*encoded(*solo(model), xo), 10.0, 0.05,
@@ -138,11 +135,11 @@ def test_dp_terms_compose_from_elbo_oracles():
 
 
 def test_dp_alpha_zero_override_collapses_priors():
-    # bypass the constructor invariant to probe the degenerate-prior case
-    model = toy_model(method="dp", alpha=1.0, in_dim=2)
-    model.alpha = 0.0
+    # bypass the config's invariant to probe the degenerate-prior case
+    model, config = toy_model(), toy_config(method="dp", alpha=1.0)
+    config.alpha = 0.0
     _, xo = batches()
-    rep = outlier_term(model, xo, 11)
+    rep = outlier_term(model, config, xo, 11)
     same_prior = vb.elbo_from_posterior(*encoded(*solo(model), xo), 0.0, 0.05,
                                         rng(11).standard_normal((1, 2, 2)))
     assert rep.loss.data[0] == pytest.approx(-same_prior.elbo.item(), rel=1e-12)
@@ -151,7 +148,7 @@ def test_dp_alpha_zero_override_collapses_priors():
 def test_dp_empty_outlier_batch_plain_negative_elbo():
     # with no outlier updates dp trains on its normal term alone, which is
     # the plain negative ELBO under the zero-mean prior whatever alpha is
-    model = toy_model(method="dp", alpha=5.0)
+    model = toy_model()
     xn, _ = batches()
     noise = rng(2).standard_normal((1, 4, 2))
     loss, _ = md.normal_term(model, xn[None], 0.05, 1, [PinnedNoise(noise)])
@@ -160,9 +157,9 @@ def test_dp_empty_outlier_batch_plain_negative_elbo():
 
 
 def test_hybrid_is_dp_plus_weighted_cubo():
-    model = toy_model(method="hybrid", alpha=5.0, gamma=0.5, in_dim=2)
+    model, config = toy_model(), toy_config(method="hybrid", alpha=5.0, gamma=0.5)
     _, xo = batches()
-    rep = outlier_term(model, xo, 14)
+    rep = outlier_term(model, config, xo, 14)
     g = rng(14)  # the outlier ELBO draws its noise first, then the CUBO
     no = g.standard_normal((1, 2, 2))
     nc = g.standard_normal((8, 2, 2))
@@ -186,33 +183,33 @@ def test_shared_encoder_by_identity(monkeypatch):
     xn, xo = batches()
     for method in ("dp", "mml"):
         seen.clear()
-        model = toy_model(method=method, alpha=5.0)
-        full_loss(model, xn, xo, rng(16).standard_normal((1, 4, 2)), 17)
+        full_loss(toy_model(), toy_config(method=method), xn, xo,
+                  rng(16).standard_normal((1, 4, 2)), 17)
         assert len(seen) == 2 and seen[0] is seen[1]
 
 
 @pytest.mark.parametrize("method", ["mml", "dp", "hybrid"])
 def test_outlier_terms_leave_decoder_gradient_free(method):
-    model = toy_model(method=method, alpha=5.0)
+    model = toy_model()
     _, xo = batches()
-    rep = outlier_term(model, xo, 18)
+    rep = outlier_term(model, toy_config(method=method), xo, 18)
     gc.backward(gc.reduce_sum(rep.loss))
     assert all(t.grad is None for t in model.decoder.tensors())
     assert any(t.grad is not None for t in model.encoder.tensors())
 
 
 def test_full_loss_decoder_gradient_comes_only_from_normal_term():
-    model = toy_model(method="mml", gamma=2.0)
+    model, config = toy_model(), toy_config(method="mml", gamma=2.0)
     xn, xo = batches()
     nn = rng(19).standard_normal((1, 4, 2))
-    loss, _ = full_loss(model, xn, xo, nn, 20)
+    loss, _ = full_loss(model, config, xn, xo, nn, 20)
     model.zero_grads()
     gc.backward(gc.reduce_sum(loss))
     with_outliers = [t.grad for t in model.decoder.tensors()]
     assert all(g is not None for g in with_outliers)
     # same seed -> same decoder; the outlier term must not have added anything
-    ref_model = toy_model(method="mml", gamma=2.0)
-    ref, _ = md.normal_term(ref_model, xn[None], ref_model.beta_kl, 1,
+    ref_model = toy_model()
+    ref, _ = md.normal_term(ref_model, xn[None], config.beta_kl, 1,
                             [PinnedNoise(nn)])
     gc.backward(gc.reduce_sum(ref))
     for g_full, t in zip(with_outliers, ref_model.decoder.tensors()):
@@ -222,9 +219,9 @@ def test_full_loss_decoder_gradient_comes_only_from_normal_term():
 def test_outlier_update_term_dispatch_all_methods():
     _, xo = batches()
     with pytest.raises(ValueError, match="no outlier update"):
-        outlier_term(toy_model(method="vae"), xo, 30)
+        outlier_term(toy_model(), toy_config(method="vae"), xo, 30)
     for method in ("mml", "dp", "hybrid"):
-        rep = outlier_term(toy_model(method=method, alpha=5.0), xo, 30)
+        rep = outlier_term(toy_model(), toy_config(method=method), xo, 30)
         assert rep.loss.shape == (1,) and np.isfinite(rep.loss.data).all()
         assert (rep.cubo_log_domain is not None) == (method in ("mml", "hybrid"))
 
@@ -232,14 +229,14 @@ def test_outlier_update_term_dispatch_all_methods():
 def test_bernoulli_family_trains_end_to_end():
     g = rng(31)
     x = (g.uniform(size=(40, 5)) < 0.3).astype(float)  # binary data in [0,1]
-    model = md.SsadModel.create(nb.MlpSpec(widths=(6, 2)), 5, "mml", [9],
-                                gamma=1.0, family="bernoulli")
-    loss, rep = md.normal_term(model, x[None], model.beta_kl, 1, [rng(32)])
+    model = md.SsadModel.create(nb.MlpSpec(widths=(6, 2)), 5, [9], "bernoulli")
+    config = toy_config(method="mml", gamma=1.0)
+    loss, rep = md.normal_term(model, x[None], config.beta_kl, 1, [rng(32)])
     model.zero_grads()
     gc.backward(gc.reduce_sum(loss))
     assert np.isfinite(loss.data).all()
     assert all(t.grad is not None for t in model.decoder.tensors())
-    cubo = outlier_term(model, x[:4], 33)
+    cubo = outlier_term(model, config, x[:4], 33)
     assert np.isfinite(cubo.loss.data).all()
 
 
@@ -323,7 +320,7 @@ def test_score_equals_one_noise_draw_byte_for_byte(n, n_samples, family):
     for widths in ((6, 4, 3), (80, 4, 3)):
         for activation in ("leaky-relu", "relu", "sigmoid"):
             spec = nb.MlpSpec(widths=widths, activation=activation)
-            model = md.SsadModel.create(spec, 5, "mml", [8], family=family)
+            model = md.SsadModel.create(spec, 5, [8], family)
             for _, b in model.encoder.layers[:-2] + model.decoder.layers:
                 b.data[...] = rng(30).standard_normal(b.data.shape)
             got = md.score(model, x, 0, n_samples=n_samples, batch_size=16)
@@ -369,7 +366,7 @@ def test_score_rejects_what_is_not_a_matrix(x):
 
 def test_score_memory_does_not_grow_with_samples():
     # one (S, n, d_z) draw alone would be 20000 * 64 * 8 * 8 B = 82 MB
-    model = md.SsadModel.create(nb.MlpSpec(widths=(32, 16, 8)), 21, "mml", [9])
+    model = md.SsadModel.create(nb.MlpSpec(widths=(32, 16, 8)), 21, [9], "gaussian")
     x = rng(29).standard_normal((20000, 21))
     tracemalloc.start()
     try:
@@ -415,15 +412,6 @@ def test_score_variance_shrinks_with_samples():
     small = np.var([md.score(m, x, 0, n_samples=1) for m in reseeded], axis=0)
     big = np.var([md.score(m, x, 0, n_samples=16) for m in reseeded], axis=0)
     assert big.mean() < small.mean() / 4.0  # expect ~1/16, allow slack
-
-
-def test_dp_score_invariant_to_alpha():
-    model = toy_model(method="dp", alpha=5.0)
-    x = rng(24).standard_normal((6, 2))
-    a = md.score(model, x, 0, n_samples=4)
-    model.alpha = 50.0
-    b = md.score(model, x, 0, n_samples=4)
-    np.testing.assert_array_equal(a, b)
 
 
 def test_scoring_builds_no_graph(monkeypatch):
@@ -510,7 +498,7 @@ def _forking(monkeypatch, cpus):
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_forked_member_groups_score_the_in_process_bytes(monkeypatch, method,
                                                          k, cpus):
-    model = toy_model(method=method, seeds=tuple(range(10, 10 + k)))
+    model = toy_model(seeds=tuple(range(10, 10 + k)))
     x = rng(33).standard_normal((37, 2))
     forked = _forking(monkeypatch, 1)
     want = md.ensemble_score(model, x, n_samples=3, batch_size=16)
@@ -576,21 +564,18 @@ def test_ensemble_validation():
         toy_model(seeds=())
     model = toy_model(seeds=(1, 2))
     with pytest.raises(ValueError, match="non-empty"):
-        md.SsadModel(model.encoder, model.decoder, "mml", 0.0, [], model.flat,
-                     1.0, 0.05, 0.05)
+        md.SsadModel(model.encoder, model.decoder, [], model.flat)
     # a bool is an int to Python, but True would score with seed 1
     for seeds in ([0.5, 1.5], ["a", "b"], [True, False]):
         with pytest.raises(ValueError, match="seeds must be integers"):
-            md.SsadModel(model.encoder, model.decoder, "mml", 0.0, seeds, model.flat,
-                         1.0, 0.05, 0.05)
+            md.SsadModel(model.encoder, model.decoder, seeds, model.flat)
 
 
 def test_ensemble_save_load_roundtrip(tmp_path):
-    model = toy_model(method="dp", alpha=5.0, seeds=(3, 4))
+    model = toy_model(seeds=(3, 4))
     md.save_ensemble(tmp_path / "run", model, extra={"epochs": 7})
     loaded, manifest = md.load_ensemble(tmp_path / "run")
     assert manifest["epochs"] == 7
-    assert manifest["method"] == "dp"
     assert loaded.seeds == [3, 4]
     x = rng(27).standard_normal((6, 2))
     np.testing.assert_array_equal(md.ensemble_score(loaded, x, 4),
@@ -600,7 +585,7 @@ def test_ensemble_save_load_roundtrip(tmp_path):
 def test_load_ensemble_reads_a_run_directory_with_member_sidecars(tmp_path):
     # older runs wrote a member_XX.json beside each .bin, repeating what the
     # manifest holds; such a directory loads as it is and scores the same
-    model = toy_model(method="dp", seeds=(3, 4))
+    model = toy_model(seeds=(3, 4))
     md.save_ensemble(tmp_path, model)
     for k in range(2):
         (tmp_path / f"member_{k:02d}.json").write_text(json.dumps({
@@ -630,19 +615,37 @@ def test_interrupted_rewrite_leaves_no_loadable_ensemble(tmp_path, monkeypatch):
         md.load_ensemble(tmp_path)
 
 
+def test_manifest_with_the_old_objective_keys_loads_and_scores_the_same(tmp_path):
+    # manifests once also recorded the objective at their top level; a
+    # directory written so loads, and scores the bytes it scored then
+    model = toy_model(seeds=(3, 4))
+    md.save_ensemble(tmp_path, model, extra={"epochs": 7})
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    assert sorted(manifest) == ["epochs", "family", "in_dim", "seeds", "spec"]
+    manifest.update(method="dp", alpha=5.0, gamma=1.0, beta_kl=0.05,
+                    beta_cubo=0.05)
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    loaded, read = md.load_ensemble(tmp_path)
+    assert read == manifest and loaded.seeds == [3, 4]
+    x = rng(29).standard_normal((6, 2))
+    assert (md.ensemble_score(loaded, x, 4).tobytes()
+            == md.ensemble_score(model, x, 4).tobytes())
+
+
 def test_load_ensemble_names_the_manifest_for_its_own_keys(tmp_path):
     md.save_ensemble(tmp_path, toy_model(seeds=(3,)))
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    del manifest["alpha"]
+    del manifest["seeds"]
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(dk.DataError,
-                       match=f"^{tmp_path / 'manifest.json'}: missing key 'alpha'"):
+                       match=f"^{tmp_path / 'manifest.json'}: missing key 'seeds'"):
         md.load_ensemble(tmp_path)
 
 
 def test_save_load_save_is_byte_equal(tmp_path):
-    # a one-feature hybrid model, every parameter drawn through the views
-    model = toy_model(method="hybrid", seeds=(3, 4, 5), in_dim=1)
+    # a one-feature model, every parameter drawn through the views
+    model = toy_model(seeds=(3, 4, 5), in_dim=1)
     model.flat.data[...] = rng(40).standard_normal(model.flat.data.shape)
     md.save_ensemble(tmp_path / "a", model, extra={"epochs": 7})
     loaded, manifest = md.load_ensemble(tmp_path / "a")
@@ -694,16 +697,18 @@ def test_stacked_outlier_term_keeps_an_overflow_to_its_member():
     # the exp limit.
     spec = nb.MlpSpec(widths=(6, 2))
 
+    config = tr.TrainConfig(method="mml", gamma=1.0, s_elbo=1, s_cubo=4)
+
     def members(*seeds):
-        return md.SsadModel.create(spec, 1, "mml", seeds, gamma=1.0,
-                                   family="bernoulli")
+        return md.SsadModel.create(spec, 1, seeds, "bernoulli")
 
     def alone(seed, x, bias):
         m = members(seed)
         m.decoder.layers[-1][1].data[...] = bias
-        rep = md.outlier_update_term(m, x[None], m.beta_kl, 1, 4, [rng(seed, 40)])
+        rep = md.outlier_update_term(m, x[None], config, config.beta_kl,
+                                     [rng(seed, 40)])
         gc.backward(gc.reduce_sum(rep.loss))
-        cubo = vb.cubo_loss(m.encoder, m.decoder, x[None], m.beta_cubo,
+        cubo = vb.cubo_loss(m.encoder, m.decoder, x[None], config.beta_cubo,
                             n_samples=4, rng=[rng(seed, 40)])
         return m, rep, cubo.per_sample_log.data.max() > md.LOG_EXP_LIMIT
 
@@ -716,8 +721,8 @@ def test_stacked_outlier_term_keeps_an_overflow_to_its_member():
 
     stacked = members(1, 2)
     stacked.decoder.layers[-1][1].data[0] = 20.0
-    rep = md.outlier_update_term(stacked, np.stack([x_over, x_exp]),
-                                 stacked.beta_kl, 1, 4, [rng(1, 40), rng(2, 40)])
+    rep = md.outlier_update_term(stacked, np.stack([x_over, x_exp]), config,
+                                 config.beta_kl, [rng(1, 40), rng(2, 40)])
     assert rep.cubo_log_domain == [True, False]
     gc.backward(gc.reduce_sum(rep.loss))
     for k, solo_model in enumerate((over, exp)):

@@ -209,7 +209,7 @@ def test_member_view_shares_buffers_and_passes_no_gradient(use_bias):
     # one input feature: the first weight is (K, 1, 6), shaped like a bias,
     # yet member k's views have the shapes and bytes of its own init
     spec = nb.MlpSpec(widths=(6, 4, 3), use_bias=use_bias)
-    model = md.SsadModel.create(spec, 1, "vae", [0, 1])
+    model = md.SsadModel.create(spec, 1, [0, 1], "gaussian")
     for k in range(2):
         views = model.encoder.member(k).tensors() + model.decoder.member(k).tensors()
         alone = (nb.init_encoder(spec, 1, seed=k).tensors()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -54,6 +55,26 @@ def test_config_invariants_enforced():
     tiny_config(alpha=-5.0)  # a prior mean of -5 * 1
 
 
+def test_config_holds_the_method_rules():
+    # the method's rules run before every other check, each naming its key
+    with pytest.raises(ValueError, match="^method: expected one of vae, mml, "
+                                         "dp, hybrid, got 'svdd'$"):
+        tiny_config(method="svdd", lr=0.0)
+    for method in ("dp", "hybrid"):
+        with pytest.raises(ValueError, match=f"^alpha: method '{method}' requires "
+                                             "a nonzero prior alpha, got 0.0$"):
+            tiny_config(method=method, alpha=0.0, lr=0.0)
+    for method in ("mml", "hybrid"):
+        with pytest.raises(ValueError, match=f"^gamma: method '{method}' requires "
+                                             "gamma >= 0, got -1.0$"):
+            tiny_config(method=method, gamma=-1.0, lr=0.0)
+    # each rule binds only the methods that read the value
+    tiny_config(method="mml", alpha=0.0)
+    tiny_config(method="dp", gamma=-1.0)
+    tiny_config(method="vae", alpha=0.0, gamma=-1.0)
+    assert tr.TrainConfig().method == "dp"
+
+
 # ---------------------------------------------------------------------------
 # activations other than the default leaky relu
 
@@ -87,8 +108,8 @@ def test_activation_forward_matches_numpy_and_trains_finite(activation, tmp_path
         h = act(h) if i < len(dec.layers) - 1 else h
     np.testing.assert_allclose(nb.decode(dec, z).data, h, rtol=1e-12, atol=1e-14)
 
-    model, _ = tr.train(tiny_config(activation=activation, ensemble_size=2),
-                      tiny_train_set(), "mml")
+    model, _ = tr.train(tiny_config(activation=activation, ensemble_size=2,
+                                    method="mml"), tiny_train_set())
     md.save_ensemble(tmp_path, model)
     for k in range(2):
         arrays = nb.read_arrays(tmp_path / f"member_{k:02d}.bin")
@@ -225,10 +246,10 @@ def test_clip_gradients_cases():
 
 
 def test_outlier_path_lr_decay():
-    assert tr.outlier_path_lr(1e-3, 0) == 1e-3
-    assert tr.outlier_path_lr(1e-3, 49) == 1e-3
-    assert tr.outlier_path_lr(1e-3, 50) == pytest.approx(1e-4)
-    assert tr.outlier_path_lr(1e-3, 100) == pytest.approx(1e-5)
+    assert tr.outlier_path_lr(1e-3, 0, 50, 0.1) == 1e-3
+    assert tr.outlier_path_lr(1e-3, 49, 50, 0.1) == 1e-3
+    assert tr.outlier_path_lr(1e-3, 50, 50, 0.1) == pytest.approx(1e-4)
+    assert tr.outlier_path_lr(1e-3, 100, 50, 0.1) == pytest.approx(1e-5)
     # factor 0: the full rate until the first decay, then none
     assert tr.outlier_path_lr(1e-3, 49, 50, 0.0) == 1e-3
     assert tr.outlier_path_lr(1e-3, 50, 50, 0.0) == 0.0
@@ -239,8 +260,8 @@ def test_outlier_path_lr_decay():
 
 def test_outlier_updates_respect_warmup_and_interval():
     train = tiny_train_set()
-    cfg = tiny_config(epochs=10, warmup_epochs=4, nd_update_interval=2)
-    _, hists = tr.train(cfg, train, "dp")
+    cfg = tiny_config(epochs=10, warmup_epochs=4, nd_update_interval=2, method="dp")
+    _, hists = tr.train(cfg, train)
     flags = [r.outlier_term is not None for r in hists[0].records]
     assert flags == [False, False, False, False,
                      True, False, True, False, True, False]
@@ -248,8 +269,8 @@ def test_outlier_updates_respect_warmup_and_interval():
 
 def test_warmup_epochs_show_no_outlier_term():
     train = tiny_train_set()
-    cfg = tiny_config(epochs=6, warmup_epochs=5)
-    _, hists = tr.train(cfg, train, "mml")
+    cfg = tiny_config(epochs=6, warmup_epochs=5, method="mml")
+    _, hists = tr.train(cfg, train)
     recs = hists[0].records
     assert all(r.outlier_term is None for r in recs[:5])
     assert recs[5].outlier_term is not None
@@ -258,9 +279,9 @@ def test_warmup_epochs_show_no_outlier_term():
 
 def test_train_determinism_bit_exact():
     train = tiny_train_set()
-    cfg = tiny_config(ensemble_size=2)
-    model1, _ = tr.train(cfg, train, "dp")
-    model2, _ = tr.train(cfg, train, "dp")
+    cfg = tiny_config(ensemble_size=2, method="dp")
+    model1, _ = tr.train(cfg, train)
+    model2, _ = tr.train(cfg, train)
     assert model1.flat.data.tobytes() == model2.flat.data.tobytes()
 
 
@@ -269,14 +290,14 @@ def test_concurrent_trainings_match_sequential():
     import threading
 
     train = tiny_train_set()
-    cfgs = {m: tiny_config(master_seed=s)
+    cfgs = {m: tiny_config(master_seed=s, method=m)
             for m, s in (("dp", 0), ("mml", 7))}
-    sequential = {m: tr.train(c, train, m)[0] for m, c in cfgs.items()}
+    sequential = {m: tr.train(c, train)[0] for m, c in cfgs.items()}
 
     results = {}
 
     def worker(method, cfg):
-        results[method] = tr.train(cfg, train, method)[0]
+        results[method] = tr.train(cfg, train)[0]
 
     threads = [threading.Thread(target=worker, args=(m, c))
                for m, c in cfgs.items()]
@@ -290,24 +311,23 @@ def test_concurrent_trainings_match_sequential():
 
 def test_member_seeds_derived_from_master():
     train = tiny_train_set()
-    model, hists = tr.train(tiny_config(ensemble_size=3, master_seed=11), train, "vae")
+    model, hists = tr.train(tiny_config(ensemble_size=3, master_seed=11,
+                                        method="vae"), train)
     assert model.seeds == [11, 12, 13]
     assert [h.seed for h in hists] == [11, 12, 13]
 
 
 def test_gamma_zero_mml_trajectory_equals_plain_vae():
     train = tiny_train_set()
-    cfg = tiny_config(gamma=0.0)
-    vae, _ = tr.train(cfg, train, "vae")
-    mml, _ = tr.train(cfg, train, "mml")
+    vae, _ = tr.train(tiny_config(gamma=0.0, method="vae"), train)
+    mml, _ = tr.train(tiny_config(gamma=0.0, method="mml"), train)
     np.testing.assert_array_equal(vae.flat.data, mml.flat.data)
 
 
 def test_empty_outlier_pool_dp_equals_plain_vae():
     train = tiny_train_set(gamma_l=0.0)
-    cfg = tiny_config()
-    vae, _ = tr.train(cfg, train, "vae")
-    dp, _ = tr.train(cfg, train, "dp")
+    vae, _ = tr.train(tiny_config(method="vae"), train)
+    dp, _ = tr.train(tiny_config(method="dp"), train)
     np.testing.assert_array_equal(vae.flat.data, dp.flat.data)
 
 
@@ -316,9 +336,8 @@ def test_warmup_trajectory_matches_plain_vae(method):
     # through epoch warmup-1 the run IS a plain VAE: per-epoch losses are
     # bit-identical; the first outlier update makes them diverge
     train = tiny_train_set()
-    cfg = tiny_config(epochs=6, warmup_epochs=4)
-    _, h_m = tr.train(cfg, train, method)
-    _, h_v = tr.train(cfg, train, "vae")
+    _, h_m = tr.train(tiny_config(epochs=6, warmup_epochs=4, method=method), train)
+    _, h_v = tr.train(tiny_config(epochs=6, warmup_epochs=4, method="vae"), train)
     for rm, rv in zip(h_m[0].records[:4], h_v[0].records[:4]):
         assert (rm.elbo, rm.kl, rm.recon) == (rv.elbo, rv.kl, rv.recon)
     assert h_m[0].records[4].outlier_term is not None
@@ -327,9 +346,8 @@ def test_warmup_trajectory_matches_plain_vae(method):
 
 def test_hybrid_training_runs_outlier_updates():
     train = tiny_train_set()
-    cfg = tiny_config(epochs=6, warmup_epochs=4)
-    model, hists = tr.train(cfg, train, "hybrid")
-    assert model.method == "hybrid"
+    cfg = tiny_config(epochs=6, warmup_epochs=4, method="hybrid")
+    _, hists = tr.train(cfg, train)
     recs = hists[0].records
     assert all(r.outlier_term is None for r in recs[:4])
     assert recs[4].outlier_term is not None
@@ -340,22 +358,22 @@ def test_nonfinite_loss_aborts_with_context():
     train = tiny_train_set()
     bad = train.features.copy()
     train_bad = dk.SsadDataset(bad * 1e300, train.labels, train.roles)
-    cfg = tiny_config(epochs=4, warmup_epochs=3, lr=1e3)
+    cfg = tiny_config(epochs=4, warmup_epochs=3, lr=1e3, method="vae")
     with pytest.raises((tr.NumericalAbort, ValueError)):
-        tr.train(cfg, train_bad, "vae")
+        tr.train(cfg, train_bad)
 
 
 def test_train_rejects_empty_normal_stream():
     ds = dk.SsadDataset(np.ones((4, 2)), np.ones(4),
                         np.full(4, dk.ROLE_DROPPED))
     with pytest.raises(ValueError, match="no normal rows"):
-        tr.train(tiny_config(), ds, "vae")
+        tr.train(tiny_config(method="vae"), ds)
 
 
 def test_history_export(tmp_path):
     train = tiny_train_set()
-    cfg = tiny_config(epochs=5, warmup_epochs=4)
-    _, hists = tr.train(cfg, train, "dp")
+    cfg = tiny_config(epochs=5, warmup_epochs=4, method="dp")
+    _, hists = tr.train(cfg, train)
     h = hists[0]
     assert len(h.records) == 5
     csv_path = tmp_path / "hist.csv"
@@ -379,7 +397,7 @@ def test_history_export(tmp_path):
     assert data["seed"] == 0 and len(data["epochs"]) == 5
 
     # mml logs the CUBO domain it optimized, on its update epochs only
-    _, hists = tr.train(cfg, train, "mml")
+    _, hists = tr.train(dataclasses.replace(cfg, method="mml"), train)
     hists[0].save_csv(csv_path)
     last = [line.split(",")[-2]
             for line in csv_path.read_text().strip().splitlines()[1:]]
@@ -389,8 +407,9 @@ def test_history_export(tmp_path):
 
 def test_anneal_coefficient_recorded_and_saturates():
     train = tiny_train_set()
-    cfg = tiny_config(epochs=6, anneal_epochs=4, warmup_epochs=5, beta_kl=0.2)
-    _, hists = tr.train(cfg, train, "vae")
+    cfg = tiny_config(epochs=6, anneal_epochs=4, warmup_epochs=5, beta_kl=0.2,
+                      method="vae")
+    _, hists = tr.train(cfg, train)
     coeffs = [r.anneal_coeff for r in hists[0].records]
     assert coeffs[0] == 0.0
     assert coeffs[4] == pytest.approx(0.2)
@@ -431,9 +450,10 @@ def test_stacked_members_equal_solo_runs_bit_for_bit(monkeypatch, method, d):
     # a clip norm inside each method's range of outlier-gradient norms
     clip = {"vae": 5.0, "mml": 0.003 if d == 1 else 0.3, "dp": 0.45,
             "hybrid": 0.5}[method]
-    cfg = dict(epochs=7, warmup_epochs=3, clip_norm=clip, master_seed=4)
-    stacked, hists = tr.train(tiny_config(ensemble_size=3, **cfg), train, method)
-    solo = [tr.train(tiny_config(**{**cfg, "master_seed": 4 + k}), train, method)
+    cfg = dict(epochs=7, warmup_epochs=3, clip_norm=clip, master_seed=4,
+               method=method)
+    stacked, hists = tr.train(tiny_config(ensemble_size=3, **cfg), train)
+    solo = [tr.train(tiny_config(**{**cfg, "master_seed": 4 + k}), train)
             for k in range(3)]
     for k, (alone, solo_hists) in enumerate(solo):
         assert stacked.seeds[k] == hists[k].seed == 4 + k
@@ -457,7 +477,7 @@ def test_numerical_abort_names_the_member_seed():
     train = tiny_train_set()
     huge = dk.SsadDataset(train.features * 1e200, train.labels, train.roles)
     with pytest.raises(tr.NumericalAbort, match=r"member seed 7, epoch 0, batch 0"):
-        tr.train(tiny_config(ensemble_size=2, master_seed=7), huge, "vae")
+        tr.train(tiny_config(ensemble_size=2, master_seed=7, method="vae"), huge)
 
 
 def test_member_clipping_equals_clip_gradients_on_each_members_slices():
@@ -467,7 +487,7 @@ def test_member_clipping_equals_clip_gradients_on_each_members_slices():
     from ssadvae import netblocks as nb
 
     spec = nb.MlpSpec(widths=(6, 2))
-    stacked = md.SsadModel.create(spec, 3, "dp", [1, 2], alpha=5.0)
+    stacked = md.SsadModel.create(spec, 3, [1, 2], "gaussian")
     enc = stacked.encoder.tensors()
     g = np.random.default_rng(3).standard_normal(stacked.flat.grad.shape)
     g[0] *= 10.0
@@ -505,8 +525,8 @@ def test_trained_member_file_bytes_are_pinned(tmp_path, method):
     from ssadvae import models as md
 
     cfg = tiny_config(epochs=7, warmup_epochs=3, ensemble_size=2, clip_norm=0.5,
-                      master_seed=4)
-    model, _ = tr.train(cfg, tiny_train_set(d=3, gamma_l=0.3), method)
+                      master_seed=4, method=method)
+    model, _ = tr.train(cfg, tiny_train_set(d=3, gamma_l=0.3))
     md.save_ensemble(tmp_path, model)
     digest = hashlib.sha256((tmp_path / "member_00.bin").read_bytes()).hexdigest()
     assert digest == MEMBER_00_SHA256[method]
@@ -526,8 +546,8 @@ def test_multi_sample_member_file_bytes_are_pinned(tmp_path):
     from ssadvae import models as md
 
     cfg = tiny_config(epochs=7, warmup_epochs=3, ensemble_size=2, clip_norm=0.5,
-                      master_seed=4, s_elbo=2, s_cubo=3)
-    model, _ = tr.train(cfg, tiny_train_set(d=3, gamma_l=0.3), "hybrid")
+                      master_seed=4, s_elbo=2, s_cubo=3, method="hybrid")
+    model, _ = tr.train(cfg, tiny_train_set(d=3, gamma_l=0.3))
     md.save_ensemble(tmp_path, model)
     digest = hashlib.sha256((tmp_path / "member_00.bin").read_bytes()).hexdigest()
     assert digest == MULTI_SAMPLE_HYBRID_SHA256
@@ -553,8 +573,8 @@ def test_graph_nodes_per_k5_step(monkeypatch):
     # in process, so that the counts are of K=5 steps
     monkeypatch.setattr(fo, "_usable_cpus", lambda: 1)
     cfg = tiny_config(epochs=2, warmup_epochs=1, anneal_epochs=1, batch_size=64,
-                      ensemble_size=5, widths=(32, 16, 8), s_cubo=8)
-    tr.train(cfg, tiny_train_set(d=8, gamma_l=0.3), "mml")
+                      ensemble_size=5, widths=(32, 16, 8), s_cubo=8, method="mml")
+    tr.train(cfg, tiny_train_set(d=8, gamma_l=0.3))
     *normal, outlier = counts
     assert len(normal) == 4 and max(normal) <= 18  # 25 before the ELBO summary node
     # 205 before the exp-domain CUBO was built on demand, 193 before a
@@ -609,7 +629,7 @@ def test_training_starts_no_thread(monkeypatch, k):
 
     monkeypatch.setattr(fo, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(threading.Thread, "start", recorded)
-    tr.train(tiny_config(ensemble_size=k), tiny_train_set(), "hybrid")
+    tr.train(tiny_config(ensemble_size=k, method="hybrid"), tiny_train_set())
     assert started == []
 
 
@@ -621,7 +641,8 @@ def test_failed_train_names_the_first_abort_and_leaves_no_thread():
     with pytest.raises(tr.NumericalAbort,
                        match=r"^non-finite normal-term loss at member seed 5, "
                              r"epoch 0, batch 1:"):
-        tr.train(tiny_config(ensemble_size=3, master_seed=5, lr=1e100), train, "dp")
+        tr.train(tiny_config(ensemble_size=3, master_seed=5, lr=1e100,
+                             method="dp"), train)
     assert threading.enumerate() == before
 
 
@@ -633,8 +654,8 @@ train, _ = dk.split_stratified(ds, 0.6, seed=0)
 train, _, _ = dk.standardize(train)
 train = dk.subsample_labeled_outliers(train, 0.05, seed=0)
 cfg = tr.TrainConfig(epochs=2, warmup_epochs=1, anneal_epochs=1, ensemble_size=1,
-                     widths=(128, 64, 32))
-model, _ = tr.train(cfg, train, "mml")
+                     widths=(128, 64, 32), method="mml")
+model, _ = tr.train(cfg, train)
 print(hashlib.sha256(model.flat.data.tobytes()).hexdigest())
 """
 
@@ -675,10 +696,10 @@ def test_train_restores_the_blas_thread_count(monkeypatch):
     old = get()
     set_threads(2)
     try:
-        tr.train(tiny_config(), tiny_train_set(), "dp")
+        tr.train(tiny_config(method="dp"), tiny_train_set())
         assert get() == 2
         with pytest.raises(tr.NumericalAbort):
-            tr.train(tiny_config(lr=1e100), tiny_train_set(), "dp")
+            tr.train(tiny_config(lr=1e100, method="dp"), tiny_train_set())
         assert get() == 2
     finally:
         set_threads(old)
@@ -694,7 +715,8 @@ def test_overlapping_trainings_hold_one_blas_thread_until_the_last_ends(
     get, put = tr._openblas_threads()
     inside, release = threading.Event(), threading.Event()
     other = threading.Thread(target=tr.train,
-                             args=(tiny_config(master_seed=1), tiny_train_set(), "dp"))
+                             args=(tiny_config(master_seed=1, method="dp"),
+                                   tiny_train_set()))
     train_members = tr._train_members
 
     def overlapped(config, *args):
@@ -710,7 +732,7 @@ def test_overlapping_trainings_hold_one_blas_thread_until_the_last_ends(
     old = get()
     put(2)
     try:
-        tr.train(tiny_config(), tiny_train_set(), "dp")
+        tr.train(tiny_config(method="dp"), tiny_train_set())
         during = get()
         release.set()
         other.join(60)
@@ -769,11 +791,11 @@ def test_forked_groups_equal_the_in_process_run_bit_for_bit(monkeypatch, method,
     clip = {"vae": 5.0, "mml": 0.003 if d == 1 else 0.3, "dp": 0.45,
             "hybrid": 0.5}[method]
     cfg = tiny_config(ensemble_size=k, epochs=7, warmup_epochs=3, clip_norm=clip,
-                      master_seed=4)
+                      master_seed=4, method=method)
     monkeypatch.setattr(fo, "_usable_cpus", lambda: 1)
-    want, want_hists = tr.train(cfg, train, method)
+    want, want_hists = tr.train(cfg, train)
     forked = _forking(monkeypatch, cpus)
-    got, got_hists = tr.train(cfg, train, method)
+    got, got_hists = tr.train(cfg, train)
     assert forked == fo._member_groups(want.seeds, min(k, cpus))[1:]
     assert got.seeds == want.seeds == [h.seed for h in got_hists]
     assert got.flat.data.tobytes() == want.flat.data.tobytes()
@@ -828,19 +850,19 @@ def test_forked_abort_is_the_in_process_one(monkeypatch, method, role, row,
                                             master_seed, batch_size, first,
                                             group_firsts):
     train = _with_huge_row(tiny_train_set(d=3, gamma_l=0.3), role, row)
-    cfg = dict(epochs=6, warmup_epochs=2, batch_size=batch_size)
+    cfg = dict(epochs=6, warmup_epochs=2, batch_size=batch_size, method=method)
     monkeypatch.setattr(fo, "_usable_cpus", lambda: 1)
     for (k, m), want in zip([(3, master_seed), (2, master_seed + 3)], group_firsts):
         with pytest.raises(tr.NumericalAbort) as alone:
-            tr.train(tiny_config(ensemble_size=k, master_seed=m, **cfg), train, method)
+            tr.train(tiny_config(ensemble_size=k, master_seed=m, **cfg), train)
         assert str(alone.value).startswith(f"non-finite {want}: ")
     cfg = tiny_config(ensemble_size=5, master_seed=master_seed, **cfg)
     with pytest.raises(tr.NumericalAbort) as in_process:
-        tr.train(cfg, train, method)
+        tr.train(cfg, train)
     assert str(in_process.value).startswith(f"non-finite {first}: ")
     forked = _forking(monkeypatch, 2)
     with pytest.raises(tr.NumericalAbort) as got:
-        tr.train(cfg, train, method)
+        tr.train(cfg, train)
     assert forked == [[master_seed + 3, master_seed + 4]]
     assert str(got.value) == str(in_process.value)
 
@@ -881,7 +903,8 @@ def test_lost_group_raises_naming_its_seeds_and_leaves_no_process(monkeypatch):
     forked = _forking(monkeypatch, 3)
     with pytest.raises(RuntimeError, match=r"^training of member seeds \[7\] "
                                            r"ended without a result \(exit status 9\)$"):
-        tr.train(tiny_config(ensemble_size=5, master_seed=3), tiny_train_set(), "dp")
+        tr.train(tiny_config(ensemble_size=5, master_seed=3, method="dp"),
+                 tiny_train_set())
     assert forked == [[5, 6], [7]]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -900,9 +923,79 @@ def test_interrupted_train_kills_and_reaps_its_children(monkeypatch):
     monkeypatch.setattr(tr, "_train_members", interrupted_in_group_0)
     _forking(monkeypatch, 2)
     with pytest.raises(KeyboardInterrupt):
-        tr.train(tiny_config(ensemble_size=2, epochs=200), tiny_train_set(), "vae")
+        tr.train(tiny_config(ensemble_size=2, epochs=200, method="vae"),
+                 tiny_train_set())
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+FAN_OUT_UNTIL_KILLED = """
+import os, sys, time
+from ssadvae import fanout as fo
+
+fo._usable_cpus = lambda: 2
+parent, pid_file = os.getpid(), sys.argv[1]
+
+def wait(group):
+    if os.getpid() != parent:  # the forked group writes its pid
+        with open(pid_file + ".part", "w") as fh:
+            fh.write(str(os.getpid()))
+        os.replace(pid_file + ".part", pid_file)
+    time.sleep(120)
+
+fo.fan_out(wait, [0, 1], "waiting")
+"""
+
+
+def _process_state(pid):
+    """The state letter of a process in /proc, or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return None
+
+
+def test_forked_group_dies_with_its_killed_parent(tmp_path):
+    # a process blocked in fan_out is SIGKILLed: its forked child must not
+    # go on working for a parent that is gone
+    import contextlib
+    import ctypes
+    import os
+    import signal
+    import subprocess
+    import sys
+    import time
+    from pathlib import Path
+
+    if not hasattr(ctypes.CDLL(None), "prctl") or not os.path.isdir("/proc/self"):
+        pytest.skip("needs libc prctl and /proc")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    pid_file = tmp_path / "child.pid"
+    parent = subprocess.Popen([sys.executable, "-c", FAN_OUT_UNTIL_KILLED,
+                               str(pid_file)], env=env)
+    child = None
+    try:
+        deadline = time.monotonic() + 60
+        while not pid_file.exists():
+            assert parent.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        child = int(pid_file.read_text())
+        assert _process_state(child) not in (None, "Z")
+        parent.kill()
+        parent.wait()
+        deadline = time.monotonic() + 5
+        while _process_state(child) not in (None, "Z") and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _process_state(child) in (None, "Z")
+    finally:
+        parent.kill()
+        parent.wait()
+        if child is not None:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(child, signal.SIGKILL)
 
 
 def test_train_does_not_fork_while_another_thread_runs(monkeypatch):
@@ -913,7 +1006,8 @@ def test_train_does_not_fork_while_another_thread_runs(monkeypatch):
     other = threading.Thread(target=stop.wait)
     other.start()
     try:
-        model, _ = tr.train(tiny_config(ensemble_size=3), tiny_train_set(), "dp")
+        model, _ = tr.train(tiny_config(ensemble_size=3, method="dp"),
+                            tiny_train_set())
     finally:
         stop.set()
         other.join()

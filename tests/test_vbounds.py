@@ -277,7 +277,7 @@ def test_cubo_positive_and_overflow_flagged():
 
 def test_cubo_decoder_gets_no_gradient():
     # a K=1 stack: cubo_loss draws one member's noise from its generator
-    model = md.SsadModel.create(nb.MlpSpec(widths=(8, 3)), 4, "mml", [2])
+    model = md.SsadModel.create(nb.MlpSpec(widths=(8, 3)), 4, [2], "gaussian")
     enc, dec = model.encoder, model.decoder
     x = rng(12).standard_normal((1, 5, 4))
     rep = vb.cubo_loss(enc, dec, x, 0.05, 4, [rng(13)])
@@ -295,7 +295,7 @@ def test_cubo_decoder_gets_no_gradient():
 @pytest.mark.parametrize("n_samples", [0, -1])
 @pytest.mark.parametrize("bound", ["elbo", "cubo"])
 def test_sampled_bounds_reject_fewer_than_one_sample(bound, n_samples):
-    model = md.SsadModel.create(nb.MlpSpec(widths=(8, 3)), 4, "mml", [2])
+    model = md.SsadModel.create(nb.MlpSpec(widths=(8, 3)), 4, [2], "gaussian")
     x = rng(12).standard_normal((1, 5, 4))
     with pytest.raises(ValueError, match="n_samples must be >= 1"):
         if bound == "elbo":
@@ -386,7 +386,7 @@ def test_fused_elbo_terms_equal_composed_forms_bit_for_bit(stacked, alpha):
     g = rng(31)
     spec = nb.MlpSpec(widths=(6, 3))
     if stacked:
-        model = md.SsadModel.create(spec, 4, "vae", [1, 2, 3])
+        model = md.SsadModel.create(spec, 4, [1, 2, 3], "gaussian")
         enc, dec = model.encoder, model.decoder
     else:
         enc, dec = nb.init_encoder(spec, 4, seed=1), nb.init_decoder(spec, 4, seed=1)
