@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical abort.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import hashlib
 import json
 import math
@@ -259,6 +258,10 @@ def parse_synth(text: str) -> tuple:
     return tuple(values)
 
 
+def _source(cfg: dict) -> str:
+    return f"--synth {cfg['synth']}" if cfg.get("synth") else cfg["dataset"]
+
+
 def load_base_dataset(cfg: dict, seed: int) -> dk.SsadDataset:
     if cfg.get("synth"):
         d, n, shift, n_anom = parse_synth(cfg["synth"])
@@ -356,9 +359,8 @@ def run_score(args) -> int:
     stats = _manifest_standardization(args.model_dir, manifest, in_dim)
     base = load_base_dataset(cfg, cfg["seeds"][0])
     if base.dim != in_dim:
-        source = f"--synth {cfg['synth']}" if cfg.get("synth") else cfg["dataset"]
         raise dk.DataError(
-            f"{source} has {base.dim} features, but "
+            f"{_source(cfg)} has {base.dim} features, but "
             f"{os.path.join(args.model_dir, 'manifest.json')} has in_dim {in_dim}")
     features = stats.apply(base.features)
     scores = md.ensemble_score(model, features, n_samples=cfg["s_score"])
@@ -379,10 +381,16 @@ def run_benchmark(args) -> int:
     seeds = cfg["seeds"]
     # a CSV shared by several seeds is parsed once; the first seed is
     # prepared and the training config built before any output exists, so
-    # bad inputs leave no run directory
+    # bad inputs leave no run directory. Every seed's split has the class
+    # counts of the first's, so its test split's check stands for all.
     base = (load_base_dataset(cfg, seeds[0])
             if len(seeds) > 1 and not cfg.get("synth") else None)
     prepared = prepare_seed(cfg, seeds[0], base)
+    for label in (dk.LABEL_NORMAL, dk.LABEL_ANOMALY):
+        if not (prepared[1].labels == label).any():
+            raise dk.DataError(
+                f"{_source(cfg)}: the test split has no class {label} rows at "
+                f"train_fraction {cfg['train_fraction']}; AUROC needs both")
     train_config_from(cfg, master_seed=seeds[0])
 
     per_seed = []
@@ -432,31 +440,9 @@ def run_benchmark(args) -> int:
     return EXIT_OK
 
 
-# glibc mallopt parameters
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-def _keep_freed_heap() -> None:
-    """Let glibc reuse the blocks numpy frees instead of returning them.
-
-    A training step frees and re-allocates the same arrays, some above
-    glibc's default 128 KiB mmap and trim thresholds, which glibc raises
-    only after it frees one large block. Until then each step unmaps or
-    trims the heap and faults the pages back in: 0.6-0.9 s of system time
-    over one 150-epoch K=5 training of the criterion-5 shape. The values
-    are the ones glibc's own raising rule stops at on 64-bit. Elsewhere
-    than glibc this does nothing."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):
-        return
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-
-
 def main(argv=None) -> int:
-    _keep_freed_heap()
+    """Run one command and return its exit code. A training command's
+    process settings are ``trainer.train``'s own (``host.training``)."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -134,8 +134,9 @@ def _first_bad_cell(path, line: int, cells: list, label_idx: int) -> Optional[Da
 
 def load_csv(path, label_column: Union[str, int] = "label",
              positive_token="1") -> SsadDataset:
-    """Load a comma-delimited UTF-8 table with numeric features and one label
-    column; rows whose label equals ``positive_token`` become anomalies.
+    """Load a comma-delimited UTF-8 table, with or without a byte-order mark,
+    with numeric features and one label column; rows whose label equals
+    ``positive_token`` become anomalies.
 
     ``label_column`` is a header name or a column index; a negative index
     counts from the last column, and one out of range is a DataError.
@@ -148,7 +149,7 @@ def load_csv(path, label_column: Union[str, int] = "label",
     token = str(positive_token).strip()
     feats, labels = array("d"), array("b")
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             rows = filter(None, csv.reader(fh))
             first = next(rows, None)
             if first is None:
@@ -219,7 +220,8 @@ def split_stratified(ds: SsadDataset, train_fraction: float = 0.6,
     for label in (LABEL_NORMAL, LABEL_ANOMALY):
         idx = np.flatnonzero(ds.labels == label)
         if idx.size == 0:
-            raise DataError(f"class {label} has no rows; cannot stratify")
+            raise DataError(f"{ds.provenance.get('source', 'dataset')}: class "
+                            f"{label} has no rows; cannot stratify")
         perm = rng.permutation(idx)
         n_train = int(train_fraction * idx.size + 0.5)
         train_idx.append(perm[:n_train])

@@ -8,11 +8,12 @@ per group, and each keeps its own rule for which of several errors to raise.
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import os
 import pickle
 import signal
 import threading
+
+from . import host
 
 
 def _usable_cpus() -> int:
@@ -30,28 +31,10 @@ def _member_groups(items: list, n_groups: int) -> list:
     return [items[lo:hi] for lo, hi in zip(ends, ends[1:])]
 
 
-# prctl(2) option: the signal a child gets when the thread that forked it ends
-_PR_SET_PDEATHSIG = 1
-
-
-def _die_with(parent: int) -> None:
-    """In a forked child: be SIGKILLed when ``parent`` dies, through libc
-    ``prctl`` where it has one, and exit now if it already has (the child
-    was then reparented, so ``os.getppid()`` is another pid)."""
-    try:
-        prctl = ctypes.CDLL(None).prctl
-    except (OSError, TypeError, AttributeError):
-        return
-    prctl.argtypes, prctl.restype = [ctypes.c_int] + [ctypes.c_ulong] * 4, ctypes.c_int
-    prctl(_PR_SET_PDEATHSIG, int(signal.SIGKILL), 0, 0, 0)
-    if os.getppid() != parent:
-        os._exit(1)
-
-
 def _fork(fn, group) -> tuple:
     """A forked child that pickles back ``fn(group)``, or the exception it
     raised, through a pipe. Returns (pid, read end). The child is killed
-    with its parent (``_die_with``), writes nothing else and never returns
+    with its parent (``host.die_with``), writes nothing else and never returns
     from here."""
     parent = os.getpid()
     r, w = os.pipe()
@@ -59,7 +42,7 @@ def _fork(fn, group) -> tuple:
     if pid == 0:
         status = 1
         try:
-            _die_with(parent)
+            host.die_with(parent)
             os.close(r)
             try:
                 outcome = fn(group)

@@ -222,11 +222,20 @@ class GaussianPosterior:
         return self.mu.shape[-1]
 
 
-def init_encoder(spec: MlpSpec, in_dim: int, seed: int) -> EncoderParams:
+def _layer_dims(spec: MlpSpec, in_dim: int) -> tuple:
+    """The (fan_in, fan_out) of every encoder layer and of every decoder
+    layer, in forward order: the trunk, then the mean and log-variance
+    heads; the decoder mirrors the trunk back to ``in_dim``."""
     trunk = (in_dim, *spec.hidden)
-    dims = list(zip(trunk, trunk[1:])) + [(trunk[-1], spec.latent_dim)] * 2
+    widths = (spec.latent_dim, *reversed(spec.hidden), in_dim)
+    return (list(zip(trunk, trunk[1:])) + [(trunk[-1], spec.latent_dim)] * 2,
+            list(zip(widths, widths[1:])))
+
+
+def init_encoder(spec: MlpSpec, in_dim: int, seed: int) -> EncoderParams:
     return EncoderParams(spec, in_dim, _init_layers(
-        philox_rng(seed, STREAM_ENCODER), dims, spec.use_bias))
+        philox_rng(seed, STREAM_ENCODER), _layer_dims(spec, in_dim)[0],
+        spec.use_bias))
 
 
 def init_decoder(spec: MlpSpec, out_dim: int, seed: int,
@@ -234,9 +243,8 @@ def init_decoder(spec: MlpSpec, out_dim: int, seed: int,
     """Decoder mirroring the encoder: latent -> reversed hidden -> out_dim."""
     if family not in FAMILIES:
         raise ValueError(f"unknown likelihood family {family!r}")
-    widths = (spec.latent_dim, *reversed(spec.hidden), out_dim)
     return DecoderParams(spec, out_dim, _init_layers(
-        philox_rng(seed, STREAM_DECODER), list(zip(widths, widths[1:])),
+        philox_rng(seed, STREAM_DECODER), _layer_dims(spec, out_dim)[1],
         spec.use_bias), family)
 
 
@@ -386,19 +394,29 @@ def save_params(path, enc: EncoderParams, dec: DecoderParams) -> None:
 def load_params(path, spec: MlpSpec, in_dim: int, family: str) -> tuple:
     """Inverse of save_params for the architecture its caller records; an
     array count or shape unlike that architecture's, or a non-finite value,
-    is a ValueError naming the file."""
-    enc = init_encoder(spec, in_dim, seed=0)
-    dec = init_decoder(spec, in_dim, seed=0, family=family)
+    is a ValueError naming the file. The layers are the file's arrays,
+    checked against the shapes the spec gives before any is used, so a
+    spec claiming huge widths allocates nothing."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown likelihood family {family!r}")
+    enc_dims, dec_dims = _layer_dims(spec, in_dim)
+    shapes = []
+    for fan_in, fan_out in enc_dims + dec_dims:
+        shapes += [(fan_in, fan_out), (fan_out,)] if spec.use_bias else [(fan_in, fan_out)]
     arrays = read_arrays(path)
-    slots = enc.tensors() + dec.tensors()
-    if len(arrays) != len(slots):
+    if len(arrays) != len(shapes):
         raise ValueError(
-            f"{path}: expected {len(slots)} arrays, found {len(arrays)}")
-    for i, (slot, arr) in enumerate(zip(slots, arrays)):
-        if slot.data.shape != arr.shape:
-            raise ValueError(
-                f"{path}: shape mismatch {arr.shape} vs {slot.data.shape}")
+            f"{path}: expected {len(shapes)} arrays, found {len(arrays)}")
+    for i, (shape, arr) in enumerate(zip(shapes, arrays)):
+        if arr.shape != shape:
+            raise ValueError(f"{path}: shape mismatch {arr.shape} vs {shape}")
         if not np.isfinite(arr).all():
             raise ValueError(f"{path}: array {i} holds a non-finite value")
-        slot.data = arr
-    return enc, dec
+    tensors = map(gc.parameter, arrays)
+
+    def layers(dims):
+        return [(next(tensors), next(tensors) if spec.use_bias else None)
+                for _ in dims]
+
+    return (EncoderParams(spec, in_dim, layers(enc_dims)),
+            DecoderParams(spec, in_dim, layers(dec_dims), family))

@@ -15,23 +15,18 @@ stacked parameters and their gradients are views into two (K, P) buffers
 (``models.FlatParams``), so the Adam update is one elementwise pass: over
 all columns on a normal step, over the encoder's on an outlier step.
 
-No member's computation reads another's, so ``train`` trains the members
-in groups through ``fanout.fan_out``, each group its rows of the one
-K-member model. A member's bytes are the same in any group
-(``_train_members`` is one loop for every group), so they do not depend on
-the grouping, nor, with OpenBLAS held to one thread (``_one_blas_thread``),
-on the BLAS thread count. Each step draws its members' noise straight from
-their Philox streams: the groups already fill the CPUs, so no thread draws
-it ahead.
+No member's computation reads another's, so ``train`` trains the members in
+groups through ``fanout.fan_out``, each group its rows of the one K-member
+model. A member's bytes are the same in any group (``_train_members`` is one
+loop for every group), so they do not depend on the grouping, nor, with
+OpenBLAS held to one thread (``host.training``), on the BLAS thread count.
+Each step draws its members' noise straight from their Philox streams: the
+groups already fill the CPUs, so no thread draws it ahead.
 """
 from __future__ import annotations
 
-import contextlib
 import csv
-import ctypes
-import functools
 import json
-import threading
 import time
 from dataclasses import dataclass, field, fields, asdict
 from typing import Optional
@@ -39,6 +34,7 @@ from typing import Optional
 import numpy as np
 
 from . import gradcore as gc
+from . import host
 from . import models as md
 from . import netblocks as nb
 from .datakit import SsadDataset
@@ -316,48 +312,6 @@ def _update(adam: AdamState, params: np.ndarray, grads: np.ndarray, lr: float,
                              batch, seeds[k]) from None
 
 
-@functools.cache
-def _openblas_threads() -> tuple:
-    """The thread-count getter and setter of the OpenBLAS that numpy's
-    wheels bundle as ``scipy_openblas64_``, found through numpy's extension
-    module, which links it; two no-ops where numpy exports no such pair."""
-    try:
-        from numpy._core import _multiarray_umath
-        lib = ctypes.CDLL(_multiarray_umath.__file__)
-        get, put = (lib.scipy_openblas_get_num_threads64_,
-                    lib.scipy_openblas_set_num_threads64_)
-    except (ImportError, OSError, AttributeError):
-        return (lambda: None), (lambda n: None)
-    get.argtypes, get.restype = (), ctypes.c_int
-    put.argtypes, put.restype = (ctypes.c_int,), None
-    return get, put
-
-
-_blas_lock = threading.Lock()
-_blas_hold = [0, None]  # trainings running, and the count before the first
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """OpenBLAS on one thread while any ``train`` of this process runs, on
-    any thread, and the count from before the first restored after the
-    last. A product split over two threads can add its terms in another
-    order, and at the arrhythmia shape that changed the trained bytes."""
-    get, put = _openblas_threads()
-    with _blas_lock:
-        if _blas_hold[0] == 0:
-            _blas_hold[1] = get()
-            put(1)
-        _blas_hold[0] += 1
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _blas_hold[0] -= 1
-            if _blas_hold[0] == 0:
-                put(_blas_hold[1])
-
-
 def _first_error(errors: list, seeds: list) -> BaseException:
     """The error the in-process loop would raise, from each group's first:
     an error that is not a NumericalAbort, the earliest group's; else the
@@ -383,8 +337,8 @@ def train(config: TrainConfig, dataset: SsadDataset):
     ``fanout.fan_out`` trains the members in groups: each group trains its
     rows of the model in place (``SsadModel.rows``), and a forked group's
     rows are copied back into place. Each group trains stacked, and a
-    history's wall_time is its group's epoch. OpenBLAS runs on one thread
-    throughout, forked groups included.
+    history's wall_time is its group's epoch. It runs in ``host.training()``:
+    one OpenBLAS thread, forked groups included, and glibc's heap thresholds.
 
     An error is the one the in-process loop would raise (``_first_error``),
     raised once every group has ended.
@@ -402,7 +356,7 @@ def train(config: TrainConfig, dataset: SsadDataset):
         histories = _train_members(config, normal_x, outlier_x, rows, lo)
         return lo, rows.flat.data, histories
 
-    with _one_blas_thread():
+    with host.training():
         outcomes = fan_out(trained_rows, seeds, "training of member seeds")
     errors = [o for o in outcomes if isinstance(o, BaseException)]
     if errors:

@@ -393,6 +393,30 @@ def test_benchmark_parses_its_csv_once(tmp_path, monkeypatch):
     assert per_seed("0,1") == per_seed("0") + per_seed("1")
 
 
+@pytest.mark.parametrize("data, message", [
+    (["--synth", "4,5,3.0"], "--synth 4,5,3.0: the test split has no class 1 "
+                             "rows at train_fraction 0.6; AUROC needs both"),
+    (["--synth", "4,1,3.0,3"], "--synth 4,1,3.0,3: the test split has no "
+                               "class 0 rows at train_fraction 0.6"),
+    (["--dataset", "normals.csv"], "normals.csv: class 1 has no rows")],
+    ids=["no-test-anomaly", "no-test-normal", "one-class-table"])
+def test_benchmark_split_without_both_classes_is_a_data_error(tmp_path, data,
+                                                               message):
+    # no seed can be scored, so nothing is trained and no directory made
+    (tmp_path / "normals.csv").write_text("a,b,label\n1,2,0\n3,4,0\n5,6,0\n")
+    out = tmp_path / "runs"
+    cwd = os.getcwd()
+    os.chdir(tmp_path)
+    try:
+        rc, err, _ = _quiet_main(["benchmark", *data, "--config",
+                                  write_fast_cfg(tmp_path), *fast_args(out=out)])
+    finally:
+        os.chdir(cwd)
+    assert rc == cli.EXIT_DATA
+    assert err.startswith(f"data error: {message}")
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # bad inputs: exit 2 with the row or file named, never a traceback
 
@@ -652,6 +676,22 @@ def test_score_misshapen_member_file_is_data_error(model_dir, tmp_path, edit, me
                               "4,40,3.0", "--out", str(tmp_path / "scored")])
     assert rc == cli.EXIT_DATA
     assert err.startswith(f"data error: {member}: {message}")
+    assert not (tmp_path / "scored").exists()
+
+
+def test_score_manifest_claiming_huge_widths_is_data_error(model_dir, tmp_path):
+    # the member file is checked against the widths the manifest claims
+    # before anything of that size is allocated
+    bad = tmp_path / "model"
+    shutil.copytree(model_dir, bad)
+    manifest = json.loads((bad / "manifest.json").read_text())
+    manifest["spec"]["widths"] = [10 ** 15, 4, 2]
+    (bad / "manifest.json").write_text(json.dumps(manifest))
+    rc, err, _ = _quiet_main(["score", "--model-dir", str(bad), "--synth",
+                              "4,40,3.0", "--out", str(tmp_path / "scored")])
+    assert rc == cli.EXIT_DATA
+    assert err.startswith(f"data error: {bad / 'member_00.bin'}: shape mismatch "
+                          f"(4, 8) vs (4, {10 ** 15})")
     assert not (tmp_path / "scored").exists()
 
 

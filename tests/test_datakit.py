@@ -76,6 +76,23 @@ def test_load_csv_index_column_no_header(tmp_path):
     assert ds.labels.tolist() == [0, 1]
 
 
+def test_load_csv_byte_order_mark_before_a_data_row(tmp_path):
+    # by index, a first row of numbers stays a data row behind the mark
+    p = tmp_path / "bom.csv"
+    p.write_text("1,2,0\n3,4,1\n5,6,0\n", encoding="utf-8-sig")
+    ds = dk.load_csv(p, 2, "1")
+    assert ds.features.tolist() == [[1, 2], [3, 4], [5, 6]]
+    assert ds.labels.tolist() == [0, 1, 0]
+
+
+def test_load_csv_byte_order_mark_before_the_label_header(tmp_path):
+    p = tmp_path / "bom.csv"
+    p.write_text("label,a,b\n0,1,2\n1,3,4\n", encoding="utf-8-sig")
+    ds = dk.load_csv(p, "label", "1")
+    assert ds.features.tolist() == [[1, 2], [3, 4]]
+    assert ds.labels.tolist() == [0, 1]
+
+
 def test_load_csv_negative_index_counts_from_the_end(tmp_path):
     # -1 is the last column: the labels must not become a feature
     p = write_csv(tmp_path, "1,2,3,4,0\n5,6,7,8,1\n")

@@ -56,6 +56,27 @@ def test_only_fanout_decides_how_work_is_split():
     assert {name: hit for name, hit in found.items() if hit} == {}
 
 
+def test_only_host_imports_ctypes():
+    # native calls have one home: host.py
+    import ast
+
+    def imports_ctypes(path):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "ctypes" for m in modules):
+                return True
+        return False
+
+    src = README.parent / "src" / "ssadvae"
+    assert [p.name for p in sorted(src.glob("*.py")) if imports_ctypes(p)] == [
+        "host.py"]
+
+
 def test_a_model_is_weights_and_seeds_and_defaults_have_one_home():
     # the objective is the training config's: the model type holds none of
     # it, and the CLI repeats none of TrainConfig's defaults

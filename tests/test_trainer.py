@@ -7,6 +7,7 @@ import pytest
 from ssadvae import datakit as dk
 from ssadvae import fanout as fo
 from ssadvae import gradcore as gc
+from ssadvae import host
 from ssadvae import models as md
 from ssadvae import netblocks as nb
 from ssadvae import trainer as tr
@@ -685,7 +686,7 @@ def test_trained_bytes_do_not_depend_on_the_blas_thread_count():
 def test_train_restores_the_blas_thread_count(monkeypatch):
     # one BLAS thread while members train, and the old count restored
     # after a train that returns and after one that raises
-    get, set_threads = tr._openblas_threads()
+    get, set_threads = host._openblas_threads()
     seen, train_members = [], tr._train_members
 
     def recorded(*args):
@@ -712,7 +713,7 @@ def test_overlapping_trainings_hold_one_blas_thread_until_the_last_ends(
     # thread's still runs: BLAS stays on one thread until that one ends
     import threading
 
-    get, put = tr._openblas_threads()
+    get, put = host._openblas_threads()
     inside, release = threading.Event(), threading.Event()
     other = threading.Thread(target=tr.train,
                              args=(tiny_config(master_seed=1, method="dp"),
@@ -741,6 +742,28 @@ def test_overlapping_trainings_hold_one_blas_thread_until_the_last_ends(
     finally:
         release.set()
         put(old)
+
+
+def test_library_train_keeps_freed_heap_once_per_process(monkeypatch):
+    # train sets glibc's thresholds itself, not only the CLI, and once: a
+    # second training asks nothing more
+    import types
+
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(host, "_LIBC", types.SimpleNamespace(mallopt=mallopt))
+    host._keep_freed_heap.cache_clear()
+    try:
+        tr.train(tiny_config(method="dp"), tiny_train_set())
+        tr.train(tiny_config(method="dp"), tiny_train_set())
+    finally:
+        host._keep_freed_heap.cache_clear()
+    # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1 in glibc's malloc.h
+    assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
 
 
 def test_numerical_abort_survives_pickle():
