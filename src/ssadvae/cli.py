@@ -279,6 +279,10 @@ def prepare_seed(cfg: dict, seed: int, base: Optional[dk.SsadDataset] = None):
     if base is None:
         base = load_base_dataset(cfg, seed)
     train, test = dk.split_stratified(base, cfg["train_fraction"], seed=seed)
+    if not (train.labels == dk.LABEL_NORMAL).any():
+        raise dk.DataError(
+            f"{_source(cfg)}: the training split has no normal rows at "
+            f"train_fraction {cfg['train_fraction']}")
     train, test, stats = dk.standardize(train, test)
     train = dk.subsample_labeled_outliers(train, cfg["gamma_l"], seed=seed)
     if cfg["gamma_p"] > 0:

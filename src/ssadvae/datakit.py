@@ -156,6 +156,9 @@ def load_csv(path, label_column: Union[str, int] = "label",
                 raise DataError(f"{path}: empty file")
             label_idx = _label_index(path, first, label_column)
             ncols, body, line = len(first), rows, 2
+            if ncols == 1:
+                raise DataError(f"{path}: no feature columns beside the label "
+                                "column")
             # by index, the first row is data when its features all parse as
             # floats (a non-finite one is then rejected as a data cell)
             if not isinstance(label_column, str) and all(

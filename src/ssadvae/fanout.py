@@ -1,9 +1,10 @@
 """Independent work in parallel forked processes.
 
 ``fan_out`` is the one place that decides how ordered, independent items,
-the members of an ensemble, are split across processes: ``trainer.train``
-and ``models.ensemble_score`` hand it their items and get back one outcome
-per group, and each keeps its own rule for which of several errors to raise.
+the members of an ensemble, are split across processes, and its fork is the
+package's only concurrency: ``trainer.train`` and ``models.ensemble_score``
+hand it their items and get back one outcome per group, and each keeps its
+own rule for which of several errors to raise.
 """
 from __future__ import annotations
 
@@ -68,25 +69,29 @@ def _outcome(data: bytes, status: int, what: str):
         return RuntimeError(f"{what} ended without a result (exit {how})")
 
 
-def fan_out(fn, items: list, what: str) -> list:
+def fan_out(fn, items: list, what: str, *, stacked: bool) -> list:
     """``fn(group)`` for every group of ``items``, or the Exception it
     raised, in group order.
 
     The items are cut into G contiguous groups whose sizes differ by at most
-    one, larger first (``_member_groups``): G = min(len(items), usable
-    CPUs), or G = 1 while another thread runs, since a fork copies only the
+    one, larger first (``_member_groups``). ``stacked`` says whether ``fn``
+    runs a group's items as one computation, which costs less per item the
+    more it holds: stacked work (training) gets G = min(len(items), usable
+    CPUs); unstacked work (scoring) gets one group per item, but at most
+    4 x usable CPUs, so the process count is bounded by the machine. G = 1
+    on one usable CPU, where ``os.fork`` or ``os.sched_getaffinity`` is
+    missing, and while another thread runs, since a fork copies only the
     calling thread and a lock another thread holds would stay held in the
-    child. G is 1 for one item, on one usable CPU and where ``os.fork`` or
-    ``os.sched_getaffinity`` is missing. Group 0 runs in this process after
-    one forked child per other group has started; a lone group forks
-    nothing. A child pickles its outcome back through a pipe, and one that
-    ends without a result gives a RuntimeError "<what> <group> ended without
-    a result" with its exit status. Every child is reaped before this
-    returns; if this process raises or is interrupted, every child is
-    killed and reaped.
+    child. Group 0 runs in this process after one forked child per other
+    group has started; a lone group forks nothing. A child pickles its
+    outcome back through a pipe, and one that ends without a result gives a
+    RuntimeError "<what> <group> ended without a result" with its exit
+    status. Every child is reaped before this returns; if this process
+    raises or is interrupted, every child is killed and reaped.
     """
-    n_groups = 1 if threading.active_count() > 1 else _usable_cpus()
-    groups = _member_groups(items, min(len(items), n_groups))
+    cpus = 1 if threading.active_count() > 1 else _usable_cpus()
+    per_cpu = 1 if stacked or cpus == 1 else 4
+    groups = _member_groups(items, min(len(items), per_cpu * cpus))
     children = []  # (pid, read end) of groups 1.., the pid None once reaped
     try:
         for group in groups[1:]:

@@ -215,24 +215,15 @@ def score(model: SsadModel, x, k: int, n_samples: int = 64,
     scoring does not depend on member order.
 
     Memory stays proportional to n, not S * n: rows are encoded once, in
-    batches of ``batch_size``; then sample s takes its (n, d_z) noise block,
-    which holds the numbers one (S, n, d_z) draw puts at [s], and each batch
-    is decoded with its rows of that block. The blocks are drawn ahead on
-    one helper thread (``nb.NormalsAhead``, 16 * n * d_z bytes: 2.56 MB at
-    n = 20 000, d_z = 8), the first while the rows are encoded and sample
-    s + 1's while sample s is decoded. The helper is joined before this
-    function returns or raises. It pays for its thread: drawing each block
-    in line instead gave the same scores and about 14% fewer scored rows/s
-    in the score_bulk benchmark (20 000 rows, K = 5, S = 64) on a 2-vCPU
-    host.
+    batches of ``batch_size``; then sample s draws its (n, d_z) noise block
+    from the member's Philox stream into one reused buffer, which holds the
+    numbers one (S, n, d_z) draw puts at [s] since Philox draws concatenate,
+    and each batch is decoded with its rows of that block.
 
     The decoder passes run on plain arrays (``nb.decode_array``) with the
     operations of the graph path, ``vb.elbo`` per batch, in its order, so a
     score has the bytes that path gives it.
     """
-    # imported here: at module level it would slow every CLI start
-    from concurrent.futures import ThreadPoolExecutor
-
     x = _checked_rows(model, x, n_samples)
     n, d_z = x.shape[0], model.encoder.latent_dim
     if n == 0:
@@ -242,16 +233,14 @@ def score(model: SsadModel, x, k: int, n_samples: int = 64,
     starts = range(0, n, batch_size)
     batches = [x[lo:lo + batch_size] for lo in starts]
     recon = [None] * len(batches)
-    # leaving the block joins the helper, also when a pass raises; a far-out
-    # row overflows to a score of -inf, which needs no numpy warning
-    with ThreadPoolExecutor(1) as helper, np.errstate(over="ignore"):
-        ahead = nb.NormalsAhead(nb.philox_rng(model.seeds[k], nb.STREAM_SCORE),
-                                n * d_z, helper, blocks=n_samples)
+    rng, eps = nb.philox_rng(model.seeds[k], nb.STREAM_SCORE), np.empty((n, d_z))
+    # a far-out row overflows to a score of -inf, which needs no numpy warning
+    with np.errstate(over="ignore"):
         posts = [nb.encode(enc, xb) for xb in batches]
         kls = [vb.kl_to_gaussian_prior(post).data for post in posts]
         layers = nb.decoder_arrays(dec, len(batches[0]))
         for _ in range(n_samples):
-            eps = ahead.take().reshape(n, d_z)
+            rng.standard_normal(out=eps)
             for i, (lo, post, xb) in enumerate(zip(starts, posts, batches)):
                 z = nb.reparameterize_array(post, eps[lo:lo + len(xb)])
                 term = vb.nll_array(nb.decode_array(dec.spec, layers, z), xb,
@@ -272,9 +261,9 @@ def ensemble_score(model: SsadModel, x, n_samples: int = 64,
     its seed, and the mean adds the scores in member order.
 
     The input checks run first, and no rows give no scores. The members are
-    scored through ``fanout.fan_out``, each group's ``score`` with its own
-    noise helper thread; of the members' errors the first in member order
-    is raised.
+    scored through ``fanout.fan_out`` as unstacked work, one member per
+    process up to 4 per usable CPU; of the members' errors the first in
+    member order is raised.
     """
     x = _checked_rows(model, x, n_samples)
     if len(x) == 0:
@@ -283,7 +272,8 @@ def ensemble_score(model: SsadModel, x, n_samples: int = 64,
     def scores(group):
         return [score(model, x, k, n_samples, batch_size) for k in group]
 
-    outcomes = fan_out(scores, list(range(len(model.seeds))), "scoring of members")
+    outcomes = fan_out(scores, list(range(len(model.seeds))), "scoring of members",
+                       stacked=False)
     for outcome in outcomes:
         if isinstance(outcome, BaseException):
             raise outcome

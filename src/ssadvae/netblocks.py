@@ -53,40 +53,6 @@ def philox_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-class NormalsAhead:
-    """``blocks`` blocks of a generator's standard normals, ``size`` each,
-    drawn ahead on the executor ``helper`` into two alternating buffers:
-    scoring's noise, drawn while the decoder passes run.
-
-    The first draw starts here. ``take()`` waits for the pending block,
-    starts the next draw into the other buffer, whose block the caller is
-    done with, and returns the block, valid until the next take. Philox
-    ``standard_normal`` draws concatenate, so the blocks hold the numbers
-    of one serial draw, and no draw is made past the last block. The helper
-    runs only ``rng.standard_normal``, which releases the GIL, and no
-    function of this package: bench/tracing.py keeps one span stack, which
-    a traced call from the helper thread would corrupt.
-    """
-
-    def __init__(self, rng: np.random.Generator, size: int, helper,
-                 blocks: int):
-        self._rng, self._helper, self._blocks = rng, helper, blocks
-        self._bufs = np.empty((2, size))
-        self._taken = 0
-        self._pending = helper.submit(rng.standard_normal, out=self._bufs[0])
-
-    def take(self) -> np.ndarray:
-        if self._taken == self._blocks:
-            raise ValueError(f"all {self._blocks} blocks taken")
-        block = self._bufs[self._taken % 2]
-        self._pending.result()
-        self._taken += 1
-        if self._taken != self._blocks:
-            self._pending = self._helper.submit(
-                self._rng.standard_normal, out=self._bufs[self._taken % 2])
-        return block
-
-
 @dataclass(frozen=True)
 class MlpSpec:
     """Layer widths (hidden... , latent), activation tag and bias switch."""

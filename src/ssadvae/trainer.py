@@ -20,8 +20,7 @@ groups through ``fanout.fan_out``, each group its rows of the one K-member
 model. A member's bytes are the same in any group (``_train_members`` is one
 loop for every group), so they do not depend on the grouping, nor, with
 OpenBLAS held to one thread (``host.training``), on the BLAS thread count.
-Each step draws its members' noise straight from their Philox streams: the
-groups already fill the CPUs, so no thread draws it ahead.
+Each step draws its members' noise in line from their Philox streams.
 """
 from __future__ import annotations
 
@@ -357,7 +356,8 @@ def train(config: TrainConfig, dataset: SsadDataset):
         return lo, rows.flat.data, histories
 
     with host.training():
-        outcomes = fan_out(trained_rows, seeds, "training of member seeds")
+        outcomes = fan_out(trained_rows, seeds, "training of member seeds",
+                           stacked=True)
     errors = [o for o in outcomes if isinstance(o, BaseException)]
     if errors:
         raise _first_error(errors, seeds)

@@ -14,11 +14,9 @@ ACCEPTANCE_LINES = []
 @pytest.fixture(autouse=True)
 def no_thread_or_process_left_running():
     """Fail a test that ends with a live thread it did not start with, or
-    with a child process: scoring's noise helper, for one, must be joined
-    before score returns, and every process that train or ensemble_score
-    forks for its member groups must be reaped before it returns, also
-    when a member raises. A child found here is reaped, or reported
-    running."""
+    with a child process: every process that train or ensemble_score forks
+    for its member groups must be reaped before it returns, also when a
+    member raises. A child found here is reaped, or reported running."""
     before = set(threading.enumerate())
     yield
     left = [t.name for t in threading.enumerate() if t not in before]

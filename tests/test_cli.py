@@ -417,6 +417,34 @@ def test_benchmark_split_without_both_classes_is_a_data_error(tmp_path, data,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "benchmark"])
+def test_training_split_without_normal_rows_is_a_data_error(tmp_path, command):
+    # the one normal row goes to the test split at train_fraction 0.4
+    cfg = tmp_path / "split.cfg"
+    cfg.write_text("warmup_epochs = 3\nanneal_epochs = 2\ntrain_fraction = 0.4\n",
+                   encoding="utf-8")
+    out = tmp_path / "runs"
+    rc, err, caught = _quiet_main([command, "--synth", "4,1,3.0,3", "--config",
+                                   str(cfg), *fast_args(out=out)])
+    assert rc == cli.EXIT_DATA
+    assert err == ("data error: --synth 4,1,3.0,3: the training split has no "
+                   "normal rows at train_fraction 0.4\n")
+    assert not caught and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "benchmark"])
+def test_table_without_feature_columns_is_a_data_error(tmp_path, command):
+    path = tmp_path / "labels.csv"
+    path.write_text("label\n" + "0\n" * 20 + "1\n" * 10, encoding="utf-8")
+    out = tmp_path / "runs"
+    rc, err, caught = _quiet_main([command, "--dataset", str(path), "--config",
+                                   write_fast_cfg(tmp_path), *fast_args(out=out)])
+    assert rc == cli.EXIT_DATA
+    assert err == (f"data error: {path}: no feature columns beside the label "
+                   "column\n")
+    assert not caught and not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # bad inputs: exit 2 with the row or file named, never a traceback
 
@@ -1270,7 +1298,7 @@ def test_forked_benchmark_writes_the_in_process_bytes(tmp_path, monkeypatch):
         files.append({p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                       for p in run_dir.iterdir()})
     # training forks member seeds, scoring member indices
-    assert forked == [[3, 4], [3, 4], [4, 5], [3, 4]]
+    assert forked == [[3, 4], [1], [2], [3], [4], [4, 5], [1], [2], [3], [4]]
     assert len(files[0]) == 4 and files[0] == files[1]
 
 

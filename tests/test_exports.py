@@ -77,6 +77,31 @@ def test_only_host_imports_ctypes():
         "host.py"]
 
 
+def test_the_package_starts_no_thread():
+    # fanout's fork is the package's only concurrency: no module imports
+    # concurrent.futures or names threading.Thread
+    import ast
+
+    def thread_uses(path):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+                if node.module == "threading":
+                    modules += [f"threading.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                modules = [f"{node.value.id}.{node.attr}"]
+            else:
+                continue
+            yield from (m for m in modules if m.split(".")[0] == "concurrent"
+                        or m == "threading.Thread")
+
+    src = README.parent / "src" / "ssadvae"
+    found = {p.name: sorted(set(thread_uses(p))) for p in src.glob("*.py")}
+    assert {name: hit for name, hit in found.items() if hit} == {}
+
+
 def test_a_model_is_weights_and_seeds_and_defaults_have_one_home():
     # the objective is the training config's: the model type holds none of
     # it, and the CLI repeats none of TrainConfig's defaults

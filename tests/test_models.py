@@ -378,15 +378,10 @@ def test_score_memory_does_not_grow_with_samples():
 
 
 @pytest.mark.parametrize("n_samples", [1, 3])
-def test_score_joins_its_noise_helper(monkeypatch, n_samples):
-    # the helper that draws the next noise block is gone when score
-    # returns, and when a decoder pass raises while a draw may be in flight
+def test_score_raises_its_decoder_pass_error(monkeypatch, n_samples):
+    # a decoder pass that raises ends score with its error
     model = toy_model(seeds=(0, 1, 2))
     x = rng(32).standard_normal((10, 2))  # three row batches of 4
-    before = threading.active_count()
-    for k in range(3):
-        md.score(model, x, k, n_samples=n_samples, batch_size=4)
-        assert threading.active_count() == before
     calls, decode_array = [], nb.decode_array
     boom = RuntimeError("third decoder pass")
 
@@ -402,7 +397,6 @@ def test_score_joins_its_noise_helper(monkeypatch, n_samples):
         with pytest.raises(RuntimeError) as caught:
             md.score(model, x, k, n_samples=n_samples, batch_size=4)
         assert caught.value is boom and len(calls) == 3
-        assert threading.active_count() == before
 
 
 def test_score_variance_shrinks_with_samples():
@@ -505,8 +499,22 @@ def test_forked_member_groups_score_the_in_process_bytes(monkeypatch, method,
     assert forked == []
     monkeypatch.setattr(fo, "_usable_cpus", lambda: cpus)
     got = md.ensemble_score(model, x, n_samples=3, batch_size=16)
-    assert forked == fo._member_groups(list(range(k)), min(k, cpus))[1:]
+    assert forked == [[m] for m in range(1, k)]
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cpus, children", [
+    (1, []), (2, [[2], [3], [4], [5], [6], [7], [8]])])
+def test_scoring_forks_at_most_four_processes_per_cpu(monkeypatch, cpus,
+                                                      children):
+    # K=9 on two CPUs is 8 groups: members 0-1 in this process and one
+    # forked child for each other member; on one CPU nothing forks
+    model = toy_model(seeds=tuple(range(9)))
+    x = rng(36).standard_normal((11, 2))
+    want = sum(md.score(model, x, k, n_samples=2) for k in range(9)) / 9
+    forked = _forking(monkeypatch, cpus)
+    got = md.ensemble_score(model, x, n_samples=2)
+    assert forked == children and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -527,7 +535,7 @@ def test_forked_score_raises_the_in_process_error(monkeypatch, cpus):
     forked = _forking(monkeypatch, cpus)
     with pytest.raises(RuntimeError, match=r"^decoder pass of member 3$"):
         md.ensemble_score(model, rng(34).standard_normal((6, 2)), n_samples=2)
-    assert forked == fo._member_groups([0, 1, 2, 3, 4], cpus)[1:]
+    assert forked == ([[m] for m in range(1, 5)] if cpus > 1 else [])
 
 
 def test_score_checks_and_empty_input_fork_nothing(monkeypatch):

@@ -2,7 +2,6 @@ import hashlib
 import os
 import struct
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -292,42 +291,3 @@ def test_serialization_round_trip_property(arrays):
     for a, b in zip(arrays, back):
         assert b.shape == a.shape and b.dtype == np.float64
         assert b.tobytes() == np.ascontiguousarray(a, dtype="<f8").tobytes()
-
-
-# ---------------------------------------------------------------------------
-# read-ahead normals
-
-@pytest.mark.parametrize("size", [1, 8192, 160_000])
-def test_normals_ahead_blocks_are_one_serial_draw(size):
-    want = nb.philox_rng(5, nb.STREAM_SCORE).standard_normal(3 * size)
-    with ThreadPoolExecutor(1) as helper:
-        ahead = nb.NormalsAhead(nb.philox_rng(5, nb.STREAM_SCORE), size, helper,
-                                blocks=3)
-        got = [ahead.take().copy() for _ in range(3)]
-    assert np.concatenate(got).tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("blocks", [1, 2, 5])
-def test_normals_ahead_draws_no_block_past_its_count(blocks):
-    direct = nb.philox_rng(6, nb.STREAM_SCORE)
-    direct.standard_normal(blocks * 160)
-    rng = nb.philox_rng(6, nb.STREAM_SCORE)
-    with ThreadPoolExecutor(1) as helper:
-        ahead = nb.NormalsAhead(rng, 160, helper, blocks=blocks)
-        for _ in range(blocks):
-            ahead.take()
-        with pytest.raises(ValueError, match=f"all {blocks} blocks taken"):
-            ahead.take()
-    np.testing.assert_equal(rng.bit_generator.state, direct.bit_generator.state)
-
-
-def test_normals_ahead_consumer_that_raises_leaves_no_thread():
-    # the autouse no_thread_left_running fixture checks the helper is gone
-    boom = RuntimeError("consumer failed between takes")
-    with pytest.raises(RuntimeError) as caught:
-        with ThreadPoolExecutor(1) as helper:
-            ahead = nb.NormalsAhead(nb.philox_rng(7, nb.STREAM_NOISE), 160_000,
-                                    helper, blocks=3)
-            ahead.take()  # the next block's draw is now in flight
-            raise boom
-    assert caught.value is boom

@@ -966,7 +966,7 @@ def wait(group):
         os.replace(pid_file + ".part", pid_file)
     time.sleep(120)
 
-fo.fan_out(wait, [0, 1], "waiting")
+fo.fan_out(wait, [0, 1], "waiting", stacked=True)
 """
 
 
