@@ -2,9 +2,11 @@
 semantics, anomaly scoring, and ensembles.
 
 Both objectives share one encoder between the normal and outlier terms, and
-neither lets the outlier term touch decoder parameters: the outlier passes
-run through a detached decoder view, so those gradients are exactly zero by
-construction rather than by cancellation.
+neither lets the outlier term touch decoder parameters: ``outlier_update_term``
+runs both of its bounds through one detached decoder view, so those
+gradients are exactly zero by construction rather than by cancellation.
+A bound's inputs are made here alone (``encode_batch``, ``draw_noise``);
+``vbounds`` bounds what it is handed.
 
 A model is K >= 1 ensemble members stacked along a leading axis: the
 inputs are (K, batch, d), the losses are (K,) vectors, and member k's
@@ -151,10 +153,34 @@ def cubo_objective(rep: vb.CuboReport, k: int):
     return gc.reduce_mean(gc.exp(gc.take(rep.per_sample_log, k)), axis=-1), False
 
 
+def encode_batch(enc: nb.EncoderParams, dec: nb.DecoderParams, x):
+    """The posterior of the rows ``x`` under ``enc``, and the closure that
+    gives a latent's per-sample reconstruction loss of ``x`` under ``dec``:
+    the two inputs of a bound but its noise."""
+    xt = x if isinstance(x, Tensor) else gc.constant(x)
+    return (nb.encode(enc, xt),
+            lambda z: vb.reconstruction_loss(nb.decode(dec, z), xt, dec.family))
+
+
+def draw_noise(n_samples: int, post: nb.GaussianPosterior, rng) -> np.ndarray:
+    """Noise of shape (S, K, batch, d_z) for K stacked members: ``rng``
+    holds one generator per member, and member k draws its (S, batch, d_z)
+    block from its own stream."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    if post.mu.data.ndim != 3 or len(rng) != post.mu.shape[0]:
+        raise ValueError("rng must hold one generator per stacked member, "
+                         f"for posterior shape {post.mu.shape}")
+    out = np.empty((len(rng), n_samples, post.batch, post.dim))
+    for r, block in zip(rng, out):
+        r.standard_normal(out=block)
+    return out.swapaxes(0, 1)
+
+
 def normal_term(model: SsadModel, x, beta_kl: float, n_samples: int, rng):
     """Negative ELBO of a normal batch under the zero-mean prior."""
-    rep = vb.elbo(model.encoder, model.decoder, x, 0.0, beta_kl,
-                  n_samples=n_samples, rng=rng)
+    post, recon_fn = encode_batch(model.encoder, model.decoder, x)
+    rep = vb.elbo(post, recon_fn, 0.0, beta_kl, draw_noise(n_samples, post, rng))
     return gc.neg(rep.elbo), rep
 
 
@@ -168,21 +194,25 @@ def outlier_update_term(model: SsadModel, outlier_x, config, beta_kl: float,
 
     mml: gamma * CUBO(outliers) under the zero-mean prior, each member in
     the domain ``cubo_objective`` picks; dp: the negative outlier ELBO under
-    the alpha*1 prior; hybrid: both. The decoder is a frozen constant
-    throughout, so a method's full loss is normal_term plus this term, and
-    only the normal term trains the decoder.
+    the alpha*1 prior; hybrid: both, each term encoding the batch on its
+    own. The decoder is frozen once, here, for both terms, so a method's
+    full loss is normal_term plus this term, and only the normal term
+    trains the decoder.
     """
     method = config.method
     if method == "vae":
         raise ValueError(f"method {method!r} has no outlier update")
+    frozen = model.decoder.detached()
     loss = log_domain = None
     if method in ("dp", "hybrid"):  # hybrid draws this noise first
-        rep_o = vb.elbo(model.encoder, model.decoder.detached(), outlier_x,
-                        config.alpha, beta_kl, n_samples=config.s_elbo, rng=rng)
+        post, recon_fn = encode_batch(model.encoder, frozen, outlier_x)
+        rep_o = vb.elbo(post, recon_fn, config.alpha, beta_kl,
+                        draw_noise(config.s_elbo, post, rng))
         loss = gc.neg(rep_o.elbo)
     if method == "mml" or (method == "hybrid" and config.gamma > 0.0):
-        cubo = vb.cubo_loss(model.encoder, model.decoder, outlier_x,
-                            config.beta_cubo, n_samples=config.s_cubo, rng=rng)
+        post, recon_fn = encode_batch(model.encoder, frozen, outlier_x)
+        cubo = vb.cubo_loss(post, recon_fn, config.beta_cubo,
+                            draw_noise(config.s_cubo, post, rng))
         picks = [cubo_objective(cubo, k) for k in range(len(cubo.log_value.data))]
         target, log_domain = gc.stack([t for t, _ in picks]), [d for _, d in picks]
         weighted = gc.mul(target, config.gamma)
@@ -221,8 +251,9 @@ def score(model: SsadModel, x, k: int, n_samples: int = 64,
     and each batch is decoded with its rows of that block.
 
     The decoder passes run on plain arrays (``nb.decode_array``) with the
-    operations of the graph path, ``vb.elbo`` per batch, in its order, so a
-    score has the bytes that path gives it.
+    operations of the graph path (``vb.elbo`` on ``encode_batch``'s posterior
+    and closure, per batch) in its order, so a score has the bytes that path
+    gives it.
     """
     x = _checked_rows(model, x, n_samples)
     n, d_z = x.shape[0], model.encoder.latent_dim

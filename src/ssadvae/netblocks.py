@@ -159,6 +159,10 @@ class DecoderParams(_Layers):
     layers: list
     family: str = "gaussian"
 
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown likelihood family {self.family!r}")
+
     def detached(self) -> "DecoderParams":
         """Same buffers, no gradient flow: the frozen-decoder view."""
         return replace(self, layers=[
@@ -207,8 +211,6 @@ def init_encoder(spec: MlpSpec, in_dim: int, seed: int) -> EncoderParams:
 def init_decoder(spec: MlpSpec, out_dim: int, seed: int,
                  family: str = "gaussian") -> DecoderParams:
     """Decoder mirroring the encoder: latent -> reversed hidden -> out_dim."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown likelihood family {family!r}")
     return DecoderParams(spec, out_dim, _init_layers(
         philox_rng(seed, STREAM_DECODER), _layer_dims(spec, out_dim)[1],
         spec.use_bias), family)
@@ -363,8 +365,6 @@ def load_params(path, spec: MlpSpec, in_dim: int, family: str) -> tuple:
     is a ValueError naming the file. The layers are the file's arrays,
     checked against the shapes the spec gives before any is used, so a
     spec claiming huge widths allocates nothing."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown likelihood family {family!r}")
     enc_dims, dec_dims = _layer_dims(spec, in_dim)
     shapes = []
     for fan_in, fan_out in enc_dims + dec_dims:

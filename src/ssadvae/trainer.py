@@ -121,17 +121,19 @@ class TrainConfig:
             raise ValueError("warmup_epochs must be < epochs")
         if self.anneal_epochs > self.epochs:
             raise ValueError("anneal_epochs must be <= epochs")
-        for name in ("batch_size", "nd_update_interval", "ensemble_size",
+        for name in ("epochs", "batch_size", "nd_update_interval", "ensemble_size",
                      "s_elbo", "s_cubo"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         for name in ("lr", "clip_norm"):
             if not (getattr(self, name) > 0):
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
-        # a negative factor would turn a bound or the outlier steps upside
-        # down; a decay factor of 0 stops the outlier steps moving the
-        # encoder after the first decay, and lr_decay_every = 0 never decays
-        for name in ("beta_kl", "beta_cubo", "lr_decay_factor", "lr_decay_every"):
+        # a negative warm-up would shift the outlier schedule, and a negative
+        # factor would turn a bound or the outlier steps upside down; a decay
+        # factor of 0 stops the outlier steps moving the encoder after the
+        # first decay, and lr_decay_every = 0 never decays
+        for name in ("warmup_epochs", "anneal_epochs", "beta_kl", "beta_cubo",
+                     "lr_decay_factor", "lr_decay_every"):
             if not (getattr(self, name) >= 0):
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
 

@@ -8,6 +8,11 @@ reported in log domain, per sample and as a batch mean; ``models``
 decides per member whether to optimize that value or its exponentiated
 form, which by monotonicity reach the same optima.
 
+Each bound has one entry, ``elbo`` and ``cubo_loss``, and bounds what it is
+handed: a posterior, a per-sample reconstruction-loss closure and the
+reparameterization noise. ``models`` encodes the batch, builds the closure,
+draws the noise and decides which decoder the closure runs through.
+
 Every quantity reduces over the last axis and is per member: given the
 (K, batch, d) tensors of K stacked members, an ELBO or CUBO is a (K,)
 vector whose entries equal the K unstacked evaluations bit for bit.
@@ -141,21 +146,6 @@ def nll_array(pred: np.ndarray, x: np.ndarray, family: str) -> np.ndarray:
     return np.add.reduce(gc.softplus_of(pred) - pred * x, axis=-1)
 
 
-def _draw_noise(n_samples: int, post: nb.GaussianPosterior, rng) -> np.ndarray:
-    """Noise of shape (S, K, batch, d_z) for K stacked members: ``rng``
-    holds one generator per member, and member k draws its (S, batch, d_z)
-    block from its own stream."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    if post.mu.data.ndim != 3 or len(rng) != post.mu.shape[0]:
-        raise ValueError("rng must hold one generator per stacked member, "
-                         f"for posterior shape {post.mu.shape}")
-    out = np.empty((len(rng), n_samples, post.batch, post.dim))
-    for r, block in zip(rng, out):
-        r.standard_normal(out=block)
-    return out.swapaxes(0, 1)
-
-
 def _bound_report(recon_i: Tensor, kl_i: Tensor, beta_kl: float) -> BoundReport:
     """The batch ELBO ``-mean(recon_i) - beta_kl * mean(kl_i)`` as one node.
 
@@ -179,13 +169,11 @@ def _bound_report(recon_i: Tensor, kl_i: Tensor, beta_kl: float) -> BoundReport:
                        beta_kl=beta_kl, recon_rows=rd, kl_rows=kd)
 
 
-def elbo_from_posterior(post: nb.GaussianPosterior,
-                        recon_fn: Callable[[Tensor], Tensor],
-                        alpha: float, beta_kl: float,
-                        noise: np.ndarray) -> BoundReport:
+def elbo(post: nb.GaussianPosterior, recon_fn: Callable[[Tensor], Tensor],
+         alpha: float, beta_kl: float, noise: np.ndarray) -> BoundReport:
     """ELBO under the N(alpha * 1, I) prior given a posterior, a per-sample
-    reconstruction-loss closure, and pinned reparameterization noise of
-    shape (S, *posterior shape); the terms are summed in sample order."""
+    reconstruction-loss closure, and reparameterization noise of shape
+    (S, *posterior shape); the terms are summed in sample order."""
     n_samples = len(noise)
     if n_samples == 0:
         raise ValueError("n_samples must be >= 1")
@@ -198,22 +186,10 @@ def elbo_from_posterior(post: nb.GaussianPosterior,
     return _bound_report(recon, kl_to_gaussian_prior(post, alpha), beta_kl)
 
 
-def elbo(enc: nb.EncoderParams, dec: nb.DecoderParams, x, alpha: float,
-         beta_kl: float, n_samples: int, rng) -> BoundReport:
-    """Monte-Carlo ELBO of a batch under the given encoder/decoder and the
-    N(alpha * 1, I) prior; ``rng`` holds one generator per stacked member."""
-    xt = x if isinstance(x, Tensor) else gc.constant(x)
-    post = nb.encode(enc, xt)
-    eps = _draw_noise(n_samples, post, rng)
-    recon_fn = lambda z: reconstruction_loss(nb.decode(dec, z), xt, dec.family)
-    return elbo_from_posterior(post, recon_fn, alpha, beta_kl, eps)
-
-
-def cubo_from_posterior(post: nb.GaussianPosterior,
-                        recon_fn: Callable[[Tensor], Tensor],
-                        beta_cubo: float, noise: np.ndarray) -> CuboReport:
-    """Log-domain CUBO_2 loss under the standard-normal prior, from a
-    posterior and pinned noise.
+def cubo_loss(post: nb.GaussianPosterior, recon_fn: Callable[[Tensor], Tensor],
+              beta_cubo: float, noise: np.ndarray) -> CuboReport:
+    """Log-domain CUBO_2 loss under the standard-normal prior, given what
+    ``elbo`` takes but the prior.
 
     Per sample, in log domain:
       b*(log|S_q| + mu_q' S_q^-1 mu_q)
@@ -245,15 +221,3 @@ def cubo_from_posterior(post: nb.GaussianPosterior,
     log_mean = gc.sub(gc.logsumexp(stacked, axis=0), math.log(n_samples))
     per_sample_log = gc.add(head, log_mean)
     return CuboReport(gc.reduce_mean(per_sample_log, axis=-1), per_sample_log)
-
-
-def cubo_loss(enc: nb.EncoderParams, dec: nb.DecoderParams, x,
-              beta_cubo: float, n_samples: int, rng) -> CuboReport:
-    """CUBO loss of a batch; the decoder is a frozen constant inside this op,
-    so gradients reach encoder parameters only."""
-    xt = x if isinstance(x, Tensor) else gc.constant(x)
-    post = nb.encode(enc, xt)
-    eps = _draw_noise(n_samples, post, rng)
-    frozen = dec.detached()
-    recon_fn = lambda z: reconstruction_loss(nb.decode(frozen, z), xt, frozen.family)
-    return cubo_from_posterior(post, recon_fn, beta_cubo, eps)

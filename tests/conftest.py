@@ -4,9 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from ssadvae import gradcore as gc
-from ssadvae import netblocks as nb
-from ssadvae import vbounds as vb
+from ssadvae import models as md
 
 ACCEPTANCE_LINES = []
 
@@ -51,13 +49,10 @@ class PinnedNoise:
 
 
 def encoded(enc, dec, x):
-    """The posterior and the reconstruction-loss closure that ``vb.elbo``
-    and ``vb.cubo_loss`` build from a network on the rows ``x`` before they
-    draw noise: ``vb.elbo_from_posterior`` and ``vb.cubo_from_posterior``
-    take them with pinned noise."""
-    xt = gc.constant(x)
-    return (nb.encode(enc, xt),
-            lambda z: vb.reconstruction_loss(nb.decode(dec, z), xt, dec.family))
+    """The posterior and the reconstruction-loss closure that the objectives
+    hand ``vb.elbo`` and ``vb.cubo_loss``, built by ``md.encode_batch`` from
+    a network on the rows ``x``: a test hands them over with pinned noise."""
+    return md.encode_batch(enc, dec, x)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -173,8 +173,9 @@ def test_criterion_1_gradient_correctness():
              lambda rep: gc.take(rep.log_value, 0))
     worst_cubo = max(_max_fd_error(
         _slots(mml.encoder),
-        lambda: form(vb.cubo_loss(mml.encoder, mml.decoder, xo[None], 0.05, 4,
-                                  [conftest.PinnedNoise(noise_c)])))
+        lambda: form(vb.cubo_loss(
+            *md.encode_batch(mml.encoder, mml.decoder, xo[None]), 0.05,
+            noise_c[:, None])))
         for form in forms)
 
     dt = time.perf_counter() - t0
@@ -250,8 +251,7 @@ def test_criterion_3_bound_sandwich():
                                     gc.constant(np.full((n, 1), lv)))
         xt = gc.constant(np.full((n, 1), x))
         recon_fn = lambda z: vb.reconstruction_loss(z, xt, "gaussian")
-        rep = vb.cubo_from_posterior(post, recon_fn, 1.0,
-                                     g.standard_normal((1, n, 1)))
+        rep = vb.cubo_loss(post, recon_fn, 1.0, g.standard_normal((1, n, 1)))
         draws = np.exp(rep.per_sample_log.data)
         m = draws.mean()
         se = draws.std(ddof=1) / math.sqrt(n)
@@ -277,7 +277,7 @@ def test_criterion_4_cubo_separation_monotone():
     values = []
     for m in (0.0, 0.5, 1.0, 2.0, 4.0):
         post = nb.GaussianPosterior(gc.constant([[m]]), gc.constant([[0.0]]))
-        rep = vb.cubo_from_posterior(post, const_recon, 0.05, noise)
+        rep = vb.cubo_loss(post, const_recon, 0.05, noise)
         values.append(math.exp(rep.log_value.item()))
     dt = time.perf_counter() - t0
     decreasing = all(a > b for a, b in zip(values, values[1:]))

@@ -294,10 +294,12 @@ def test_diverging_train_prints_only_its_abort(tmp_path):
     ("s_elbo = 0", "s_elbo"), ("s_cubo = 0", "s_cubo"), ("s_score = 0", "s_score"),
     ("clip_norm = 0", "clip_norm"), ("beta_kl = -1", "beta_kl"),
     ("beta_cubo = -1", "beta_cubo"), ("lr_decay_factor = -1", "lr_decay_factor"),
-    ("lr_decay_every = -3", "lr_decay_every")],
+    ("lr_decay_every = -3", "lr_decay_every"),
+    ("nd_update_interval = 2\nwarmup_epochs = -3", "warmup_epochs"),
+    ("anneal_epochs = -1", "anneal_epochs")],
     ids=["dp-alpha", "hybrid-alpha", "mml-gamma", "hybrid-gamma", "s_elbo",
          "s_cubo", "s_score", "clip_norm", "beta_kl", "beta_cubo",
-         "lr_decay_factor", "lr_decay_every"])
+         "lr_decay_factor", "lr_decay_every", "warmup_epochs", "anneal_epochs"])
 def test_value_training_would_reject_is_a_usage_error_up_front(tmp_path, command,
                                                                setting, key):
     # each used to fail inside training (s_score after it), and under
@@ -1093,6 +1095,20 @@ def test_every_command_rejects_what_training_rejects(model_dir, tmp_path, comman
                               "--out", str(out)])
     assert rc == cli.EXIT_USAGE
     assert err.startswith(f"error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "benchmark"])
+def test_a_run_of_no_epochs_is_a_usage_error(tmp_path, command):
+    # it used to write untrained members whose histories held only a header
+    cfg = tmp_path / "z.cfg"
+    cfg.write_text("epochs = 0\nwarmup_epochs = -1\nanneal_epochs = 0\n",
+                   encoding="utf-8")
+    out = tmp_path / "runs"
+    rc, err, _ = _quiet_main([command, "--synth", "4,200,3.0", "--config", str(cfg),
+                              "--out", str(out)])
+    assert rc == cli.EXIT_USAGE
+    assert err == "error: epochs must be >= 1, got 0\n"
     assert not out.exists()
 
 

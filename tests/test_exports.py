@@ -1,9 +1,11 @@
+import ast
 import importlib
 from pathlib import Path
 
 import pytest
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+SRC = README.parent / "src" / "ssadvae"
 
 
 @pytest.mark.parametrize("module", ["ssadvae", "ssadvae.gradcore"])
@@ -29,37 +31,51 @@ def test_readme_library_use_runs_as_written(capsys):
     assert float(capsys.readouterr().out) > 0.9
 
 
+def _names(path):
+    """Every name, attribute (bare and as ``module.attr``) and imported name
+    in a source file."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+            if isinstance(node.value, ast.Name):
+                yield f"{node.value.id}.{node.attr}"
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name
+                yield f"{node.module}.{alias.name}"
+
+
 def test_only_fanout_decides_how_work_is_split():
     # the fork, the CPU count, the live-thread rule and the grouping are
     # named in fanout.py and nowhere else in the package
-    import ast
-
     banned = {"os.fork", "os.sched_getaffinity", "threading.active_count",
               "_usable_cpus", "_member_groups"}
-
-    def names(path):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                yield node.id
-            elif isinstance(node, ast.Attribute):
-                yield node.attr
-                if isinstance(node.value, ast.Name):
-                    yield f"{node.value.id}.{node.attr}"
-            elif isinstance(node, ast.ImportFrom):
-                for alias in node.names:
-                    yield alias.name
-                    yield f"{node.module}.{alias.name}"
-
-    src = README.parent / "src" / "ssadvae"
-    found = {p.name: sorted(banned & set(names(p))) for p in src.glob("*.py")}
+    found = {p.name: sorted(banned & set(_names(p))) for p in SRC.glob("*.py")}
     assert found.pop("fanout.py") == sorted(banned)
     assert {name: hit for name, hit in found.items() if hit} == {}
 
 
+def test_vbounds_bounds_what_it_is_handed():
+    # models alone encodes, draws the noise and freezes the decoder: vbounds
+    # names none of these, and only models.py calls .detached()
+    made_in_models = {"encode", "decode", "detached", "standard_normal",
+                      "philox_rng"}
+    assert sorted(made_in_models & set(_names(SRC / "vbounds.py"))) == []
+
+    def calls_detached(path):
+        return any(isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "detached"
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+
+    assert [p.name for p in sorted(SRC.glob("*.py")) if calls_detached(p)] == [
+        "models.py"]
+
+
 def test_only_host_imports_ctypes():
     # native calls have one home: host.py
-    import ast
-
     def imports_ctypes(path):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -72,16 +88,13 @@ def test_only_host_imports_ctypes():
                 return True
         return False
 
-    src = README.parent / "src" / "ssadvae"
-    assert [p.name for p in sorted(src.glob("*.py")) if imports_ctypes(p)] == [
+    assert [p.name for p in sorted(SRC.glob("*.py")) if imports_ctypes(p)] == [
         "host.py"]
 
 
 def test_the_package_starts_no_thread():
     # fanout's fork is the package's only concurrency: no module imports
     # concurrent.futures or names threading.Thread
-    import ast
-
     def thread_uses(path):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
@@ -97,8 +110,7 @@ def test_the_package_starts_no_thread():
             yield from (m for m in modules if m.split(".")[0] == "concurrent"
                         or m == "threading.Thread")
 
-    src = README.parent / "src" / "ssadvae"
-    found = {p.name: sorted(set(thread_uses(p))) for p in src.glob("*.py")}
+    found = {p.name: sorted(set(thread_uses(p))) for p in SRC.glob("*.py")}
     assert {name: hit for name, hit in found.items() if hit} == {}
 
 

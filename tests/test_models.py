@@ -76,8 +76,7 @@ def test_mml_gamma_zero_is_exact_negative_elbo():
     xn, xo = batches()
     noise = rng(2).standard_normal((1, 4, 2))
     loss, rep = full_loss(model, config, xn, xo, noise, 3)
-    direct = vb.elbo_from_posterior(*encoded(*solo(model), xn), 0.0, config.beta_kl,
-                                    noise)
+    direct = vb.elbo(*encoded(*solo(model), xn), 0.0, config.beta_kl, noise)
     assert rep.loss.data[0] == 0.0
     assert loss.data[0] == -direct.elbo.item()
 
@@ -105,13 +104,12 @@ def test_mml_terms_compose_from_vbounds_oracles():
     model, config = toy_model(in_dim=1), toy_config(gamma=0.7)
     xn = rng(3).standard_normal((4, 1))
     noise_n = rng(5).standard_normal((1, 4, 2))
-    elbo_ref = vb.elbo_from_posterior(*encoded(*solo(model), xn), 0.0, 0.05,
-                                      noise_n).elbo.item()
+    elbo_ref = vb.elbo(*encoded(*solo(model), xn), 0.0, 0.05, noise_n).elbo.item()
     domains = []
     for shift in (0.0, 4.0):
         xo = rng(4).standard_normal((2, 1)) + shift
         loss, rep = full_loss(model, config, xn, xo, noise_n, 6)
-        cubo_ref, log_domain = cubo_oracle(vb.cubo_from_posterior(
+        cubo_ref, log_domain = cubo_oracle(vb.cubo_loss(
             *encoded(*solo(model), xo), 0.05, rng(6).standard_normal((8, 2, 2))))
         assert rep.cubo_log_domain == [log_domain]
         assert loss.data[0] == pytest.approx(0.7 * cubo_ref - elbo_ref, rel=1e-12)
@@ -126,9 +124,9 @@ def test_dp_terms_compose_from_elbo_oracles():
     noise_n = rng(9).standard_normal((1, 4, 2))
     loss, rep = full_loss(model, config, xn, xo, noise_n, 10)
 
-    e_n = vb.elbo_from_posterior(*encoded(*solo(model), xn), 0.0, 0.05, noise_n)
-    e_o = vb.elbo_from_posterior(*encoded(*solo(model), xo), 10.0, 0.05,
-                                 rng(10).standard_normal((1, 2, 2)))
+    e_n = vb.elbo(*encoded(*solo(model), xn), 0.0, 0.05, noise_n)
+    e_o = vb.elbo(*encoded(*solo(model), xo), 10.0, 0.05,
+                  rng(10).standard_normal((1, 2, 2)))
     assert rep.cubo_log_domain is None
     assert loss.data[0] == pytest.approx(
         -(e_n.elbo.item() + e_o.elbo.item()), rel=1e-12)
@@ -140,8 +138,8 @@ def test_dp_alpha_zero_override_collapses_priors():
     config.alpha = 0.0
     _, xo = batches()
     rep = outlier_term(model, config, xo, 11)
-    same_prior = vb.elbo_from_posterior(*encoded(*solo(model), xo), 0.0, 0.05,
-                                        rng(11).standard_normal((1, 2, 2)))
+    same_prior = vb.elbo(*encoded(*solo(model), xo), 0.0, 0.05,
+                         rng(11).standard_normal((1, 2, 2)))
     assert rep.loss.data[0] == pytest.approx(-same_prior.elbo.item(), rel=1e-12)
 
 
@@ -152,7 +150,7 @@ def test_dp_empty_outlier_batch_plain_negative_elbo():
     xn, _ = batches()
     noise = rng(2).standard_normal((1, 4, 2))
     loss, _ = md.normal_term(model, xn[None], 0.05, 1, [PinnedNoise(noise)])
-    direct = vb.elbo_from_posterior(*encoded(*solo(model), xn), 0.0, 0.05, noise)
+    direct = vb.elbo(*encoded(*solo(model), xn), 0.0, 0.05, noise)
     assert loss.data[0] == -direct.elbo.item()
 
 
@@ -163,9 +161,8 @@ def test_hybrid_is_dp_plus_weighted_cubo():
     g = rng(14)  # the outlier ELBO draws its noise first, then the CUBO
     no = g.standard_normal((1, 2, 2))
     nc = g.standard_normal((8, 2, 2))
-    dp_ref = vb.elbo_from_posterior(*encoded(*solo(model), xo), 5.0, 0.05,
-                                    no).elbo.item()
-    cubo_ref, log_domain = cubo_oracle(vb.cubo_from_posterior(
+    dp_ref = vb.elbo(*encoded(*solo(model), xo), 5.0, 0.05, no).elbo.item()
+    cubo_ref, log_domain = cubo_oracle(vb.cubo_loss(
         *encoded(*solo(model), xo), 0.05, nc))
     assert rep.cubo_log_domain == [log_domain]
     assert rep.loss.data[0] == pytest.approx(-dp_ref + 0.5 * cubo_ref, rel=1e-12)
@@ -190,12 +187,20 @@ def test_shared_encoder_by_identity(monkeypatch):
 
 @pytest.mark.parametrize("method", ["mml", "dp", "hybrid"])
 def test_outlier_terms_leave_decoder_gradient_free(method):
-    model = toy_model()
-    _, xo = batches()
-    rep = outlier_term(model, toy_config(method=method), xo, 18)
-    gc.backward(gc.reduce_sum(rep.loss))
-    assert all(t.grad is None for t in model.decoder.tensors())
-    assert any(t.grad is not None for t in model.encoder.tensors())
+    # outlier_update_term freezes the decoder once for both of its terms:
+    # no gradient reaches it in either CUBO domain (exp for near outliers,
+    # log for far ones), while the encoder gets one
+    model, config = toy_model(in_dim=1), toy_config(method=method, gamma=0.7)
+    domains = []
+    for shift in (0.0, 4.0):
+        model.zero_grads()
+        xo = rng(4).standard_normal((2, 1)) + shift
+        rep = outlier_term(model, config, xo, 18)
+        gc.backward(gc.reduce_sum(rep.loss))
+        assert all(t.grad is None for t in model.decoder.tensors())
+        assert any(t.grad is not None for t in model.encoder.tensors())
+        domains.append(rep.cubo_log_domain)
+    assert domains == ([None, None] if method == "dp" else [[False], [True]])
 
 
 def test_full_loss_decoder_gradient_comes_only_from_normal_term():
@@ -304,8 +309,7 @@ def _reference_score(model, x, n_samples, batch_size):
     out = np.empty(x.shape[0])
     for lo in range(0, x.shape[0], batch_size):
         hi = lo + batch_size
-        rep = vb.elbo_from_posterior(*encoded(*solo(model), x[lo:hi]), 0.0, 1.0,
-                                     noise[:, lo:hi])
+        rep = vb.elbo(*encoded(*solo(model), x[lo:hi]), 0.0, 1.0, noise[:, lo:hi])
         out[lo:hi] = rep.per_sample.data
     return out
 
@@ -716,8 +720,9 @@ def test_stacked_outlier_term_keeps_an_overflow_to_its_member():
         rep = md.outlier_update_term(m, x[None], config, config.beta_kl,
                                      [rng(seed, 40)])
         gc.backward(gc.reduce_sum(rep.loss))
-        cubo = vb.cubo_loss(m.encoder, m.decoder, x[None], config.beta_cubo,
-                            n_samples=4, rng=[rng(seed, 40)])
+        post, recon_fn = md.encode_batch(m.encoder, m.decoder, x[None])
+        cubo = vb.cubo_loss(post, recon_fn, config.beta_cubo,
+                            md.draw_noise(4, post, [rng(seed, 40)]))
         return m, rep, cubo.per_sample_log.data.max() > md.LOG_EXP_LIMIT
 
     x_over = np.full((3, 1), 50.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import struct
@@ -183,6 +184,18 @@ def test_detached_decoder_shares_buffers():
     frozen = dec.detached()
     assert all(f.data is t.data for f, t in zip(frozen.tensors(), dec.tensors()))
     assert not any(t.requires_grad for t in frozen.tensors())
+
+
+def test_decoder_params_reject_an_unknown_family():
+    # the one check of the family of a network; every constructor and
+    # replace() runs it
+    with pytest.raises(ValueError, match="^unknown likelihood family 'poisson'$"):
+        nb.DecoderParams(CARDIO_SPEC, 5, [], "poisson")
+    dec = nb.init_decoder(CARDIO_SPEC, 5, seed=0)
+    with pytest.raises(ValueError, match="poisson"):
+        dataclasses.replace(dec, family="poisson")
+    with pytest.raises(ValueError, match="poisson"):
+        nb.init_decoder(CARDIO_SPEC, 5, seed=0, family="poisson")
 
 
 # sha256 of the file that save_params writes for a fresh (widths 6,4,3;

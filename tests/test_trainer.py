@@ -56,6 +56,19 @@ def test_config_invariants_enforced():
     tiny_config(alpha=-5.0)  # a prior mean of -5 * 1
 
 
+@pytest.mark.parametrize("kw, message", [
+    (dict(epochs=0, warmup_epochs=-1, anneal_epochs=0), "epochs must be >= 1, got 0"),
+    (dict(warmup_epochs=-3), "warmup_epochs must be >= 0, got -3"),
+    (dict(anneal_epochs=-1), "anneal_epochs must be >= 0, got -1")],
+    ids=["no-epochs", "negative-warmup", "negative-anneal"])
+def test_config_rejects_a_schedule_that_trains_nothing_or_shifts(kw, message):
+    # no epoch would train, or a negative warm-up would move the outlier
+    # updates off the epochs that nd_update_interval counts from 0
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        tiny_config(**kw)
+    tiny_config(anneal_epochs=0)  # no ramp: the full KL weight from epoch 0
+
+
 def test_config_holds_the_method_rules():
     # the method's rules run before every other check, each naming its key
     with pytest.raises(ValueError, match="^method: expected one of vae, mml, "
