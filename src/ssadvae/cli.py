@@ -122,7 +122,7 @@ def load_config_file(path: str) -> dict:
         raw = data.get("config", data) if isinstance(data, dict) else data
         if not isinstance(raw, dict):
             raise UsageError(f"{path}: expected a JSON object of config keys")
-        return {k: _coerce(k, v) for k, v in raw.items() if k in _KEY_TYPES}
+        return {k: _coerce(k, v) for k, v in raw.items()}
     out = {}
     for lineno, line in enumerate(text.split("\n"), 1):
         line = line.split("#", 1)[0].strip()
@@ -212,6 +212,15 @@ def effective_config(args: argparse.Namespace) -> dict:
     if cfg["s_score"] < 1:
         raise UsageError(f"s_score must be >= 1, got {cfg['s_score']!r}")
     return cfg
+
+
+def _protocol_seed(cfg: dict, command: str) -> int:
+    """The one protocol seed that ``train`` and ``score`` take; several
+    are a UsageError naming ``seeds``."""
+    if len(cfg["seeds"]) != 1:
+        raise UsageError(f"seeds: {command} takes one protocol seed, got "
+                         f"{cfg['seeds']}; pass --seeds <s>")
+    return cfg["seeds"][0]
 
 
 def config_digest(cfg: dict) -> str:
@@ -307,7 +316,7 @@ def _write_manifest(run_dir, command, cfg, digest) -> None:
 def run_train(args) -> int:
     cfg = effective_config(args)
     digest = config_digest(cfg)
-    seed = cfg["seeds"][0]
+    seed = _protocol_seed(cfg, "train")
     train, test, stats = prepare_seed(cfg, seed)  # fails before any output
     config = train_config_from(cfg, master_seed=seed)
 
@@ -357,11 +366,12 @@ def _manifest_standardization(model_dir, manifest: dict,
 def run_score(args) -> int:
     cfg = effective_config(args)
     digest = config_digest(cfg)
-    train_config_from(cfg, cfg["seeds"][0])  # what train rejects, score does too
+    seed = _protocol_seed(cfg, "score")
+    train_config_from(cfg, seed)  # what train rejects, score does too
     model, manifest = md.load_ensemble(args.model_dir)
     in_dim = model.encoder.in_dim
     stats = _manifest_standardization(args.model_dir, manifest, in_dim)
-    base = load_base_dataset(cfg, cfg["seeds"][0])
+    base = load_base_dataset(cfg, seed)
     if base.dim != in_dim:
         raise dk.DataError(
             f"{_source(cfg)} has {base.dim} features, but "
@@ -460,6 +470,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except (dk.DataError, OSError) as exc:  # an OSError names its path
         print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:  # sizes in the input or config ask too much
+        print(f"data error: out of memory: {exc}", file=sys.stderr)
         return EXIT_DATA
     except tr.NumericalAbort as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)

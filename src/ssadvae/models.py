@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -42,6 +42,10 @@ METHODS = ("vae", "mml", "dp", "hybrid")
 # which has the same optima by monotonicity, is optimized instead.
 LOG_EXP_LIMIT = math.log(np.finfo(np.float64).max) - 10.0
 CUBO_LOG_DOMAIN_MIN = -5.0
+
+# rows per encoder and decoder pass when scoring: the fastest block at the
+# benchmark's widths; a score's bytes do not depend on it
+SCORE_BLOCK_ROWS = 1024
 
 @dataclass
 class FlatParams:
@@ -80,25 +84,6 @@ class SsadModel:
     def zero_grads(self) -> None:
         for t in self.parameters():
             t.zero_grad()
-
-    def rows(self, lo: int, hi: int) -> "SsadModel":
-        """Members lo..hi-1 as a model whose parameters and gradients are
-        views into rows lo:hi of this model's ``flat`` buffers, so training
-        it trains those rows in place."""
-        def view(t):
-            v = gc.parameter(t.data[lo:hi])
-            v.grad_view = t.grad_view[lo:hi]
-            return v
-
-        def layers(params):
-            return replace(params, layers=[
-                (view(w), None if b is None else view(b)) for w, b in params.layers])
-
-        flat = FlatParams(self.flat.data[lo:hi], self.flat.grad[lo:hi],
-                          self.flat.n_encoder)
-        return replace(self, encoder=layers(self.encoder),
-                       decoder=layers(self.decoder), seeds=self.seeds[lo:hi],
-                       flat=flat)
 
     @classmethod
     def create(cls, spec: nb.MlpSpec, in_dim: int, seeds: list,
@@ -235,8 +220,7 @@ def _checked_rows(model: SsadModel, x, n_samples: int) -> np.ndarray:
     return x
 
 
-def score(model: SsadModel, x, k: int, n_samples: int = 64,
-          batch_size: int = 1024) -> np.ndarray:
+def score(model: SsadModel, x, k: int, n_samples: int = 64) -> np.ndarray:
     """Member k's per-sample anomaly score: the ELBO under the zero-mean
     prior at beta_kl = 1 (a genuine likelihood bound). Higher means more
     normal.
@@ -245,10 +229,10 @@ def score(model: SsadModel, x, k: int, n_samples: int = 64,
     scoring does not depend on member order.
 
     Memory stays proportional to n, not S * n: rows are encoded once, in
-    batches of ``batch_size``; then sample s draws its (n, d_z) noise block
-    from the member's Philox stream into one reused buffer, which holds the
-    numbers one (S, n, d_z) draw puts at [s] since Philox draws concatenate,
-    and each batch is decoded with its rows of that block.
+    batches of ``SCORE_BLOCK_ROWS``; then sample s draws its (n, d_z) noise
+    block from the member's Philox stream into one reused buffer, which
+    holds the numbers one (S, n, d_z) draw puts at [s] since Philox draws
+    concatenate, and each batch is decoded with its rows of that block.
 
     The decoder passes run on plain arrays (``nb.decode_array``) with the
     operations of the graph path (``vb.elbo`` on ``encode_batch``'s posterior
@@ -261,8 +245,8 @@ def score(model: SsadModel, x, k: int, n_samples: int = 64,
         return np.empty(0)
     # constant views of member k: no node is recorded
     enc, dec = model.encoder.member(k), model.decoder.member(k)
-    starts = range(0, n, batch_size)
-    batches = [x[lo:lo + batch_size] for lo in starts]
+    starts = range(0, n, SCORE_BLOCK_ROWS)
+    batches = [x[lo:lo + SCORE_BLOCK_ROWS] for lo in starts]
     recon = [None] * len(batches)
     rng, eps = nb.philox_rng(model.seeds[k], nb.STREAM_SCORE), np.empty((n, d_z))
     # a far-out row overflows to a score of -inf, which needs no numpy warning
@@ -286,8 +270,7 @@ def score(model: SsadModel, x, k: int, n_samples: int = 64,
     return np.concatenate([(-r) - kl * 1.0 for r, kl in zip(recon, kls)])
 
 
-def ensemble_score(model: SsadModel, x, n_samples: int = 64,
-                   batch_size: int = 1024) -> np.ndarray:
+def ensemble_score(model: SsadModel, x, n_samples: int = 64) -> np.ndarray:
     """The mean of the member scores. Each member's score depends only on
     its seed, and the mean adds the scores in member order.
 
@@ -301,7 +284,7 @@ def ensemble_score(model: SsadModel, x, n_samples: int = 64,
         return np.empty(0)
 
     def scores(group):
-        return [score(model, x, k, n_samples, batch_size) for k in group]
+        return [score(model, x, k, n_samples) for k in group]
 
     outcomes = fan_out(scores, list(range(len(model.seeds))), "scoring of members",
                        stacked=False)

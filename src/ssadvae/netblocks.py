@@ -46,7 +46,7 @@ STREAM_NOISE = 4
 STREAM_SCORE = 5
 
 
-def philox_rng(seed: int, stream: int = 0) -> np.random.Generator:
+def philox_rng(seed: int, stream: int) -> np.random.Generator:
     """Deterministic counter-based generator for (seed, stream)."""
     key = np.array([np.uint64(seed % SEED_MODULUS), np.uint64(stream)],
                    dtype=np.uint64)

@@ -16,9 +16,9 @@ stacked parameters and their gradients are views into two (K, P) buffers
 all columns on a normal step, over the encoder's on an outlier step.
 
 No member's computation reads another's, so ``train`` trains the members in
-groups through ``fanout.fan_out``, each group its rows of the one K-member
-model. A member's bytes are the same in any group (``_train_members`` is one
-loop for every group), so they do not depend on the grouping, nor, with
+groups through ``fanout.fan_out``, each group the members it creates. A
+member's bytes are the same in any group (``_train_members`` is one loop
+for every group), so they do not depend on the grouping, nor, with
 OpenBLAS held to one thread (``host.training``), on the BLAS thread count.
 Each step draws its members' noise in line from their Philox streams.
 """
@@ -334,12 +334,13 @@ def train(config: TrainConfig, dataset: SsadDataset):
     model holds only the members' weights and seeds: the objective stays
     with ``config``.
 
-    The streams are taken and the K-member model is created here, then
-    ``fanout.fan_out`` trains the members in groups: each group trains its
-    rows of the model in place (``SsadModel.rows``), and a forked group's
-    rows are copied back into place. Each group trains stacked, and a
-    history's wall_time is its group's epoch. It runs in ``host.training()``:
-    one OpenBLAS thread, forked groups included, and glibc's heap thresholds.
+    The streams are taken and the K-member model is created here, so an
+    init that cannot be allocated fails before any fork. ``fanout.fan_out``
+    then trains the members in groups, each group stacked and on members it
+    creates, and their weights are written into the model's rows in seed
+    order; its gradient buffer stays zero. A history's wall_time is its
+    group's epoch. It runs in ``host.training()``: one OpenBLAS thread,
+    forked groups included, and glibc's heap thresholds.
 
     An error is the one the in-process loop would raise (``_first_error``),
     raised once every group has ended.
@@ -351,21 +352,21 @@ def train(config: TrainConfig, dataset: SsadDataset):
         raise ValueError("training set has no normal rows")
     model = md.SsadModel.create(config.spec, dataset.dim, seeds, config.family)
 
-    def trained_rows(group):
-        lo = seeds.index(group[0])
-        rows = model.rows(lo, lo + len(group))
-        histories = _train_members(config, normal_x, outlier_x, rows, lo)
-        return lo, rows.flat.data, histories
+    def trained(group):
+        members = md.SsadModel.create(config.spec, dataset.dim, group,
+                                      config.family)
+        histories = _train_members(config, normal_x, outlier_x, members,
+                                   seeds.index(group[0]))
+        return members.flat.data, histories
 
     with host.training():
-        outcomes = fan_out(trained_rows, seeds, "training of member seeds",
+        outcomes = fan_out(trained, seeds, "training of member seeds",
                            stacked=True)
     errors = [o for o in outcomes if isinstance(o, BaseException)]
     if errors:
         raise _first_error(errors, seeds)
-    for lo, rows, _ in outcomes:  # group 0's rows are already in place
-        model.flat.data[lo:lo + len(rows)] = rows
-    return model, [h for _, _, hists in outcomes for h in hists]
+    np.concatenate([rows for rows, _ in outcomes], out=model.flat.data)
+    return model, [h for _, hists in outcomes for h in hists]
 
 
 def _train_members(config: TrainConfig, normal_x: np.ndarray,

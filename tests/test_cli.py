@@ -206,6 +206,20 @@ def test_config_unknown_key_rejected(tmp_path):
     assert rc == cli.EXIT_USAGE
 
 
+def test_json_config_unknown_key_rejected(tmp_path, capsys):
+    # as in a text config: the key is named, not dropped with its value
+    p = tmp_path / "typo.json"
+    p.write_text('{"epoch": 3, "widths": [8, 4, 2]}', encoding="utf-8")
+    with pytest.raises(cli.UsageError, match="^unknown config key 'epoch'$"):
+        cli.load_config_file(str(p))
+    out = tmp_path / "runs"
+    rc = cli.main(["train", "--synth", "4,200,3.0", "--config", str(p),
+                   "--epochs", "2", "--ensemble", "1", "--out", str(out)])
+    assert rc == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: unknown config key 'epoch'")
+    assert not out.exists()
+
+
 def test_bundled_configs_resolve_and_parse():
     names = os.listdir(cli._CONFIG_DIR)
     assert "dp-cardio.cfg" in names and "mml-thyroid.cfg" in names
@@ -261,6 +275,34 @@ def test_overflowing_synth_features_are_a_data_error(tmp_path, shift):
     assert f"{source}: feature column 0 overflows standardization" in err
     assert not caught and "RuntimeWarning" not in err
     assert not out.exists()
+
+
+# each array asks for more than the 2**47-byte x86-64 user address space,
+# so its allocation fails at once under any overcommit policy
+HUGE_ROWS = ["--synth", "8,10000000000000,3.0"]
+HUGE_WIDTH = ["--synth", "8,200,3.0", "--widths", "10000000000000,2"]
+
+
+@pytest.mark.parametrize("command, argv, run_dir", [
+    ("train", HUGE_ROWS, False), ("train", HUGE_WIDTH, False),
+    ("benchmark", HUGE_ROWS, False), ("benchmark", HUGE_WIDTH, True)],
+    ids=["train-rows", "train-width", "benchmark-rows", "benchmark-width"])
+def test_an_allocation_that_cannot_be_made_is_a_data_error(tmp_path, command,
+                                                           argv, run_dir):
+    # the table is drawn before any run directory exists, the members only
+    # after a benchmark has made its own, which then holds FAILED.json
+    out = tmp_path / "runs"
+    rc, err, _ = _quiet_main([command, *argv, "--out", str(out)])
+    assert rc == cli.EXIT_DATA
+    assert err.startswith("data error: out of memory: Unable to allocate ")
+    assert err.count("\n") == 1
+    if not run_dir:
+        assert not out.exists()
+        return
+    (path,) = out.iterdir()
+    failed = json.loads((path / "FAILED.json").read_text(encoding="utf-8"))
+    assert failed["completed_seeds"] == []
+    assert failed["error"].startswith("Unable to allocate ")
 
 
 def test_aborted_train_leaves_no_run_directory(tmp_path, capsys):
@@ -735,6 +777,20 @@ def test_repeated_seeds_are_a_usage_error(tmp_path, command):
                               "--seeds", "0,0", "--out", str(out)])
     assert rc == cli.EXIT_USAGE
     assert err.startswith("error: seeds must be distinct, got [0, 0]")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "score"])
+def test_several_protocol_seeds_are_a_usage_error(model_dir, tmp_path, command):
+    # train and score run one protocol seed; the others would be ignored
+    out = tmp_path / "runs"
+    model = ["--model-dir", str(model_dir)] if command == "score" else []
+    rc, err, _ = _quiet_main([command, "--synth", "4,200,3.0", *model,
+                              "--config", write_fast_cfg(tmp_path),
+                              "--seeds", "0,1", *FAST_CFG, "--out", str(out)])
+    assert rc == cli.EXIT_USAGE
+    assert err.startswith(f"error: seeds: {command} takes one protocol seed, "
+                          "got [0, 1]; pass --seeds <s>")
     assert not out.exists()
 
 

@@ -294,11 +294,12 @@ def test_score_deterministic_and_seeded():
     assert not np.array_equal(a, c)
 
 
-def test_score_batch_size_does_not_change_values():
+def test_score_batch_size_does_not_change_values(monkeypatch):
     model = toy_model()
     x = rng(22).standard_normal((30, 2))
     full = md.score(model, x, 0, n_samples=3)
-    chunked = md.score(model, x, 0, n_samples=3, batch_size=7)
+    monkeypatch.setattr(md, "SCORE_BLOCK_ROWS", 7)
+    chunked = md.score(model, x, 0, n_samples=3)
     np.testing.assert_array_equal(full, chunked)
 
 
@@ -317,17 +318,19 @@ def _reference_score(model, x, n_samples, batch_size):
 @pytest.mark.parametrize("n", [5, 32, 37])  # < batch, a multiple, neither
 @pytest.mark.parametrize("n_samples", [1, 64])
 @pytest.mark.parametrize("family", ["gaussian", "bernoulli"])
-def test_score_equals_one_noise_draw_byte_for_byte(n, n_samples, family):
+def test_score_equals_one_noise_draw_byte_for_byte(monkeypatch, n, n_samples,
+                                                  family):
     # every activation; (80, 4, 3) has a decoder layer too wide to spread its
     # bias. Biases start at zero, so they are drawn here to show in the bytes.
     x = rng(28).standard_normal((n, 5))
+    monkeypatch.setattr(md, "SCORE_BLOCK_ROWS", 16)
     for widths in ((6, 4, 3), (80, 4, 3)):
         for activation in ("leaky-relu", "relu", "sigmoid"):
             spec = nb.MlpSpec(widths=widths, activation=activation)
             model = md.SsadModel.create(spec, 5, [8], family)
             for _, b in model.encoder.layers[:-2] + model.decoder.layers:
                 b.data[...] = rng(30).standard_normal(b.data.shape)
-            got = md.score(model, x, 0, n_samples=n_samples, batch_size=16)
+            got = md.score(model, x, 0, n_samples=n_samples)
             want = _reference_score(model, x, n_samples, 16)
             assert got.tobytes() == want.tobytes(), (widths, activation)
 
@@ -396,10 +399,11 @@ def test_score_raises_its_decoder_pass_error(monkeypatch, n_samples):
         return decode_array(*args)
 
     monkeypatch.setattr(nb, "decode_array", failing_decode_array)
+    monkeypatch.setattr(md, "SCORE_BLOCK_ROWS", 4)
     for k in range(3):
         calls.clear()
         with pytest.raises(RuntimeError) as caught:
-            md.score(model, x, k, n_samples=n_samples, batch_size=4)
+            md.score(model, x, k, n_samples=n_samples)
         assert caught.value is boom and len(calls) == 3
 
 
@@ -422,8 +426,9 @@ def test_scoring_builds_no_graph(monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(gc, "make_node", recording_make_node)
+    monkeypatch.setattr(md, "SCORE_BLOCK_ROWS", 4)
     md.ensemble_score(toy_model(seeds=(0, 1)), rng(31).standard_normal((7, 2)),
-                      n_samples=3, batch_size=4)
+                      n_samples=3)
     assert made
     assert not any(t.parents or t.requires_grad for t in made)
 
@@ -455,28 +460,6 @@ def test_ensemble_single_member_equals_model_score():
                                   md.score(m, x, 0, 4))
 
 
-def test_rows_train_their_rows_of_the_model_in_place():
-    # a backward pass through members 1-2 writes rows 1-2 of the model's
-    # gradient buffer and no other, and an update of their parameters is
-    # one of the model's
-    model = toy_model(seeds=(0, 1, 2, 3))
-    part = model.rows(1, 3)
-    assert part.seeds == [1, 2] and part.flat.n_encoder == model.flat.n_encoder
-    loss = None
-    for t in part.parameters():
-        term = gc.reduce_sum(gc.square(t))
-        loss = term if loss is None else gc.add(loss, term)
-    gc.backward(loss)
-    assert (model.flat.grad[1:3] == 2.0 * model.flat.data[1:3]).all()
-    assert not model.flat.grad[[0, 3]].any()
-    before = model.flat.data.copy()
-    part.flat.data[...] -= part.flat.grad
-    assert (model.flat.data[1:3] == -before[1:3]).all()
-    assert (model.flat.data[[0, 3]] == before[[0, 3]]).all()
-    for t, whole in zip(part.parameters(), model.parameters()):
-        assert t.data.tobytes() == whole.data[1:3].tobytes()
-
-
 def _forking(monkeypatch, cpus):
     """``ensemble_score`` sees ``cpus`` usable CPUs; returns the list that
     the member indices of each forked group are appended to."""
@@ -498,11 +481,12 @@ def test_forked_member_groups_score_the_in_process_bytes(monkeypatch, method,
                                                          k, cpus):
     model = toy_model(seeds=tuple(range(10, 10 + k)))
     x = rng(33).standard_normal((37, 2))
+    monkeypatch.setattr(md, "SCORE_BLOCK_ROWS", 16)  # forked children see it
     forked = _forking(monkeypatch, 1)
-    want = md.ensemble_score(model, x, n_samples=3, batch_size=16)
+    want = md.ensemble_score(model, x, n_samples=3)
     assert forked == []
     monkeypatch.setattr(fo, "_usable_cpus", lambda: cpus)
-    got = md.ensemble_score(model, x, n_samples=3, batch_size=16)
+    got = md.ensemble_score(model, x, n_samples=3)
     assert forked == [[m] for m in range(1, k)]
     assert got.tobytes() == want.tobytes()
 

@@ -837,6 +837,11 @@ def test_forked_groups_equal_the_in_process_run_bit_for_bit(monkeypatch, method,
     assert got.flat.data.tobytes() == want.flat.data.tobytes()
     for a, b in zip(got.parameters(), want.parameters()):
         assert a.data.tobytes() == b.data.tobytes()
+    for model in (got, want):  # views into its own buffers, no gradient left
+        for t in model.parameters():
+            assert np.shares_memory(t.data, model.flat.data)
+            assert np.shares_memory(t.grad_view, model.flat.grad)
+        assert not model.flat.grad.any()
     rows = [[[{**r, "wall_time": 0} for r in h.to_rows()] for h in hists]
             for hists in (got_hists, want_hists)]
     assert rows[0] == rows[1]
